@@ -463,7 +463,7 @@ def _cmd_germs(args):
             plus = [
                 (lambda p, m=m: np.array([0.5j, 1.0 + 0j]) + m * e1) for m in ms
             ]
-        coeffs = germs.ell1_from_frames(plus, minus, lambda p: e1, None)
+        coeffs = germs.ell1_from_frames(plus, minus, lambda p: e1)
         values = [c(np.zeros(2)) for c in coeffs]
         return {"case": args.case, "a": values, "m": ms}, {}, True
     if args.command == "integral":

@@ -12,10 +12,14 @@ Two kinds of data:
   monodromy bookkeeping of a stitched fibration.
 
 ``ell1_from_frames`` solves the seam discrepancy equation
-(eta_j^+ - eta_j^-)|_Z = a_j eta_1 pointwise; the shipped seam frames for
-the stitched focus-focus model are the Hamiltonian frames of its action
-coordinates continued across the lower wall half (so the l_1 fibre
-integral over the lower seam realizes the monodromy integer m = 1).
+(eta_j^+ - eta_j^-)|_Z = a_j eta_1 pointwise, over a whole batch of seam
+points at once; the shipped seam frames for the stitched focus-focus model
+are the Hamiltonian frames of its action coordinates continued across the
+lower wall half (so the l_1 fibre integral over the lower seam realizes
+the monodromy integer m = 1).  The frames are Hamiltonian fields from the
+package's one derivative engine (``numerics.hamiltonian_field``, with the
+``numerics.fd_step`` step policy), and the fibre-cycle integrals use the
+shared doubling trapezoid rule ``numerics.periodic_quadrature``.
 """
 
 from __future__ import annotations
@@ -106,18 +110,14 @@ def cycle_integrals(seq: EllSequence, base=None, n=TRAPEZOID_POINTS,
     out = np.empty(seq.fibre_dim)
     ell1 = seq.ell1()
     for j in range(seq.fibre_dim):
-        vals = {}
-        for m in (n // 2, n):
-            y = np.zeros((m, seq.fibre_dim))
-            y[:, j] = np.arange(m) / m
-            # transverse basepoint fixed at 0; closedness makes this immaterial
-            vals[m] = float(np.mean(ell1[j](y, base)))
-        if abs(vals[n] - vals[n // 2]) > quad_tol:
+        y = np.zeros((n, seq.fibre_dim))
+        y[:, j] = np.arange(n) / n
+        # transverse basepoint fixed at 0; closedness makes this immaterial
+        out[j], err = numerics.periodic_quadrature(ell1[j](y, base))
+        if err > quad_tol:
             raise RuntimeError(
-                f"cycle integral {j} did not converge "
-                f"(doubling estimate {abs(vals[n] - vals[n // 2]):.2e})"
+                f"cycle integral {j} did not converge (doubling estimate {err:.2e})"
             )
-        out[j] = vals[n]
     return out
 
 
@@ -236,13 +236,15 @@ def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
 # ----------------------------------------------------------------------
 
 def ell1_from_frames(eta_plus: Sequence[Callable], eta_minus: Sequence[Callable],
-                     eta1: Callable, check_points, tol=1e-6) -> List[Callable]:
+                     eta1: Callable, tol=1e-6) -> List[Callable]:
     """Solve (eta_j^+ - eta_j^-)|_Z = a_j eta_1 by pointwise projection.
 
-    Frames are callables mapping a seam point to a (complex or real)
-    vector.  The residual transverse to eta_1 is checked on
-    ``check_points``; exceeding ``tol`` (relative to |eta_1|) means the
-    input is not a stitched seam.  Returns the coefficient callables a_j.
+    Frames are callables mapping a seam point, or a batch of them, to a
+    (complex or real) vector along a trailing axis.  The residual
+    transverse to eta_1 is checked at every point evaluated; exceeding
+    ``tol`` (relative to |eta_1|) at any of them means the input is not a
+    stitched seam.  Returns the coefficient callables a_j, one value per
+    point.
     """
     if len(eta_plus) != len(eta_minus):
         raise ValueError("frame length mismatch")
@@ -251,15 +253,15 @@ def ell1_from_frames(eta_plus: Sequence[Callable], eta_minus: Sequence[Callable]
         def a_j(p):
             diff = np.asarray(eta_plus[j](p)) - np.asarray(eta_minus[j](p))
             e1 = np.asarray(eta1(p))
-            e1sq = float(np.sum(np.abs(e1) ** 2))
-            if e1sq == 0.0:
+            e1sq = np.sum(np.abs(e1) ** 2, axis=-1)
+            if np.any(e1sq == 0.0):
                 raise ValueError("eta_1 vanishes on the seam")
-            coeff = float(np.sum((np.conj(e1) * diff).real)) / e1sq
-            residual = diff - coeff * e1
-            if np.linalg.norm(residual) > tol * max(1.0, math.sqrt(e1sq)):
+            coeff = np.sum((np.conj(e1) * diff).real, axis=-1) / e1sq
+            residual = np.linalg.norm(diff - coeff[..., None] * e1, axis=-1)
+            if np.any(residual > tol * np.maximum(1.0, np.sqrt(e1sq))):
                 raise ValueError(
                     "frame discrepancy is not parallel to eta_1 "
-                    f"(residual {np.linalg.norm(residual):.2e}); "
+                    f"(residual {np.max(residual):.2e}); "
                     "input is not a stitched seam"
                 )
             return coeff
@@ -272,24 +274,6 @@ def ell1_from_frames(eta_plus: Sequence[Callable], eta_minus: Sequence[Callable]
 # ----------------------------------------------------------------------
 # the stitched focus-focus seam
 # ----------------------------------------------------------------------
-
-def _hamiltonian_field_c2(F, z, step=1e-5):
-    """Hamiltonian field of F: C^2 -> R at points (m, 2), batched."""
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    m, n = z.shape
-    g = np.empty((m, 2 * n))
-    for k in range(2 * n):
-        delta = np.zeros(n, dtype=complex)
-        delta[k // 2] = 1.0 if k % 2 == 0 else 1.0j
-
-        def central(hh):
-            return (F(z + hh * delta) - F(z - hh * delta)) / (2.0 * hh)
-
-        d1 = central(step)
-        d2 = central(step / 2.0)
-        g[:, k] = (4.0 * d2 - d1) / 3.0
-    return -g[:, 1::2] + 1j * g[:, 0::2]
-
 
 def stitched_ff_action(side: str, z):
     """One-sided action coordinate A_2 of the stitched focus-focus model.
@@ -311,19 +295,17 @@ def stitched_ff_action(side: str, z):
 
 
 def stitched_ff_frames():
-    """(eta_plus, eta_minus, eta_1) for the stitched focus-focus seam."""
+    """(eta_plus, eta_minus, eta_1) for the stitched focus-focus seam.
 
-    def eta1(p):
-        return _hamiltonian_field_c2(
-            lambda z: 2.0 * math.pi * mu12(z), p
-        )[0]
+    Each frame maps seam points (..., 2) to their Hamiltonian fields.
+    """
 
-    def eta2_plus(p):
-        return _hamiltonian_field_c2(lambda z: stitched_ff_action("plus", z), p)[0]
+    def frame(F):
+        return lambda p: numerics.hamiltonian_field(F, p, step=1e-5)
 
-    def eta2_minus(p):
-        return _hamiltonian_field_c2(lambda z: stitched_ff_action("minus", z), p)[0]
-
+    eta1 = frame(lambda z: 2.0 * math.pi * mu12(z))
+    eta2_plus = frame(lambda z: stitched_ff_action("plus", z))
+    eta2_minus = frame(lambda z: stitched_ff_action("minus", z))
     return [eta2_plus], [eta2_minus], eta1
 
 
@@ -347,21 +329,20 @@ def stitched_ff_seam_cycle(b2: float):
     return cyc
 
 
-def stitched_ff_ell1_sequence(n=TRAPEZOID_POINTS) -> EllSequence:
+def stitched_ff_ell1_sequence() -> EllSequence:
     """l_1 of the stitched focus-focus model as an EllSequence on a seam.
 
     The coefficient is evaluated through the seam frames at the lifted
-    action-angle cycle of the base point (0, b2); ``base`` is b2.
+    action-angle cycle of the base point (0, b2), all points of ``y`` at
+    once; ``base`` is b2.
     """
     eta_plus, eta_minus, eta1 = stitched_ff_frames()
-    coeffs = ell1_from_frames(eta_plus, eta_minus, eta1,
-                              check_points=None, tol=1e-5)
+    coeffs = ell1_from_frames(eta_plus, eta_minus, eta1, tol=1e-5)
 
     def a2(y, base=None):
         b2 = -0.5 if base is None else float(base)
         cyc = stitched_ff_seam_cycle(b2)
-        pts = cyc(np.asarray(y, dtype=float)[..., 0])
-        return np.array([coeffs[0](p) for p in np.atleast_2d(pts)])
+        return coeffs[0](cyc(np.asarray(y, dtype=float)[..., 0]))
 
     return EllSequence("ff_lower", 1, {1: [a2]}, order=1)
 

@@ -35,14 +35,10 @@ def _cycle_integrand(model, cyc, b_raw, s):
     dz = (np.asarray(cyc((s + h) % 1.0), dtype=complex)
           - np.asarray(cyc((s - h) % 1.0), dtype=complex)) / (2.0 * h)
     grads = batch_gradients(model, z)          # (m, comps, 2n)
-    values = np.empty((len(s), model.components))
-    for i in range(len(s)):
-        jac = grads[i]
-        lift = jac.T @ np.linalg.inv(jac @ jac.T)   # (2n, comps)
-        wc = numerics.r2c(lift.T)                    # rows: complex lifts per direction
-        # omega(w, dz), one value per base direction
-        values[i] = -numerics.omega_pair(wc, dz[i][None, :])
-    return values, defect
+    # Moore-Penrose lifts: rows of (jac jac^T)^{-1} jac, one per direction
+    lifts = numerics.r2c(np.linalg.solve(grads @ np.swapaxes(grads, 1, 2), grads))
+    # omega(w, dz), one value per base direction
+    return -numerics.omega_pair(lifts, dz[:, None, :]), defect
 
 
 def numeric_periods(model: FibrationModel, b, cycles=None, n=512,
@@ -68,12 +64,8 @@ def numeric_periods(model: FibrationModel, b, cycles=None, n=512,
     worst_defect = 0.0
     for name in names:
         cyc, norm = model.cycles[name](z0)
-        s_coarse = np.arange(n // 2) / (n // 2)
-        s_fine = np.arange(n) / n
-        vals_fine, defect = _cycle_integrand(model, cyc, b_raw, s_fine)
-        vals_coarse, _ = _cycle_integrand(model, cyc, b_raw, s_coarse)
-        raw = vals_fine.mean(axis=0) * norm
-        err = float(np.max(np.abs(raw - vals_coarse.mean(axis=0) * norm)))
+        vals, defect = _cycle_integrand(model, cyc, b_raw, np.arange(n) / n)
+        raw, err = numerics.periodic_quadrature(vals * norm)
         worst_defect = max(worst_defect, defect)
         if defect > fibre_tol:
             raise ValueError(

@@ -324,26 +324,44 @@ def _model_stitched_ff() -> FibrationModel:
     )
 
 
+def _thin_legs_switch_gap(u1, u2, eps, big_m):
+    """Distance from (u1, u2) to the spheres where phi_thin_legs switches
+    branch: |u1|^2 + |u2|^2 = eps, |u1|^2 + |u2 - sqrt2|^2 = eps, |u2|^2 = M."""
+    r1 = np.abs(u1)
+    return np.minimum.reduce([
+        np.abs(np.hypot(r1, np.abs(u2)) - math.sqrt(eps)),
+        np.abs(np.hypot(r1, np.abs(u2 - SQRT2)) - math.sqrt(eps)),
+        np.abs(np.abs(u2) - math.sqrt(big_m)),
+    ])
+
+
 def _phi_model(model_id, phi, smooth_locus, params=None):
     params = dict(params or {})
 
-    def f(z):
+    def twisted(z):
+        """(v1, v2) = Phi(gamma(z1, z2), z3), and the distance to the
+        spheres where Phi switches branch (inf for a single-branch Phi)."""
         g = gamma(z[..., 0], z[..., 1])
         v1, v2 = phi(g, z[..., 2])
+        if "eps" not in params:
+            return v1, v2, np.inf
+        return v1, v2, _thin_legs_switch_gap(g, z[..., 2], params["eps"], params["M"])
+
+    def f(z):
+        v1, v2, _ = twisted(z)
         return np.stack([mu12(z), log_abs(v1), log_abs(v2)], axis=-1)
 
     def domain_ok(z):
-        g = gamma(z[..., 0], z[..., 1])
-        v1, v2 = phi(g, z[..., 2])
+        v1, v2, _ = twisted(z)
         return (np.abs(v1) > 0) & (np.abs(v2) > 0)
 
     def margin(z):
-        g = gamma(z[..., 0], z[..., 1])
-        v1, v2 = phi(g, z[..., 2])
+        v1, v2, switch = twisted(z)
         return np.minimum.reduce([
             np.abs(v1), np.abs(v2),
             _min_pair_norm(z, [(0, 1)]),
             np.abs(mu12(z)),
+            np.broadcast_to(switch, np.shape(v1)),
         ])
 
     return FibrationModel(

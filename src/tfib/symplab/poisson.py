@@ -1,9 +1,9 @@
 """Poisson-commutation verification by finite differences.
 
 {f, g} = sum_k (df/dx_k dg/dy_k - df/dy_k dg/dx_k); components of a
-Lagrangian fibration must pairwise commute.  Gradients are Richardson
-central differences with step scaled per coordinate, evaluated in batch
-over all samples at once.
+Lagrangian fibration must pairwise commute.  Gradients come from the
+package's derivative engine ``numerics.jacobian``, in batch over all
+samples at once.
 """
 
 from __future__ import annotations
@@ -19,22 +19,8 @@ def batch_gradients(model: FibrationModel, z, step=numerics.DEFAULT_STEP):
 
     Returns an array (m, components, 2n) of d f_i / d (x_k, y_k).
     """
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    m, n = z.shape
-    grads = np.empty((m, model.components, 2 * n))
-    for k in range(2 * n):
-        delta = np.zeros(n, dtype=complex)
-        delta[k // 2] = 1.0 if k % 2 == 0 else 1.0j
-        base = z[:, k // 2].real if k % 2 == 0 else z[:, k // 2].imag
-        h = numerics.fd_step(base, step)[:, None]
-
-        def central(hh):
-            return (model.f(z + hh * delta) - model.f(z - hh * delta)) / (2.0 * hh)
-
-        d1 = central(h)
-        d2 = central(h / 2.0)
-        grads[:, :, k] = (4.0 * d2 - d1) / 3.0
-    return grads
+    x = numerics.c2r(np.atleast_2d(z))
+    return numerics.jacobian(lambda xx: model.f(numerics.r2c(xx)), x, step=step)
 
 
 def poisson_brackets(model: FibrationModel, z, step=numerics.DEFAULT_STEP):

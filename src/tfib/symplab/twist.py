@@ -3,10 +3,11 @@
 Flows integrate  udot_k = -dH/dy_k + i dH/dx_k  (the package convention)
 with an adaptive embedded Runge-Kutta scheme (DOP853, rtol 1e-9), batched
 over all requested start points.  The gradient of a supplied Hamiltonian
-is taken by Richardson central differences unless the Hamiltonian object
-provides an analytic ``grad``; symplecticity of the flow is checked by
-integrating the variational equations, which avoids differencing the
-integrated map itself.
+comes from the package's derivative engine ``numerics.gradient`` unless
+the Hamiltonian object provides an analytic ``grad``; symplecticity of the
+flow is checked by integrating the variational equations, whose field
+Jacobian D X_H also comes from the engine (``numerics.jacobian``), which
+avoids differencing the integrated map itself.
 """
 
 from __future__ import annotations
@@ -68,31 +69,14 @@ def cutoff_hamiltonian(eps=0.1):
 def _field(h, u):
     """X_H on a batch, from the analytic gradient when available."""
     grad = getattr(h, "grad", None)
-    g = grad(u) if grad is not None else _batch_grad(h, u)
+    g = grad(u) if grad is not None else numerics.gradient(
+        lambda x: h(numerics.r2c(x)), numerics.c2r(u), step=1e-5)
     gx = g[:, 0::2]
     gy = g[:, 1::2]
     out = np.empty_like(g)
     out[:, 0::2] = -gy
     out[:, 1::2] = gx
     return out
-
-
-def _batch_grad(h, u, step=1e-5):
-    """Richardson gradient of a vectorized Hamiltonian, (m, 2n) real."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    m, n = u.shape
-    g = np.empty((m, 2 * n))
-    for k in range(2 * n):
-        delta = np.zeros(n, dtype=complex)
-        delta[k // 2] = 1.0 if k % 2 == 0 else 1.0j
-
-        def central(hh):
-            return (h(u + hh * delta) - h(u - hh * delta)) / (2.0 * hh)
-
-        d1 = central(step)
-        d2 = central(step / 2.0)
-        g[:, k] = (4.0 * d2 - d1) / 3.0
-    return g
 
 
 def hamiltonian_twist(h, time=1.0, rtol=1e-9, atol=1e-12, max_radius=50.0):
@@ -126,24 +110,6 @@ def hamiltonian_twist(h, time=1.0, rtol=1e-9, atol=1e-12, max_radius=50.0):
     return flow
 
 
-def _field_jacobian(h, u, step=1e-4):
-    """D X_H at each point of a batch, Richardson differences of the field."""
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    m, n = u.shape
-    jac = np.empty((m, 2 * n, 2 * n))
-    for k in range(2 * n):
-        delta = np.zeros(n, dtype=complex)
-        delta[k // 2] = 1.0 if k % 2 == 0 else 1.0j
-
-        def central(hh):
-            return (_field(h, u + hh * delta) - _field(h, u - hh * delta)) / (2.0 * hh)
-
-        d1 = central(step)
-        d2 = central(step / 2.0)
-        jac[:, :, k] = (4.0 * d2 - d1) / 3.0
-    return jac
-
-
 def flow_jacobians(h, points, time=1.0, rtol=1e-11, atol=1e-13):
     """Tangent maps of the time-``time`` flow via the variational equations."""
     points = np.atleast_2d(np.asarray(points, dtype=complex))
@@ -154,13 +120,15 @@ def flow_jacobians(h, points, time=1.0, rtol=1e-11, atol=1e-13):
         np.broadcast_to(np.eye(d).reshape(-1), (m, d * d)).reshape(-1),
     ])
 
+    def field(x):
+        return _field(h, numerics.r2c(x))
+
     def rhs(_t, y):
-        u = numerics.r2c(y[: m * d].reshape(m, d))
+        x = y[: m * d].reshape(m, d)
         jacs = y[m * d:].reshape(m, d, d)
-        du = _field(h, u).reshape(-1)
-        a = _field_jacobian(h, u)
+        a = numerics.jacobian(field, x)      # D X_H at each point
         dj = np.einsum("mij,mjk->mik", a, jacs).reshape(-1)
-        return np.concatenate([du, dj])
+        return np.concatenate([field(x).reshape(-1), dj])
 
     sol = solve_ivp(rhs, (0.0, time), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:

@@ -211,11 +211,11 @@ def test_criterion_11_stitched_invariants():
         e1 = np.array([1.0 + 0j, -1.0 + 0j])
         base_vec = np.array([0.5j, 1.0 + 0j])
         minus = [lambda p: base_vec, lambda p: base_vec]
-        equal = germs.ell1_from_frames(minus, minus, lambda p: e1, None)
+        equal = germs.ell1_from_frames(minus, minus, lambda p: e1)
         p0 = np.zeros(2)
         assert all(abs(a(p0)) < 1e-10 for a in equal)
         plus = [lambda p, m=m: base_vec + m * e1 for m in (2, -3)]
-        fake = germs.ell1_from_frames(plus, minus, lambda p: e1, None)
+        fake = germs.ell1_from_frames(plus, minus, lambda p: e1)
         assert abs(fake[0](p0) - 2.0) < 1e-8
         assert abs(fake[1](p0) + 3.0) < 1e-8
         seq = germs.stitched_ff_ell1_sequence()

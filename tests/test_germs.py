@@ -38,7 +38,7 @@ def _const_frames(ms):
 
 def test_ell1_equal_frames_vanish():
     plus, minus, eta1 = _const_frames([0, 0])
-    coeffs = ell1_from_frames(plus, plus, eta1, None)
+    coeffs = ell1_from_frames(plus, plus, eta1)
     pts = [np.array([0.3 + 0.1j, 0.3 - 0.1j])]
     for a in coeffs:
         assert abs(a(pts[0])) < 1e-10
@@ -46,7 +46,7 @@ def test_ell1_equal_frames_vanish():
 
 def test_ell1_fake_stitched_constants():
     plus, minus, eta1 = _const_frames([2, -3])
-    coeffs = ell1_from_frames(plus, minus, eta1, None)
+    coeffs = ell1_from_frames(plus, minus, eta1)
     p = np.array([0.3 + 0.1j, 0.3 - 0.1j])
     assert abs(coeffs[0](p) - 2.0) < 1e-8
     assert abs(coeffs[1](p) + 3.0) < 1e-8
@@ -56,16 +56,32 @@ def test_ell1_rejects_transverse_discrepancy():
     e1 = np.array([1.0 + 0j, -1.0 + 0j])
     plus = [lambda p: np.array([1.0 + 0j, 1.0 + 0j])]
     minus = [lambda p: np.array([0j, 0j])]
-    coeffs = ell1_from_frames(plus, minus, lambda p: e1, None)
+    coeffs = ell1_from_frames(plus, minus, lambda p: e1)
     with pytest.raises(ValueError):
         coeffs[0](np.zeros(2))
+
+
+def test_ell1_rejects_one_transverse_point_in_a_batch():
+    e1 = np.array([1.0 + 0j, -1.0 + 0j])
+    base_vec = np.array([0.5j, 1.0 + 0j])
+    pts = np.zeros((8, 2), dtype=complex)
+    pts[5, 0] = 1.0                         # the one point off the seam
+
+    def plus(p):
+        # parallel to eta_1 except where Re p_1 = 1, where it is transverse
+        return base_vec + 2.0 * e1 + p[..., :1].real * np.array([1.0, 1.0])
+
+    coeffs = ell1_from_frames([plus], [lambda p: base_vec], lambda p: e1)
+    assert np.allclose(coeffs[0](np.delete(pts, 5, axis=0)), 2.0)
+    with pytest.raises(ValueError):
+        coeffs[0](pts)
 
 
 def test_ell1_linear_in_discrepancy():
     plus1, minus, eta1 = _const_frames([1, 2])
     plus2, _, _ = _const_frames([2, 4])
-    c1 = ell1_from_frames(plus1, minus, eta1, None)
-    c2 = ell1_from_frames(plus2, minus, eta1, None)
+    c1 = ell1_from_frames(plus1, minus, eta1)
+    c2 = ell1_from_frames(plus2, minus, eta1)
     p = np.array([0.1 + 0.2j, -0.4 + 0j])
     for a1, a2 in zip(c1, c2):
         assert abs(a2(p) - 2.0 * a1(p)) < 1e-8
