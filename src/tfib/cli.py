@@ -153,8 +153,15 @@ def _parser():
 # handlers: each returns (report dict, side artifacts dict, passed flag)
 # ----------------------------------------------------------------------
 
+def _rational(text, flag):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag} must be an exact rational, got {text!r}") from None
+
+
 def _tau(arg):
-    return affine.Polynomial([Fraction(c) for c in arg.split(",")])
+    return affine.Polynomial([_rational(c, "--tau") for c in arg.split(",")])
 
 
 def _load_base(args):
@@ -201,7 +208,8 @@ def _build_graph(args):
     if args.dual:
         graph = polybase.legendre_dual(graph)
     if args.thicken is not None:
-        graph = polybase.localized_thickening(graph, Fraction(args.thicken))
+        graph = polybase.localized_thickening(
+            graph, _rational(args.thicken, "--thicken"))
     return graph, dimension
 
 
@@ -402,12 +410,12 @@ def _cmd_periods(args, rng):
         frame = closed_form_frame(kind)
         name, _, radius = args.loop.partition(":")
         radius = float(radius or 0.5)
-        if name == "circle":
-            loop = frame.loops["loop"](radius)
-        elif name in frame.loops:
-            loop = frame.loops[name](radius)
-        else:
-            raise CliError(f"frame {kind} has no loop {name!r}")
+        key = "loop" if name == "circle" else name
+        if key not in frame.loops:
+            names = ["circle" if k == "loop" else k for k in frame.loops]
+            raise CliError(f"frame {kind} has no loop {name!r} "
+                           f"(loops: {', '.join(names) or 'none'})")
+        loop = frame.loops[key](radius)
         mat = monodromy_from_frame(frame, loop)
         return {
             "frame": kind,

@@ -12,12 +12,40 @@ The positive model's correction a0 is computed from the Harvey-Lawson
 geometry: a0(b) is the Liouville-primitive integral along the canonical
 fibre path over the line {Im u = b1} in the u = z1 z2 z3 coordinate,
 
-    a0(b) = 1/2 int [rho(s; b) - rho(0; b)] b1 / (s^2 + b1^2) ds,
+    a0(b) = 1/2 int [rho(s; b) - rho0] b1 / (s^2 + b1^2) ds,
 
-with rho(s; b) the fibre modulus solving rho(rho-b2)(rho-b3) = s^2+b1^2.
-The subtraction fixes the branch that extends continuously by 0 on the
-plane {b1 = 0}; the map F(-z1, z2, z3) = (-b1, b2, b3) makes a0 odd in b1,
-so a0 vanishes on the discriminant and the chart limit is H|_Delta there.
+with rho(s; b) the fibre modulus solving P(rho) = s^2 + b1^2, where
+P(rho) = rho (rho - b2)(rho - b3), and rho0 = rho(0; b).  The subtraction
+fixes the branch that extends continuously by 0 on the plane {b1 = 0};
+the map F(-z1, z2, z3) = (-b1, b2, b3) makes a0 odd in b1, so a0 vanishes
+on the discriminant and the chart limit is H|_Delta there.
+
+The integral is evaluated without solving for rho along the path.  The
+substitution s = |b1| tan(theta) gives
+
+    a0 = sign(b1) int_0^{pi/2} (rho(theta) - rho0) dtheta,
+
+and integrating by parts against theta - pi/2 (the boundary terms vanish:
+rho = rho0 at theta = 0, and rho = O((pi/2 - theta)^{-2/3}) as theta ->
+pi/2), with cos(theta) = |b1| / sqrt(P(rho)), gives
+
+    a0 = sign(b1) int_{rho0}^inf arcsin(|b1| / sqrt(P(rho))) drho.
+
+With rho = rho0 + t^2 the square-root endpoint singularity disappears, and
+since P(rho0) = b1^2 the Taylor expansion of P at rho0 factors exactly,
+
+    P(rho) - b1^2 = t^2 Q(t),
+    Q(t) = P'(rho0) + (P''(rho0)/2) t^2 + t^4
+         = d2 d3 + rho0 (d2 + d3) + (rho0 + d2 + d3) t^2 + t^4,
+
+with d2 = rho0 - b2 >= 0 and d3 = rho0 - b3 >= 0, so every term of Q is
+non-negative and nothing cancels.  Then arcsin(|b1| / sqrt(P)) =
+atan2(|b1|, t sqrt(Q)), and
+
+    a0 = sign(b1) int_0^inf 2 t atan2(|b1|, t sqrt(Q(t))) dt:
+
+one modulus root (rho0) and one quadrature per evaluation.  The integrand
+depends on b1 only through |b1|, so a0 is odd in b1 exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..symplab.models import hl_modulus
 
@@ -55,20 +82,24 @@ def psi_focus_focus(b, q=None, branch=1):
 
 def positive_a0(b, quad_tol=1e-10):
     """The odd Harvey-Lawson correction a0(b); 0 on the plane {b1 = 0}."""
+    from scipy.integrate import quad
+
     b1, b2, b3 = (float(v) for v in b)
     if b1 == 0.0:
         return 0.0
-    rho0 = hl_modulus(b1 * b1, b2, b3)
+    c = abs(b1)
+    rho0 = hl_modulus(c * c, b2, b3)
+    d2, d3 = rho0 - b2, rho0 - b3
+    q0 = d2 * d3 + rho0 * (d2 + d3)
+    q1 = rho0 + d2 + d3
 
-    def integrand(s):
-        rho = hl_modulus(s * s + b1 * b1, b2, b3)
-        return (rho - rho0) * b1 / (s * s + b1 * b1)
+    def integrand(t):
+        tt = t * t
+        return 2.0 * t * math.atan2(c, t * math.sqrt(q0 + tt * (q1 + tt)))
 
-    neg, _ = quad(integrand, -np.inf, 0.0, epsabs=quad_tol, epsrel=quad_tol,
+    val, _ = quad(integrand, 0.0, math.inf, epsabs=quad_tol, epsrel=quad_tol,
                   limit=400)
-    pos, _ = quad(integrand, 0.0, np.inf, epsabs=quad_tol, epsrel=quad_tol,
-                  limit=400)
-    return 0.5 * (neg + pos)
+    return math.copysign(val, b1)
 
 
 @dataclass

@@ -98,6 +98,8 @@ def smoothing_one(rho1=None, sigma="bump", eps=0.1, region_samples=None,
     ``region_samples`` optionally overrides the (r, t) sample set used for
     the domination check (defaults to a seeded grid over the leg region).
     """
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
     rho1 = rho1 if rho1 is not None else rho_one_smooth
     if region_samples is None:
         rng = rng or np.random.default_rng(0)

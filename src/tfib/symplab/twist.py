@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .. import numerics
 
@@ -45,6 +44,8 @@ def _smoothstep7_prime(x):
 
 def cutoff_hamiltonian(eps=0.1):
     """H = k(|u1|^2 + |u2|^2) H0 with k = 1 below eps and 0 above 2 eps."""
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
 
     def h(u):
         u = np.asarray(u, dtype=complex)
@@ -88,6 +89,8 @@ def hamiltonian_twist(h, time=1.0, rtol=1e-9, atol=1e-12, max_radius=50.0):
     """
 
     def flow(u0):
+        from scipy.integrate import solve_ivp
+
         u0 = np.atleast_2d(np.asarray(u0, dtype=complex))
         m, n = u0.shape
         y0 = numerics.c2r(u0).reshape(-1)
@@ -112,6 +115,8 @@ def hamiltonian_twist(h, time=1.0, rtol=1e-9, atol=1e-12, max_radius=50.0):
 
 def flow_jacobians(h, points, time=1.0, rtol=1e-11, atol=1e-13):
     """Tangent maps of the time-``time`` flow via the variational equations."""
+    from scipy.integrate import solve_ivp
+
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     m, n = points.shape
     d = 2 * n

@@ -1,6 +1,12 @@
 """CLI surface: subcommands, artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from tfib import cli, zlat
 
@@ -138,3 +144,25 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
                         str(atlas), "--strict")
     assert code == 1
     assert not data["simple"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "quintic", "--thicken", "1/0"],
+    ["base", "build", "--kind", "node", "--tau", "0,1/0"],
+    ["periods", "monodromy", "--model", "thin_legs"],
+    ["fib", "smooth1", "--eps", "0"],
+    ["fib", "twist", "--which", "cutoff", "--eps", "0"],
+])
+def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, tfib.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,11 @@
 """Period frames, numeric periods, monodromy tracking, action extension."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from tfib import symplab as sl
 from tfib import zlat
@@ -17,6 +19,7 @@ from tfib.periods import (
     positive_a0,
 )
 from tfib.periods.extension import psi_focus_focus
+from tfib.symplab.models import hl_modulus
 from tfib import numerics
 
 
@@ -196,6 +199,73 @@ def test_positive_a0_odd_symmetry():
         flipped = np.array([-b[0], b[1], b[2]])
         assert abs(positive_a0(b) + positive_a0(flipped)) < 1e-6
     assert positive_a0([0.0, 0.5, 0.3]) == 0.0
+
+
+# a0 at b2 = b3 = 0 is sign(b1) |b1|^(2/3) I with
+# I = int_0^inf ((u^2 + 1)^(1/3) - 1) / (u^2 + 1) du
+#   = sqrt(pi) Gamma(1/6) / (2 Gamma(2/3)) - pi/2   (a Beta integral)
+TRIPLE_POINT_I = (math.sqrt(math.pi) * math.gamma(1.0 / 6.0)
+                  / (2.0 * math.gamma(2.0 / 3.0)) - math.pi / 2.0)
+
+
+@pytest.mark.parametrize("b1", [1e-7, -1e-7, 1e-3, -1e-3, 0.2])
+def test_positive_a0_triple_point_closed_form(b1):
+    want = math.copysign(abs(b1) ** (2.0 / 3.0) * TRIPLE_POINT_I, b1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        got = positive_a0([b1, 0.0, 0.0])
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def _a0_s_integral(b):
+    """The defining s-integral of a0, one modulus root per quadrature node."""
+    b1, b2, b3 = (float(v) for v in b)
+    rho0 = hl_modulus(b1 * b1, b2, b3)
+
+    def integrand(s):
+        rho = hl_modulus(s * s + b1 * b1, b2, b3)
+        return (rho - rho0) * b1 / (s * s + b1 * b1)
+
+    neg, _ = quad(integrand, -np.inf, 0.0, epsabs=1e-10, epsrel=1e-10, limit=400)
+    pos, _ = quad(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=400)
+    return 0.5 * (neg + pos)
+
+
+def test_positive_a0_matches_the_s_integral():
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1.0, 1.0, size=(12, 3))
+    pts[:, 0] = np.copysign(np.maximum(np.abs(pts[:, 0]), 0.05), pts[:, 0])
+    for b in pts:
+        assert abs(positive_a0(b) - _a0_s_integral(b)) < 1e-10
+
+
+def _positive_path(k, t0=-0.7):
+    e = 0.5 ** k
+    return (0.3 * e, 0.1 * e, t0 - 0.1 * e)
+
+
+# Reference values from mpmath at 40 digits: the by-parts form
+# sign(b1) int_{rho0}^inf asin(|b1| / sqrt(P(rho))) drho (tanh-sinh, split
+# near rho0) and the defining form sign(b1) int_0^{pi/2} (rho(theta) - rho0)
+# dtheta with pi/2 - theta = w^3, every root from mpmath.polyroots, agree to
+# 1e-22 relative at each point.  The last three points lie on the
+# positive-chart extension path (t0 = -0.7) at s = 1 - 2^-k, k = 18, 19, 21.
+A0_REFERENCE = [
+    ((0.2, 0.3, 0.3), 0.6989798536264263620759),
+    ((1e-6, 0.3, 0.3), 2.468074604744444048223e-05),
+    ((-0.05, 0.9, 0.9), -0.231484416003073397861),
+    ((0.5, -0.4, 0.7), 1.223056522342581589252),
+    ((-0.8, 0.2, -0.6), -1.76125958364771276392),
+    ((0.3, 0.0, 0.0), 0.9286275696985603125797),
+    (_positive_path(18), 2.00370008298945129579e-05),
+    (_positive_path(19), 1.049255538215001424305e-05),
+    (_positive_path(21), 2.86016603838434459699e-06),
+]
+
+
+@pytest.mark.parametrize("b, want", A0_REFERENCE)
+def test_positive_a0_matches_mpmath(b, want):
+    assert abs(positive_a0(b) - want) < 1e-12
 
 
 def test_monodromy_of_double_and_reversed_loops():
