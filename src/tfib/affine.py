@@ -110,6 +110,8 @@ class ChartedBase:
                 raise ValueError(f"overlap piece {p.id} references unknown chart")
 
     def piece(self, piece_id: str) -> OverlapPiece:
+        if piece_id not in self._pieces_by_id:
+            raise ValueError(f"unknown overlap piece {piece_id!r}")
         return self._pieces_by_id[piece_id]
 
     def crossing_transition(self, crossing: Crossing) -> AffineMapZ:
@@ -496,6 +498,11 @@ def base_from_json(data: dict) -> ChartedBase:
 
 def loop_word_from_json(data, base_chart=None) -> LoopWord:
     """Loop word from a JSON array of [piece, from, to] crossings."""
+    if not isinstance(data, list) or not all(
+            isinstance(c, list) and len(c) == 3 and all(isinstance(x, str) for x in c)
+            for c in data):
+        raise ValueError("a loop word is a JSON array of [piece, from, to] "
+                         f"string triples, got {data!r}")
     crossings = tuple(Crossing(piece, frm, to) for piece, frm, to in data)
     if base_chart is None:
         if not crossings:

@@ -290,6 +290,8 @@ def _cmd_fib(args, rng):
             "passed": worst < args.tol,
         }, {}, worst < args.tol
     if args.command == "amoeba":
+        if args.res < 2:
+            raise CliError(f"--res must be at least 2, got {args.res}")
         lo, hi = args.bounds
         raster = symplab.amoeba_raster((lo, hi, lo, hi), (args.res, args.res))
         x1, x2 = raster.grid()

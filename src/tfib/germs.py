@@ -86,17 +86,12 @@ def fibrewise_closedness_defect(seq: EllSequence, base=None, step=1e-5) -> float
     grid = _torus_grid(seq.fibre_dim)
     worst = 0.0
     for term in seq.terms.values():
-        for i in range(seq.fibre_dim):
-            for j in range(i + 1, seq.fibre_dim):
-                ei = np.zeros(seq.fibre_dim)
-                ej = np.zeros(seq.fibre_dim)
-                ei[i] = 1.0
-                ej[j] = 1.0
-                dj_ai = (term[i](grid + step * ej, base)
-                         - term[i](grid - step * ej, base)) / (2 * step)
-                di_aj = (term[j](grid + step * ei, base)
-                         - term[j](grid - step * ei, base)) / (2 * step)
-                worst = max(worst, float(np.max(np.abs(di_aj - dj_ai))))
+        def stacked(y, term=term):
+            return np.stack([a(y, base) for a in term], axis=-1)
+
+        jac = numerics.jacobian(stacked, grid, step=step)   # [.., j, i] = da_j/dy_i
+        curl = jac - np.swapaxes(jac, -1, -2)
+        worst = max(worst, float(np.max(np.abs(curl))))
     return worst
 
 

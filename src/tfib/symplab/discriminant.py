@@ -41,8 +41,5 @@ def discriminant_sample(model: FibrationModel, grid_radius=3.0, grid_n=120,
         return cloud
     if "eps" not in model.params:
         raise ValueError(f"model {model.id} has no branch structure")
-    labels = [
-        thin_legs_branch(0.0, w, model.params["eps"], model.params["M"])
-        for w in u2[keep]
-    ]
-    return cloud, labels
+    labels = thin_legs_branch(0.0, u2[keep], model.params["eps"], model.params["M"])
+    return cloud, labels.tolist()

@@ -2,12 +2,14 @@
 
 Every model evaluates on arrays of shape (..., n) of complex points.  The
 piecewise map ``gamma`` takes the mu >= 0 branch on the seam, where both
-branches agree.  Models carry, besides the map itself: a domain predicate,
-a distance-like margin to their poles/critical/non-smooth loci (used by
-the sampling helpers), the reduced-space symplectomorphism Phi of the
-lifted construction (when there is one), a base chart in which the period
-lattice takes its quoted closed form, and named fibre-cycle
-parametrizations used by the period quadratures.
+branches agree.  Models carry, besides the map itself: a distance-like
+margin to their poles/critical/non-smooth loci, whose positivity is the
+domain test (``margin(z) > 0`` implies that ``f(z)`` is finite and smooth
+near z; the sampling helpers draw above a positive margin), the
+reduced-space symplectomorphism Phi of the lifted construction (when there
+is one), a base chart in which the period lattice takes its quoted closed
+form, and named fibre-cycle parametrizations used by the period
+quadratures.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
+
+from .reduction import gamma_t_inverse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,33 +72,34 @@ def phi_leg_d(u1, u2):
     return (u1 - u2) / SQRT2, (u1 + u2) / SQRT2
 
 
+# the leg branches of phi_thin_legs in precedence order; "amoeba" elsewhere
+_THIN_LEGS = (("horizontal_ball", phi_leg_h), ("vertical_ball", phi_leg_v),
+              ("diagonal_far", phi_leg_d))
+
+
+def _thin_legs_masks(u1, u2, eps, big_m):
+    """Where (u1, u2) lies in each leg branch of _THIN_LEGS (overlaps
+    resolve to the first)."""
+    n1 = np.abs(u1) ** 2
+    n2 = np.abs(u2) ** 2
+    return [n1 + n2 <= eps, n1 + np.abs(u2 - SQRT2) ** 2 <= eps, n2 >= big_m]
+
+
+def thin_legs_branch(u1, u2, eps, big_m):
+    """Branch labels of phi_thin_legs at the points (u1, u2)."""
+    return np.select(_thin_legs_masks(u1, u2, eps, big_m),
+                     [name for name, _ in _THIN_LEGS], "amoeba")
+
+
 def phi_thin_legs(u1, u2, eps, big_m):
     """The piecewise symplectomorphism pinching all three legs."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
-    n1 = np.abs(u1) ** 2
-    n2 = np.abs(u2) ** 2
-    in_h = n1 + n2 <= eps
-    in_v = n1 + np.abs(u2 - SQRT2) ** 2 <= eps
-    in_d = n2 >= big_m
-    v1 = np.where(in_h, -u2, np.where(in_v, u1 - 1.0, np.where(
-        in_d, (u1 - u2) / SQRT2, (u1 - u2) / SQRT2)))
-    v2 = np.where(in_h, u1 - 1.0, np.where(in_v, u2 - SQRT2, np.where(
-        in_d, (u1 + u2) / SQRT2, (u1 + u2 - SQRT2) / SQRT2)))
-    return v1, v2
-
-
-def thin_legs_branch(u1, u2, eps, big_m):
-    """Branch label of phi_thin_legs at (u1, u2)."""
-    n1 = abs(u1) ** 2
-    n2 = abs(u2) ** 2
-    if n1 + n2 <= eps:
-        return "horizontal_ball"
-    if n1 + abs(u2 - SQRT2) ** 2 <= eps:
-        return "vertical_ball"
-    if n2 >= big_m:
-        return "diagonal_far"
-    return "amoeba"
+    masks = _thin_legs_masks(u1, u2, eps, big_m)
+    legs = [phi(u1, u2) for _, phi in _THIN_LEGS]
+    v1, v2 = psi_amoeba(u1, u2)
+    return (np.select(masks, [leg[0] for leg in legs], v1),
+            np.select(masks, [leg[1] for leg in legs], v2))
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +112,6 @@ class FibrationModel:
     n: int                       # complex ambient dimension
     components: int              # number of real map components
     f: Callable[[np.ndarray], np.ndarray]
-    domain_ok: Callable[[np.ndarray], np.ndarray]
     margin: Callable[[np.ndarray], np.ndarray]
     omega: str = "standard omega_{C^n}"
     smooth_locus: str = "smooth on its domain"
@@ -127,12 +131,39 @@ def _min_pair_norm(z, pairs):
     return np.minimum.reduce(vals)
 
 
+def _circle_cycle(*weights):
+    """Cycle builder for the circle action z_k -> e^{-2 pi i s w_k} z_k.
+
+    ``weights`` (each -1, 0 or 1) give one weight per coordinate; the
+    builder maps a fibre point z0 to (cycle, normalization 1).
+    """
+    def builder(z0):
+        z0 = np.asarray(z0, dtype=complex)
+
+        def cyc(s):
+            ph = np.exp(-2j * np.pi * np.asarray(s))
+            out = np.broadcast_to(z0, np.shape(s) + z0.shape).copy()
+            for k, w in enumerate(weights):
+                if w == 1:
+                    out[..., k] = ph * z0[k]
+                elif w == -1:
+                    out[..., k] = z0[k] / ph
+            return out
+
+        return cyc, 1.0
+
+    return builder
+
+
+def _circle_lift(u, t, phase=1.0):
+    """(z1, z2) with z1 z2 = u and mu12 = t, and z1 = |z1| * phase."""
+    r1 = np.sqrt(t + np.sqrt(t * t + np.abs(u) ** 2))
+    return r1 * phase, u / r1 / phase
+
+
 def _model_sm_ff() -> FibrationModel:
     def f(z):
         return np.stack([mu12(z), log_abs(z[..., 0] * z[..., 1] + 1.0)], axis=-1)
-
-    def domain_ok(z):
-        return np.abs(z[..., 0] * z[..., 1] + 1.0) > 0
 
     def margin(z):
         return np.minimum(np.abs(z[..., 0] * z[..., 1] + 1.0),
@@ -144,25 +175,13 @@ def _model_sm_ff() -> FibrationModel:
     def fibre_point(b):
         # b = (mu, log|z1 z2 + 1|); pick u = z1 z2 real, off the pole
         t, c = float(b[0]), float(b[1])
-        u = -1.0 + math.exp(c)
-        r1sq = t + math.sqrt(t * t + abs(u) ** 2)
-        z1 = math.sqrt(r1sq)
-        z2 = u / z1
-        return np.array([z1, z2], dtype=complex)
-
-    def s1_orbit(z0):
-        z0 = np.asarray(z0, dtype=complex)
-
-        def cyc(s):
-            ph = np.exp(-2j * np.pi * np.asarray(s))
-            return np.stack([ph * z0[0], z0[1] / ph], axis=-1)
-
-        return cyc, 1.0
+        return np.array(_circle_lift(-1.0 + math.exp(c), t), dtype=complex)
 
     return FibrationModel(
-        id="sm_ff", n=2, components=2, f=f, domain_ok=domain_ok, margin=margin,
+        id="sm_ff", n=2, components=2, f=f, margin=margin,
         smooth_locus="smooth; only singular fibre over (0,0)",
-        chart=chart, cycles={"s1_orbit": s1_orbit}, fibre_point=fibre_point,
+        chart=chart, cycles={"s1_orbit": _circle_cycle(1, -1)},
+        fibre_point=fibre_point,
     )
 
 
@@ -175,14 +194,11 @@ def _model_hl() -> FibrationModel:
             np.abs(z[..., 0]) ** 2 - np.abs(z[..., 2]) ** 2,
         ], axis=-1)
 
-    def domain_ok(z):
-        return np.ones(z.shape[:-1], dtype=bool)
-
     def margin(z):
         return _min_pair_norm(z, [(0, 1), (0, 2), (1, 2)])
 
     return FibrationModel(
-        id="hl", n=3, components=3, f=f, domain_ok=domain_ok, margin=margin,
+        id="hl", n=3, components=3, f=f, margin=margin,
         smooth_locus="smooth; critical on the union of {z_i = z_j = 0}",
     )
 
@@ -195,9 +211,6 @@ def _model_positive() -> FibrationModel:
             np.abs(z[..., 0]) ** 2 - np.abs(z[..., 1]) ** 2,
             np.abs(z[..., 0]) ** 2 - np.abs(z[..., 2]) ** 2,
         ], axis=-1)
-
-    def domain_ok(z):
-        return np.abs(1.0 + z[..., 0] * z[..., 1] * z[..., 2]) > 0
 
     def margin(z):
         prod = z[..., 0] * z[..., 1] * z[..., 2]
@@ -216,28 +229,11 @@ def _model_positive() -> FibrationModel:
         z3 = w / (z1 * z2)
         return np.array([z1, z2, z3], dtype=complex)
 
-    def torus_cycle(pair):
-        i, j = pair
-
-        def builder(z0):
-            z0 = np.asarray(z0, dtype=complex)
-
-            def cyc(s):
-                ph = np.exp(-2j * np.pi * np.asarray(s))
-                out = np.broadcast_to(z0, (np.size(s), 3)).copy()
-                out[:, i] = ph * z0[i]
-                out[:, j] = z0[j] / ph
-                return out
-
-            return cyc, 1.0
-
-        return builder
-
     return FibrationModel(
-        id="positive", n=3, components=3, f=f, domain_ok=domain_ok, margin=margin,
+        id="positive", n=3, components=3, f=f, margin=margin,
         smooth_locus="smooth; modeled on the Harvey-Lawson cone near its critical set",
         chart=chart,
-        cycles={"c2": torus_cycle((0, 1)), "c3": torus_cycle((0, 2))},
+        cycles={"c2": _circle_cycle(1, -1, 0), "c3": _circle_cycle(1, 0, -1)},
         fibre_point=fibre_point,
     )
 
@@ -249,9 +245,6 @@ def _model_generic() -> FibrationModel:
             log_abs(z[..., 2]),
             log_abs(z[..., 0] * z[..., 1] - 1.0),
         ], axis=-1)
-
-    def domain_ok(z):
-        return (np.abs(z[..., 2]) > 0) & (np.abs(z[..., 0] * z[..., 1] - 1.0) > 0)
 
     def margin(z):
         return np.minimum.reduce([
@@ -265,38 +258,14 @@ def _model_generic() -> FibrationModel:
 
     def fibre_point(b):
         t, c2, c3 = (float(v) for v in b)
-        u = 1.0 + math.exp(c3)
-        r1sq = t + math.sqrt(t * t + u * u)
-        z1 = math.sqrt(r1sq)
-        return np.array([z1, u / z1, math.exp(c2)], dtype=complex)
-
-    def s1_orbit(z0):
-        z0 = np.asarray(z0, dtype=complex)
-
-        def cyc(s):
-            ph = np.exp(-2j * np.pi * np.asarray(s))
-            out = np.broadcast_to(z0, (np.size(s), 3)).copy()
-            out[:, 0] = ph * z0[0]
-            out[:, 1] = z0[1] / ph
-            return out
-
-        return cyc, 1.0
-
-    def e3(z0):
-        z0 = np.asarray(z0, dtype=complex)
-
-        def cyc(s):
-            ph = np.exp(-2j * np.pi * np.asarray(s))
-            out = np.broadcast_to(z0, (np.size(s), 3)).copy()
-            out[:, 2] = ph * z0[2]
-            return out
-
-        return cyc, 1.0
+        z1, z2 = _circle_lift(1.0 + math.exp(c3), t)
+        return np.array([z1, z2, math.exp(c2)], dtype=complex)
 
     return FibrationModel(
-        id="generic", n=3, components=3, f=f, domain_ok=domain_ok, margin=margin,
+        id="generic", n=3, components=3, f=f, margin=margin,
         smooth_locus="smooth; singular fibres over {(0, r, 0)}",
-        chart=chart, cycles={"s1_orbit": s1_orbit, "e3": e3},
+        chart=chart,
+        cycles={"s1_orbit": _circle_cycle(1, -1, 0), "e3": _circle_cycle(0, 0, 1)},
         fibre_point=fibre_point,
     )
 
@@ -308,9 +277,6 @@ def _model_stitched_ff() -> FibrationModel:
             log_abs(gamma(z[..., 0], z[..., 1]) + 1.0),
         ], axis=-1)
 
-    def domain_ok(z):
-        return np.abs(gamma(z[..., 0], z[..., 1]) + 1.0) > 0
-
     def margin(z):
         return np.minimum.reduce([
             np.abs(gamma(z[..., 0], z[..., 1]) + 1.0),
@@ -319,8 +285,8 @@ def _model_stitched_ff() -> FibrationModel:
         ])
 
     return FibrationModel(
-        id="stitched_ff", n=2, components=2, f=f, domain_ok=domain_ok,
-        margin=margin, smooth_locus="non-smooth on mu^{-1}(0)",
+        id="stitched_ff", n=2, components=2, f=f, margin=margin,
+        smooth_locus="non-smooth on mu^{-1}(0)",
     )
 
 
@@ -351,10 +317,6 @@ def _phi_model(model_id, phi, smooth_locus, params=None):
         v1, v2, _ = twisted(z)
         return np.stack([mu12(z), log_abs(v1), log_abs(v2)], axis=-1)
 
-    def domain_ok(z):
-        v1, v2, _ = twisted(z)
-        return (np.abs(v1) > 0) & (np.abs(v2) > 0)
-
     def margin(z):
         v1, v2, switch = twisted(z)
         return np.minimum.reduce([
@@ -365,7 +327,7 @@ def _phi_model(model_id, phi, smooth_locus, params=None):
         ])
 
     return FibrationModel(
-        id=model_id, n=3, components=3, f=f, domain_ok=domain_ok, margin=margin,
+        id=model_id, n=3, components=3, f=f, margin=margin,
         smooth_locus=smooth_locus, phi=phi, params=params,
     )
 
@@ -374,85 +336,58 @@ def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
     def phi(u1, u2):
         return phi_thin_legs(u1, u2, eps, big_m)
 
+    def lift(v, t):
+        """Points z over mu = t with Phi(gamma(z1, z2), z3) = v, for v of
+        shape (..., 2) in the plain-amoeba branch of Phi."""
+        # invert Psi, then Gamma_t, then split u1 = z1 z2 with mu = t
+        w = np.stack([v[..., 0] + v[..., 1] + 1.0,
+                      -v[..., 0] + v[..., 1] + 1.0], axis=-1) / SQRT2
+        if np.any(thin_legs_branch(w[..., 0], w[..., 1], eps, big_m) != "amoeba"):
+            raise ValueError(
+                "fibre leaves the plain-amoeba branch of Phi; move the base "
+                "point inward or enlarge M"
+            )
+        u = gamma_t_inverse(w, t)
+        z1, z2 = _circle_lift(u[..., 0], t, np.exp(1j * np.angle(u[..., 0])))
+        return np.stack([z1, z2, u[..., 1]], axis=-1)
+
+    def fibre_point(b):
+        """A fibre point in the plain-amoeba branch."""
+        t, x1, x2 = (float(v) for v in b)
+        return lift(np.array([np.exp(x1) * np.exp(0.35j),
+                              np.exp(x2) * np.exp(-0.2j)]), t)
+
+    def reduced_cycle(which):
+        """Circle in the v_which coordinate of the reduced fibre, lifted.
+
+        Normalized by 1/(2 pi) to match the period convention of the quoted
+        thin-leg slice frame (beta db1 - e^{2b} db).
+        """
+        # v_which -> e^{2 pi i s} v_which
+        circle = _circle_cycle(*(-1 if k == which else 0 for k in range(2)))
+
+        def builder(z0):
+            z0 = np.asarray(z0, dtype=complex)
+            t = float(mu12(z0))
+            v_circle, _ = circle(psi_amoeba(gamma(z0[0], z0[1]), z0[2]))
+
+            def cyc(s):
+                return lift(v_circle(s), t)
+
+            cyc(np.linspace(0.0, 1.0, 64))   # raises if the torus leaves the branch
+            return cyc, 1.0 / (2.0 * math.pi)
+
+        return builder
+
     model = _phi_model(
         "thin_legs", phi,
         "non-smooth on mu^{-1}(0); discriminant an amoeba with three thin legs",
         params={"eps": eps, "M": big_m},
     )
-    model.cycles = {
-        "red_v1": _thin_leg_reduced_cycle(model, 0),
-        "red_v2": _thin_leg_reduced_cycle(model, 1),
-    }
-    model.fibre_point = lambda b: _thin_legs_fibre_point(model, b)
+    model.cycles = {"red_v1": reduced_cycle(0), "red_v2": reduced_cycle(1)}
+    model.fibre_point = fibre_point
     model.chart = lambda b: np.asarray(b, dtype=float)
     return model
-
-
-def gamma_t_inv_scalar(w, t):
-    """Inverse of u -> u / sqrt(|t| + sqrt(t^2 + |u|^2))."""
-    return w * math.sqrt(2.0 * abs(t) + abs(w) ** 2)
-
-
-def _thin_legs_fibre_point(model, b):
-    """A fibre point in the plain-amoeba branch of the thin-legs model."""
-    t, x1, x2 = (float(v) for v in b)
-    v1 = np.exp(x1) * np.exp(0.35j)
-    v2 = np.exp(x2) * np.exp(-0.2j)
-    # invert Psi, then Gamma_t, then split u1 = z1 z2 with mu = t
-    u1p = (v1 + v2 + 1.0) / SQRT2
-    u2 = (-v1 + v2 + 1.0) / SQRT2
-    eps, big_m = model.params["eps"], model.params["M"]
-    if thin_legs_branch(u1p, u2, eps, big_m) != "amoeba":
-        raise ValueError("requested base point leaves the plain amoeba branch")
-    u1 = gamma_t_inv_scalar(u1p, t)
-    r1sq = t + math.sqrt(t * t + abs(u1) ** 2)
-    z1 = math.sqrt(r1sq) * np.exp(1j * np.angle(u1))
-    z2 = u1 / z1
-    return np.array([z1, z2, u2], dtype=complex)
-
-
-def _thin_leg_reduced_cycle(model, which):
-    """Circle in the v_which coordinate of the reduced fibre, lifted.
-
-    Normalized by 1/(2 pi) to match the period convention of the quoted
-    thin-leg slice frame (beta db1 - e^{2b} db).
-    """
-    eps, big_m = model.params["eps"], model.params["M"]
-
-    def builder(z0):
-        z0 = np.asarray(z0, dtype=complex)
-        t = float(mu12(z0[None, :])[0])
-        g0 = complex(gamma(z0[0], z0[1]))
-        v1_0, v2_0 = (complex(v) for v in psi_amoeba(g0, complex(z0[2])))
-        # the whole torus must stay in the plain-amoeba branch of Phi
-        probe = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 64))
-        pv1 = v1_0 * (probe if which == 0 else np.ones_like(probe))
-        pv2 = v2_0 * (probe if which == 1 else np.ones_like(probe))
-        pu1 = (pv1 + pv2 + 1.0) / SQRT2
-        pu2 = (-pv1 + pv2 + 1.0) / SQRT2
-        for a, b in zip(pu1, pu2):
-            if thin_legs_branch(a, b, eps, big_m) != "amoeba":
-                raise ValueError(
-                    "reduced cycle leaves the plain-amoeba branch; move the "
-                    "base point inward or enlarge M"
-                )
-
-        def cyc(s):
-            s = np.asarray(s, dtype=float)
-            ph = np.exp(2j * np.pi * s)
-            v1 = v1_0 * (ph if which == 0 else np.ones_like(ph))
-            v2 = v2_0 * (ph if which == 1 else np.ones_like(ph))
-            u1p = (v1 + v2 + 1.0) / SQRT2
-            u2 = (-v1 + v2 + 1.0) / SQRT2
-            u1 = u1p * np.sqrt(2.0 * abs(t) + np.abs(u1p) ** 2)
-            r1sq = t + np.sqrt(t * t + np.abs(u1) ** 2)
-            z1 = np.sqrt(r1sq) * np.exp(1j * np.angle(u1))
-            z2 = u1 / z1
-            return np.stack([z1, z2, u2], axis=-1)
-
-        return cyc, 1.0 / (2.0 * math.pi)
-
-    return builder
 
 
 def _model_control() -> FibrationModel:
@@ -465,14 +400,11 @@ def _model_control() -> FibrationModel:
             z[..., 1].imag,
         ], axis=-1)
 
-    def domain_ok(z):
-        return np.ones(z.shape[:-1], dtype=bool)
-
     def margin(z):
         return np.abs(z[..., 0].imag)
 
     return FibrationModel(
-        id="control", n=2, components=3, f=f, domain_ok=domain_ok, margin=margin,
+        id="control", n=2, components=3, f=f, margin=margin,
         smooth_locus="smooth everywhere; fibres deliberately not Lagrangian",
     )
 
@@ -491,7 +423,7 @@ def hl_modulus(usq, b2, b3):
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
+        if hi - lo < 1e-15 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -537,14 +469,20 @@ def make_model(model_id: str, **params) -> FibrationModel:
 
 def sample_domain(model: FibrationModel, count: int, rng, margin: float = 0.1,
                   box: Optional[float] = None) -> np.ndarray:
-    """Seeded rejection sampling of domain points with the given margin."""
+    """Seeded rejection sampling of domain points with the given margin.
+
+    A point is in the domain when ``model.margin`` exceeds ``margin``, so
+    ``margin`` must be non-negative.
+    """
+    if margin < 0:
+        raise ValueError(f"sampling margin must be >= 0, got {margin}")
     box = model.sample_box if box is None else box
     out = []
     need = count
     for _ in range(200):
         raw = rng.uniform(-box, box, size=(4 * need, 2 * model.n))
         z = raw[:, 0::2] + 1j * raw[:, 1::2]
-        keep = model.domain_ok(z) & (model.margin(z) > margin)
+        keep = model.margin(z) > margin
         z = z[keep]
         out.append(z[:need])
         need -= len(z[:need])

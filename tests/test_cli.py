@@ -152,6 +152,10 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["periods", "monodromy", "--model", "thin_legs"],
     ["fib", "smooth1", "--eps", "0"],
     ["fib", "twist", "--which", "cutoff", "--eps", "0"],
+    ["base", "holonomy", "--kind", "node", "--word", '[["x", "U1", "U2"]]'],
+    ["base", "holonomy", "--kind", "node", "--word", "5"],
+    ["base", "holonomy", "--kind", "node", "--word", "[1]"],
+    ["fib", "amoeba", "--res", "0", "--strict"],
 ])
 def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     code, data, _ = run(tmp_path, *argv)

@@ -217,6 +217,14 @@ def test_positive_a0_triple_point_closed_form(b1):
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
+@pytest.mark.parametrize("b1", [1e-7, 1e-3, 0.2])
+def test_hl_modulus_is_relatively_accurate_near_zero(b1):
+    """At b2 = b3 = 0 the root of rho^3 = b1^2 is |b1|^{2/3}; the bisection
+    stops on a width relative to the root, not an absolute one."""
+    want = abs(b1) ** (2.0 / 3.0)
+    assert abs(hl_modulus(b1 * b1, 0.0, 0.0) - want) <= 1e-14 * want
+
+
 def _a0_s_integral(b):
     """The defining s-integral of a0, one modulus root per quadrature node."""
     b1, b2, b3 = (float(v) for v in b)

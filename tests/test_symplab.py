@@ -172,6 +172,33 @@ def test_discriminant_thin_legs_pinched():
     assert np.all(np.abs(a - b) <= 1.0 + 1e-9) and np.all(a + b >= 1.0 - 1e-9)
 
 
+def _thin_legs_pointwise(u1, u2, eps, big_m):
+    """Reference: the branch label and Phi of the thin-legs model at one point."""
+    n1, n2 = abs(u1) ** 2, abs(u2) ** 2
+    if n1 + n2 <= eps:
+        return "horizontal_ball", models.phi_leg_h(u1, u2)
+    if n1 + abs(u2 - math.sqrt(2.0)) ** 2 <= eps:
+        return "vertical_ball", models.phi_leg_v(u1, u2)
+    if n2 >= big_m:
+        return "diagonal_far", models.phi_leg_d(u1, u2)
+    return "amoeba", models.psi_amoeba(u1, u2)
+
+
+def test_thin_legs_branch_and_phi_match_pointwise_reference():
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=(3000, 2)) + 1j * rng.normal(size=(3000, 2))
+    u[:1000, 1] += math.sqrt(2.0)
+    u[1000:2000] *= 0.3
+    labels = models.thin_legs_branch(u[:, 0], u[:, 1], 0.1, 4.0)
+    v1, v2 = models.phi_thin_legs(u[:, 0], u[:, 1], 0.1, 4.0)
+    ref = [_thin_legs_pointwise(a, b, 0.1, 4.0) for a, b in u]
+    assert labels.tolist() == [label for label, _ in ref]
+    assert set(labels.tolist()) == {"horizontal_ball", "vertical_ball",
+                                    "diagonal_far", "amoeba"}
+    assert np.array_equal(np.stack([v1, v2], axis=-1),
+                          np.array([v for _, v in ref]))
+
+
 def test_discriminant_requires_phi():
     with pytest.raises(ValueError):
         sl.discriminant_sample(sl.make_model("sm_ff"))
@@ -277,6 +304,44 @@ def test_sample_domain_reproducible():
     a = sl.sample_domain(m, 100, np.random.default_rng(42))
     b = sl.sample_domain(m, 100, np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mid", sl.MODEL_IDS)
+def test_positive_margin_implies_finite_map(mid):
+    """margin(z) > 0 is the domain test: f is finite wherever it holds.
+
+    Uniform samples are mixed with points placed exactly on the poles of
+    the models: a zero coordinate, z1 z2 = -1 or 1, z1 z2 z3 = -1, and, with
+    z1 = 2 so that gamma(z1, z2) = z2, z3 in {z2, -z2, sqrt2 - z2, sqrt2}
+    or z2 = +-1.
+    """
+    m = sl.make_model(mid)
+    rng = np.random.default_rng(2024)
+    raw = rng.uniform(-m.sample_box, m.sample_box, size=(10, 2000, 2 * m.n))
+    z = raw[..., 0::2] + 1j * raw[..., 1::2]
+    p = 2.0 ** rng.integers(-1, 2, size=2000)      # exact reciprocals
+    z[0, :, 0] = 0.0
+    z[1, :, -1] = 0.0
+    z[2, :, 0], z[2, :, 1] = p, -1.0 / p
+    z[3, :, 0], z[3, :, 1] = p, 1.0 / p
+    z[4, :, :-1] = p[:, None]
+    z[4, :, -1] = -1.0 / p ** (m.n - 1)
+    z[5:, :, 0] = 2.0
+    for row, w in enumerate((z[5, :, 1], -z[6, :, 1], math.sqrt(2.0) - z[7, :, 1],
+                             math.sqrt(2.0)), 5):
+        z[row, :, -1] = w
+    z[9, :, 1] = rng.choice([-1.0, 1.0], size=2000)
+    z = z.reshape(-1, m.n)
+    inside = m.margin(z) > 0
+    assert inside.sum() > 1000
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(m.f(z[inside])))
+
+
+def test_sample_domain_rejects_a_negative_margin():
+    with pytest.raises(ValueError):
+        sl.sample_domain(sl.make_model("sm_ff"), 10, np.random.default_rng(0),
+                         margin=-0.1)
 
 
 def test_log_section_avoids_critical_surface():
