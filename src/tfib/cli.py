@@ -9,10 +9,13 @@ Subcommands:
     periods frame | numeric | monodromy | extend
     germs   ell1 | integral | constant | deform | glue
 
-Every run writes a canonical JSON report (stdout, or --out PATH plus side
-artifacts next to it); reports embed the tolerances, steps, and seed
-used, and identical configurations produce byte-identical JSON.  Exit
-codes: 0 on pass, 1 when a --strict check fails, 2 on usage errors.
+Each leaf command is one handler, attached to its subparser by
+``set_defaults(run=...)``.  Every run writes a canonical JSON report
+(stdout, or --out PATH plus side artifacts next to it); reports embed the
+tolerances, steps, and seed used, and identical configurations produce
+byte-identical JSON.  Exit codes: 0 on pass, 1 when a --strict check
+fails, 2 on usage errors and on a non-finite report value (then nothing
+is written).
 TFIB_THREADS caps internal sampling parallelism.
 """
 
@@ -56,21 +59,23 @@ def _parser():
     p = argparse.ArgumentParser(prog="tfib", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name):
-        return group.add_parser(name, parents=[common])
+    def leaf(group, name, run):
+        parser = group.add_parser(name, parents=[common])
+        parser.set_defaults(run=run)
+        return parser
 
     base = sub.add_parser("base").add_subparsers(dest="command", required=True)
-    b = leaf(base, "build")
+    b = leaf(base, "build", _base_build)
     b.add_argument("--kind", required=True,
                    choices=["node", "edge", "positive", "negative"])
     b.add_argument("--tau", default="0",
                    help="comma-separated rational polynomial coefficients")
-    b = leaf(base, "check-simple")
+    b = leaf(base, "check-simple", _base_check_simple)
     b.add_argument("--kind", choices=["node", "edge", "positive", "negative"])
     b.add_argument("--tau", default="0")
     b.add_argument("--input", help="atlas JSON file")
     b.add_argument("--bound", type=int, default=3)
-    b = leaf(base, "holonomy")
+    b = leaf(base, "holonomy", _base_holonomy)
     b.add_argument("--kind", choices=["node", "edge", "positive", "negative"])
     b.add_argument("--input")
     b.add_argument("--loop", help="named loop word of the atlas")
@@ -78,79 +83,79 @@ def _parser():
 
     graph = sub.add_parser("graph").add_subparsers(dest="command", required=True)
     for name in ("k3", "quintic"):
-        g = leaf(graph, name)
+        g = leaf(graph, name, _graph)
         g.add_argument("--dual", action="store_true")
         g.add_argument("--thicken", type=str, default=None,
                        help="amoeba radius (exact rational)")
 
     topo_p = sub.add_parser("topo").add_subparsers(dest="command", required=True)
-    t = leaf(topo_p, "euler")
+    t = leaf(topo_p, "euler", _topo_euler)
     t.add_argument("--input", required=True)
     t.add_argument("--dimension", type=int, choices=[2, 3])
-    t = leaf(topo_p, "validate")
+    t = leaf(topo_p, "validate", _topo_validate)
     t.add_argument("--input", required=True)
     t.add_argument("--bound", type=int, default=3)
-    t = leaf(topo_p, "sign")
+    t = leaf(topo_p, "sign", _topo_sign)
     t.add_argument("--triple", required=True,
                    help="JSON list of three integer matrices")
 
     fib = sub.add_parser("fib").add_subparsers(dest="command", required=True)
-    leaf(fib, "list")
-    f = leaf(fib, "poisson")
+    leaf(fib, "list", _fib_list)
+    f = leaf(fib, "poisson", _fib_poisson)
     f.add_argument("--model", required=True)
     f.add_argument("--step", type=float, default=numerics.DEFAULT_STEP)
     f.add_argument("--margin", type=float, default=0.1)
-    f = leaf(fib, "reduce-check")
+    f = leaf(fib, "reduce-check", _fib_reduce_check)
     f.add_argument("--t", type=float, required=True)
-    f = leaf(fib, "amoeba")
+    f = leaf(fib, "amoeba", _fib_amoeba)
     f.add_argument("--res", type=int, default=200)
     f.add_argument("--bounds", type=float, nargs=2, default=[-3.0, 3.0])
     f.add_argument("--px-per-unit", type=float, default=100.0)
-    f = leaf(fib, "discriminant")
+    f = leaf(fib, "discriminant", _fib_discriminant)
     f.add_argument("--model", required=True)
     f.add_argument("--eps", type=float, default=0.1)
     f.add_argument("--M", dest="big_m", type=float, default=4.0)
-    f = leaf(fib, "twist")
+    f = leaf(fib, "twist", _fib_twist)
     f.add_argument("--which", choices=["h0", "cutoff"], default="h0")
     f.add_argument("--eps", type=float, default=0.1)
-    f = leaf(fib, "smooth1")
+    f = leaf(fib, "smooth1", _fib_smooth1)
     f.add_argument("--sigma", choices=["zero", "one", "bump"], default="bump")
     f.add_argument("--eps", type=float, default=0.1)
 
     per = sub.add_parser("periods").add_subparsers(dest="command", required=True)
-    q = leaf(per, "frame")
+    q = leaf(per, "frame", _periods_frame)
     q.add_argument("--kind", required=True,
                    choices=["focus_focus", "generic", "positive", "thin_leg_slice"])
-    q = leaf(per, "numeric")
+    q = leaf(per, "numeric", _periods_numeric)
     q.add_argument("--model", required=True)
     q.add_argument("--b", required=True, help="comma-separated base point")
     q.add_argument("--cycles", help="comma-separated cycle names")
-    q = leaf(per, "monodromy")
+    q = leaf(per, "monodromy", _periods_monodromy)
     q.add_argument("--model", help="model id (sm_ff, generic, positive)")
     q.add_argument("--frame", help="frame kind, if no model given")
     q.add_argument("--loop", default="circle:0.5",
                    help="circle:R (focus-focus/generic) or g1:R,g2:R,g3:R")
-    q = leaf(per, "extend")
+    q = leaf(per, "extend", _periods_extend)
     q.add_argument("--chart", required=True,
                    choices=["focus_focus", "generic", "positive"])
     q.add_argument("--t0", type=float, default=0.7)
 
     ger = sub.add_parser("germs").add_subparsers(dest="command", required=True)
-    g = leaf(ger, "ell1")
+    g = leaf(ger, "ell1", _germs_ell1)
     g.add_argument("--case", choices=["equal", "fake", "ff"], default="ff")
     g.add_argument("--m", type=int, nargs="*", default=[1, 0])
-    g = leaf(ger, "integral")
+    g = leaf(ger, "integral", _germs_integral)
     g.add_argument("--case", choices=["negative", "ff"], default="negative")
-    g = leaf(ger, "constant")
+    g = leaf(ger, "constant", _germs_constant)
     g.add_argument("--case", choices=["fake", "wavy"], default="fake")
-    g = leaf(ger, "deform")
+    g = leaf(ger, "deform", _germs_deform)
     g.add_argument("--rho", type=float, default=0.5)
-    leaf(ger, "glue")
+    leaf(ger, "glue", _germs_glue)
     return p
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (report dict, side artifacts dict, passed flag)
+# handlers: (args, rng) -> (report dict, side artifacts dict, passed flag)
 # ----------------------------------------------------------------------
 
 def _rational(text, flag):
@@ -160,42 +165,40 @@ def _rational(text, flag):
         raise CliError(f"{flag} must be an exact rational, got {text!r}") from None
 
 
-def _tau(arg):
-    return affine.Polynomial([_rational(c, "--tau") for c in arg.split(",")])
-
-
 def _load_base(args):
     if getattr(args, "input", None):
         with open(args.input) as fh:
             return affine.base_from_json(json.load(fh))
     if getattr(args, "kind", None):
-        return affine.build_local_model(args.kind, _tau(getattr(args, "tau", "0")))
+        tau = [_rational(c, "--tau") for c in getattr(args, "tau", "0").split(",")]
+        return affine.build_local_model(args.kind, affine.Polynomial(tau))
     raise CliError("need --kind or --input")
 
 
-def _cmd_base(args):
-    if args.command == "build":
-        base = affine.build_local_model(args.kind, _tau(args.tau))
-        return affine.base_to_json(base), {}, True
-    if args.command == "check-simple":
-        rep = affine.check_simple(_load_base(args), bound=args.bound)
-        return rep.to_json(), {}, rep.simple
-    if args.command == "holonomy":
-        base = _load_base(args)
-        if args.loop:
-            if args.loop not in base.loops:
-                raise CliError(f"atlas has no loop {args.loop!r}")
-            word = base.loops[args.loop]
-        elif args.word:
-            word = affine.loop_word_from_json(json.loads(args.word))
-        else:
-            raise CliError("need --loop or --word")
-        mat = affine.holonomy(base, word)
-        return {"holonomy": zlat.matrix_to_json(mat)}, {}, True
-    raise CliError(f"unknown base command {args.command}")
+def _base_build(args, rng):
+    return affine.base_to_json(_load_base(args)), {}, True
 
 
-def _build_graph(args):
+def _base_check_simple(args, rng):
+    rep = affine.check_simple(_load_base(args), bound=args.bound)
+    return rep.to_json(), {}, rep.simple
+
+
+def _base_holonomy(args, rng):
+    base = _load_base(args)
+    if args.loop:
+        if args.loop not in base.loops:
+            raise CliError(f"atlas has no loop {args.loop!r}")
+        word = base.loops[args.loop]
+    elif args.word:
+        word = affine.loop_word_from_json(json.loads(args.word))
+    else:
+        raise CliError("need --loop or --word")
+    mat = affine.holonomy(base, word)
+    return {"holonomy": zlat.matrix_to_json(mat)}, {}, True
+
+
+def _graph(args, rng):
     if args.command == "k3":
         boundary = polybase.LatticeSimplexBoundary(3)
         graph = polybase.build_k3_graph(boundary)
@@ -210,11 +213,6 @@ def _build_graph(args):
     if args.thicken is not None:
         graph = polybase.localized_thickening(
             graph, _rational(args.thicken, "--thicken"))
-    return graph, dimension
-
-
-def _cmd_graph(args):
-    graph, dimension = _build_graph(args)
     rep = {
         "graph": polybase.graph_to_json(graph),
         "vertices": len(graph.vertices),
@@ -235,359 +233,359 @@ def _load_graph(path):
     return polybase.graph_from_json(data.get("graph", data))
 
 
-def _cmd_topo(args):
-    if args.command == "euler":
-        graph = _load_graph(args.input)
-        dimension = args.dimension
-        if dimension is None:
-            dimension = 3 if any(v.valence == 3 for v in graph.vertices) else 2
-        return {
-            "euler": topo.euler_characteristic(graph, dimension),
-            "dimension": dimension,
-        }, {}, True
-    if args.command == "validate":
-        graph = _load_graph(args.input)
-        rep = topo.validate_semistable(
-            graph, topo.canonical_assignment(graph), bound=args.bound)
-        return rep.to_json(), {}, rep.valid
-    if args.command == "sign":
-        triple = [zlat.mat(m) for m in json.loads(args.triple)]
-        return {"sign": topo.sign_from_triple(triple)}, {}, True
-    raise CliError(f"unknown topo command {args.command}")
+def _topo_euler(args, rng):
+    graph = _load_graph(args.input)
+    dimension = args.dimension
+    if dimension is None:
+        dimension = 3 if any(v.valence == 3 for v in graph.vertices) else 2
+    return {
+        "euler": topo.euler_characteristic(graph, dimension),
+        "dimension": dimension,
+    }, {}, True
 
 
-def _cmd_fib(args, rng):
-    if args.command == "list":
-        return {"models": list(symplab.MODEL_IDS)}, {}, True
-    if args.command == "poisson":
-        model = symplab.make_model(args.model)
-        samples = symplab.sample_domain(model, args.samples, rng,
-                                        margin=args.margin)
-        worst = symplab.poisson_check(model, samples, step=args.step,
-                                      margin=args.margin)
-        return {
-            "model": args.model,
-            "max_bracket": worst,
-            "samples": args.samples,
-            "seed": args.seed,
-            "step": args.step,
-            "margin": args.margin,
-            "tolerance": args.tol,
-            "passed": worst < args.tol,
-        }, {}, worst < args.tol
-    if args.command == "reduce-check":
-        pts = rng.uniform(-1.5, 1.5, size=(args.samples, 4))
-        samples = pts[:, 0::2] + 1j * pts[:, 1::2]
-        if args.t == 0.0:
-            samples = samples[np.abs(samples[:, 0]) > 0.05]
-        worst = symplab.reduction_check(args.t, samples)
-        return {
-            "t": args.t,
-            "max_defect": worst,
-            "samples": len(samples),
-            "seed": args.seed,
-            "tolerance": args.tol,
-            "passed": worst < args.tol,
-        }, {}, worst < args.tol
-    if args.command == "amoeba":
-        if args.res < 2:
-            raise CliError(f"--res must be at least 2, got {args.res}")
-        lo, hi = args.bounds
-        raster = symplab.amoeba_raster((lo, hi, lo, hi), (args.res, args.res))
-        x1, x2 = raster.grid()
-        agree = all(
-            raster.mask[i, j] == bool(symplab.amoeba_membership(x1[i], x2[j]))
-            for i in range(0, args.res, max(1, args.res // 37))
-            for j in range(0, args.res, max(1, args.res // 37))
-        )
-        rep = {
-            "resolution": [args.res, args.res],
-            "bounds": [lo, hi, lo, hi],
-            "inside_cells": int(raster.mask.sum()),
-            "boundary_cells": int(len(raster.boundary)),
-            "oracle_agreement": bool(agree),
-        }
-        artifacts = {
-            ".svg": report.raster_svg(raster, args.px_per_unit),
-            ".csv": [(x1[i], x2[j]) for i, j in
-                     np.argwhere(raster.mask)[:: max(1, args.res // 50)]],
-        }
-        return rep, artifacts, agree
-    if args.command == "discriminant":
-        params = {"eps": args.eps, "M": args.big_m} \
-            if args.model == "thin_legs" else {}
-        model = symplab.make_model(args.model, **params)
-        cloud = symplab.discriminant_sample(model)
-        a = np.exp(cloud[:, 1])
-        b = np.exp(cloud[:, 2])
-        inside = bool(np.all(np.abs(a - b) <= 1.0 + 1e-9)
-                      and np.all(a + b >= 1.0 - 1e-9))
-        rep = {
-            "model": args.model,
-            "points": int(len(cloud)),
-            "inside_oracle_amoeba": inside,
-        }
-        return rep, {".csv": cloud.tolist()}, True
-    if args.command == "twist":
-        if args.which == "h0":
-            ham = symplab.h0_quarter_turn
-        else:
-            ham = symplab.cutoff_hamiltonian(args.eps)
-        flow = symplab.hamiltonian_twist(ham)
-        u = rng.normal(size=(min(args.samples, 100), 2)) \
-            + 1j * rng.normal(size=(min(args.samples, 100), 2))
+def _topo_validate(args, rng):
+    graph = _load_graph(args.input)
+    rep = topo.validate_semistable(
+        graph, topo.canonical_assignment(graph), bound=args.bound)
+    return rep.to_json(), {}, rep.valid
+
+
+def _topo_sign(args, rng):
+    triple = [zlat.mat(m) for m in json.loads(args.triple)]
+    return {"sign": topo.sign_from_triple(triple)}, {}, True
+
+
+def _fib_list(args, rng):
+    return {"models": list(symplab.MODEL_IDS)}, {}, True
+
+
+def _fib_poisson(args, rng):
+    model = symplab.make_model(args.model)
+    samples = symplab.sample_domain(model, args.samples, rng, margin=args.margin)
+    worst = symplab.poisson_check(model, samples, step=args.step,
+                                  margin=args.margin)
+    return {
+        "model": args.model,
+        "max_bracket": worst,
+        "samples": args.samples,
+        "seed": args.seed,
+        "step": args.step,
+        "margin": args.margin,
+        "tolerance": args.tol,
+        "passed": worst < args.tol,
+    }, {}, worst < args.tol
+
+
+def _fib_reduce_check(args, rng):
+    pts = rng.uniform(-1.5, 1.5, size=(args.samples, 4))
+    samples = pts[:, 0::2] + 1j * pts[:, 1::2]
+    if args.t == 0.0:
+        samples = samples[np.abs(samples[:, 0]) > 0.05]
+    worst = symplab.reduction_check(args.t, samples)
+    return {
+        "t": args.t,
+        "max_defect": worst,
+        "samples": len(samples),
+        "seed": args.seed,
+        "tolerance": args.tol,
+        "passed": worst < args.tol,
+    }, {}, worst < args.tol
+
+
+def _fib_amoeba(args, rng):
+    if args.res < 2:
+        raise CliError(f"--res must be at least 2, got {args.res}")
+    lo, hi = args.bounds
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"--bounds must be finite, got {lo} {hi}")
+    raster = symplab.amoeba_raster((lo, hi, lo, hi), (args.res, args.res))
+    x1, x2 = raster.grid()
+    # sub-grid spot check: |e^x1 - e^x2| <= 1 <= e^x1 + e^x2 in log space
+    k = max(1, args.res // 37)
+    a, b = x1[::k, None], x2[None, ::k]
+    oracle = (np.maximum(a, b) <= np.logaddexp(0.0, np.minimum(a, b))) \
+        & (np.logaddexp(a, b) >= 0.0)
+    agree = bool(np.array_equal(raster.mask[::k, ::k], oracle))
+    rep = {
+        "resolution": [args.res, args.res],
+        "bounds": [lo, hi, lo, hi],
+        "inside_cells": int(raster.mask.sum()),
+        "boundary_cells": int(len(raster.boundary)),
+        "oracle_agreement": agree,
+    }
+    artifacts = {
+        ".svg": report.raster_svg(raster, args.px_per_unit),
+        ".csv": [(x1[i], x2[j]) for i, j in
+                 np.argwhere(raster.mask)[:: max(1, args.res // 50)]],
+    }
+    return rep, artifacts, agree
+
+
+def _fib_discriminant(args, rng):
+    params = {"eps": args.eps, "M": args.big_m} \
+        if args.model == "thin_legs" else {}
+    model = symplab.make_model(args.model, **params)
+    cloud = symplab.discriminant_sample(model)
+    a = np.exp(cloud[:, 1])
+    b = np.exp(cloud[:, 2])
+    inside = bool(np.all(np.abs(a - b) <= 1.0 + 1e-9)
+                  and np.all(a + b >= 1.0 - 1e-9))
+    rep = {
+        "model": args.model,
+        "points": int(len(cloud)),
+        "inside_oracle_amoeba": inside,
+    }
+    # the plain amoeba holds these discriminants; the leg models' leave it
+    expected = args.model in ("amoeba", "thin_legs")
+    return rep, {".csv": cloud.tolist()}, inside == expected
+
+
+def _fib_twist(args, rng):
+    u = rng.normal(size=(min(args.samples, 100), 2)) \
+        + 1j * rng.normal(size=(min(args.samples, 100), 2))
+    if args.which == "h0":
+        flow = symplab.hamiltonian_twist(symplab.h0_quarter_turn)
         c = 1.0 / math.sqrt(2.0)
         expected = np.stack(
             [c * (u[:, 0] - u[:, 1]), c * (u[:, 0] + u[:, 1])], axis=-1)
-        if args.which == "h0":
-            err = float(np.max(np.abs(flow(u) - expected)))
-        else:
-            norms = np.sqrt(np.sum(np.abs(u) ** 2, axis=1))
-            far = u / norms[:, None] * math.sqrt(4.0 * args.eps)
-            err = float(np.max(np.abs(flow(far) - far)))
-        defect = symplab.symplecticity_defect(flow, 0.3 * u[:20])
-        rep = {
-            "which": args.which,
-            "flow_error": err,
-            "symplectic_defect": defect,
-            "ode_rtol": 1e-9,
-            "seed": args.seed,
-            "tolerance": args.tol,
-            "passed": err < args.tol and defect < args.tol,
-        }
-        return rep, {}, rep["passed"]
-    if args.command == "smooth1":
-        leg = symplab.smoothing_one(sigma=args.sigma, eps=args.eps)
-        u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
-        s = rng.uniform(0.0, args.eps / 2.0, 100)
-        jump = symplab.smoothing.seam_derivative_jump(leg, u1, s)
-        raw = np.log(np.abs(u1 / symplab.rho_zero(np.abs(u1) ** 2, 0.02) - 1.0))
-        unchanged = bool(np.array_equal(leg.g(u1, 0.02, s), raw)) \
-            if args.sigma == "zero" else None
-        rep = {
-            "sigma": args.sigma,
-            "eps": args.eps,
-            "seam_derivative_jump": jump,
-            "seed": args.seed,
-            "bitwise_unchanged": unchanged,
-        }
-        ok = jump < 1e-4 if args.sigma == "one" else True
-        return rep, {}, ok
-    raise CliError(f"unknown fib command {args.command}")
+        err = float(np.max(np.abs(flow(u) - expected)))
+    else:
+        flow = symplab.hamiltonian_twist(symplab.cutoff_hamiltonian(args.eps))
+        norms = np.sqrt(np.sum(np.abs(u) ** 2, axis=1))
+        far = u / norms[:, None] * math.sqrt(4.0 * args.eps)
+        err = float(np.max(np.abs(flow(far) - far)))
+    defect = symplab.symplecticity_defect(flow, 0.3 * u[:20])
+    rep = {
+        "which": args.which,
+        "flow_error": err,
+        "symplectic_defect": defect,
+        "ode_rtol": 1e-9,
+        "seed": args.seed,
+        "tolerance": args.tol,
+        "passed": err < args.tol and defect < args.tol,
+    }
+    return rep, {}, rep["passed"]
+
+
+def _fib_smooth1(args, rng):
+    leg = symplab.smoothing_one(sigma=args.sigma, eps=args.eps)
+    u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
+    s = rng.uniform(0.0, args.eps / 2.0, 100)
+    jump = symplab.smoothing.seam_derivative_jump(leg, u1, s)
+    raw = np.log(np.abs(u1 / symplab.rho_zero(np.abs(u1) ** 2, 0.02) - 1.0))
+    unchanged = bool(np.array_equal(leg.g(u1, 0.02, s), raw)) \
+        if args.sigma == "zero" else None
+    rep = {
+        "sigma": args.sigma,
+        "eps": args.eps,
+        "seam_derivative_jump": jump,
+        "seed": args.seed,
+        "bitwise_unchanged": unchanged,
+    }
+    ok = jump < 1e-4 if args.sigma == "one" else True
+    return rep, {}, ok
 
 
 _FRAME_FOR_MODEL = {"sm_ff": "focus_focus", "generic": "generic",
                     "positive": "positive", "thin_legs": "thin_leg_slice"}
 
 
-def _cmd_periods(args, rng):
-    if args.command == "frame":
-        frame = closed_form_frame(args.kind)
-        probe = np.full(frame.dim, 0.4)
-        rows = frame.matrix_at(probe)
-        samples = 0.3 + 0.4 * rng.uniform(size=(10, frame.dim))
-        return {
-            "kind": args.kind,
-            "at": probe.tolist(),
-            "forms": rows.tolist(),
-            "closedness_defect": closedness_defect(frame, samples),
-        }, {}, True
-    if args.command == "numeric":
-        model = symplab.make_model(args.model)
-        b = [float(v) for v in args.b.split(",")]
-        cycles = args.cycles.split(",") if args.cycles else None
-        res = numeric_periods(model, b, cycles=cycles)
-        rows = [list(v) for _, v in sorted(res.covectors.items())]
-        return {
-            "model": args.model,
-            "b": b,
-            "covectors": {k: v.tolist() for k, v in res.covectors.items()},
-            "quadrature_errors": res.errors,
-            "fibre_defect": res.fibre_defect,
-        }, {".csv": rows}, True
-    if args.command == "monodromy":
-        kind = _FRAME_FOR_MODEL.get(args.model) if args.model else args.frame
-        if kind is None:
-            raise CliError("need --model or --frame")
-        frame = closed_form_frame(kind)
-        name, _, radius = args.loop.partition(":")
-        radius = float(radius or 0.5)
-        key = "loop" if name == "circle" else name
-        if key not in frame.loops:
-            names = ["circle" if k == "loop" else k for k in frame.loops]
-            raise CliError(f"frame {kind} has no loop {name!r} "
-                           f"(loops: {', '.join(names) or 'none'})")
-        loop = frame.loops[key](radius)
-        mat = monodromy_from_frame(frame, loop)
-        return {
-            "frame": kind,
-            "loop": args.loop,
-            "monodromy": zlat.matrix_to_json(mat),
-            "snap_tolerance": 1e-3,
-        }, {}, True
-    if args.command == "extend":
-        if args.chart == "focus_focus":
-            chart = action_chart("focus_focus")
-            path = lambda s: [(1.0 - s) * 0.5, 0.0]
-            expected = 0.0
-        elif args.chart == "generic":
-            chart = action_chart("generic", h=lambda b: b[2])
-            t0 = args.t0
-            path = lambda s: [(1 - s) * 0.3, (1 - s) * 0.2, t0 + (1 - s) * 0.1]
-            expected = args.t0
-        else:
-            chart = action_chart("positive", h=lambda b: 0.5 * b[2])
-            t0 = -abs(args.t0)
-            path = lambda s: [(1 - s) * 0.3, (1 - s) * 0.1, t0 - (1 - s) * 0.1]
-            expected = 0.5 * t0
-        rep_obj = action_extension_check(chart, path)
-        rep = rep_obj.to_json()
-        rep.update({"chart": args.chart, "expected": expected,
-                    "tolerance": args.tol})
-        ok = abs(rep_obj.limit - expected) < max(args.tol, 1e-4)
-        rep["passed"] = ok
-        svals = 1.0 - 0.5 ** np.arange(2, 2 + len(rep_obj.values))
-        rows = list(zip(svals, rep_obj.values))
-        return rep, {".csv": rows}, ok
-    raise CliError(f"unknown periods command {args.command}")
+def _periods_frame(args, rng):
+    frame = closed_form_frame(args.kind)
+    probe = np.full(frame.dim, 0.4)
+    rows = frame.matrix_at(probe)
+    samples = 0.3 + 0.4 * rng.uniform(size=(10, frame.dim))
+    return {
+        "kind": args.kind,
+        "at": probe.tolist(),
+        "forms": rows.tolist(),
+        "closedness_defect": closedness_defect(frame, samples),
+    }, {}, True
 
 
-def _cmd_germs(args):
-    if args.command == "ell1":
-        if args.case == "ff":
-            seq = germs.stitched_ff_ell1_sequence()
-            rep = germs.integral_condition(seq, [1], base=-0.5, tol=args.tol)
-            return {
-                "case": "ff",
-                "lower_seam_integral": rep.computed.tolist(),
-                "expected": [1],
-                "tolerance": args.tol,
-                "passed": rep.passed,
-            }, {}, rep.passed
-        ms = args.m
-        e1 = np.array([1.0 + 0j, -1.0 + 0j])
-        minus = [lambda p: np.array([0.5j, 1.0 + 0j]) for _ in ms]
-        if args.case == "equal":
-            plus = minus
-        else:
-            plus = [
-                (lambda p, m=m: np.array([0.5j, 1.0 + 0j]) + m * e1) for m in ms
-            ]
-        coeffs = germs.ell1_from_frames(plus, minus, lambda p: e1)
-        values = [c(np.zeros(2)) for c in coeffs]
-        return {"case": args.case, "a": values, "m": ms}, {}, True
-    if args.command == "integral":
-        if args.case == "ff":
-            seq = germs.stitched_ff_ell1_sequence()
-            reports = {
-                "lower": germs.integral_condition(seq, [1], base=-0.5).to_json(),
-                "upper": germs.integral_condition(seq, [0], base=0.5).to_json(),
-            }
-        else:
-            seqs = {
-                "c": germs.EllSequence.constant("c", [0.0, 0.0]),
-                "d": germs.EllSequence.constant("d", [-1.0, 0.0]),
-                "e": germs.EllSequence.constant("e", [0.0, 1.0]),
-            }
-            reports = {k: v.to_json() for k, v in
-                       germs.negative_table_condition(seqs, -1, 1).items()}
-        ok = all(v["passed"] for v in reports.values())
-        return {"case": args.case, "reports": reports, "passed": ok}, {}, ok
-    if args.command == "constant":
-        if args.case == "fake":
-            seq = germs.EllSequence.constant("fake", [1.0, 0.0])
-        else:
-            seq = germs.EllSequence("wavy", 2, {1: [
-                lambda y, base=None: 1.0 + np.cos(2 * np.pi * y[..., 1]),
-                lambda y, base=None: np.zeros(np.shape(y)[:-1]),
-            ]})
-        return {
-            "case": args.case,
-            "fibrewise_constant": germs.is_fibrewise_constant(seq),
-        }, {}, True
-    if args.command == "deform":
-        wavy = germs.EllSequence("w", 1, {1: [
-            lambda y, base=None: 1.0 + np.sin(2 * np.pi * y[..., 0]),
-        ]})
-        flat = germs.EllSequence.constant("f", [1.0])
-        mixed = germs.deform_by_cutoff(wavy, lambda b: args.rho, other=flat)
-        integral = germs.cycle_integrals(mixed)[0]
-        closed = germs.fibrewise_closedness_defect(mixed)
-        ok = abs(integral - 1.0) < 1e-6 and closed < 1e-6
-        return {
-            "rho": args.rho,
-            "class_integral": integral,
-            "closedness_defect": closed,
-            "passed": ok,
-        }, {}, ok
-    if args.command == "glue":
-        zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        one = lambda r: np.ones_like(np.asarray(r, dtype=float))
-        left = germs.GermH((-1.0, 0.5), 2, {(0, 0): zero, (1, 0): one})
-        right = germs.GermH((-0.5, 1.0), 2, {(0, 0): zero, (1, 0): zero})
-        out = germs.glue_leg_germs(left, right, zero)
-        r = np.linspace(-1.0, 1.0, 9)
-        return {
-            "h10": out.coefficient(1, 0)(r).tolist(),
-            "r": r.tolist(),
-            "endpoints": [float(out.coefficient(1, 0)(np.array([-0.5]))[0]),
-                          float(out.coefficient(1, 0)(np.array([0.5]))[0])],
-        }, {}, True
-    raise CliError(f"unknown germs command {args.command}")
+def _periods_numeric(args, rng):
+    model = symplab.make_model(args.model)
+    b = [float(v) for v in args.b.split(",")]
+    cycles = args.cycles.split(",") if args.cycles else None
+    res = numeric_periods(model, b, cycles=cycles)
+    rows = [list(v) for _, v in sorted(res.covectors.items())]
+    return {
+        "model": args.model,
+        "b": b,
+        "covectors": {k: v.tolist() for k, v in res.covectors.items()},
+        "quadrature_errors": res.errors,
+        "fibre_defect": res.fibre_defect,
+    }, {".csv": rows}, True
 
 
-def _write(args, rep, artifacts):
-    rep = dict(rep)
-    rep["config"] = {
-        "seed": args.seed,
-        "tol": args.tol,
-        "samples": args.samples,
-        "strict": args.strict,
-        "threads": numerics.thread_count(),
-    }
-    text = report.canonical_json(rep)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text)
-        for suffix, payload in artifacts.items():
-            side = out.with_suffix(suffix)
-            if suffix == ".csv":
-                report.write_csv(side, payload)
-            else:
-                side.write_text(payload)
+def _periods_monodromy(args, rng):
+    kind = _FRAME_FOR_MODEL.get(args.model) if args.model else args.frame
+    if kind is None:
+        raise CliError("need --model or --frame")
+    frame = closed_form_frame(kind)
+    name, _, radius = args.loop.partition(":")
+    radius = float(radius or 0.5)
+    key = "loop" if name == "circle" else name
+    if key not in frame.loops:
+        names = ["circle" if k == "loop" else k for k in frame.loops]
+        raise CliError(f"frame {kind} has no loop {name!r} "
+                       f"(loops: {', '.join(names) or 'none'})")
+    loop = frame.loops[key](radius)
+    mat = monodromy_from_frame(frame, loop)
+    return {
+        "frame": kind,
+        "loop": args.loop,
+        "monodromy": zlat.matrix_to_json(mat),
+        "snap_tolerance": 1e-3,
+    }, {}, True
+
+
+def _periods_extend(args, rng):
+    if args.chart == "focus_focus":
+        chart = action_chart("focus_focus")
+        path = lambda s: [(1.0 - s) * 0.5, 0.0]
+        expected = 0.0
+    elif args.chart == "generic":
+        chart = action_chart("generic", h=lambda b: b[2])
+        t0 = args.t0
+        path = lambda s: [(1 - s) * 0.3, (1 - s) * 0.2, t0 + (1 - s) * 0.1]
+        expected = args.t0
     else:
-        sys.stdout.write(text)
+        chart = action_chart("positive", h=lambda b: 0.5 * b[2])
+        t0 = -abs(args.t0)
+        path = lambda s: [(1 - s) * 0.3, (1 - s) * 0.1, t0 - (1 - s) * 0.1]
+        expected = 0.5 * t0
+    rep_obj = action_extension_check(chart, path)
+    rep = rep_obj.to_json()
+    rep.update({"chart": args.chart, "expected": expected,
+                "tolerance": args.tol})
+    ok = abs(rep_obj.limit - expected) < max(args.tol, 1e-4)
+    rep["passed"] = ok
+    svals = 1.0 - 0.5 ** np.arange(2, 2 + len(rep_obj.values))
+    rows = list(zip(svals, rep_obj.values))
+    return rep, {".csv": rows}, ok
+
+
+def _germs_ell1(args, rng):
+    if args.case == "ff":
+        seq = germs.stitched_ff_ell1_sequence()
+        rep = germs.integral_condition(seq, [1], base=-0.5, tol=args.tol)
+        return {
+            "case": "ff",
+            "lower_seam_integral": rep.computed.tolist(),
+            "expected": [1],
+            "tolerance": args.tol,
+            "passed": rep.passed,
+        }, {}, rep.passed
+    ms = args.m
+    e1 = np.array([1.0 + 0j, -1.0 + 0j])
+    minus = [lambda p: np.array([0.5j, 1.0 + 0j]) for _ in ms]
+    if args.case == "equal":
+        plus = minus
+    else:
+        plus = [
+            (lambda p, m=m: np.array([0.5j, 1.0 + 0j]) + m * e1) for m in ms
+        ]
+    coeffs = germs.ell1_from_frames(plus, minus, lambda p: e1)
+    values = [c(np.zeros(2)) for c in coeffs]
+    return {"case": args.case, "a": values, "m": ms}, {}, True
+
+
+def _germs_integral(args, rng):
+    if args.case == "ff":
+        seq = germs.stitched_ff_ell1_sequence()
+        reports = {
+            "lower": germs.integral_condition(seq, [1], base=-0.5).to_json(),
+            "upper": germs.integral_condition(seq, [0], base=0.5).to_json(),
+        }
+    else:
+        seqs = {
+            "c": germs.EllSequence.constant("c", [0.0, 0.0]),
+            "d": germs.EllSequence.constant("d", [-1.0, 0.0]),
+            "e": germs.EllSequence.constant("e", [0.0, 1.0]),
+        }
+        reports = {k: v.to_json() for k, v in
+                   germs.negative_table_condition(seqs, -1, 1).items()}
+    ok = all(v["passed"] for v in reports.values())
+    return {"case": args.case, "reports": reports, "passed": ok}, {}, ok
+
+
+def _germs_constant(args, rng):
+    if args.case == "fake":
+        seq = germs.EllSequence.constant("fake", [1.0, 0.0])
+    else:
+        seq = germs.EllSequence("wavy", 2, {1: [
+            lambda y, base=None: 1.0 + np.cos(2 * np.pi * y[..., 1]),
+            lambda y, base=None: np.zeros(np.shape(y)[:-1]),
+        ]})
+    return {
+        "case": args.case,
+        "fibrewise_constant": germs.is_fibrewise_constant(seq),
+    }, {}, True
+
+
+def _germs_deform(args, rng):
+    wavy = germs.EllSequence("w", 1, {1: [
+        lambda y, base=None: 1.0 + np.sin(2 * np.pi * y[..., 0]),
+    ]})
+    flat = germs.EllSequence.constant("f", [1.0])
+    mixed = germs.deform_by_cutoff(wavy, lambda b: args.rho, other=flat)
+    integral = germs.cycle_integrals(mixed)[0]
+    closed = germs.fibrewise_closedness_defect(mixed)
+    ok = abs(integral - 1.0) < 1e-6 and closed < 1e-6
+    return {
+        "rho": args.rho,
+        "class_integral": integral,
+        "closedness_defect": closed,
+        "passed": ok,
+    }, {}, ok
+
+
+def _germs_glue(args, rng):
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    one = lambda r: np.ones_like(np.asarray(r, dtype=float))
+    left = germs.GermH((-1.0, 0.5), 2, {(0, 0): zero, (1, 0): one})
+    right = germs.GermH((-0.5, 1.0), 2, {(0, 0): zero, (1, 0): zero})
+    out = germs.glue_leg_germs(left, right, zero)
+    r = np.linspace(-1.0, 1.0, 9)
+    return {
+        "h10": out.coefficient(1, 0)(r).tolist(),
+        "r": r.tolist(),
+        "endpoints": [float(out.coefficient(1, 0)(np.array([-0.5]))[0]),
+                      float(out.coefficient(1, 0)(np.array([0.5]))[0])],
+    }, {}, True
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    rng = np.random.default_rng(args.seed)
     try:
-        if args.group == "base":
-            rep, artifacts, ok = _cmd_base(args)
-        elif args.group == "graph":
-            rep, artifacts, ok = _cmd_graph(args)
-        elif args.group == "topo":
-            rep, artifacts, ok = _cmd_topo(args)
-        elif args.group == "fib":
-            rep, artifacts, ok = _cmd_fib(args, rng)
-        elif args.group == "periods":
-            rep, artifacts, ok = _cmd_periods(args, rng)
-        elif args.group == "germs":
-            rep, artifacts, ok = _cmd_germs(args)
+        rep, artifacts, ok = args.run(args, np.random.default_rng(args.seed))
+        rep["config"] = {
+            "seed": args.seed,
+            "tol": args.tol,
+            "samples": args.samples,
+            "strict": args.strict,
+            "threads": numerics.thread_count(),
+        }
+        text = report.canonical_json(rep)
+        if args.out:
+            out = Path(args.out)
+            out.write_text(text)
+            for suffix, payload in artifacts.items():
+                side = out.with_suffix(suffix)
+                if suffix == ".csv":
+                    report.write_csv(side, payload)
+                else:
+                    side.write_text(payload)
         else:
-            raise CliError(f"unknown command group {args.group}")
-    except CliError as exc:
+            sys.stdout.write(text)
+    except (CliError, ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    _write(args, rep, artifacts)
     if args.strict and not ok:
         return CHECK_FAILURE
     return 0

@@ -31,9 +31,8 @@ class PeriodResult:
 def _cycle_integrand(model, cyc, b_raw, s):
     z = np.asarray(cyc(s), dtype=complex)
     defect = float(np.max(np.abs(model.f(z) - b_raw[None, :])))
-    h = 1e-6
-    dz = (np.asarray(cyc((s + h) % 1.0), dtype=complex)
-          - np.asarray(cyc((s - h) % 1.0), dtype=complex)) / (2.0 * h)
+    dz = numerics.r2c(numerics.jacobian(
+        lambda t: numerics.c2r(cyc(t[..., 0])), s[:, None])[..., 0])
     grads = batch_gradients(model, z)          # (m, comps, 2n)
     # Moore-Penrose lifts: rows of (jac jac^T)^{-1} jac, one per direction
     lifts = numerics.r2c(np.linalg.solve(grads @ np.swapaxes(grads, 1, 2), grads))

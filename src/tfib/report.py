@@ -2,7 +2,8 @@
 
 JSON is the single source-of-truth report format: keys sorted, two-space
 indent, a trailing newline, and every value reduced to plain Python
-scalars, so identical runs produce byte-identical files.
+scalars, so identical runs produce byte-identical files.  A non-finite
+float is not JSON: serializing one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def sanitize(obj):
 
 
 def canonical_json(report: dict) -> str:
-    return json.dumps(sanitize(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(sanitize(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_csv(path, rows, header=None):

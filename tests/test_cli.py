@@ -2,13 +2,14 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tfib import cli, zlat
+from tfib import cli, symplab, zlat
 
 
 def run(tmp_path, *argv, name="report.json"):
@@ -122,6 +123,44 @@ def test_amoeba_artifacts(tmp_path):
     assert out.with_suffix(".csv").exists()
 
 
+def test_amoeba_oracle_rejects_a_flipped_cell(tmp_path, monkeypatch):
+    real = symplab.amoeba_raster
+
+    def flipped(*a, **kw):
+        raster = real(*a, **kw)
+        raster.mask[0, 0] = not raster.mask[0, 0]
+        return raster
+
+    monkeypatch.setattr(symplab, "amoeba_raster", flipped)
+    code, data, _ = run(tmp_path, "fib", "amoeba", "--res", "60", "--strict")
+    assert code == 1 and data["oracle_agreement"] is False
+
+
+def test_discriminant_leg_strict_passes(tmp_path):
+    code, data, _ = run(tmp_path, "fib", "discriminant", "--model", "leg_h",
+                        "--strict")
+    assert code == 0 and data["inside_oracle_amoeba"] is False
+
+
+def test_discriminant_strict_rejects_a_shifted_cloud(tmp_path, monkeypatch):
+    real = symplab.discriminant_sample
+    monkeypatch.setattr(symplab, "discriminant_sample",
+                        lambda model: real(model) + [0.0, 5.0, 0.0])
+    code, data, _ = run(tmp_path, "fib", "discriminant", "--model",
+                        "thin_legs", "--strict")
+    assert code == 1 and data["inside_oracle_amoeba"] is False
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("tfib ")]
+    assert len(lines) >= 20
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
 def test_germs_integral_cli(tmp_path):
     code, data, _ = run(tmp_path, "germs", "integral", "--case", "negative")
     assert code == 0 and data["passed"]
@@ -156,6 +195,11 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["base", "holonomy", "--kind", "node", "--word", "5"],
     ["base", "holonomy", "--kind", "node", "--word", "[1]"],
     ["fib", "amoeba", "--res", "0", "--strict"],
+    ["germs", "deform", "--rho", "nan"],
+    ["fib", "reduce-check", "--t", "nan", "--samples", "10"],
+    ["periods", "numeric", "--model", "generic", "--b", "nan,0.3,-0.2"],
+    ["fib", "poisson", "--model", "sm_ff", "--samples", "20", "--step", "nan"],
+    ["fib", "amoeba", "--res", "5", "--bounds", "nan", "1"],
 ])
 def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     code, data, _ = run(tmp_path, *argv)
