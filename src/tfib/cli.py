@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,15 +49,26 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that takes ``-0.1,0.1,0.25``, ``-2.5e-1`` and
+    ``-inf`` as option values, not as unknown options: a token of ``-``
+    then a digit, a point or ``inf``/``nan`` is a value.  Subparsers
+    inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
+
+
 def _parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--samples", type=int, default=1000)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--strict", action="store_true",
                         help="exit 1 when the reported check fails its tolerance")
-    p = argparse.ArgumentParser(prog="tfib", description=__doc__.splitlines()[0])
+    p = _Parser(prog="tfib", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
     def leaf(group, name, run):

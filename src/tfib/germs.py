@@ -191,15 +191,11 @@ def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
 
     ``rho`` depends only on the base point of the reduced fibration; the
     fibre cohomology class of l_1 becomes (1-rho(b)) [l'_1] + rho(b) [l_1],
-    so it is unchanged whenever both inputs share the class.
+    so it is unchanged whenever both inputs share the class.  ``rho`` is
+    evaluated lazily, with the blended terms: a cut-off that varies along
+    the fibres raises ValueError there.
     """
     rho_at = _as_base_cutoff(rho)
-    try:
-        rho_at(0.0)
-    except ValueError:
-        raise
-    except Exception:
-        pass  # cut-off rejects the probe base point; validated lazily
     if other is not None and other.fibre_dim != seq.fibre_dim:
         raise ValueError("interpolation partners have different fibre dims")
     orders = set(seq.terms) | (set(other.terms) if other is not None else set())

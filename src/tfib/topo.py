@@ -167,8 +167,10 @@ def validate_semistable(
     Every edge matrix must be GL(3,Z)-conjugate to the generic generator;
     every vertex triple must multiply to the identity and be simultaneously
     conjugate to the triple matching its sign; each edge must be conjugate
-    to the corresponding entry of its incident vertex triples.
+    to the corresponding entry of its incident vertex triples.  A bound
+    below 1 raises ValueError, even when nothing needs a conjugator.
     """
+    zlat.check_bound(bound)
     items: List[ValidationItem] = []
     if len(assignment.edge_matrices) != len(graph.edges):
         raise ValueError("assignment does not cover all edges")

@@ -5,14 +5,20 @@ or 3 throughout.  Affine maps carry an integer linear part and an exact
 rational translation; a parallel "numeric" tag allows float translations
 for the analytic lab.  Everything is immutable and safe to share.
 
-Also home to the exact conjugacy machinery (Smith-normal-form prefilters
-plus a bounded search over integer conjugators) used by the simplicity
-checker and the semi-stable validation.
+Also home to the exact conjugacy machinery used by the simplicity checker
+and the semi-stable validation.  Conclusive prefilters (closed-form
+characteristic polynomial, Smith form of A - I) run first.  The linear
+conditions A P = P B are then solved by integer-only row reduction, and
+the integer points of the solution space are searched shell by shell,
+sup-norm 1, 2, ..., bound.  The conjugator returned is the one of least
+sup-norm, ties going to the lexicographically first in the free
+coordinates of the solution space; None means none lies in the box.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,41 +139,22 @@ def is_unipotent(m: IntMatrix) -> bool:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    rows = [[Fraction(v) for v in row] for row in m]
-    n = len(rows)
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    """Rank over Q, from the integer row reduction."""
+    return len(_rref(m, len(m))[1])
 
 
 def charpoly(m: IntMatrix) -> Tuple[int, ...]:
-    """Characteristic polynomial coefficients, Faddeev-LeVerrier, exact."""
+    """Coefficients of det(x I - m), leading 1 first, in closed form (n <= 3).
+
+    They are 1, -trace, the sum of the principal 2-minors and -det,
+    truncated to n + 1 terms.
+    """
     n = len(m)
-    coeffs = [1]
-    acc = identity(n)
-    prev = identity(n)
-    for k in range(1, n + 1):
-        acc = mat_mul(m, prev)
-        c = -sum(acc[i][i] for i in range(n))
-        if k > 1:
-            c = Fraction(c, k)
-            assert c.denominator == 1
-            c = c.numerator
-        coeffs.append(int(c))
-        prev = mat_add(acc, tuple(
-            tuple(coeffs[-1] if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-    return tuple(coeffs)
+    if n > 3:
+        raise ValueError(f"charpoly is closed-form for n <= 3, got n = {n}")
+    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
+                 for i, j in itertools.combinations(range(n), 2))
+    return (1, -sum(m[i][i] for i in range(n)), minors, -det(m))[:n + 1]
 
 
 def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
@@ -225,7 +212,6 @@ def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
     for i in range(len(result) - 1):
         for j in range(i + 1, len(result)):
             if result[i] and result[j] % max(result[i], 1) != 0:
-                import math
                 g = math.gcd(result[i], result[j])
                 l = result[i] * result[j] // g if g else 0
                 result[i], result[j] = g, l
@@ -342,37 +328,62 @@ def affine_from_json(data) -> AffineMapZ:
 # conjugacy over GL(n,Z)
 # ----------------------------------------------------------------------
 
-def _nullspace_rref(rows, ncols):
-    """RREF nullspace basis of an exact rational matrix given as row lists.
+def _rref(rows, ncols):
+    """Reduced row echelon form of an integer matrix, in integers only.
 
-    Returns a list of Fraction vectors such that every solution's
-    coordinates at the free columns are exactly its coefficients in this
-    basis (the standard free-variable parametrization).
+    Fraction-free elimination: zero rows are dropped, and each combined row
+    is divided by the gcd of its entries.  Returns ``(rows, pivots)``; row
+    ``i`` is a nonzero integer multiple of the i-th row of the rational
+    RREF, whose pivot sits in column ``pivots[i]``.
     """
-    rows = [[Fraction(v) for v in row] for row in rows]
+    rows = [list(row) for row in rows if any(row)]
     pivots = []
-    r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        reduced = []
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                row = [top[col] * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                row = [v // g for v in row]
+            reduced.append(row)
+        rows = reduced
         pivots.append(col)
-        r += 1
+    return rows, pivots
+
+
+def _nullspace_rref(rows, ncols):
+    """RREF nullspace basis of an integer matrix given as row lists.
+
+    Returns a list of Fraction vectors such that every solution's
+    coordinates at the free columns are exactly its coefficients in this
+    basis (the standard free-variable parametrization).  The elimination
+    runs on integers; the one division per entry happens here.
+    """
+    rows, pivots = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis, free
+
+
+def check_bound(bound: int) -> None:
+    """Reject a conjugator search bound below 1 (an empty search box)."""
+    if bound < 1:
+        raise ValueError(f"conjugator bound must be at least 1, got {bound}")
 
 
 def simultaneous_conjugator(
@@ -383,13 +394,17 @@ def simultaneous_conjugator(
     """Find P in GL(n,Z), entries in [-bound, bound], with P^{-1} A_i P = B_i.
 
     The condition A_i P = P B_i is linear in P; we solve it exactly over Q
-    and enumerate integer points of the solution space (the free-variable
-    coordinates of any solution are entries of P, so they are bounded by
-    ``bound`` too, making the enumeration complete within the box).
-    Returns the conjugator or None.  Conclusive invariant prefilters
-    (charpoly, Smith form of A - I) run first; results are memoized, since
-    graph validation asks about the same few matrices over and over.
+    and search the integer points of the solution space shell by shell
+    (see `_enumerate_conjugators`).  The answer is deterministic: of the
+    conjugators with entries in [-bound, bound], the one of least sup-norm,
+    ties going to the lexicographically first in free coordinates.  When
+    the sources equal the targets the identity is returned at once.
+    Returns None when no conjugator lies in the box.  Conclusive invariant
+    prefilters (charpoly, Smith form of A - I) run first; results are
+    memoized, since graph validation asks about the same few matrices over
+    and over.  A bound below 1 raises ValueError.
     """
+    check_bound(bound)
     return _conjugator_cached(tuple(sources), tuple(targets), bound)
 
 
@@ -428,66 +443,58 @@ def _conjugator_cached(sources, targets, bound):
 
 
 def _enumerate_conjugators(basis, n, bound):
-    """Complete search over the box [-bound, bound] in free coordinates.
+    """Least-norm unimodular integer point of the solution space, by shells.
 
-    The RREF parametrization makes the free coordinates of any solution
-    equal entries of P, so they obey the same bound; scaling the rational
-    basis to integers turns membership into a divisibility test, which
-    numpy handles in bulk.
+    The RREF basis is the identity at the free columns, so the free
+    coordinates of a solution are entries of P: every conjugator of
+    sup-norm <= s has free coordinates in [-s, s]^d.  Shell s = 1, ...,
+    bound scans that box in lexicographic order (last coordinate fastest),
+    keeps the integral candidates of sup-norm <= s and returns the first
+    unimodular one.  Shell s - 1 found none, so the hit has sup-norm
+    exactly s, and lexicographic order on [-s, s]^d is the order of the
+    full box restricted to it: the result is the lexicographically first
+    conjugator of least sup-norm in [-bound, bound]^d.
+
+    Scaling the rational basis to integers turns integrality into a
+    divisibility test that numpy runs in bulk, 200k candidates at a time;
+    the determinant is an exact int64 formula, with no floating point.
     """
     import numpy as np
 
-    denom = 1
-    for vec in basis:
-        for v in vec:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for vec in basis for v in vec))
     b_int = np.array(
-        [[int(v * denom) for v in vec] for vec in basis], dtype=np.int64
+        [[v.numerator * (denom // v.denominator) for v in vec] for vec in basis],
+        dtype=np.int64,
     )
     d = len(basis)
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    best = None
     chunk = 200_000
-    total = (2 * bound + 1) ** d
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coeffs = np.empty((idx.size, d), dtype=np.int64)
-        rest = idx
-        for k in range(d - 1, -1, -1):
-            coeffs[:, k] = rng[rest % rng.size]
-            rest = rest // rng.size
-        vecs = coeffs @ b_int  # entries of denom * P
-        ok = (vecs % denom == 0).all(axis=1)
-        vecs = vecs[ok] // denom
-        ok = (np.abs(vecs) <= bound).all(axis=1)
-        vecs = vecs[ok]
-        if vecs.size == 0:
-            continue
-        mats = vecs.reshape(-1, n, n)
-        if n == 2:
-            dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        else:
-            dets = (
-                mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2]
-                                 - mats[:, 1, 2] * mats[:, 2, 1])
-                - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2]
-                                   - mats[:, 1, 2] * mats[:, 2, 0])
-                + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1]
-                                   - mats[:, 1, 1] * mats[:, 2, 0])
-            )
-        unimodular = np.abs(dets) == 1
-        if not unimodular.any():
-            continue
-        cands = mats[unimodular]
-        norms = np.abs(cands).max(axis=(1, 2))
-        pick = cands[int(np.argmin(norms))]
-        p = tuple(tuple(int(v) for v in row) for row in pick)
-        if best is None or max(abs(v) for row in p for v in row) < best[0]:
-            best = (max(abs(v) for row in p for v in row), p)
-        # the smallest possible sup-norm is 1; stop early when reached
-        if best[0] == 1:
-            return best[1]
-    return best[1] if best else None
+    for s in range(1, bound + 1):
+        side = 2 * s + 1
+        total = side ** d
+        for start in range(0, total, chunk):
+            rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            coeffs = np.empty((rest.size, d), dtype=np.int64)
+            for k in range(d - 1, -1, -1):
+                rest, coeffs[:, k] = np.divmod(rest, side)
+            coeffs -= s
+            vecs = coeffs @ b_int  # entries of denom * P
+            vecs = vecs[(vecs % denom == 0).all(axis=1)] // denom
+            mats = vecs[(np.abs(vecs) <= s).all(axis=1)].reshape(-1, n, n)
+            if n == 2:
+                dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+            else:
+                dets = (
+                    mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2]
+                                     - mats[:, 1, 2] * mats[:, 2, 1])
+                    - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2]
+                                       - mats[:, 1, 2] * mats[:, 2, 0])
+                    + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1]
+                                       - mats[:, 1, 1] * mats[:, 2, 0])
+                )
+            hits = np.flatnonzero(np.abs(dets) == 1)
+            if hits.size:
+                return tuple(tuple(int(v) for v in row) for row in mats[hits[0]])
+    return None
 
 
 def conjugator(a: IntMatrix, b: IntMatrix, bound: int = 3) -> Optional[IntMatrix]:

@@ -200,12 +200,36 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["periods", "numeric", "--model", "generic", "--b", "nan,0.3,-0.2"],
     ["fib", "poisson", "--model", "sm_ff", "--samples", "20", "--step", "nan"],
     ["fib", "amoeba", "--res", "5", "--bounds", "nan", "1"],
+    ["fib", "amoeba", "--res", "5", "--bounds", "-inf", "1"],
+    ["base", "check-simple", "--kind", "edge", "--bound", "0"],
+    ["base", "check-simple", "--kind", "negative", "--bound=-1"],
 ])
 def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     code, data, _ = run(tmp_path, *argv)
     assert code == 2 and data is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bound", ["--bound=0", "--bound=-1"])
+def test_topo_validate_rejects_a_bound_below_one(tmp_path, capsys, bound):
+    _, _, graph = run(tmp_path, "graph", "k3", name="k3.json")
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, "topo", "validate", "--input", str(graph), bound)
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_values_may_start_with_a_minus_sign(tmp_path):
+    _, _, spaced = run(tmp_path, "periods", "numeric", "--model", "generic",
+                       "--b", "-0.1,0.1,0.25", name="spaced.json")
+    _, _, joined = run(tmp_path, "periods", "numeric", "--model", "generic",
+                       "--b=-0.1,0.1,0.25", name="joined.json")
+    assert spaced.read_bytes() == joined.read_bytes()
+    code, data, _ = run(tmp_path, "fib", "amoeba", "--res", "20",
+                        "--bounds", "-2.5e-1", "1")
+    assert code == 0 and data["bounds"] == [-0.25, 1.0, -0.25, 1.0]
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

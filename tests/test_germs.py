@@ -174,8 +174,25 @@ def test_deform_scaling_support():
 def test_deform_rejects_fibre_dependent_cutoff():
     seq = EllSequence.constant("k", [1.0, 1.0])
     bad = lambda y, base=None: y[..., 0]
-    with pytest.raises(ValueError):
-        deform_by_cutoff(seq, bad)
+    deformed = deform_by_cutoff(seq, bad)  # lazy: nothing is evaluated yet
+    with pytest.raises(ValueError, match="varies along the fibres"):
+        cycle_integrals(deformed)
+
+
+def test_deform_evaluates_the_cutoff_only_with_the_terms():
+    calls = []
+
+    def rho(base):
+        calls.append(base)
+        if base is None:
+            raise KeyError("no base point")
+        return 0.5
+
+    deformed = deform_by_cutoff(EllSequence.constant("k", [1.0]), rho)
+    assert calls == []
+    assert abs(cycle_integrals(deformed, base=0.2)[0] - 0.5) < 1e-12
+    with pytest.raises(KeyError):
+        cycle_integrals(deformed)
 
 
 def test_negative_table_invariant_under_interpolation():

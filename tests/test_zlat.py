@@ -175,15 +175,203 @@ def test_smith_invariants_against_minor_gcds():
         assert zlat.smith_invariants(m) == _minor_gcds(m), m
 
 
-def test_charpoly_against_numpy():
+def _faddeev_leverrier(m):
+    """Characteristic polynomial by Faddeev-LeVerrier in exact Fractions."""
+    n = len(m)
+    coeffs = [Fraction(1)]
+    prev = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        acc = [[sum(m[i][t] * prev[t][j] for t in range(n)) for j in range(n)]
+               for i in range(n)]
+        coeffs.append(-sum(acc[i][i] for i in range(n)) / k)
+        prev = [[acc[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
+                for i in range(n)]
+    return tuple(coeffs)
+
+
+def test_charpoly_against_faddeev_leverrier():
     import random
 
-    import numpy as np
-
     rng = random.Random(1)
-    for _ in range(100):
+    for _ in range(300):
+        n = rng.choice([1, 2, 3])
+        m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        assert zlat.charpoly(m) == _faddeev_leverrier(m), m
+    for m in zlat.NEGATIVE_TRIPLE + zlat.POSITIVE_TRIPLE + (zlat.T_NODE,):
+        assert zlat.charpoly(m) == _faddeev_leverrier(m)
+    with pytest.raises(ValueError):
+        zlat.charpoly(zlat.identity(4))
+
+
+def _fraction_nullspace(rows, ncols):
+    """Reference RREF nullspace in Fraction arithmetic (free-variable basis)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -rows[ri][fc]
+        basis.append(vec)
+    return basis, free
+
+
+def _random_system(rng, nrows, ncols, rank=None):
+    """Random integer rows; with a rank, a product of rank-r factors."""
+    if rank is None:
+        return [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(left[i][k] * right[k][j] for k in range(rank))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def test_integer_nullspace_matches_fraction_rref():
+    import random
+
+    rng = random.Random(2)
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 27), rng.randint(1, 9)
+        rank = rng.randint(0, min(nrows, ncols)) if trial % 2 else None
+        rows = _random_system(rng, nrows, ncols, rank)
+        assert zlat._nullspace_rref(rows, ncols) == _fraction_nullspace(rows, ncols), rows
+    zero = [[0, 0, 0]] * 4
+    assert zlat._nullspace_rref(zero, 3) == _fraction_nullspace(zero, 3)
+
+
+def test_rank_is_columns_minus_nullity():
+    import random
+
+    rng = random.Random(3)
+    for _ in range(200):
         n = rng.choice([2, 3])
-        m = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
-        ours = zlat.charpoly(m)
-        ref = np.poly(np.array(m, dtype=float))
-        assert np.allclose(ours, ref, atol=1e-6), m
+        m = zlat.mat(_random_system(rng, n, n, rng.randint(0, n)))
+        assert zlat.rank(m) == n - len(_fraction_nullspace(m, n)[0]), m
+
+
+def _conjugacy_rows(sources, targets):
+    n = len(sources[0])
+    rows = []
+    for a, b in zip(sources, targets):
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[k * n + j] += a[i][k]
+                    row[i * n + k] -= b[k][j]
+                rows.append(row)
+    return rows
+
+
+def _brute_force_conjugator(sources, targets, bound):
+    """Lexicographically first conjugator of least sup-norm over the whole
+    [-bound, bound]^d box of free coordinates (last coordinate fastest)."""
+    import itertools
+    import math
+
+    n = len(sources[0])
+    basis, _ = _fraction_nullspace(_conjugacy_rows(sources, targets), n * n)
+    denom = math.lcm(*(v.denominator for vec in basis for v in vec))
+    scaled = [[int(v * denom) for v in vec] for vec in basis]
+    best = None
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        entries = [sum(c * vec[k] for c, vec in zip(coeffs, scaled))
+                   for k in range(n * n)]
+        if any(v % denom for v in entries):
+            continue
+        entries = [v // denom for v in entries]
+        norm = max(abs(v) for v in entries)
+        if norm > bound or (best is not None and norm >= best[0]):
+            continue
+        p = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+        if abs(zlat.det(p)) == 1:
+            best = (norm, p)
+    return None if best is None else best[1]
+
+
+def _conj(w, m):
+    return zlat.mat_mul(zlat.mat_mul(w, m), zlat.inverse(w))
+
+
+# a node and a generic problem whose least conjugator has sup-norm 4
+NODE_NORM_4 = zlat.mat([[13, -9], [16, -11]])
+GENERIC_NORM_4 = zlat.mat([[5, -2, 0], [8, -3, 0], [-2, 1, 1]])
+
+
+@pytest.mark.parametrize("sources, targets, bound", [
+    ([_conj(zlat.mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), zlat.T_GENERIC)],
+     [zlat.T_GENERIC], 3),
+    ([_conj(zlat.mat([[0, 1, -1], [1, 2, 0], [0, 1, 0]]), zlat.T_GENERIC)],
+     [zlat.T_GENERIC], 3),
+    ([GENERIC_NORM_4], [zlat.T_GENERIC], 3),
+    ([GENERIC_NORM_4], [zlat.T_GENERIC], 4),
+    ([_conj(zlat.mat([[1, 0, 1], [1, 1, 1], [0, -1, 1]]), t)
+      for t in zlat.NEGATIVE_TRIPLE], list(zlat.NEGATIVE_TRIPLE), 3),
+    ([_conj(zlat.mat([[2, 1, 0], [1, 1, 0], [0, 1, 1]]), t)
+      for t in zlat.POSITIVE_TRIPLE], list(zlat.POSITIVE_TRIPLE), 4),
+    ([_conj(zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]]), t)
+      for t in zlat.POSITIVE_TRIPLE], list(zlat.NEGATIVE_TRIPLE), 3),
+    ([_conj(zlat.mat([[2, 1], [1, 1]]), zlat.T_NODE)], [zlat.T_NODE], 3),
+    ([NODE_NORM_4], [zlat.T_NODE], 3),
+    ([NODE_NORM_4], [zlat.T_NODE], 4),
+])
+def test_shell_search_matches_brute_force(sources, targets, bound):
+    zlat._conjugator_cached.cache_clear()
+    found = zlat.simultaneous_conjugator(sources, targets, bound=bound)
+    assert found == _brute_force_conjugator(sources, targets, bound)
+    if found is not None:
+        for a, b in zip(sources, targets):
+            assert zlat.mat_mul(zlat.mat_mul(zlat.inverse(found), a), found) == b
+
+
+def test_norm_4_problems_need_bound_4():
+    for src, tgt in ((NODE_NORM_4, zlat.T_NODE), (GENERIC_NORM_4, zlat.T_GENERIC)):
+        assert zlat.conjugator(src, tgt, bound=3) is None
+        p = zlat.conjugator(src, tgt, bound=4)
+        assert max(abs(v) for row in p for v in row) == 4
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_conjugator_rejects_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match="at least 1"):
+        zlat.conjugator(zlat.T_GENERIC, zlat.T_GENERIC, bound=bound)
+    with pytest.raises(ValueError, match="at least 1"):
+        zlat.simultaneous_conjugator(list(zlat.NEGATIVE_TRIPLE),
+                                     list(zlat.POSITIVE_TRIPLE), bound=bound)
+
+
+def test_exact_layers_import_without_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import tfib.zlat, tfib.affine, tfib.polybase, tfib.topo\n"
+        "print('numpy' in sys.modules)\n"
+        "from tfib import zlat\n"
+        "w = zlat.mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])\n"
+        "src = zlat.mat_mul(zlat.mat_mul(w, zlat.T_GENERIC), zlat.inverse(w))\n"
+        "print(zlat.conjugator(src, zlat.T_GENERIC) is not None)\n"
+        "print(zlat._conjugator_cached.cache_info().misses)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zlat.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "True", "1"]
