@@ -10,12 +10,19 @@ Subcommands:
     germs   ell1 | integral | constant | deform | glue
 
 Each leaf command is one handler, attached to its subparser by
-``set_defaults(run=...)``.  Every run writes a canonical JSON report
-(stdout, or --out PATH plus side artifacts next to it); reports embed the
-tolerances, steps, and seed used, and identical configurations produce
-byte-identical JSON.  Exit codes: 0 on pass, 1 when a --strict check
-fails, 2 on usage errors and on a non-finite report value (then nothing
-is written).
+``set_defaults(run=...)``.  A handler takes ``args`` alone and imports the
+layers it calls (numpy too, if it uses it) inside its body; this module
+imports only the stdlib and ``report``.  So a cold process loads only
+what its command runs: ``import tfib.cli`` and the exact commands
+(``base``, ``graph``, ``topo``) never load numpy.  Layer functions are
+looked up at call time, never bound at module level, so a replaced module
+attribute (a monkeypatch, a tracing wrapper) is what runs.
+
+Every run writes a canonical JSON report (stdout, or --out PATH plus side
+artifacts next to it); reports embed the tolerances, steps, and seed
+used, and identical configurations produce byte-identical JSON.  Exit
+codes: 0 on pass, 1 when a --strict check fails, 2 on usage errors and on
+a non-finite report value (then nothing is written).
 TFIB_THREADS caps internal sampling parallelism.
 """
 
@@ -29,17 +36,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import affine, germs, numerics, polybase, report, symplab, topo, zlat
-from .periods import (
-    action_chart,
-    action_extension_check,
-    closed_form_frame,
-    closedness_defect,
-    monodromy_from_frame,
-    numeric_periods,
-)
+from . import report
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -115,7 +112,9 @@ def _parser():
     leaf(fib, "list", _fib_list)
     f = leaf(fib, "poisson", _fib_poisson)
     f.add_argument("--model", required=True)
-    f.add_argument("--step", type=float, default=numerics.DEFAULT_STEP)
+    f.add_argument("--step", type=float, default=None,
+                   help="finite-difference base step "
+                        "(default: numerics.DEFAULT_STEP)")
     f.add_argument("--margin", type=float, default=0.1)
     f = leaf(fib, "reduce-check", _fib_reduce_check)
     f.add_argument("--t", type=float, required=True)
@@ -167,7 +166,9 @@ def _parser():
 
 
 # ----------------------------------------------------------------------
-# handlers: (args, rng) -> (report dict, side artifacts dict, passed flag)
+# handlers: args -> (report dict, side artifacts dict, passed flag).  Each
+# imports the layers it calls; a handler that draws random numbers builds
+# one fresh generator from --seed.
 # ----------------------------------------------------------------------
 
 def _rational(text, flag):
@@ -178,6 +179,8 @@ def _rational(text, flag):
 
 
 def _load_base(args):
+    from . import affine
+
     if getattr(args, "input", None):
         with open(args.input) as fh:
             return affine.base_from_json(json.load(fh))
@@ -187,16 +190,22 @@ def _load_base(args):
     raise CliError("need --kind or --input")
 
 
-def _base_build(args, rng):
+def _base_build(args):
+    from . import affine
+
     return affine.base_to_json(_load_base(args)), {}, True
 
 
-def _base_check_simple(args, rng):
+def _base_check_simple(args):
+    from . import affine
+
     rep = affine.check_simple(_load_base(args), bound=args.bound)
     return rep.to_json(), {}, rep.simple
 
 
-def _base_holonomy(args, rng):
+def _base_holonomy(args):
+    from . import affine, zlat
+
     base = _load_base(args)
     if args.loop:
         if args.loop not in base.loops:
@@ -210,7 +219,9 @@ def _base_holonomy(args, rng):
     return {"holonomy": zlat.matrix_to_json(mat)}, {}, True
 
 
-def _graph(args, rng):
+def _graph(args):
+    from . import polybase, topo
+
     if args.command == "k3":
         boundary = polybase.LatticeSimplexBoundary(3)
         graph = polybase.build_k3_graph(boundary)
@@ -240,12 +251,16 @@ def _graph(args, rng):
 
 
 def _load_graph(path):
+    from . import polybase
+
     with open(path) as fh:
         data = json.load(fh)
     return polybase.graph_from_json(data.get("graph", data))
 
 
-def _topo_euler(args, rng):
+def _topo_euler(args):
+    from . import topo
+
     graph = _load_graph(args.input)
     dimension = args.dimension
     if dimension is None:
@@ -256,40 +271,56 @@ def _topo_euler(args, rng):
     }, {}, True
 
 
-def _topo_validate(args, rng):
+def _topo_validate(args):
+    from . import topo
+
     graph = _load_graph(args.input)
     rep = topo.validate_semistable(
         graph, topo.canonical_assignment(graph), bound=args.bound)
     return rep.to_json(), {}, rep.valid
 
 
-def _topo_sign(args, rng):
+def _topo_sign(args):
+    from . import topo, zlat
+
     triple = [zlat.mat(m) for m in json.loads(args.triple)]
     return {"sign": topo.sign_from_triple(triple)}, {}, True
 
 
-def _fib_list(args, rng):
+def _fib_list(args):
+    from . import symplab
+
     return {"models": list(symplab.MODEL_IDS)}, {}, True
 
 
-def _fib_poisson(args, rng):
+def _fib_poisson(args):
+    import numpy as np
+
+    from . import numerics, symplab
+
+    step = numerics.DEFAULT_STEP if args.step is None else args.step
+    rng = np.random.default_rng(args.seed)
     model = symplab.make_model(args.model)
     samples = symplab.sample_domain(model, args.samples, rng, margin=args.margin)
-    worst = symplab.poisson_check(model, samples, step=args.step,
-                                  margin=args.margin)
+    worst = symplab.poisson_check(model, samples, step=step, margin=args.margin)
     return {
         "model": args.model,
         "max_bracket": worst,
         "samples": args.samples,
         "seed": args.seed,
-        "step": args.step,
+        "step": step,
         "margin": args.margin,
         "tolerance": args.tol,
         "passed": worst < args.tol,
     }, {}, worst < args.tol
 
 
-def _fib_reduce_check(args, rng):
+def _fib_reduce_check(args):
+    import numpy as np
+
+    from . import symplab
+
+    rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-1.5, 1.5, size=(args.samples, 4))
     samples = pts[:, 0::2] + 1j * pts[:, 1::2]
     if args.t == 0.0:
@@ -305,7 +336,11 @@ def _fib_reduce_check(args, rng):
     }, {}, worst < args.tol
 
 
-def _fib_amoeba(args, rng):
+def _fib_amoeba(args):
+    import numpy as np
+
+    from . import symplab
+
     if args.res < 2:
         raise CliError(f"--res must be at least 2, got {args.res}")
     lo, hi = args.bounds
@@ -334,7 +369,11 @@ def _fib_amoeba(args, rng):
     return rep, artifacts, agree
 
 
-def _fib_discriminant(args, rng):
+def _fib_discriminant(args):
+    import numpy as np
+
+    from . import symplab
+
     params = {"eps": args.eps, "M": args.big_m} \
         if args.model == "thin_legs" else {}
     model = symplab.make_model(args.model, **params)
@@ -353,7 +392,12 @@ def _fib_discriminant(args, rng):
     return rep, {".csv": cloud.tolist()}, inside == expected
 
 
-def _fib_twist(args, rng):
+def _fib_twist(args):
+    import numpy as np
+
+    from . import symplab
+
+    rng = np.random.default_rng(args.seed)
     u = rng.normal(size=(min(args.samples, 100), 2)) \
         + 1j * rng.normal(size=(min(args.samples, 100), 2))
     if args.which == "h0":
@@ -380,7 +424,12 @@ def _fib_twist(args, rng):
     return rep, {}, rep["passed"]
 
 
-def _fib_smooth1(args, rng):
+def _fib_smooth1(args):
+    import numpy as np
+
+    from . import symplab
+
+    rng = np.random.default_rng(args.seed)
     leg = symplab.smoothing_one(sigma=args.sigma, eps=args.eps)
     u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
     s = rng.uniform(0.0, args.eps / 2.0, 100)
@@ -403,7 +452,12 @@ _FRAME_FOR_MODEL = {"sm_ff": "focus_focus", "generic": "generic",
                     "positive": "positive", "thin_legs": "thin_leg_slice"}
 
 
-def _periods_frame(args, rng):
+def _periods_frame(args):
+    import numpy as np
+
+    from .periods import closed_form_frame, closedness_defect
+
+    rng = np.random.default_rng(args.seed)
     frame = closed_form_frame(args.kind)
     probe = np.full(frame.dim, 0.4)
     rows = frame.matrix_at(probe)
@@ -416,7 +470,10 @@ def _periods_frame(args, rng):
     }, {}, True
 
 
-def _periods_numeric(args, rng):
+def _periods_numeric(args):
+    from . import symplab
+    from .periods import numeric_periods
+
     model = symplab.make_model(args.model)
     b = [float(v) for v in args.b.split(",")]
     cycles = args.cycles.split(",") if args.cycles else None
@@ -431,7 +488,10 @@ def _periods_numeric(args, rng):
     }, {".csv": rows}, True
 
 
-def _periods_monodromy(args, rng):
+def _periods_monodromy(args):
+    from . import zlat
+    from .periods import closed_form_frame, monodromy_from_frame
+
     kind = _FRAME_FOR_MODEL.get(args.model) if args.model else args.frame
     if kind is None:
         raise CliError("need --model or --frame")
@@ -453,7 +513,11 @@ def _periods_monodromy(args, rng):
     }, {}, True
 
 
-def _periods_extend(args, rng):
+def _periods_extend(args):
+    import numpy as np
+
+    from .periods import action_chart, action_extension_check
+
     if args.chart == "focus_focus":
         chart = action_chart("focus_focus")
         path = lambda s: [(1.0 - s) * 0.5, 0.0]
@@ -479,7 +543,11 @@ def _periods_extend(args, rng):
     return rep, {".csv": rows}, ok
 
 
-def _germs_ell1(args, rng):
+def _germs_ell1(args):
+    import numpy as np
+
+    from . import germs
+
     if args.case == "ff":
         seq = germs.stitched_ff_ell1_sequence()
         rep = germs.integral_condition(seq, [1], base=-0.5, tol=args.tol)
@@ -504,7 +572,9 @@ def _germs_ell1(args, rng):
     return {"case": args.case, "a": values, "m": ms}, {}, True
 
 
-def _germs_integral(args, rng):
+def _germs_integral(args):
+    from . import germs
+
     if args.case == "ff":
         seq = germs.stitched_ff_ell1_sequence()
         reports = {
@@ -523,7 +593,11 @@ def _germs_integral(args, rng):
     return {"case": args.case, "reports": reports, "passed": ok}, {}, ok
 
 
-def _germs_constant(args, rng):
+def _germs_constant(args):
+    import numpy as np
+
+    from . import germs
+
     if args.case == "fake":
         seq = germs.EllSequence.constant("fake", [1.0, 0.0])
     else:
@@ -537,7 +611,11 @@ def _germs_constant(args, rng):
     }, {}, True
 
 
-def _germs_deform(args, rng):
+def _germs_deform(args):
+    import numpy as np
+
+    from . import germs
+
     wavy = germs.EllSequence("w", 1, {1: [
         lambda y, base=None: 1.0 + np.sin(2 * np.pi * y[..., 0]),
     ]})
@@ -554,7 +632,11 @@ def _germs_deform(args, rng):
     }, {}, ok
 
 
-def _germs_glue(args, rng):
+def _germs_glue(args):
+    import numpy as np
+
+    from . import germs
+
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     one = lambda r: np.ones_like(np.asarray(r, dtype=float))
     left = germs.GermH((-1.0, 0.5), 2, {(0, 0): zero, (1, 0): one})
@@ -575,13 +657,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        rep, artifacts, ok = args.run(args, np.random.default_rng(args.seed))
+        rep, artifacts, ok = args.run(args)
         rep["config"] = {
             "seed": args.seed,
             "tol": args.tol,
             "samples": args.samples,
             "strict": args.strict,
-            "threads": numerics.thread_count(),
         }
         text = report.canonical_json(rep)
         if args.out:

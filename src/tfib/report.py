@@ -11,25 +11,21 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
 
 def sanitize(obj):
-    """Reduce numpy scalars/arrays and Fractions to plain JSON values."""
+    """Reduce numpy scalars/arrays and Fractions to plain JSON values.
+
+    numpy is never imported here: anything with ``tolist()`` (arrays and
+    numpy scalars alike) is reduced through it to plain Python values.
+    """
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, Fraction):
         return str(obj)
+    if hasattr(obj, "tolist"):
+        return sanitize(obj.tolist())
     return obj
 
 

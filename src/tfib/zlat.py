@@ -418,11 +418,7 @@ def _conjugator_cached(sources, targets, bound):
     for a, b in zip(sources, targets):
         if len(a) != n or len(b) != n:
             raise ValueError("dimension mismatch")
-        if charpoly(a) != charpoly(b):
-            return None
-        if smith_invariants(mat_sub(a, identity(n))) != smith_invariants(
-            mat_sub(b, identity(n))
-        ):
+        if _invariants(a) != _invariants(b):
             return None
     if tuple(sources) == tuple(targets):
         return identity(n)
@@ -440,6 +436,14 @@ def _conjugator_cached(sources, targets, bound):
     if not basis:
         return None
     return _enumerate_conjugators(basis, n, bound)
+
+
+@functools.lru_cache(maxsize=1024)
+def _invariants(m):
+    """Conjugacy invariants of ``m``: its charpoly and the Smith form of
+    m - I.  Cached because the targets are the same few matrices
+    (``T_GENERIC``, the standard triples) on every conjugator cache miss."""
+    return charpoly(m), smith_invariants(mat_sub(m, identity(len(m))))
 
 
 def _enumerate_conjugators(basis, n, bound):

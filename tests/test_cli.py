@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tfib import cli, symplab, zlat
+from tfib import cli, numerics, symplab, zlat
 
 
 def run(tmp_path, *argv, name="report.json"):
@@ -85,6 +85,7 @@ def test_fib_poisson_pass(tmp_path):
     code, data, _ = run(tmp_path, "fib", "poisson", "--model", "sm_ff",
                         "--samples", "100", "--strict")
     assert code == 0 and data["passed"]
+    assert data["step"] == numerics.DEFAULT_STEP
 
 
 def test_periods_monodromy_by_model(tmp_path):
@@ -151,14 +152,20 @@ def test_discriminant_strict_rejects_a_shifted_cloud(tmp_path, monkeypatch):
     assert code == 1 and data["inside_oracle_amoeba"] is False
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch):
+def readme_commands():
+    """The README's CLI examples, in order, as argv lists without ``tfib``."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [ln for ln in block.splitlines() if ln.startswith("tfib ")]
-    assert len(lines) >= 20
+    return [shlex.split(ln, comments=True)[1:] for ln in block.splitlines()
+            if ln.startswith("tfib ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) >= 20
     monkeypatch.chdir(tmp_path)
-    for line in lines:
-        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
 
 
 def test_germs_integral_cli(tmp_path):
@@ -238,3 +245,69 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+# Runs ``cli.main`` on each argv of argv[2] (JSON), in order, in one fresh
+# process, and prints which of the modules in argv[1] are loaded after
+# ``import tfib.cli`` and after each command, with the command's exit code.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+from tfib import cli
+watched = json.loads(sys.argv[1])
+loaded = lambda: [m for m in watched if m in sys.modules]
+out = [[0, loaded()]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    out.append([code, loaded()])
+print(json.dumps(out))
+"""
+
+_WATCHED = ["numpy", "scipy", "tfib.affine", "tfib.polybase", "tfib.topo",
+            "tfib.germs"]
+
+
+def modules_after(tmp_path, commands):
+    """[(exit code, watched modules loaded)] after ``import tfib.cli`` and
+    after each command, run in order in one fresh process in tmp_path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(_WATCHED),
+         json.dumps(commands)],
+        cwd=tmp_path, capture_output=True, text=True, check=True, env=env)
+    return [tuple(row) for row in json.loads(out.stdout)]
+
+
+def test_cli_import_and_help_leave_numpy_unloaded(tmp_path):
+    after_import, after_help = modules_after(tmp_path, [["--help"]])
+    assert after_import == (0, [])
+    assert after_help == (0, [])
+
+
+def test_exact_readme_commands_leave_numpy_unloaded(tmp_path):
+    exact = [argv for argv in readme_commands()
+             if argv[0] in ("graph", "topo", "base")]
+    assert [argv[:2] for argv in exact] == [
+        ["graph", "k3"], ["topo", "euler"], ["graph", "quintic"],
+        ["base", "build"], ["base", "holonomy"], ["base", "check-simple"],
+        ["topo", "sign"]]
+    for argv, (code, loaded) in zip(exact, modules_after(tmp_path, exact)[1:]):
+        assert code == 0 and "numpy" not in loaded, (argv, loaded)
+
+
+def test_fib_poisson_loads_no_exact_or_germs_layer(tmp_path):
+    poisson = [argv for argv in readme_commands() if argv[:2] == ["fib", "poisson"]]
+    (code, loaded), = modules_after(tmp_path, poisson)[1:]
+    assert code == 0
+    assert loaded == ["numpy"]
+
+
+def test_only_fib_twist_loads_scipy(tmp_path):
+    commands = readme_commands()
+    is_twist = lambda argv: argv[:2] == ["fib", "twist"]
+    ordered = [a for a in commands if not is_twist(a)] + \
+        [a for a in commands if is_twist(a)]
+    assert is_twist(ordered[-1])
+    for argv, (code, loaded) in zip(ordered, modules_after(tmp_path, ordered)[1:]):
+        assert code == 0, argv
+        assert ("scipy" in loaded) == is_twist(argv), (argv, loaded)
