@@ -496,16 +496,15 @@ def base_from_json(data: dict) -> ChartedBase:
     )
 
 
-def loop_word_from_json(data, base_chart=None) -> LoopWord:
-    """Loop word from a JSON array of [piece, from, to] crossings."""
+def loop_word_from_json(data) -> LoopWord:
+    """Loop word from a JSON array of [piece, from, to] crossings, based at
+    the chart the first crossing leaves."""
     if not isinstance(data, list) or not all(
             isinstance(c, list) and len(c) == 3 and all(isinstance(x, str) for x in c)
             for c in data):
         raise ValueError("a loop word is a JSON array of [piece, from, to] "
                          f"string triples, got {data!r}")
     crossings = tuple(Crossing(piece, frm, to) for piece, frm, to in data)
-    if base_chart is None:
-        if not crossings:
-            raise ValueError("empty loop word needs an explicit base chart")
-        base_chart = crossings[0].frm
-    return LoopWord(base_chart, crossings)
+    if not crossings:
+        raise ValueError("empty loop word has no base chart")
+    return LoopWord(crossings[0].frm, crossings)

@@ -23,7 +23,6 @@ artifacts next to it); reports embed the tolerances, steps, and seed
 used, and identical configurations produce byte-identical JSON.  Exit
 codes: 0 on pass, 1 when a --strict check fails, 2 on usage errors and on
 a non-finite report value (then nothing is written).
-TFIB_THREADS caps internal sampling parallelism.
 """
 
 from __future__ import annotations
@@ -396,6 +395,7 @@ def _fib_twist(args):
     import numpy as np
 
     from . import symplab
+    from .symplab import twist
 
     rng = np.random.default_rng(args.seed)
     u = rng.normal(size=(min(args.samples, 100), 2)) \
@@ -416,7 +416,7 @@ def _fib_twist(args):
         "which": args.which,
         "flow_error": err,
         "symplectic_defect": defect,
-        "ode_rtol": 1e-9,
+        "ode_rtol": twist.ODE_RTOL,
         "seed": args.seed,
         "tolerance": args.tol,
         "passed": err < args.tol and defect < args.tol,
@@ -490,7 +490,7 @@ def _periods_numeric(args):
 
 def _periods_monodromy(args):
     from . import zlat
-    from .periods import closed_form_frame, monodromy_from_frame
+    from .periods import closed_form_frame, monodromy, monodromy_from_frame
 
     kind = _FRAME_FOR_MODEL.get(args.model) if args.model else args.frame
     if kind is None:
@@ -509,7 +509,7 @@ def _periods_monodromy(args):
         "frame": kind,
         "loop": args.loop,
         "monodromy": zlat.matrix_to_json(mat),
-        "snap_tolerance": 1e-3,
+        "snap_tolerance": monodromy.SNAP_TOLERANCE,
     }, {}, True
 
 

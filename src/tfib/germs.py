@@ -34,6 +34,7 @@ from . import numerics
 from .symplab.models import mu12
 
 TRAPEZOID_POINTS = 1024
+CYCLE_QUAD_TOL = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -44,15 +45,15 @@ TRAPEZOID_POINTS = 1024
 class EllSequence:
     """Truncated sequence of fibrewise 1-forms on a reduced seam.
 
-    ``terms[k]`` (k = 1..order) lists the coefficient callables
+    ``terms[k]`` (k = 1, 2, ...) lists the coefficient callables
     a_j(y, base) of l_k = sum_j a_j dy_{j+2}; each callable is vectorized
-    over arrays y of shape (m, fibre_dim).
+    over arrays y of shape (m, fibre_dim).  Orders without an entry are
+    zero.
     """
 
     seam_id: str
     fibre_dim: int
     terms: Dict[int, List[Callable]] = field(default_factory=dict)
-    order: int = 4
 
     def ell1(self) -> List[Callable]:
         return self.terms.get(1, self.zero_term())
@@ -62,15 +63,14 @@ class EllSequence:
                 for _ in range(self.fibre_dim)]
 
     @staticmethod
-    def constant(seam_id: str, coefficients: Sequence[float], order: int = 4
-                 ) -> "EllSequence":
+    def constant(seam_id: str, coefficients: Sequence[float]) -> "EllSequence":
         """Sequence with constant l_1 = sum m_j dy_j and zero higher terms."""
         coeffs = [float(c) for c in coefficients]
         term = [
             (lambda y, base=None, c=c: np.full(np.shape(y)[:-1], c))
             for c in coeffs
         ]
-        return EllSequence(seam_id, len(coeffs), {1: term}, order=order)
+        return EllSequence(seam_id, len(coeffs), {1: term})
 
 
 def _torus_grid(fibre_dim, n=24):
@@ -79,29 +79,34 @@ def _torus_grid(fibre_dim, n=24):
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
-def fibrewise_closedness_defect(seq: EllSequence, base=None, step=1e-5) -> float:
-    """max |da_j/dy_i - da_i/dy_j| over terms and a torus grid."""
+def fibrewise_closedness_defect(seq: EllSequence) -> float:
+    """max |da_j/dy_i - da_i/dy_j| over terms and a torus grid.
+
+    The coefficients are evaluated at base point None and differentiated
+    with base step 1e-5.
+    """
     if seq.fibre_dim == 1:
         return 0.0
     grid = _torus_grid(seq.fibre_dim)
     worst = 0.0
     for term in seq.terms.values():
         def stacked(y, term=term):
-            return np.stack([a(y, base) for a in term], axis=-1)
+            return np.stack([a(y, None) for a in term], axis=-1)
 
-        jac = numerics.jacobian(stacked, grid, step=step)   # [.., j, i] = da_j/dy_i
+        jac = numerics.jacobian(stacked, grid, step=1e-5)   # [.., j, i] = da_j/dy_i
         curl = jac - np.swapaxes(jac, -1, -2)
         worst = max(worst, float(np.max(np.abs(curl))))
     return worst
 
 
-def cycle_integrals(seq: EllSequence, base=None, n=TRAPEZOID_POINTS,
-                    quad_tol=1e-6) -> np.ndarray:
+def cycle_integrals(seq: EllSequence, base=None) -> np.ndarray:
     """Fibre cohomology integrals of l_1 over the coordinate cycles [db_j].
 
     Smooth periodic integrands converge spectrally under the composite
-    trapezoid; a doubling estimate above ``quad_tol`` raises.
+    trapezoid on ``TRAPEZOID_POINTS`` nodes; a doubling estimate above
+    ``CYCLE_QUAD_TOL`` raises.
     """
+    n = TRAPEZOID_POINTS
     out = np.empty(seq.fibre_dim)
     ell1 = seq.ell1()
     for j in range(seq.fibre_dim):
@@ -109,7 +114,7 @@ def cycle_integrals(seq: EllSequence, base=None, n=TRAPEZOID_POINTS,
         y[:, j] = np.arange(n) / n
         # transverse basepoint fixed at 0; closedness makes this immaterial
         out[j], err = numerics.periodic_quadrature(ell1[j](y, base))
-        if err > quad_tol:
+        if err > CYCLE_QUAD_TOL:
             raise RuntimeError(
                 f"cycle integral {j} did not converge (doubling estimate {err:.2e})"
             )
@@ -145,26 +150,28 @@ def integral_condition(seq: EllSequence, expected, base=None, tol=1e-6
     return IntegralReport(computed, expected, tol)
 
 
-def negative_table_condition(seqs: Dict[str, EllSequence], m1: int, m2: int,
-                             tol=1e-6) -> Dict[str, IntegralReport]:
-    """The three-seam table: c -> (0, 0), d -> (m1, 0), e -> (0, m2)."""
+def negative_table_condition(seqs: Dict[str, EllSequence], m1: int, m2: int
+                             ) -> Dict[str, IntegralReport]:
+    """The three-seam table: c -> (0, 0), d -> (m1, 0), e -> (0, m2), each
+    checked by `integral_condition` at its default tolerance."""
     table = {"c": (0, 0), "d": (m1, 0), "e": (0, m2)}
     missing = set(table) - set(seqs)
     if missing:
         raise ValueError(f"missing seam components: {sorted(missing)}")
     return {
-        name: integral_condition(seqs[name], table[name], tol=tol)
+        name: integral_condition(seqs[name], table[name])
         for name in ("c", "d", "e")
     }
 
 
-def is_fibrewise_constant(seq: EllSequence, base=None, tol=1e-8) -> bool:
-    """True iff every coefficient function is constant along the fibres."""
+def is_fibrewise_constant(seq: EllSequence) -> bool:
+    """True iff every coefficient function, at base point None, varies by
+    at most 1e-8 along the fibres."""
     grid = _torus_grid(max(seq.fibre_dim, 1))
     for term in seq.terms.values():
         for a in term:
-            vals = np.asarray(a(grid, base), dtype=float)
-            if float(vals.max() - vals.min()) > tol:
+            vals = np.asarray(a(grid, None), dtype=float)
+            if float(vals.max() - vals.min()) > 1e-8:
                 return False
     return True
 
@@ -219,7 +226,7 @@ def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
                             + (1.0 - r) * np.asarray(b(y, base), dtype=float))
             new_term.append(blended)
         new_terms[k] = new_term
-    return EllSequence(seq.seam_id, seq.fibre_dim, new_terms, order=seq.order)
+    return EllSequence(seq.seam_id, seq.fibre_dim, new_terms)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +342,7 @@ def stitched_ff_ell1_sequence() -> EllSequence:
         cyc = stitched_ff_seam_cycle(b2)
         return coeffs[0](cyc(np.asarray(y, dtype=float)[..., 0]))
 
-    return EllSequence("ff_lower", 1, {1: [a2]}, order=1)
+    return EllSequence("ff_lower", 1, {1: [a2]})
 
 
 # ----------------------------------------------------------------------
@@ -358,20 +365,16 @@ class GermH:
     def coefficient(self, i: int, j: int) -> Callable:
         return self.coeffs.get((i, j), lambda r: np.zeros_like(np.asarray(r, dtype=float)))
 
-    def indices(self):
-        return [(i, j) for i in range(self.order + 1)
-                for j in range(self.order + 1 - i)]
-
 
 def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
-                   delta: float = 0.25, samples: int = 33, tol: float = 1e-9
-                   ) -> GermH:
+                   delta: float = 0.25) -> GermH:
     """Blend two leg germs over (-delta, delta) with zero-order term tau.
 
     Preconditions: both inputs carry the same truncation order, their
-    zero-order coefficients equal tau on their intervals (checked on
-    samples), and both are evaluable across the blend region.  The output
-    restricts to the inputs coefficientwise outside (-delta, delta).
+    zero-order coefficients equal tau on their intervals (to 1e-9, checked
+    at 33 points of each), and both are evaluable across the blend region.
+    The output restricts to the inputs coefficientwise outside
+    (-delta, delta).
     """
     if g_left.order != g_right.order:
         raise ValueError("germ truncation orders differ")
@@ -380,12 +383,12 @@ def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
     if not (g_left.interval[1] >= delta and g_right.interval[0] <= -delta):
         raise ValueError("input germs must overlap the blend region")
     for germ, lo, hi in ((g_left, a, delta), (g_right, -delta, b)):
-        r = np.linspace(lo, hi, samples)
+        r = np.linspace(lo, hi, 33)
         mismatch = np.max(np.abs(np.asarray(germ.coefficient(0, 0)(r), dtype=float)
                                  - np.asarray(tau(r), dtype=float)))
-        if mismatch > tol:
+        if mismatch > 1e-9:
             raise ValueError(
-                f"zero-order term differs from tau by {mismatch:.2e} (> {tol})"
+                f"zero-order term differs from tau by {mismatch:.2e} (> 1e-09)"
             )
 
     def blend(i, j):
@@ -404,79 +407,3 @@ def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
               for j in range(g_left.order + 1 - i)}
     coeffs[(0, 0)] = lambda r: np.asarray(tau(r), dtype=float)
     return GermH((a, b), g_left.order, coeffs)
-
-
-# ----------------------------------------------------------------------
-# JSON interchange (coefficient grids)
-# ----------------------------------------------------------------------
-
-def sequence_to_json(seq: EllSequence, base=None, grid_n: int = 16) -> dict:
-    """Sample the coefficient functions on a torus grid."""
-    grid = _torus_grid(seq.fibre_dim, n=grid_n)
-    return {
-        "seam_id": seq.seam_id,
-        "fibre_dim": seq.fibre_dim,
-        "order": seq.order,
-        "grid_n": grid_n,
-        "terms": {
-            str(k): [np.asarray(a(grid, base), dtype=float).tolist()
-                     for a in term]
-            for k, term in seq.terms.items()
-        },
-    }
-
-
-def _grid_interp(values, grid_n, fibre_dim):
-    values = np.asarray(values, dtype=float).reshape((grid_n,) * fibre_dim)
-
-    def a(y, base=None):
-        y = np.asarray(y, dtype=float)
-        idx = np.mod(np.rint(y * grid_n).astype(int), grid_n)
-        return values[tuple(idx[..., d] for d in range(fibre_dim))]
-
-    return a
-
-
-def sequence_from_json(data: dict) -> EllSequence:
-    """Rebuild a sequence with grid-backed coefficient functions.
-
-    Evaluation snaps to the stored torus grid (nearest node), which is
-    exact at the grid resolution the sequence was saved with.
-    """
-    fibre_dim = int(data["fibre_dim"])
-    grid_n = int(data["grid_n"])
-    terms = {
-        int(k): [_grid_interp(vals, grid_n, fibre_dim) for vals in term]
-        for k, term in data["terms"].items()
-    }
-    return EllSequence(data["seam_id"], fibre_dim, terms,
-                       order=int(data["order"]))
-
-
-def germ_to_json(germ: GermH, samples: int = 33) -> dict:
-    """Germ ledger: interval metadata plus sampled coefficient grids."""
-    r = np.linspace(germ.interval[0], germ.interval[1], samples)
-    return {
-        "interval": [float(germ.interval[0]), float(germ.interval[1])],
-        "order": germ.order,
-        "r": r.tolist(),
-        "coeffs": {
-            f"{i},{j}": np.asarray(germ.coefficient(i, j)(r),
-                                   dtype=float).tolist()
-            for (i, j) in germ.indices()
-        },
-    }
-
-
-def germ_from_json(data: dict) -> GermH:
-    r = np.asarray(data["r"], dtype=float)
-
-    def interp(vals):
-        vals = np.asarray(vals, dtype=float)
-        return lambda rr: np.interp(np.asarray(rr, dtype=float), r, vals)
-
-    coeffs = {
-        tuple(int(v) for v in key.split(",")): interp(vals)
-        for key, vals in data["coeffs"].items()
-    }
-    return GermH(tuple(data["interval"]), int(data["order"]), coeffs)

@@ -165,6 +165,8 @@ def periodic_quadrature(values):
 # parallel sampling
 # ----------------------------------------------------------------------
 
+# Unused in tfib; kept only because perfbench/spans.py PLAIN wraps both by name.
+
 def thread_count():
     """Parallelism cap from TFIB_THREADS (default 1)."""
     try:

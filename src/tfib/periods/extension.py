@@ -58,6 +58,9 @@ import numpy as np
 
 from ..symplab.models import hl_modulus
 
+#: absolute and relative tolerance of the a0 quadrature
+A0_QUAD_TOL = 1e-10
+
 
 def arg_branch_1(b1, b2):
     """Branch of arg on (0, 2 pi); cut along {b2 = 0, b1 > 0}."""
@@ -80,8 +83,10 @@ def psi_focus_focus(b, q=None, branch=1):
     return np.array([lead + corr + b2 * arg, 2.0 * math.pi * b2])
 
 
-def positive_a0(b, quad_tol=1e-10):
-    """The odd Harvey-Lawson correction a0(b); 0 on the plane {b1 = 0}."""
+def positive_a0(b):
+    """The odd Harvey-Lawson correction a0(b); 0 on the plane {b1 = 0}.
+
+    One adaptive quadrature to ``A0_QUAD_TOL`` (absolute and relative)."""
     from scipy.integrate import quad
 
     b1, b2, b3 = (float(v) for v in b)
@@ -97,7 +102,7 @@ def positive_a0(b, quad_tol=1e-10):
         tt = t * t
         return 2.0 * t * math.atan2(c, t * math.sqrt(q0 + tt * (q1 + tt)))
 
-    val, _ = quad(integrand, 0.0, math.inf, epsabs=quad_tol, epsrel=quad_tol,
+    val, _ = quad(integrand, 0.0, math.inf, epsabs=A0_QUAD_TOL, epsrel=A0_QUAD_TOL,
                   limit=400)
     return math.copysign(val, b1)
 
@@ -149,15 +154,15 @@ class ExtensionReport:
         }
 
 
-def action_extension_check(chart: ActionChart, path, depth=22) -> ExtensionReport:
+def action_extension_check(chart: ActionChart, path) -> ExtensionReport:
     """Limit of the chart's first component along a path onto the discriminant.
 
     ``path(s)`` is parametrized on [0, 1] with the endpoint at s = 1 on
-    the discriminant; the chart is evaluated at s_k = 1 - 2^{-k} and the
-    successive differences must decay (Cauchy modulus), else the check
-    reports divergence.
+    the discriminant; the chart is evaluated at s_k = 1 - 2^{-k},
+    k = 2, ..., 21, and the successive differences must decay (Cauchy
+    modulus), else the check reports divergence.
     """
-    s = 1.0 - 0.5 ** np.arange(2, depth)
+    s = 1.0 - 0.5 ** np.arange(2, 22)
     values = np.array([float(chart(np.asarray(path(sk), dtype=float))[0])
                        for sk in s])
     cauchy = np.abs(np.diff(values))

@@ -17,10 +17,7 @@ The shipped frames (with q(0) = 0, H(0) = 0):
     generic(H):      l1 = kappa(b1, b2) + dH,   l2 = 2 pi db2,  l3 = db3
     positive(H):     l1 = -kappa(b1, b2) + kappa(b1, b3) + kappa(b1, b2 - b3) + dH,
                      l2 = 2 pi db2,  l3 = 2 pi db3
-    thin_leg_slice(beta1, beta2):
-                     l1 = 2 pi db1,
-                     l2 = beta1(b1) db1 - e^{2 b2} db2,
-                     l3 = beta2(b1) db1 - e^{2 b3} db3
+    thin_leg_slice:  l1 = 2 pi db1,  l2 = -e^{2 b2} db2,  l3 = -e^{2 b3} db3
 
 The positive kernel combination is chosen so that anticlockwise loops
 around the three legs of the Harvey-Lawson discriminant transport the
@@ -109,7 +106,6 @@ class PeriodFrame:
     dim: int
     forms: List[FrameForm]
     loops: Dict[str, Callable] = field(default_factory=dict)
-    action: Optional[object] = None   # ActionChart, attached by extension
 
     def matrix_at(self, b, angle_table=None):
         """Rows = frame covectors at b (with optional per-form kernel angles)."""
@@ -125,7 +121,7 @@ def _const_cov(vec):
     return ExactTerm(lambda b, v=vec: v)
 
 
-def closed_form_frame(kind: str, q=None, h=None, beta1=None, beta2=None) -> PeriodFrame:
+def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
     """The quoted period frames; see the module docstring for the list."""
     if kind == "focus_focus":
         corr = q if q is not None else (lambda b: 0.0)
@@ -211,13 +207,11 @@ def closed_form_frame(kind: str, q=None, h=None, beta1=None, beta2=None) -> Peri
         return frame
 
     if kind == "thin_leg_slice":
-        b1fn = beta1 if beta1 is not None else (lambda b1: 0.0)
-        b2fn = beta2 if beta2 is not None else (lambda b1: 0.0)
         l1 = FrameForm(exact=[_const_cov([2.0 * math.pi, 0.0, 0.0])])
         l2 = FrameForm(exact=[ExactTerm(
-            lambda b: np.array([float(b1fn(b[0])), -math.exp(2.0 * b[1]), 0.0]))])
+            lambda b: np.array([0.0, -math.exp(2.0 * b[1]), 0.0]))])
         l3 = FrameForm(exact=[ExactTerm(
-            lambda b: np.array([float(b2fn(b[0])), 0.0, -math.exp(2.0 * b[2])]))])
+            lambda b: np.array([0.0, 0.0, -math.exp(2.0 * b[2])]))])
         return PeriodFrame("thin_leg_slice", 3, [l1, l2, l3])
 
     raise ValueError(f"unknown frame kind {kind!r}")

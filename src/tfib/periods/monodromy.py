@@ -19,6 +19,11 @@ from .. import zlat
 from .frames import PeriodFrame
 
 MAX_ANGLE_STEP = math.pi / 8.0
+#: loop samples of the first tracking pass; doubled on each refinement
+N_STEPS = 256
+MAX_REFINEMENTS = 8
+#: largest distance of the transported matrix from the integers
+SNAP_TOLERANCE = 1e-3
 
 
 def _track_angles(form, loop_points):
@@ -43,16 +48,17 @@ def _track_angles(form, loop_points):
     return history, worst
 
 
-def monodromy_from_frame(frame: PeriodFrame, loop, n_steps=256, snap_tol=1e-3,
-                         max_refinements=8):
+def monodromy_from_frame(frame: PeriodFrame, loop):
     """Integer monodromy matrix of the frame transported along ``loop``.
 
     ``loop`` maps parameters in [0, 1] to base points with
-    loop(0) = loop(1) (the tracker appends the closing point).  Raises if
-    the transported matrix fails to snap to integers within ``snap_tol``.
+    loop(0) = loop(1) (the tracker appends the closing point).  Tracking
+    starts at ``N_STEPS`` samples and doubles them up to
+    ``MAX_REFINEMENTS`` times.  Raises if the transported matrix fails to
+    snap to integers within ``SNAP_TOLERANCE``.
     """
-    steps = n_steps
-    for _ in range(max_refinements):
+    steps = N_STEPS
+    for _ in range(MAX_REFINEMENTS):
         t = np.linspace(0.0, 1.0, steps + 1)
         pts = np.atleast_2d(np.asarray(loop(t), dtype=float))
         if not np.allclose(pts[0], pts[-1], atol=1e-12):
@@ -90,7 +96,7 @@ def monodromy_from_frame(frame: PeriodFrame, loop, n_steps=256, snap_tol=1e-3,
     rows = np.linalg.lstsq(f_init.T, f_final.T, rcond=None)[0].T
     snapped = np.rint(rows)
     defect = float(np.max(np.abs(rows - snapped)))
-    if defect > snap_tol:
+    if defect > SNAP_TOLERANCE:
         raise ValueError(
             f"transported frame is not integral (defect {defect:.2e}); "
             "branch tracking failed or the loop meets the discriminant"

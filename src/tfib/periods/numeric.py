@@ -20,6 +20,13 @@ from .. import numerics
 from ..symplab.models import FibrationModel
 from ..symplab.poisson import batch_gradients
 
+#: trapezoid nodes per cycle
+CYCLE_POINTS = 512
+#: largest allowed distance of a cycle from its fibre
+FIBRE_TOL = 1e-7
+#: largest allowed doubling estimate of a period integral
+QUAD_TOL = 1e-3
+
 
 @dataclass
 class PeriodResult:
@@ -40,12 +47,12 @@ def _cycle_integrand(model, cyc, b_raw, s):
     return -numerics.omega_pair(lifts, dz[:, None, :]), defect
 
 
-def numeric_periods(model: FibrationModel, b, cycles=None, n=512,
-                    fibre_tol=1e-7, quad_tol=1e-3) -> PeriodResult:
+def numeric_periods(model: FibrationModel, b, cycles=None) -> PeriodResult:
     """Period covectors of the named cycles at base point b (chart coords).
 
-    Raises when a cycle parametrization leaves the fibre by more than
-    ``fibre_tol`` or the doubling error estimate exceeds ``quad_tol``.
+    Each cycle is sampled at ``CYCLE_POINTS`` nodes.  Raises when a cycle
+    parametrization leaves the fibre by more than ``FIBRE_TOL`` or the
+    doubling error estimate exceeds ``QUAD_TOL``.
     """
     if model.fibre_point is None or not model.cycles:
         raise ValueError(f"model {model.id} ships no cycle parametrizations")
@@ -63,17 +70,18 @@ def numeric_periods(model: FibrationModel, b, cycles=None, n=512,
     worst_defect = 0.0
     for name in names:
         cyc, norm = model.cycles[name](z0)
-        vals, defect = _cycle_integrand(model, cyc, b_raw, np.arange(n) / n)
+        vals, defect = _cycle_integrand(
+            model, cyc, b_raw, np.arange(CYCLE_POINTS) / CYCLE_POINTS)
         raw, err = numerics.periodic_quadrature(vals * norm)
         worst_defect = max(worst_defect, defect)
-        if defect > fibre_tol:
+        if defect > FIBRE_TOL:
             raise ValueError(
-                f"cycle {name} leaves the fibre by {defect:.2e} (> {fibre_tol})"
+                f"cycle {name} leaves the fibre by {defect:.2e} (> {FIBRE_TOL})"
             )
-        if err > quad_tol:
+        if err > QUAD_TOL:
             raise ValueError(
                 f"cycle {name}: quadrature did not converge "
-                f"(doubling estimate {err:.2e} > {quad_tol})"
+                f"(doubling estimate {err:.2e} > {QUAD_TOL})"
             )
         covectors[name] = raw @ chart_jac_inv
         errors[name] = err

@@ -34,12 +34,9 @@ def canonical_json(report: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def write_csv(path, rows, header=None):
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+def write_csv(path, rows):
+    """One line per row, values as ``repr(float)``, no header."""
+    lines = [",".join(repr(float(v)) for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

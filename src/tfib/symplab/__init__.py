@@ -1,15 +1,42 @@
-"""Numerical symplectic laboratory: explicit fibration models and checks."""
+"""Numerical symplectic laboratory: explicit fibration models and checks.
 
-from .models import (  # noqa: F401
-    FibrationModel,
-    MODEL_IDS,
-    gamma,
-    make_model,
-    sample_domain,
-)
-from .reduction import ReductionMap, gamma_t, gamma_t_inverse, omega_t_matrix, reduction_check  # noqa: F401
-from .amoeba import AmoebaRaster, amoeba_membership, amoeba_raster  # noqa: F401
-from .poisson import poisson_check  # noqa: F401
-from .twist import hamiltonian_twist, h0_quarter_turn, cutoff_hamiltonian, symplecticity_defect  # noqa: F401
-from .discriminant import discriminant_sample  # noqa: F401
-from .smoothing import rho_zero, rho_one_smooth, smoothing_one  # noqa: F401
+The model ids are a literal here, so listing them imports nothing.  Every
+other name below is exported lazily (PEP 562): reading one imports its
+submodule, and every read looks the name up on the submodule again, so a
+replaced submodule attribute (a monkeypatch, a tracing wrapper) is what
+the package returns.
+"""
+
+import importlib
+
+MODEL_IDS = ("amoeba", "control", "generic", "hl", "leg_d", "leg_h", "leg_v",
+             "positive", "sm_ff", "stitched_ff", "thin_legs")
+
+_EXPORTS = {
+    "FibrationModel": "models",
+    "gamma": "models",
+    "make_model": "models",
+    "sample_domain": "models",
+    "gamma_t": "reduction",
+    "gamma_t_inverse": "reduction",
+    "omega_t_matrix": "reduction",
+    "reduction_check": "reduction",
+    "AmoebaRaster": "amoeba",
+    "amoeba_membership": "amoeba",
+    "amoeba_raster": "amoeba",
+    "poisson_check": "poisson",
+    "hamiltonian_twist": "twist",
+    "h0_quarter_turn": "twist",
+    "cutoff_hamiltonian": "twist",
+    "symplecticity_defect": "twist",
+    "discriminant_sample": "discriminant",
+    "rho_zero": "smoothing",
+    "rho_one_smooth": "smoothing",
+    "smoothing_one": "smoothing",
+}
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -11,9 +11,13 @@ import numpy as np
 
 from .models import FibrationModel, thin_legs_branch
 
+#: the polar grid of u2: GRID_N log-spaced radii in [1e-3, GRID_RADIUS]
+#: times GRID_N angles
+GRID_RADIUS = 3.0
+GRID_N = 120
 
-def discriminant_sample(model: FibrationModel, grid_radius=3.0, grid_n=120,
-                        return_branches=False):
+
+def discriminant_sample(model: FibrationModel, return_branches=False):
     """Point cloud {0} x Log(Phi(0, u2)) over a polar grid of u2 in C*.
 
     Returns an array (k, 3); raises when the model has no declared Phi or
@@ -23,8 +27,8 @@ def discriminant_sample(model: FibrationModel, grid_radius=3.0, grid_n=120,
     """
     if model.phi is None:
         raise ValueError(f"model {model.id} carries no reduced twist Phi")
-    radii = np.exp(np.linspace(np.log(1e-3), np.log(grid_radius), grid_n))
-    angles = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+    radii = np.exp(np.linspace(np.log(1e-3), np.log(GRID_RADIUS), GRID_N))
+    angles = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
     u2 = (rr * np.exp(1j * aa)).reshape(-1)
     u1 = np.zeros_like(u2)

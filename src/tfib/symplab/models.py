@@ -20,9 +20,12 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from . import MODEL_IDS
 from .reduction import gamma_t_inverse
 
 SQRT2 = math.sqrt(2.0)
+#: half-width of the cube in C^n = R^{2n} that ``sample_domain`` draws from
+SAMPLE_BOX = 1.5
 
 
 def mu12(z):
@@ -113,14 +116,12 @@ class FibrationModel:
     components: int              # number of real map components
     f: Callable[[np.ndarray], np.ndarray]
     margin: Callable[[np.ndarray], np.ndarray]
-    omega: str = "standard omega_{C^n}"
     smooth_locus: str = "smooth on its domain"
     phi: Optional[Callable] = None
     params: dict = field(default_factory=dict)
     chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cycles: Dict[str, Callable] = field(default_factory=dict)
     fibre_point: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sample_box: float = 1.5
 
     def __call__(self, z):
         return self.f(np.asarray(z, dtype=complex))
@@ -451,8 +452,6 @@ _BUILDERS = {
     "control": _model_control,
 }
 
-MODEL_IDS = tuple(sorted(_BUILDERS))
-
 
 def make_model(model_id: str, **params) -> FibrationModel:
     """Construct a fibration model by id; thin_legs accepts eps and M."""
@@ -467,20 +466,20 @@ def make_model(model_id: str, **params) -> FibrationModel:
     return _BUILDERS[model_id]()
 
 
-def sample_domain(model: FibrationModel, count: int, rng, margin: float = 0.1,
-                  box: Optional[float] = None) -> np.ndarray:
+def sample_domain(model: FibrationModel, count: int, rng, margin: float = 0.1
+                  ) -> np.ndarray:
     """Seeded rejection sampling of domain points with the given margin.
 
-    A point is in the domain when ``model.margin`` exceeds ``margin``, so
-    ``margin`` must be non-negative.
+    Draws uniformly from the cube [-SAMPLE_BOX, SAMPLE_BOX]^{2n} of real
+    coordinates.  A point is in the domain when ``model.margin`` exceeds
+    ``margin``, so ``margin`` must be non-negative.
     """
     if margin < 0:
         raise ValueError(f"sampling margin must be >= 0, got {margin}")
-    box = model.sample_box if box is None else box
     out = []
     need = count
     for _ in range(200):
-        raw = rng.uniform(-box, box, size=(4 * need, 2 * model.n))
+        raw = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(4 * need, 2 * model.n))
         z = raw[:, 0::2] + 1j * raw[:, 1::2]
         keep = model.margin(z) > margin
         z = z[keep]

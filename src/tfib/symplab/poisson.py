@@ -50,8 +50,4 @@ def poisson_check(model: FibrationModel, samples, step=numerics.DEFAULT_STEP,
             f"{int(bad.sum())} samples within margin {required} of the "
             f"singular/non-smooth locus of {model.id}"
         )
-    chunks = np.array_split(samples, max(1, numerics.thread_count()))
-    parts = numerics.parallel_map(
-        lambda c: poisson_brackets(model, c, step=step), [c for c in chunks if len(c)]
-    )
-    return float(np.max(np.abs(np.concatenate(parts, axis=0))))
+    return float(np.max(np.abs(poisson_brackets(model, samples, step=step))))

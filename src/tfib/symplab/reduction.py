@@ -11,34 +11,16 @@ finite-difference Jacobians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import numerics
 
 
-@dataclass(frozen=True)
-class ReductionMap:
-    """The level-t smoothing map, with its closed-form inverse.
+def gamma_t(u, t):
+    """Gamma_t on arrays (..., k) of reduced coordinates.
 
     Continuous everywhere; smooth away from u1 = 0 when t = 0.
     """
-
-    t: float
-
-    def __call__(self, u):
-        return gamma_t(u, self.t)
-
-    def inverse(self, w):
-        return gamma_t_inverse(w, self.t)
-
-    def omega_matrix(self, u1, k=2):
-        return omega_t_matrix(u1, self.t, k=k)
-
-
-def gamma_t(u, t):
-    """Gamma_t on arrays (..., k) of reduced coordinates."""
     u = np.asarray(u, dtype=complex)
     u1 = u[..., 0]
     denom = np.sqrt(abs(t) + np.sqrt(t * t + np.abs(u1) ** 2))
@@ -66,17 +48,18 @@ def omega_t_matrix(u1, t, k=2):
     return omega
 
 
-def reduction_check(t, samples, step=1e-6):
+def reduction_check(t, samples):
     """max |Gamma_t^* omega_std - omega_t| over the samples, componentwise.
 
     ``samples`` is an array (m, k) of complex reduced points; at t = 0
-    they must avoid u1 = 0, where Gamma_0 is not smooth.
+    they must avoid u1 = 0, where Gamma_0 is not smooth.  The Jacobian of
+    Gamma_t takes base step 1e-6.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=complex))
     k = samples.shape[1]
     if t == 0.0 and np.any(np.abs(samples[:, 0]) < 1e-9):
         raise ValueError("sample at the t = 0 singular locus u1 = 0")
     jac = numerics.jacobian(lambda x: numerics.c2r(gamma_t(numerics.r2c(x), t)),
-                            numerics.c2r(samples), step=step)
+                            numerics.c2r(samples), step=1e-6)
     pullback = np.swapaxes(jac, -1, -2) @ numerics.omega_matrix(k) @ jac
     return float(np.max(np.abs(pullback - omega_t_matrix(samples[:, 0], t, k))))

@@ -37,18 +37,18 @@ def rho_one_smooth(r, t):
     return np.sqrt(t + np.sqrt(t * t + r)) + 1.0
 
 
-def sigma_bump(eps=0.1, s1_scale=0.5):
+def sigma_bump(eps=0.1):
     """Cut-off equal to 1 on the inner rectangle S1 and 0 outside S0.
 
     S0 = [-9 eps^2/64, 9 eps^2/64] x [-3 eps/8, 3 eps/8] in the (r, s)
-    plane, S1 the centered copy scaled by ``s1_scale``.
+    plane, S1 the centered copy scaled by 1/2.
     """
     r0 = 9.0 * eps * eps / 64.0
     s0 = 3.0 * eps / 8.0
 
     def sigma(r, s):
-        pr = numerics.plateau(r, -s1_scale * r0, s1_scale * r0, -r0, r0)
-        ps = numerics.plateau(s, -s1_scale * s0, s1_scale * s0, -s0, s0)
+        pr = numerics.plateau(r, -0.5 * r0, 0.5 * r0, -r0, r0)
+        ps = numerics.plateau(s, -0.5 * s0, 0.5 * s0, -s0, s0)
         return pr * ps
 
     return sigma
@@ -82,31 +82,20 @@ class SmoothedLeg:
         rho = self.rho(r, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
         return np.log(np.abs(u1 / rho - 1.0))
 
-    def reduced_map(self, u1, u2, t):
-        """The full reduced leg fibration (log|u2|, g)."""
-        u2 = np.asarray(u2, dtype=complex)
-        return np.stack(
-            [np.log(np.abs(u2)), self.g(u1, t, np.abs(u2) ** 2)], axis=-1
-        )
 
-
-def smoothing_one(rho1=None, sigma="bump", eps=0.1, region_samples=None,
-                  rng=None) -> SmoothedLeg:
+def smoothing_one(rho1=None, sigma="bump", eps=0.1) -> SmoothedLeg:
     """Build the Smoothing-I leg model, verifying rho1 > rho0 by sampling.
 
     ``rho1`` defaults to the smooth dominating profile rho_one_smooth.
-    ``region_samples`` optionally overrides the (r, t) sample set used for
-    the domination check (defaults to a seeded grid over the leg region).
+    The domination check samples 256 points (r, t) of the leg region
+    [0, eps^2] x [-eps, eps], drawn from a generator seeded with 0.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     rho1 = rho1 if rho1 is not None else rho_one_smooth
-    if region_samples is None:
-        rng = rng or np.random.default_rng(0)
-        r = rng.uniform(0.0, eps * eps, size=256)
-        t = rng.uniform(-eps, eps, size=256)
-        region_samples = np.stack([r, t], axis=-1)
-    r, t = region_samples[:, 0], region_samples[:, 1]
+    rng = np.random.default_rng(0)
+    r = rng.uniform(0.0, eps * eps, size=256)
+    t = rng.uniform(-eps, eps, size=256)
     gap = rho1(r, t) - rho_zero(r, t)
     if np.any(gap <= 0):
         worst = int(np.argmin(gap))
@@ -117,12 +106,13 @@ def smoothing_one(rho1=None, sigma="bump", eps=0.1, region_samples=None,
     return SmoothedLeg(rho1, sigma, eps=eps)
 
 
-def seam_derivative_jump(leg: SmoothedLeg, u1, s, h=1e-5):
+def seam_derivative_jump(leg: SmoothedLeg, u1, s):
     """Two-sided t-derivatives of g across t = 0 and their mismatch.
 
-    Central one-sided differences from either side of the seam; returns
-    max |d+ - d-| over the supplied points.
+    Second-order one-sided differences (step 1e-5) from either side of the
+    seam; returns max |d+ - d-| over the supplied points.
     """
+    h = 1e-5
     u1 = np.asarray(u1, dtype=complex)
     s = np.asarray(s, dtype=float)
 

@@ -1,13 +1,14 @@
 """Hamiltonian twists: time-1 flows of cut-off Hamiltonians on C^2.
 
 Flows integrate  udot_k = -dH/dy_k + i dH/dx_k  (the package convention)
-with an adaptive embedded Runge-Kutta scheme (DOP853, rtol 1e-9), batched
-over all requested start points.  The gradient of a supplied Hamiltonian
-comes from the package's derivative engine ``numerics.gradient`` unless
-the Hamiltonian object provides an analytic ``grad``; symplecticity of the
-flow is checked by integrating the variational equations, whose field
-Jacobian D X_H also comes from the engine (``numerics.jacobian``), which
-avoids differencing the integrated map itself.
+with an adaptive embedded Runge-Kutta scheme (DOP853 at ``ODE_RTOL`` and
+``ODE_ATOL``), batched over all requested start points.  The gradient of a
+supplied Hamiltonian comes from the package's derivative engine
+``numerics.gradient`` unless the Hamiltonian object provides an analytic
+``grad``; symplecticity of the flow is checked by integrating the
+variational equations, whose field Jacobian D X_H also comes from the
+engine (``numerics.jacobian``), which avoids differencing the integrated
+map itself.
 """
 
 from __future__ import annotations
@@ -17,6 +18,15 @@ import math
 import numpy as np
 
 from .. import numerics
+
+#: DOP853 tolerances of the time-1 flow
+ODE_RTOL = 1e-9
+ODE_ATOL = 1e-12
+#: DOP853 tolerances of the variational equations
+VARIATIONAL_RTOL = 1e-11
+VARIATIONAL_ATOL = 1e-13
+#: a flowed point farther out than this fails the flow
+MAX_RADIUS = 50.0
 
 
 def h0_quarter_turn(u):
@@ -80,12 +90,13 @@ def _field(h, u):
     return out
 
 
-def hamiltonian_twist(h, time=1.0, rtol=1e-9, atol=1e-12, max_radius=50.0):
-    """Time-``time`` Hamiltonian flow of ``h`` as a batched symplectomorphism.
+def hamiltonian_twist(h):
+    """Time-1 Hamiltonian flow of ``h`` as a batched symplectomorphism.
 
     Returns a callable mapping an array (m, 2) of complex points to the
-    flowed points.  Raises if the integrator fails or a trajectory escapes
-    ``max_radius``.
+    flowed points; it carries ``h`` as its ``hamiltonian`` attribute.
+    Raises if the integrator fails or a flowed point lies beyond
+    ``MAX_RADIUS``.
     """
 
     def flow(u0):
@@ -99,22 +110,21 @@ def hamiltonian_twist(h, time=1.0, rtol=1e-9, atol=1e-12, max_radius=50.0):
             u = numerics.r2c(y.reshape(m, 2 * n))
             return _field(h, u).reshape(-1)
 
-        sol = solve_ivp(rhs, (0.0, time), y0, method="DOP853",
-                        rtol=rtol, atol=atol)
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
+                        rtol=ODE_RTOL, atol=ODE_ATOL)
         if not sol.success:
             raise RuntimeError(f"Hamiltonian flow integration failed: {sol.message}")
         out = numerics.r2c(sol.y[:, -1].reshape(m, 2 * n))
-        if np.any(np.abs(out) > max_radius):
+        if np.any(np.abs(out) > MAX_RADIUS):
             raise RuntimeError("Hamiltonian flow left the sampled region")
         return out
 
     flow.hamiltonian = h
-    flow.time = time
     return flow
 
 
-def flow_jacobians(h, points, time=1.0, rtol=1e-11, atol=1e-13):
-    """Tangent maps of the time-``time`` flow via the variational equations."""
+def flow_jacobians(h, points):
+    """Tangent maps of the time-1 flow via the variational equations."""
     from scipy.integrate import solve_ivp
 
     points = np.atleast_2d(np.asarray(points, dtype=complex))
@@ -135,7 +145,8 @@ def flow_jacobians(h, points, time=1.0, rtol=1e-11, atol=1e-13):
         dj = np.einsum("mij,mjk->mik", a, jacs).reshape(-1)
         return np.concatenate([field(x).reshape(-1), dj])
 
-    sol = solve_ivp(rhs, (0.0, time), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
+                    rtol=VARIATIONAL_RTOL, atol=VARIATIONAL_ATOL)
     if not sol.success:
         raise RuntimeError(f"variational flow failed: {sol.message}")
     return sol.y[m * d:, -1].reshape(m, d, d)
@@ -149,7 +160,7 @@ def symplecticity_defect(flow, points):
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     n = points.shape[1]
     omega = numerics.omega_matrix(n)
-    jacs = flow_jacobians(h, points, time=getattr(flow, "time", 1.0))
+    jacs = flow_jacobians(h, points)
     worst = 0.0
     for jac in jacs:
         worst = max(worst, float(np.max(np.abs(jac.T @ omega @ jac - omega))))

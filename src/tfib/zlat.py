@@ -2,8 +2,7 @@
 
 Matrices are tuples of tuples of Python ints (arbitrary precision), n = 2
 or 3 throughout.  Affine maps carry an integer linear part and an exact
-rational translation; a parallel "numeric" tag allows float translations
-for the analytic lab.  Everything is immutable and safe to share.
+rational translation.  Everything is immutable and safe to share.
 
 Also home to the exact conjugacy machinery used by the simplicity checker
 and the semi-stable validation.  Conclusive prefilters (closed-form
@@ -59,10 +58,6 @@ def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
     if len(v) != n:
         raise ValueError("dimension mismatch")
     return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -222,31 +217,26 @@ def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
 # affine-integral maps
 # ----------------------------------------------------------------------
 
-def _coerce_translation(translation, numeric):
-    if numeric:
-        return tuple(float(v) for v in translation)
-    return tuple(Fraction(v) for v in translation)
-
-
 @dataclass(frozen=True)
 class AffineMapZ:
     """x -> linear @ x + translation with linear part in GL(n,Z).
 
-    Exact mode stores the translation as Fractions; `numeric=True` tags a
-    float translation for the analytic lab.  Composition of an exact and a
-    numeric map is numeric.
+    The translation is stored as Fractions; a float entry raises
+    ValueError.
     """
 
     linear: IntMatrix
     translation: tuple
-    numeric: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "linear", mat(self.linear))
         if len(self.translation) != len(self.linear):
             raise ValueError("dimension mismatch between linear part and translation")
+        if any(isinstance(v, float) for v in self.translation):
+            raise ValueError("translation entries must be exact rationals, "
+                             f"got {self.translation!r}")
         object.__setattr__(
-            self, "translation", _coerce_translation(self.translation, self.numeric)
+            self, "translation", tuple(Fraction(v) for v in self.translation)
         )
         if not is_gl(self.linear):
             raise ValueError("linear part must lie in GL(n,Z)")
@@ -275,23 +265,17 @@ class AffineMapZ:
 
 
 def compose(a: AffineMapZ, b: AffineMapZ) -> AffineMapZ:
-    """(a o b)(x) = a(b(x)), exact unless either factor is numeric."""
+    """(a o b)(x) = a(b(x)), exact."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    numeric = a.numeric or b.numeric
     lin = mat_mul(a.linear, b.linear)
     tr = tuple(x + y for x, y in zip(mat_vec(a.linear, b.translation), a.translation))
-    if numeric:
-        tr = tuple(float(v) for v in tr)
-    return AffineMapZ(lin, tr, numeric=numeric)
+    return AffineMapZ(lin, tr)
 
 
 def invert(a: AffineMapZ) -> AffineMapZ:
     linv = inverse(a.linear)
-    tr = tuple(-v for v in mat_vec(linv, a.translation))
-    if a.numeric:
-        tr = tuple(float(v) for v in tr)
-    return AffineMapZ(linv, tr, numeric=a.numeric)
+    return AffineMapZ(linv, tuple(-v for v in mat_vec(linv, a.translation)))
 
 
 # ----------------------------------------------------------------------
@@ -307,21 +291,19 @@ def matrix_from_json(data) -> IntMatrix:
 
 
 def affine_to_json(a: AffineMapZ) -> dict:
-    if a.numeric:
-        tr = [float(v) for v in a.translation]
-    else:
-        tr = [str(v) for v in a.translation]
-    return {"linear": matrix_to_json(a.linear), "translation": tr, "numeric": a.numeric}
+    """Translation entries as exact rational strings ("1/2")."""
+    return {"linear": matrix_to_json(a.linear),
+            "translation": [str(v) for v in a.translation]}
 
 
 def affine_from_json(data) -> AffineMapZ:
-    numeric = bool(data.get("numeric", False))
-    tr = data["translation"]
-    if numeric:
-        tr = tuple(float(v) for v in tr)
-    else:
-        tr = tuple(Fraction(v) for v in tr)
-    return AffineMapZ(matrix_from_json(data["linear"]), tr, numeric=numeric)
+    """Inverse of `affine_to_json`.  Translations must be exact: a JSON
+    float entry raises ValueError, and so does a ``"numeric": true`` tag
+    (a float-translation map); ``"numeric": false`` is accepted."""
+    if data.get("numeric", False):
+        raise ValueError("float-translation affine maps are not supported; "
+                         "translations must be exact rationals")
+    return AffineMapZ(matrix_from_json(data["linear"]), tuple(data["translation"]))
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,31 @@ def test_periods_monodromy_by_model(tmp_path):
     assert data["monodromy"] == [[1, 0], [1, 1]]
 
 
+def test_reports_show_the_library_tolerances(tmp_path):
+    from tfib.periods import monodromy
+    from tfib.symplab import twist
+
+    code, data, _ = run(tmp_path, "fib", "twist", "--samples", "5")
+    assert code == 0 and data["ode_rtol"] == twist.ODE_RTOL
+    code, data, _ = run(tmp_path, "periods", "monodromy", "--model", "sm_ff")
+    assert code == 0 and data["snap_tolerance"] == monodromy.SNAP_TOLERANCE
+
+
+@pytest.mark.parametrize("key, value", [("numeric", True),
+                                        ("translation", [0.0, 0.0, 0.0])])
+def test_atlas_with_a_float_translation_is_a_usage_error(tmp_path, capsys, key, value):
+    _, atlas, out = run(tmp_path, "base", "build", "--kind", "negative",
+                        name="atlas.json")
+    atlas["pieces"][0]["transition"][key] = value
+    out.write_text(json.dumps(atlas))
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, "base", "holonomy", "--input", str(out),
+                        "--loop", "g1")
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_usage_error():
     assert cli.main(["fib", "poisson", "--model", "does-not-exist"]) == 2
     assert cli.main(["nonsense"]) == 2
@@ -282,6 +307,11 @@ def test_cli_import_and_help_leave_numpy_unloaded(tmp_path):
     after_import, after_help = modules_after(tmp_path, [["--help"]])
     assert after_import == (0, [])
     assert after_help == (0, [])
+
+
+def test_fib_list_leaves_numpy_unloaded(tmp_path):
+    (code, loaded), = modules_after(tmp_path, [["fib", "list"]])[1:]
+    assert code == 0 and loaded == []
 
 
 def test_exact_readme_commands_leave_numpy_unloaded(tmp_path):

@@ -256,25 +256,3 @@ def test_glue_disjoint_inputs_rejected():
     with pytest.raises(ValueError):
         glue_leg_germs(gl, gr, _zero)
 
-
-def test_sequence_json_roundtrip():
-    seq = EllSequence("w", 2, {1: [
-        lambda y, base=None: np.sin(2 * np.pi * y[..., 0]),
-        lambda y, base=None: np.cos(2 * np.pi * y[..., 1]),
-    ]})
-    back = germs.sequence_from_json(germs.sequence_to_json(seq, grid_n=64))
-    y = germs._torus_grid(2, n=8)
-    for a, b in zip(seq.ell1(), back.ell1()):
-        assert np.max(np.abs(a(y) - b(y))) < 1e-12
-    assert integral_condition(back, [0, 0]).passed
-
-
-def test_germ_json_roundtrip():
-    g = GermH((-1.0, 1.0), 2, {
-        (0, 0): lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        (1, 0): lambda r: np.asarray(r, dtype=float) ** 2,
-    })
-    back = germs.germ_from_json(germs.germ_to_json(g, samples=101))
-    assert back.interval == (-1.0, 1.0)
-    r = np.linspace(-0.9, 0.9, 7)
-    assert np.max(np.abs(back.coefficient(1, 0)(r) - r ** 2)) < 1e-3

@@ -299,6 +299,10 @@ def test_smoothing_bump_matches_ends():
     assert leg.rho(r_in, 0.02, s_in) == smoothing.rho_one_smooth(r_in, 0.02)
 
 
+def test_model_ids_literal_matches_the_builders():
+    assert sl.MODEL_IDS == tuple(sorted(models._BUILDERS))
+
+
 def test_sample_domain_reproducible():
     m = sl.make_model("generic")
     a = sl.sample_domain(m, 100, np.random.default_rng(42))
@@ -317,7 +321,7 @@ def test_positive_margin_implies_finite_map(mid):
     """
     m = sl.make_model(mid)
     rng = np.random.default_rng(2024)
-    raw = rng.uniform(-m.sample_box, m.sample_box, size=(10, 2000, 2 * m.n))
+    raw = rng.uniform(-models.SAMPLE_BOX, models.SAMPLE_BOX, size=(10, 2000, 2 * m.n))
     z = raw[..., 0::2] + 1j * raw[..., 1::2]
     p = 2.0 ** rng.integers(-1, 2, size=2000)      # exact reciprocals
     z[0, :, 0] = 0.0
@@ -356,15 +360,6 @@ def test_reduction_identity_in_u2_at_zero():
     assert np.allclose(sl.gamma_t(np.array([0j, 0.7 - 0.2j]), 1.0),
                        [0j, 0.7 - 0.2j])
     assert sl.reduction_check(1.0, np.array([[0j, 0.7 - 0.2j]])) < 1e-6
-
-
-def test_reduction_map_wrapper():
-    from tfib.symplab import ReductionMap
-    rm = ReductionMap(0.5)
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))
-    assert np.max(np.abs(rm.inverse(rm(u)) - u)) < 1e-12
-    assert rm.omega_matrix(u[0, 0]).shape == (4, 4)
 
 
 def test_reduction_example_points():

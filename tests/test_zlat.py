@@ -36,11 +36,10 @@ def test_compose_dimension_mismatch():
         compose(AffineMapZ.identity(2), AffineMapZ.identity(3))
 
 
-def test_numeric_tag_propagates():
-    a = AffineMapZ(zlat.identity(2), (0.5, 0.25), numeric=True)
-    b = AffineMapZ.identity(2)
-    assert compose(a, b).numeric and compose(b, a).numeric
-    assert not compose(b, b).numeric
+def test_float_translation_is_rejected():
+    with pytest.raises(ValueError, match="exact rationals"):
+        AffineMapZ(zlat.identity(2), (0.5, 0))
+    assert AffineMapZ(zlat.identity(2), ("1/2", 0)).translation == (Fraction(1, 2), 0)
 
 
 def test_is_unipotent():
@@ -137,9 +136,19 @@ def test_affine_json_roundtrip():
     a = AffineMapZ(zlat.T_NODE, (Fraction(1, 3), Fraction(-2, 7)))
     b = zlat.affine_from_json(zlat.affine_to_json(a))
     assert a == b
-    c = AffineMapZ(zlat.T_NODE, (0.25, -1.5), numeric=True)
-    d = zlat.affine_from_json(zlat.affine_to_json(c))
-    assert c == d
+    assert zlat.affine_to_json(a) == {"linear": [[1, 0], [1, 1]],
+                                      "translation": ["1/3", "-2/7"]}
+
+
+def test_affine_from_json_accepts_only_exact_translations():
+    data = {"linear": [[1, 0], [1, 1]], "translation": ["1/3", 0]}
+    want = AffineMapZ(zlat.T_NODE, (Fraction(1, 3), 0))
+    # the "numeric": false tag of older atlas files is still read
+    assert zlat.affine_from_json({**data, "numeric": False}) == want
+    with pytest.raises(ValueError):
+        zlat.affine_from_json({**data, "numeric": True})
+    with pytest.raises(ValueError):
+        zlat.affine_from_json({**data, "translation": [0.25, 0]})
 
 
 def _minor_gcds(m):
