@@ -462,12 +462,16 @@ def _periods_frame(args):
     probe = np.full(frame.dim, 0.4)
     rows = frame.matrix_at(probe)
     samples = 0.3 + 0.4 * rng.uniform(size=(10, frame.dim))
+    defect = closedness_defect(frame, samples)
+    ok = defect < args.tol
     return {
         "kind": args.kind,
         "at": probe.tolist(),
         "forms": rows.tolist(),
-        "closedness_defect": closedness_defect(frame, samples),
-    }, {}, True
+        "closedness_defect": defect,
+        "tolerance": args.tol,
+        "passed": ok,
+    }, {}, ok
 
 
 def _periods_numeric(args):
@@ -498,6 +502,8 @@ def _periods_monodromy(args):
     frame = closed_form_frame(kind)
     name, _, radius = args.loop.partition(":")
     radius = float(radius or 0.5)
+    if not (math.isfinite(radius) and radius > 0):
+        raise CliError(f"--loop radius must be finite and positive, got {radius}")
     key = "loop" if name == "circle" else name
     if key not in frame.loops:
         names = ["circle" if k == "loop" else k for k in frame.loops]
@@ -518,6 +524,8 @@ def _periods_extend(args):
 
     from .periods import action_chart, action_extension_check
 
+    if not math.isfinite(args.t0):
+        raise CliError(f"--t0 must be finite, got {args.t0}")
     if args.chart == "focus_focus":
         chart = action_chart("focus_focus")
         path = lambda s: [(1.0 - s) * 0.5, 0.0]
@@ -656,6 +664,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    if args.samples < 1:
+        sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
+        return USAGE_ERROR
     try:
         rep, artifacts, ok = args.run(args)
         rep["config"] = {

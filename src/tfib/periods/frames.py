@@ -1,17 +1,25 @@
 """Closed-form period frames.
 
-A frame is a list of 1-forms on the base, each a sum of three kinds of
-terms: exact constant-covector terms (2 pi db2, db3, ...), dH terms for a
-supplied smooth function, and singular kernels
+A frame is a list of 1-forms on the base.  Every form has one type,
+:class:`FrameForm`: a sum of singular kernels
 
     kappa(x, y) = -log|x + i y| dx + theta(x, y) dy
 
-in a pair of linear coordinates (x, y) of the base.  The kernel's angle
-is the whole monodromy signal: transporting a frame along a loop unwraps
-theta continuously, and the frame returns shifted by (2 pi dy) per unit
-of winding.
+in pairs of linear coordinates (x, y) of the base, plus one single-valued
+covector field that holds the rest (constant covectors such as 2 pi db2,
+the thin-leg terms -e^{2 b} db, and dq or dH for a supplied smooth
+correction).  The kernel's angle is the whole monodromy signal:
+transporting a frame along a loop unwraps theta continuously, and the
+frame returns shifted by (2 pi dy) per unit of winding.
 
-The shipped frames (with q(0) = 0, H(0) = 0):
+Forms and frames evaluate on batches: a base point array of shape
+(..., d) gives covectors of shape (..., d) and frame matrices of shape
+(..., forms, d), and a single point of shape (d,) gives (d,) and
+(forms, d).  A correction q or H is called on such batches too, so it
+must index coordinates as ``b[..., k]`` and return shape (...).
+
+The shipped frames (with q(0) = 0, H(0) = 0; without q or H there is no
+dq or dH term):
 
     focus_focus(q):  l1 = kappa(b1, b2) + dq,   l2 = 2 pi db2
     generic(H):      l1 = kappa(b1, b2) + dH,   l2 = 2 pi db2,  l3 = db3
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -37,67 +45,35 @@ from .. import numerics
 
 
 @dataclass
-class KernelTerm:
-    """c * (-log|w| dx + theta dy), w = x(b) + i y(b), x and y linear."""
-
-    coeff: float
-    ax: np.ndarray  # x(b) = ax . b ; dx covector = ax
-    ay: np.ndarray  # y(b) = ay . b ; dy covector = ay
-
-    def w(self, b):
-        b = np.asarray(b, dtype=float)
-        return float(self.ax @ b) + 1j * float(self.ay @ b)
-
-    def principal_angle(self, b):
-        w = self.w(b)
-        return math.atan2(w.imag, w.real)
-
-    def covector(self, b, theta):
-        w = self.w(b)
-        r = abs(w)
-        if r == 0.0:
-            raise ValueError("kernel evaluated on its singular line")
-        return self.coeff * (-math.log(r) * self.ax + theta * self.ay)
-
-
-@dataclass
-class ExactTerm:
-    """Single-valued covector term."""
-
-    covector_fn: Callable[[np.ndarray], np.ndarray]
-
-    def covector(self, b):
-        return np.asarray(self.covector_fn(np.asarray(b, dtype=float)), dtype=float)
-
-
-@dataclass
-class DHTerm:
-    """dH for a supplied smooth function of the base point."""
-
-    h: Callable[[np.ndarray], float]
-
-    def covector(self, b):
-        return numerics.gradient(self.h, np.asarray(b, dtype=float))
-
-
-@dataclass
 class FrameForm:
-    kernels: List[KernelTerm] = field(default_factory=list)
-    exact: List[ExactTerm] = field(default_factory=list)
-    dh: List[DHTerm] = field(default_factory=list)
+    """sum_i coeff_i kappa(ax_i . b, ay_i . b) + smooth(b)."""
 
-    def covector(self, b, angles: Optional[Sequence[float]] = None):
-        """Covector at b; ``angles`` overrides the principal kernel angles."""
+    coeff: np.ndarray  # (k,) kernel coefficients
+    ax: np.ndarray  # (k, d): x_i(b) = ax_i . b ; dx_i covector = ax_i
+    ay: np.ndarray  # (k, d): y_i(b) = ay_i . b ; dy_i covector = ay_i
+    smooth: Callable[[np.ndarray], np.ndarray]  # (..., d) -> (..., d)
+
+    def angles(self, b):
+        """Principal kernel angles at b, shape (..., k)."""
         b = np.asarray(b, dtype=float)
+        return np.arctan2(b @ self.ay.T, b @ self.ax.T)
+
+    def covector(self, b, angles=None):
+        """Covector at b, shape (..., d); ``angles`` of shape (..., k)
+        overrides the principal kernel angles."""
+        b = np.asarray(b, dtype=float)
+        r = np.hypot(b @ self.ax.T, b @ self.ay.T)
+        if np.any(r == 0.0):
+            raise ValueError("kernel evaluated on its singular line")
+        theta = self.angles(b) if angles is None else np.asarray(angles, dtype=float)
+        terms = self.coeff[:, None] * (-np.log(r)[..., None] * self.ax
+                                       + theta[..., None] * self.ay)
+        # summed from +0.0 kernel by kernel: a component that is -0.0 in
+        # every term reads 0.0
         out = np.zeros_like(b)
-        for i, k in enumerate(self.kernels):
-            theta = k.principal_angle(b) if angles is None else angles[i]
-            out = out + k.covector(b, theta)
-        for t in self.exact:
-            out = out + t.covector(b)
-        for t in self.dh:
-            out = out + t.covector(b)
-        return out
+        for i in range(len(self.coeff)):
+            out = out + terms[..., i, :]
+        return out + self.smooth(b)
 
 
 @dataclass
@@ -108,31 +84,40 @@ class PeriodFrame:
     loops: Dict[str, Callable] = field(default_factory=dict)
 
     def matrix_at(self, b, angle_table=None):
-        """Rows = frame covectors at b (with optional per-form kernel angles)."""
-        rows = []
-        for i, form in enumerate(self.forms):
-            angles = None if angle_table is None else angle_table[i]
-            rows.append(form.covector(b, angles))
-        return np.stack(rows, axis=0)
+        """Frame covectors at b as rows, shape (..., forms, d); entry i of
+        ``angle_table`` holds the (..., k_i) kernel angles of form i."""
+        return np.stack([
+            form.covector(b, None if angle_table is None else angle_table[i])
+            for i, form in enumerate(self.forms)
+        ], axis=-2)
 
 
-def _const_cov(vec):
+def _kernel_form(terms, correction, name, d):
+    """Form of (coeff, ax, ay) kernel terms plus d(correction), if given."""
+    if correction is None:
+        smooth = np.zeros_like
+    elif abs(float(correction(np.zeros(d)))) > 0:
+        raise ValueError(f"{name}(0) != 0")
+    else:
+        smooth = lambda b: numerics.gradient(correction, b)
+    coeff, ax, ay = (np.array(col, dtype=float) for col in zip(*terms))
+    return FrameForm(coeff, ax, ay, smooth)
+
+
+def _smooth_form(fn, d):
+    return FrameForm(np.zeros(0), np.zeros((0, d)), np.zeros((0, d)), fn)
+
+
+def _const_form(vec):
     vec = np.asarray(vec, dtype=float)
-    return ExactTerm(lambda b, v=vec: v)
+    return _smooth_form(lambda b: np.broadcast_to(vec, np.shape(b)), len(vec))
 
 
 def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
     """The quoted period frames; see the module docstring for the list."""
     if kind == "focus_focus":
-        corr = q if q is not None else (lambda b: 0.0)
-        if abs(float(corr(np.zeros(2)))) > 0:
-            raise ValueError("q(0) != 0")
-        l1 = FrameForm(
-            kernels=[KernelTerm(1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))],
-            dh=[DHTerm(corr)],
-        )
-        l2 = FrameForm(exact=[_const_cov([0.0, 2.0 * math.pi])])
-        frame = PeriodFrame("focus_focus", 2, [l1, l2])
+        l1 = _kernel_form([(1.0, [1.0, 0.0], [0.0, 1.0])], q, "q", 2)
+        frame = PeriodFrame("focus_focus", 2, [l1, _const_form([0.0, 2.0 * math.pi])])
         frame.loops = {
             "loop": lambda radius=0.5: (
                 lambda t: radius * np.stack(
@@ -142,18 +127,14 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
         }
         return frame
 
+    e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0])
+    e3 = np.array([0.0, 0.0, 1.0])
+
     if kind == "generic":
-        corr = h if h is not None else (lambda b: 0.0)
-        if abs(float(corr(np.zeros(3)))) > 0:
-            raise ValueError("H(0) != 0")
-        l1 = FrameForm(
-            kernels=[KernelTerm(
-                1.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))],
-            dh=[DHTerm(corr)],
-        )
-        l2 = FrameForm(exact=[_const_cov([0.0, 2.0 * math.pi, 0.0])])
-        l3 = FrameForm(exact=[_const_cov([0.0, 0.0, 1.0])])
-        frame = PeriodFrame("generic", 3, [l1, l2, l3])
+        l1 = _kernel_form([(1.0, e1, e2)], h, "H", 3)
+        frame = PeriodFrame("generic", 3, [l1, _const_form(2.0 * math.pi * e2),
+                                           _const_form(e3)])
         frame.loops = {
             "loop": lambda radius=0.5, b3=0.0: (
                 lambda t: np.stack(
@@ -165,23 +146,10 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
         return frame
 
     if kind == "positive":
-        corr = h if h is not None else (lambda b: 0.0)
-        if abs(float(corr(np.zeros(3)))) > 0:
-            raise ValueError("H(0) != 0")
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        e3 = np.array([0.0, 0.0, 1.0])
-        l1 = FrameForm(
-            kernels=[
-                KernelTerm(-1.0, e1, e2),
-                KernelTerm(+1.0, e1, e3),
-                KernelTerm(+1.0, e1, e2 - e3),
-            ],
-            dh=[DHTerm(corr)],
-        )
-        l2 = FrameForm(exact=[_const_cov(2.0 * math.pi * e2)])
-        l3 = FrameForm(exact=[_const_cov(2.0 * math.pi * e3)])
-        frame = PeriodFrame("positive", 3, [l1, l2, l3])
+        l1 = _kernel_form([(-1.0, e1, e2), (1.0, e1, e3), (1.0, e1, e2 - e3)],
+                          h, "H", 3)
+        frame = PeriodFrame("positive", 3, [l1, _const_form(2.0 * math.pi * e2),
+                                            _const_form(2.0 * math.pi * e3)])
 
         def leg_loop(center, normal):
             center = np.asarray(center, dtype=float)
@@ -207,12 +175,11 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
         return frame
 
     if kind == "thin_leg_slice":
-        l1 = FrameForm(exact=[_const_cov([2.0 * math.pi, 0.0, 0.0])])
-        l2 = FrameForm(exact=[ExactTerm(
-            lambda b: np.array([0.0, -math.exp(2.0 * b[1]), 0.0]))])
-        l3 = FrameForm(exact=[ExactTerm(
-            lambda b: np.array([0.0, 0.0, -math.exp(2.0 * b[2])]))])
-        return PeriodFrame("thin_leg_slice", 3, [l1, l2, l3])
+        return PeriodFrame("thin_leg_slice", 3, [
+            _const_form(2.0 * math.pi * e1),
+            _smooth_form(lambda b: -np.exp(2.0 * b[..., 1:2]) * e2, 3),
+            _smooth_form(lambda b: -np.exp(2.0 * b[..., 2:3]) * e3, 3),
+        ])
 
     raise ValueError(f"unknown frame kind {kind!r}")
 
@@ -220,14 +187,14 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
 def closedness_defect(frame: PeriodFrame, samples) -> float:
     """max finite-difference curl over the frame forms at the samples.
 
-    Samples must sit in branch interiors (away from the kernels' angle
-    cuts and singular lines); the caller chooses them accordingly.
+    One batched Jacobian per form.  Samples must sit in branch interiors
+    (away from the kernels' angle cuts and singular lines); the caller
+    chooses them accordingly.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     worst = 0.0
     for form in frame.forms:
-        for b in samples:
-            jac = numerics.jacobian(lambda x: form.covector(x), b, step=1e-5)
-            curl = jac - jac.T
-            worst = max(worst, float(np.max(np.abs(curl))))
+        jac = numerics.jacobian(form.covector, samples, step=1e-5)
+        curl = jac - np.swapaxes(jac, -1, -2)
+        worst = max(worst, float(np.max(np.abs(curl))))
     return worst

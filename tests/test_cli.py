@@ -150,6 +150,8 @@ def test_amoeba_artifacts(tmp_path):
 
 
 def test_amoeba_oracle_rejects_a_flipped_cell(tmp_path, monkeypatch):
+    # patch the submodule attribute: undoing a patch of the package
+    # attribute would leave a global that shadows the lazy ``__getattr__``
     real = symplab.amoeba_raster
 
     def flipped(*a, **kw):
@@ -157,7 +159,7 @@ def test_amoeba_oracle_rejects_a_flipped_cell(tmp_path, monkeypatch):
         raster.mask[0, 0] = not raster.mask[0, 0]
         return raster
 
-    monkeypatch.setattr(symplab, "amoeba_raster", flipped)
+    monkeypatch.setattr("tfib.symplab.amoeba.amoeba_raster", flipped)
     code, data, _ = run(tmp_path, "fib", "amoeba", "--res", "60", "--strict")
     assert code == 1 and data["oracle_agreement"] is False
 
@@ -170,11 +172,28 @@ def test_discriminant_leg_strict_passes(tmp_path):
 
 def test_discriminant_strict_rejects_a_shifted_cloud(tmp_path, monkeypatch):
     real = symplab.discriminant_sample
-    monkeypatch.setattr(symplab, "discriminant_sample",
+    monkeypatch.setattr("tfib.symplab.discriminant.discriminant_sample",
                         lambda model: real(model) + [0.0, 5.0, 0.0])
     code, data, _ = run(tmp_path, "fib", "discriminant", "--model",
                         "thin_legs", "--strict")
     assert code == 1 and data["inside_oracle_amoeba"] is False
+
+
+def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
+    from test_periods import curled_frame
+
+    monkeypatch.setattr("tfib.periods.frames.closed_form_frame",
+                        lambda kind: curled_frame(3))
+    code, data, _ = run(tmp_path, "periods", "frame", "--kind", "generic",
+                        "--strict")
+    assert code == 1 and data["passed"] is False
+    assert data["closedness_defect"] > 0.5 and data["tolerance"] == 1e-6
+
+
+def test_periods_frame_strict_passes(tmp_path):
+    code, data, _ = run(tmp_path, "periods", "frame", "--kind", "positive",
+                        "--strict")
+    assert code == 0 and data["passed"] is True
 
 
 def readme_commands():
@@ -235,12 +254,29 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["fib", "amoeba", "--res", "5", "--bounds", "-inf", "1"],
     ["base", "check-simple", "--kind", "edge", "--bound", "0"],
     ["base", "check-simple", "--kind", "negative", "--bound=-1"],
+    ["periods", "monodromy", "--frame", "positive", "--loop", "g2:2"],
+    ["periods", "monodromy", "--frame", "focus_focus", "--loop", "circle:inf"],
+    ["periods", "extend", "--chart", "positive", "--t0", "nan"],
+    ["fib", "poisson", "--model", "sm_ff", "--samples", "0"],
+    ["fib", "reduce-check", "--t", "0.5", "--samples", "0"],
+    ["fib", "twist", "--samples", "-3"],
 ])
+# a warning would reach the terminal before the error line, so it fails here
+@pytest.mark.filterwarnings("error")
 def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     code, data, _ = run(tmp_path, *argv)
     assert code == 2 and data is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_names_the_flag(tmp_path, capsys, samples):
+    code, _, _ = run(tmp_path, "fib", "poisson", "--model", "sm_ff",
+                     "--samples", samples)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --samples must be at least 1, got {samples}\n")
 
 
 @pytest.mark.parametrize("bound", ["--bound=0", "--bound=-1"])

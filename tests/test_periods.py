@@ -19,8 +19,12 @@ from tfib.periods import (
     positive_a0,
 )
 from tfib.periods.extension import psi_focus_focus
+from tfib.periods.frames import FrameForm, PeriodFrame
 from tfib.symplab.models import hl_modulus
 from tfib import numerics
+
+
+FRAME_KINDS = ["focus_focus", "generic", "positive", "thin_leg_slice"]
 
 
 def test_focus_focus_frame_forms():
@@ -52,7 +56,7 @@ def test_frame_rejects_nonvanishing_correction():
 
 def test_frames_closed():
     rng = np.random.default_rng(1)
-    ff = closed_form_frame("focus_focus", q=lambda b: 0.1 * b[0] * b[1])
+    ff = closed_form_frame("focus_focus", q=lambda b: 0.1 * b[..., 0] * b[..., 1])
     pts2 = np.stack([rng.uniform(0.3, 1.0, 20), rng.uniform(0.2, 0.8, 20)], axis=-1)
     assert closedness_defect(ff, pts2) < 1e-6
     pos = closed_form_frame("positive")
@@ -71,7 +75,7 @@ def test_monodromy_focus_focus_radii_two_orders():
 
 
 def test_monodromy_generic():
-    frame = closed_form_frame("generic", h=lambda b: 0.05 * b[0] * b[2])
+    frame = closed_form_frame("generic", h=lambda b: 0.05 * b[..., 0] * b[..., 2])
     for r in (0.1, 1.0):
         loop = frame.loops["loop"](r, b3=0.4)
         assert monodromy_from_frame(frame, loop) == zlat.T_GENERIC
@@ -105,8 +109,82 @@ def test_monodromy_rejects_loop_through_discriminant():
         return np.stack([0.5 * np.cos(2 * np.pi * t) - 0.5,
                          0.5 * np.sin(2 * np.pi * t)], axis=-1)
 
-    with pytest.raises((ValueError, RuntimeError)):
+    with pytest.raises(ValueError):
         monodromy_from_frame(frame, loop)
+
+
+def off_centre_loop(centre):
+    """Anticlockwise radius-0.5 circle about (centre, 0); it passes the
+    focus-focus node at distance 0.5 - centre."""
+    base = closed_form_frame("focus_focus").loops["loop"](0.5)
+    return lambda t: base(t) + np.array([centre, 0.0])
+
+
+def test_monodromy_refines_near_the_node():
+    """0.01 from the node the first 256 samples step the angle by more
+    than pi/8, so tracking must refine (to 1024 steps) and still close."""
+    frame = closed_form_frame("focus_focus")
+    sizes = []
+    loop = off_centre_loop(0.49)
+    tracked = lambda t: sizes.append(len(t)) or loop(t)
+    assert monodromy_from_frame(frame, tracked) == zlat.T_NODE
+    assert sizes == [257, 513, 1025]
+
+
+def test_monodromy_rejects_a_loop_that_grazes_the_node():
+    frame = closed_form_frame("focus_focus")
+    with pytest.raises(ValueError, match="discriminant"):
+        monodromy_from_frame(frame, off_centre_loop(0.4999))
+
+
+def curled_frame(d):
+    """A one-form frame whose form is b1 db2: its curl is 1 everywhere."""
+    e2 = np.eye(d)[1]
+    form = FrameForm(np.zeros(0), np.zeros((0, d)), np.zeros((0, d)),
+                     lambda b: b[..., :1] * e2)
+    return PeriodFrame("curled", d, [form])
+
+
+def test_closedness_defect_sees_a_curl():
+    pts = np.random.default_rng(2).uniform(0.3, 0.7, size=(10, 3))
+    assert closedness_defect(curled_frame(3), pts) > 0.5
+
+
+def branch_interior_points(kind, n=50, seed=4):
+    """n seeded base points away from every kernel's angle cut and singular
+    line: b1 >= 0.2 keeps each kernel's x = b1 positive."""
+    d = 2 if kind == "focus_focus" else 3
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d))
+    pts[:, 0] = 0.2 + np.abs(pts[:, 0])
+    return pts
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_batched_covector_matches_single_points(kind):
+    frame = closed_form_frame(kind)
+    pts = branch_interior_points(kind)
+    for form in frame.forms:
+        batched = form.covector(pts)
+        assert batched.shape == pts.shape
+        single = np.stack([form.covector(p) for p in pts])
+        assert np.array_equal(batched, single)
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_batched_matrix_matches_single_points(kind):
+    frame = closed_form_frame(kind)
+    pts = branch_interior_points(kind)
+    batched = frame.matrix_at(pts)
+    assert batched.shape == (len(pts), len(frame.forms), frame.dim)
+    single = np.stack([frame.matrix_at(p) for p in pts])
+    assert np.array_equal(batched, single)
+    # explicit angles (shifted by a winding) reach every point of the batch
+    table = [form.angles(pts) + 2.0 * math.pi for form in frame.forms]
+    shifted = frame.matrix_at(pts, table)
+    assert np.array_equal(
+        shifted,
+        np.stack([frame.matrix_at(p, [a[j] for a in table])
+                  for j, p in enumerate(pts)]))
 
 
 def test_numeric_periods_sm_ff_orbit():
