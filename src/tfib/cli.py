@@ -397,20 +397,26 @@ def _fib_twist(args):
     from . import symplab
     from .symplab import twist
 
+    def quarter_turn_error(flow, v):
+        c = 1.0 / math.sqrt(2.0)
+        expected = np.stack(
+            [c * (v[:, 0] - v[:, 1]), c * (v[:, 0] + v[:, 1])], axis=-1)
+        return float(np.max(np.abs(flow(v) - expected)))
+
     rng = np.random.default_rng(args.seed)
     u = rng.normal(size=(min(args.samples, 100), 2)) \
         + 1j * rng.normal(size=(min(args.samples, 100), 2))
     if args.which == "h0":
         flow = symplab.hamiltonian_twist(symplab.h0_quarter_turn)
-        c = 1.0 / math.sqrt(2.0)
-        expected = np.stack(
-            [c * (u[:, 0] - u[:, 1]), c * (u[:, 0] + u[:, 1])], axis=-1)
-        err = float(np.max(np.abs(flow(u) - expected)))
+        err = quarter_turn_error(flow, u)
     else:
+        # the identity where H = 0 (|u|^2 = 4 eps) and the quarter turn
+        # where k = 1 (|u|^2 = 0.49 eps)
         flow = symplab.hamiltonian_twist(symplab.cutoff_hamiltonian(args.eps))
-        norms = np.sqrt(np.sum(np.abs(u) ** 2, axis=1))
-        far = u / norms[:, None] * math.sqrt(4.0 * args.eps)
-        err = float(np.max(np.abs(flow(far) - far)))
+        unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+        far = unit * math.sqrt(4.0 * args.eps)
+        err = max(float(np.max(np.abs(flow(far) - far))),
+                  quarter_turn_error(flow, unit * math.sqrt(0.49 * args.eps)))
     defect = symplab.symplecticity_defect(flow, 0.3 * u[:20])
     rep = {
         "which": args.which,

@@ -190,6 +190,33 @@ def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
     assert data["closedness_defect"] > 0.5 and data["tolerance"] == 1e-6
 
 
+def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch):
+    from tfib.symplab import twist
+
+    real = twist.cutoff_hamiltonian
+
+    def half(eps):
+        h = real(eps)
+        out = lambda u: 0.5 * h(u)
+        out.grad = lambda u: 0.5 * h.grad(u)
+        out.hess = lambda u: 0.5 * h.hess(u)
+        return out
+
+    # a half-angle twist is still the identity where H = 0: only the inside
+    # quarter-turn check can see it
+    monkeypatch.setattr("tfib.symplab.twist.cutoff_hamiltonian", half)
+    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
+                        "--samples", "20", "--strict")
+    assert code == 1 and data["passed"] is False
+    assert data["flow_error"] > 0.01 and data["symplectic_defect"] < 1e-6
+
+
+def test_twist_cutoff_strict_passes(tmp_path):
+    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
+                        "--samples", "20", "--strict")
+    assert code == 0 and data["passed"] is True and data["flow_error"] < 1e-9
+
+
 def test_periods_frame_strict_passes(tmp_path):
     code, data, _ = run(tmp_path, "periods", "frame", "--kind", "positive",
                         "--strict")

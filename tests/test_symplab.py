@@ -7,7 +7,7 @@ import pytest
 
 from tfib import numerics
 from tfib import symplab as sl
-from tfib.symplab import models, smoothing
+from tfib.symplab import models, smoothing, twist
 
 
 def test_make_model_ids():
@@ -252,6 +252,107 @@ def test_cutoff_analytic_gradient_matches_fd():
     u = 0.3 * (rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2)))
     fd = numerics.gradient(lambda x: h(numerics.r2c(x)), numerics.c2r(u), step=1e-5)
     assert np.max(np.abs(h.grad(u) - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("eps", [None, 0.05, 0.1, 0.3])
+def test_analytic_hessian_matches_fd(eps):
+    """The quarter-turn H0 (eps None) and the cut-off Hamiltonians."""
+    h = sl.h0_quarter_turn if eps is None else sl.cutoff_hamiltonian(eps)
+    eps = eps or 0.1
+    rng = np.random.default_rng(10)
+    u = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
+    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+    # |u|^2 inside (< eps), in the cut-off shell (eps..2 eps) and outside
+    t = eps * np.concatenate([rng.uniform(0.05, 0.95, 10), rng.uniform(1.05, 1.95, 10),
+                              rng.uniform(2.05, 3.0, 10)])
+    u = unit * np.sqrt(t)[:, None]
+    hess = h.hess(u)
+    fd = numerics.jacobian(lambda x: h.grad(numerics.r2c(x)), numerics.c2r(u))
+    assert hess.shape == (30, 4, 4)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+    assert np.max(np.abs(hess - fd)) < 1e-8 * np.max(np.abs(hess))
+
+
+def _jacobian_points():
+    """The start points of ``test_twist_jacobians_symplectic``'s cut-off check."""
+    rng = np.random.default_rng(8)
+    return 0.3 * (rng.normal(size=(25, 2)) + 1j * rng.normal(size=(25, 2)))
+
+
+def _cutoff_with_hess(hess):
+    h = sl.cutoff_hamiltonian(0.1)
+    good = h.hess
+    h.hess = lambda u: hess(good, u)
+    return h
+
+
+def _kp_kpp(u, eps=0.1):
+    t = np.sum(np.abs(np.atleast_2d(u)) ** 2, axis=1)
+    s = (t - eps) / eps
+    return (-twist._smoothstep7_prime(s) / eps, -twist._smoothstep7_second(s) / eps**2)
+
+
+def _x_g0(u):
+    u = np.atleast_2d(u)
+    return numerics.c2r(u)[:, :, None] * twist._h0_grad(u)[:, None, :]
+
+
+def test_symplecticity_defect_sees_an_asymmetric_hessian():
+    # only one half of the symmetric k' outer product 2k'(x g0^T + g0 x^T):
+    # D X_H is no longer Hamiltonian, so the tangent maps stop being symplectic
+    bad = _cutoff_with_hess(lambda good, u: good(u)
+                            - (2.0 * _kp_kpp(u)[0])[:, None, None] * _x_g0(u))
+    assert sl.symplecticity_defect(sl.hamiltonian_twist(bad), _jacobian_points()) > 1e-6
+
+
+def _drop_kpp(good, u):
+    kpp = _kp_kpp(u)[1]
+    x = numerics.c2r(np.atleast_2d(u))
+    return good(u) - (4.0 * kpp * sl.h0_quarter_turn(u))[:, None, None] \
+        * x[:, :, None] * x[:, None, :]
+
+
+def _flip_kp(good, u):
+    kp = _kp_kpp(u)[0]
+    xg = _x_g0(u)
+    return good(u) - (4.0 * kp)[:, None, None] * (xg + np.swapaxes(xg, 1, 2)) \
+        - (4.0 * kp * sl.h0_quarter_turn(u))[:, None, None] * np.eye(4)
+
+
+@pytest.mark.parametrize("mutant", [_drop_kpp, _flip_kp])
+def test_tangent_maps_see_a_wrong_symmetric_hessian(mutant):
+    # any symmetric Hessian makes D X_H Hamiltonian, so the variational flow
+    # stays symplectic; the engine fallback is what exposes the wrong term
+    u = _jacobian_points()
+    bad = _cutoff_with_hess(mutant)
+    assert sl.symplecticity_defect(sl.hamiltonian_twist(bad), u) < 1e-6
+    engine = sl.cutoff_hamiltonian(0.1)
+    del engine.hess
+    assert np.max(np.abs(twist.flow_jacobians(bad, u)
+                         - twist.flow_jacobians(engine, u))) > 1e-6
+
+
+def test_analytic_tangent_maps_match_the_engine_fallback():
+    u = _jacobian_points()
+    engine = sl.cutoff_hamiltonian(0.1)
+    del engine.hess
+    assert np.max(np.abs(twist.flow_jacobians(sl.cutoff_hamiltonian(0.1), u)
+                         - twist.flow_jacobians(engine, u))) <= 1e-8
+
+
+def test_symplecticity_defect_takes_no_engine_jacobian(monkeypatch):
+    calls = []
+    real = numerics.jacobian
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(numerics, "jacobian", counted)
+    u = _jacobian_points()
+    for h in (sl.h0_quarter_turn, sl.cutoff_hamiltonian(0.1)):
+        sl.symplecticity_defect(sl.hamiltonian_twist(h), u)
+    assert calls == []
 
 
 def test_smoothing_sigma_zero_bitwise_unchanged():
