@@ -372,7 +372,7 @@ class SimplicityReport:
 
     def to_json(self) -> dict:
         return {
-            "simple": self.simple,
+            "passed": self.simple,
             "points": [
                 {
                     "id": v.point_id,

@@ -19,10 +19,14 @@ looked up at call time, never bound at module level, so a replaced module
 attribute (a monkeypatch, a tracing wrapper) is what runs.
 
 Every run writes a canonical JSON report (stdout, or --out PATH plus side
-artifacts next to it); reports embed the tolerances, steps, and seed
-used, and identical configurations produce byte-identical JSON.  Exit
-codes: 0 on pass, 1 when a --strict check fails, 2 on usage errors and on
-a non-finite report value (then nothing is written).
+artifacts next to it); identical configurations produce byte-identical
+JSON.  The report's "passed" is the run's one verdict: true or false for
+a leaf with a check, null for a leaf without one.  Every leaf takes --out
+and --strict; --seed, --samples and --tol exist only on the leaves that
+read them, with that leaf's default, and the report's "config" echoes
+the ones the leaf has.  Exit codes: 0, or 1 under --strict exactly when
+"passed" is false, 2 on usage errors and on a non-finite report value
+(then nothing is written).
 """
 
 from __future__ import annotations
@@ -58,18 +62,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _parser():
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--samples", type=int, default=1000)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--strict", action="store_true",
-                        help="exit 1 when the reported check fails its tolerance")
+                        help='exit 1 when the report says "passed": false')
     p = _Parser(prog="tfib", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, run):
+    def leaf(group, name, run, seed=None, samples=None, tol=None):
+        """A leaf parser; --seed, --samples and --tol exist only where
+        given a default, which is the leaf's."""
         parser = group.add_parser(name, parents=[common])
         parser.set_defaults(run=run)
+        for flag, kind, default in (("--seed", int, seed),
+                                    ("--samples", int, samples),
+                                    ("--tol", float, tol)):
+            if default is not None:
+                parser.add_argument(flag, type=kind, default=default)
         return parser
 
     base = sub.add_parser("base").add_subparsers(dest="command", required=True)
@@ -109,13 +117,14 @@ def _parser():
 
     fib = sub.add_parser("fib").add_subparsers(dest="command", required=True)
     leaf(fib, "list", _fib_list)
-    f = leaf(fib, "poisson", _fib_poisson)
+    f = leaf(fib, "poisson", _fib_poisson, seed=0, samples=1000, tol=1e-6)
     f.add_argument("--model", required=True)
     f.add_argument("--step", type=float, default=None,
                    help="finite-difference base step "
                         "(default: numerics.DEFAULT_STEP)")
     f.add_argument("--margin", type=float, default=0.1)
-    f = leaf(fib, "reduce-check", _fib_reduce_check)
+    f = leaf(fib, "reduce-check", _fib_reduce_check,
+             seed=0, samples=1000, tol=1e-6)
     f.add_argument("--t", type=float, required=True)
     f = leaf(fib, "amoeba", _fib_amoeba)
     f.add_argument("--res", type=int, default=200)
@@ -125,15 +134,15 @@ def _parser():
     f.add_argument("--model", required=True)
     f.add_argument("--eps", type=float, default=0.1)
     f.add_argument("--M", dest="big_m", type=float, default=4.0)
-    f = leaf(fib, "twist", _fib_twist)
+    f = leaf(fib, "twist", _fib_twist, seed=0, samples=100, tol=1e-6)
     f.add_argument("--which", choices=["h0", "cutoff"], default="h0")
     f.add_argument("--eps", type=float, default=0.1)
-    f = leaf(fib, "smooth1", _fib_smooth1)
+    f = leaf(fib, "smooth1", _fib_smooth1, seed=0)
     f.add_argument("--sigma", choices=["zero", "one", "bump"], default="bump")
     f.add_argument("--eps", type=float, default=0.1)
 
     per = sub.add_parser("periods").add_subparsers(dest="command", required=True)
-    q = leaf(per, "frame", _periods_frame)
+    q = leaf(per, "frame", _periods_frame, seed=0, tol=1e-6)
     q.add_argument("--kind", required=True,
                    choices=["focus_focus", "generic", "positive", "thin_leg_slice"])
     q = leaf(per, "numeric", _periods_numeric)
@@ -145,13 +154,13 @@ def _parser():
     q.add_argument("--frame", help="frame kind, if no model given")
     q.add_argument("--loop", default="circle:0.5",
                    help="circle:R (focus-focus/generic) or g1:R,g2:R,g3:R")
-    q = leaf(per, "extend", _periods_extend)
+    q = leaf(per, "extend", _periods_extend, tol=1e-4)
     q.add_argument("--chart", required=True,
                    choices=["focus_focus", "generic", "positive"])
     q.add_argument("--t0", type=float, default=0.7)
 
     ger = sub.add_parser("germs").add_subparsers(dest="command", required=True)
-    g = leaf(ger, "ell1", _germs_ell1)
+    g = leaf(ger, "ell1", _germs_ell1, tol=1e-6)
     g.add_argument("--case", choices=["equal", "fake", "ff"], default="ff")
     g.add_argument("--m", type=int, nargs="*", default=[1, 0])
     g = leaf(ger, "integral", _germs_integral)
@@ -165,7 +174,8 @@ def _parser():
 
 
 # ----------------------------------------------------------------------
-# handlers: args -> (report dict, side artifacts dict, passed flag).  Each
+# handlers: args -> (report dict, side artifacts dict).  A report's
+# "passed" is its verdict; a handler without a check leaves it out.  Each
 # imports the layers it calls; a handler that draws random numbers builds
 # one fresh generator from --seed.
 # ----------------------------------------------------------------------
@@ -192,14 +202,13 @@ def _load_base(args):
 def _base_build(args):
     from . import affine
 
-    return affine.base_to_json(_load_base(args)), {}, True
+    return affine.base_to_json(_load_base(args)), {}
 
 
 def _base_check_simple(args):
     from . import affine
 
-    rep = affine.check_simple(_load_base(args), bound=args.bound)
-    return rep.to_json(), {}, rep.simple
+    return affine.check_simple(_load_base(args), bound=args.bound).to_json(), {}
 
 
 def _base_holonomy(args):
@@ -215,7 +224,7 @@ def _base_holonomy(args):
     else:
         raise CliError("need --loop or --word")
     mat = affine.holonomy(base, word)
-    return {"holonomy": zlat.matrix_to_json(mat)}, {}, True
+    return {"holonomy": zlat.matrix_to_json(mat)}, {}
 
 
 def _graph(args):
@@ -246,7 +255,7 @@ def _graph(args):
         "dimension": dimension,
         "thickened": len(graph.thickening),
     }
-    return rep, {".dot": polybase.graph_to_dot(graph)}, True
+    return rep, {".dot": polybase.graph_to_dot(graph)}
 
 
 def _load_graph(path):
@@ -267,7 +276,7 @@ def _topo_euler(args):
     return {
         "euler": topo.euler_characteristic(graph, dimension),
         "dimension": dimension,
-    }, {}, True
+    }, {}
 
 
 def _topo_validate(args):
@@ -276,20 +285,20 @@ def _topo_validate(args):
     graph = _load_graph(args.input)
     rep = topo.validate_semistable(
         graph, topo.canonical_assignment(graph), bound=args.bound)
-    return rep.to_json(), {}, rep.valid
+    return rep.to_json(), {}
 
 
 def _topo_sign(args):
     from . import topo, zlat
 
     triple = [zlat.mat(m) for m in json.loads(args.triple)]
-    return {"sign": topo.sign_from_triple(triple)}, {}, True
+    return {"sign": topo.sign_from_triple(triple)}, {}
 
 
 def _fib_list(args):
     from . import symplab
 
-    return {"models": list(symplab.MODEL_IDS)}, {}, True
+    return {"models": list(symplab.MODEL_IDS)}, {}
 
 
 def _fib_poisson(args):
@@ -305,13 +314,10 @@ def _fib_poisson(args):
     return {
         "model": args.model,
         "max_bracket": worst,
-        "samples": args.samples,
-        "seed": args.seed,
         "step": step,
         "margin": args.margin,
-        "tolerance": args.tol,
         "passed": worst < args.tol,
-    }, {}, worst < args.tol
+    }, {}
 
 
 def _fib_reduce_check(args):
@@ -329,10 +335,8 @@ def _fib_reduce_check(args):
         "t": args.t,
         "max_defect": worst,
         "samples": len(samples),
-        "seed": args.seed,
-        "tolerance": args.tol,
         "passed": worst < args.tol,
-    }, {}, worst < args.tol
+    }, {}
 
 
 def _fib_amoeba(args):
@@ -352,20 +356,19 @@ def _fib_amoeba(args):
     a, b = x1[::k, None], x2[None, ::k]
     oracle = (np.maximum(a, b) <= np.logaddexp(0.0, np.minimum(a, b))) \
         & (np.logaddexp(a, b) >= 0.0)
-    agree = bool(np.array_equal(raster.mask[::k, ::k], oracle))
     rep = {
         "resolution": [args.res, args.res],
         "bounds": [lo, hi, lo, hi],
         "inside_cells": int(raster.mask.sum()),
         "boundary_cells": int(len(raster.boundary)),
-        "oracle_agreement": agree,
+        "passed": bool(np.array_equal(raster.mask[::k, ::k], oracle)),
     }
     artifacts = {
         ".svg": report.raster_svg(raster, args.px_per_unit),
         ".csv": [(x1[i], x2[j]) for i, j in
                  np.argwhere(raster.mask)[:: max(1, args.res // 50)]],
     }
-    return rep, artifacts, agree
+    return rep, artifacts
 
 
 def _fib_discriminant(args):
@@ -381,14 +384,14 @@ def _fib_discriminant(args):
     b = np.exp(cloud[:, 2])
     inside = bool(np.all(np.abs(a - b) <= 1.0 + 1e-9)
                   and np.all(a + b >= 1.0 - 1e-9))
-    rep = {
+    # the plain amoeba holds these discriminants; the leg models' leave it
+    expected = args.model in ("amoeba", "thin_legs")
+    return {
         "model": args.model,
         "points": int(len(cloud)),
         "inside_oracle_amoeba": inside,
-    }
-    # the plain amoeba holds these discriminants; the leg models' leave it
-    expected = args.model in ("amoeba", "thin_legs")
-    return rep, {".csv": cloud.tolist()}, inside == expected
+        "passed": inside == expected,
+    }, {".csv": cloud.tolist()}
 
 
 def _fib_twist(args):
@@ -404,8 +407,7 @@ def _fib_twist(args):
         return float(np.max(np.abs(flow(v) - expected)))
 
     rng = np.random.default_rng(args.seed)
-    u = rng.normal(size=(min(args.samples, 100), 2)) \
-        + 1j * rng.normal(size=(min(args.samples, 100), 2))
+    u = rng.normal(size=(args.samples, 2)) + 1j * rng.normal(size=(args.samples, 2))
     if args.which == "h0":
         flow = symplab.hamiltonian_twist(symplab.h0_quarter_turn)
         err = quarter_turn_error(flow, u)
@@ -418,16 +420,13 @@ def _fib_twist(args):
         err = max(float(np.max(np.abs(flow(far) - far))),
                   quarter_turn_error(flow, unit * math.sqrt(0.49 * args.eps)))
     defect = symplab.symplecticity_defect(flow, 0.3 * u[:20])
-    rep = {
+    return {
         "which": args.which,
         "flow_error": err,
         "symplectic_defect": defect,
         "ode_rtol": twist.ODE_RTOL,
-        "seed": args.seed,
-        "tolerance": args.tol,
         "passed": err < args.tol and defect < args.tol,
-    }
-    return rep, {}, rep["passed"]
+    }, {}
 
 
 def _fib_smooth1(args):
@@ -440,18 +439,18 @@ def _fib_smooth1(args):
     u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
     s = rng.uniform(0.0, args.eps / 2.0, 100)
     jump = symplab.smoothing.seam_derivative_jump(leg, u1, s)
-    raw = np.log(np.abs(u1 / symplab.rho_zero(np.abs(u1) ** 2, 0.02) - 1.0))
-    unchanged = bool(np.array_equal(leg.g(u1, 0.02, s), raw)) \
-        if args.sigma == "zero" else None
-    rep = {
+    if args.sigma == "zero":
+        # sigma = 0 must leave the unsmoothed leg bit for bit
+        raw = np.log(np.abs(u1 / symplab.rho_zero(np.abs(u1) ** 2, 0.02) - 1.0))
+        passed = bool(np.array_equal(leg.g(u1, 0.02, s), raw))
+    else:
+        passed = jump < 1e-4 if args.sigma == "one" else None
+    return {
         "sigma": args.sigma,
         "eps": args.eps,
         "seam_derivative_jump": jump,
-        "seed": args.seed,
-        "bitwise_unchanged": unchanged,
-    }
-    ok = jump < 1e-4 if args.sigma == "one" else True
-    return rep, {}, ok
+        "passed": passed,
+    }, {}
 
 
 _FRAME_FOR_MODEL = {"sm_ff": "focus_focus", "generic": "generic",
@@ -469,15 +468,13 @@ def _periods_frame(args):
     rows = frame.matrix_at(probe)
     samples = 0.3 + 0.4 * rng.uniform(size=(10, frame.dim))
     defect = closedness_defect(frame, samples)
-    ok = defect < args.tol
     return {
         "kind": args.kind,
         "at": probe.tolist(),
         "forms": rows.tolist(),
         "closedness_defect": defect,
-        "tolerance": args.tol,
-        "passed": ok,
-    }, {}, ok
+        "passed": defect < args.tol,
+    }, {}
 
 
 def _periods_numeric(args):
@@ -495,7 +492,7 @@ def _periods_numeric(args):
         "covectors": {k: v.tolist() for k, v in res.covectors.items()},
         "quadrature_errors": res.errors,
         "fibre_defect": res.fibre_defect,
-    }, {".csv": rows}, True
+    }, {".csv": rows}
 
 
 def _periods_monodromy(args):
@@ -522,7 +519,7 @@ def _periods_monodromy(args):
         "loop": args.loop,
         "monodromy": zlat.matrix_to_json(mat),
         "snap_tolerance": monodromy.SNAP_TOLERANCE,
-    }, {}, True
+    }, {}
 
 
 def _periods_extend(args):
@@ -549,12 +546,9 @@ def _periods_extend(args):
     rep_obj = action_extension_check(chart, path)
     rep = rep_obj.to_json()
     rep.update({"chart": args.chart, "expected": expected,
-                "tolerance": args.tol})
-    ok = abs(rep_obj.limit - expected) < max(args.tol, 1e-4)
-    rep["passed"] = ok
+                "passed": abs(rep_obj.limit - expected) < args.tol})
     svals = 1.0 - 0.5 ** np.arange(2, 2 + len(rep_obj.values))
-    rows = list(zip(svals, rep_obj.values))
-    return rep, {".csv": rows}, ok
+    return rep, {".csv": list(zip(svals, rep_obj.values))}
 
 
 def _germs_ell1(args):
@@ -569,9 +563,8 @@ def _germs_ell1(args):
             "case": "ff",
             "lower_seam_integral": rep.computed.tolist(),
             "expected": [1],
-            "tolerance": args.tol,
             "passed": rep.passed,
-        }, {}, rep.passed
+        }, {}
     ms = args.m
     e1 = np.array([1.0 + 0j, -1.0 + 0j])
     minus = [lambda p: np.array([0.5j, 1.0 + 0j]) for _ in ms]
@@ -583,7 +576,14 @@ def _germs_ell1(args):
         ]
     coeffs = germs.ell1_from_frames(plus, minus, lambda p: e1)
     values = [c(np.zeros(2)) for c in coeffs]
-    return {"case": args.case, "a": values, "m": ms}, {}, True
+    expected = ms if args.case == "fake" else [0] * len(ms)
+    return {
+        "case": args.case,
+        "a": values,
+        "m": ms,
+        "expected": expected,
+        "passed": all(abs(a - e) < args.tol for a, e in zip(values, expected)),
+    }, {}
 
 
 def _germs_integral(args):
@@ -603,8 +603,8 @@ def _germs_integral(args):
         }
         reports = {k: v.to_json() for k, v in
                    germs.negative_table_condition(seqs, -1, 1).items()}
-    ok = all(v["passed"] for v in reports.values())
-    return {"case": args.case, "reports": reports, "passed": ok}, {}, ok
+    return {"case": args.case, "reports": reports,
+            "passed": all(v["passed"] for v in reports.values())}, {}
 
 
 def _germs_constant(args):
@@ -622,7 +622,7 @@ def _germs_constant(args):
     return {
         "case": args.case,
         "fibrewise_constant": germs.is_fibrewise_constant(seq),
-    }, {}, True
+    }, {}
 
 
 def _germs_deform(args):
@@ -637,13 +637,12 @@ def _germs_deform(args):
     mixed = germs.deform_by_cutoff(wavy, lambda b: args.rho, other=flat)
     integral = germs.cycle_integrals(mixed)[0]
     closed = germs.fibrewise_closedness_defect(mixed)
-    ok = abs(integral - 1.0) < 1e-6 and closed < 1e-6
     return {
         "rho": args.rho,
         "class_integral": integral,
         "closedness_defect": closed,
-        "passed": ok,
-    }, {}, ok
+        "passed": abs(integral - 1.0) < 1e-6 and closed < 1e-6,
+    }, {}
 
 
 def _germs_glue(args):
@@ -662,7 +661,7 @@ def _germs_glue(args):
         "r": r.tolist(),
         "endpoints": [float(out.coefficient(1, 0)(np.array([-0.5]))[0]),
                       float(out.coefficient(1, 0)(np.array([0.5]))[0])],
-    }, {}, True
+    }, {}
 
 
 def main(argv=None) -> int:
@@ -670,17 +669,16 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.samples < 1:
+    if "samples" in args and args.samples < 1:
         sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
         return USAGE_ERROR
     try:
-        rep, artifacts, ok = args.run(args)
-        rep["config"] = {
-            "seed": args.seed,
-            "tol": args.tol,
-            "samples": args.samples,
-            "strict": args.strict,
-        }
+        rep, artifacts = args.run(args)
+        if rep.setdefault("passed", None) is not None:
+            rep["passed"] = bool(rep["passed"])  # a numpy bool too
+        rep["config"] = {key: getattr(args, key)
+                         for key in ("seed", "samples", "tol", "strict")
+                         if key in args}
         text = report.canonical_json(rep)
         if args.out:
             out = Path(args.out)
@@ -696,7 +694,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    if args.strict and not ok:
+    if args.strict and rep["passed"] is False:
         return CHECK_FAILURE
     return 0
 

@@ -2,15 +2,15 @@
 
 Flows integrate  udot_k = -dH/dy_k + i dH/dx_k  (the package convention)
 with an adaptive embedded Runge-Kutta scheme (DOP853 at ``ODE_RTOL`` and
-``ODE_ATOL``), batched over all requested start points.  The gradient of a
-supplied Hamiltonian comes from the package's derivative engine
-``numerics.gradient`` unless the Hamiltonian object provides an analytic
-``grad``.  Symplecticity of the flow is checked by integrating the
-variational equations d/dt J = D X_H J, which avoids differencing the
-integrated map itself.  The field Jacobian D X_H is the same row map
-applied to an analytic Hessian ``hess`` (shape (m, 2n, 2n)), which both
-shipped Hamiltonians carry; only a Hamiltonian without one falls back to
-the engine (``numerics.jacobian`` of the field).
+``ODE_ATOL``), batched over all requested start points.  A Hamiltonian
+is a callable that carries its analytic gradient ``grad`` (shape (m, 2n)),
+from which the field is read.  Symplecticity of the flow is checked by
+integrating the variational equations d/dt J = D X_H J, which avoids
+differencing the integrated map itself.  The field Jacobian D X_H is the
+same row map applied to an analytic Hessian ``hess`` (shape
+(m, 2n, 2n)), which both shipped Hamiltonians carry; only a Hamiltonian
+without one falls back to the engine (``numerics.jacobian`` of the
+field).
 """
 
 from __future__ import annotations
@@ -123,15 +123,13 @@ def _symplectic_rows(a):
 
 
 def _field(h, u):
-    """X_H on a batch, from the analytic gradient when available."""
-    grad = getattr(h, "grad", None)
-    g = grad(u) if grad is not None else numerics.gradient(
-        lambda x: h(numerics.r2c(x)), numerics.c2r(u), step=1e-5)
-    return _symplectic_rows(g)
+    """X_H on a batch, from the Hamiltonian's analytic gradient."""
+    return _symplectic_rows(h.grad(u))
 
 
 def hamiltonian_twist(h):
-    """Time-1 Hamiltonian flow of ``h`` as a batched symplectomorphism.
+    """Time-1 Hamiltonian flow of ``h`` (which carries ``grad``) as a
+    batched symplectomorphism.
 
     Returns a callable mapping an array (m, 2) of complex points to the
     flowed points; it carries ``h`` as its ``hamiltonian`` attribute.

@@ -143,7 +143,7 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {
-            "valid": self.valid,
+            "passed": self.valid,
             "items": [
                 {
                     "element": it.element,

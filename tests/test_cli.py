@@ -1,7 +1,10 @@
 """CLI surface: subcommands, artifacts, exit codes, reproducibility."""
 
+import argparse
+import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -71,7 +74,7 @@ def test_base_roundtrip(tmp_path):
     assert code == 0
     assert data["holonomy"] == [list(r) for r in zlat.NEGATIVE_TRIPLE[0]]
     code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(out))
-    assert code == 0 and data["simple"]
+    assert code == 0 and data["passed"]
 
 
 def test_fib_poisson_strict_failure(tmp_path):
@@ -143,7 +146,7 @@ def test_byte_identical_reports(tmp_path):
 
 def test_amoeba_artifacts(tmp_path):
     code, data, out = run(tmp_path, "fib", "amoeba", "--res", "60")
-    assert code == 0 and data["oracle_agreement"]
+    assert code == 0 and data["passed"]
     svg = out.with_suffix(".svg").read_text()
     assert svg.startswith("<svg") and "rect" in svg
     assert out.with_suffix(".csv").exists()
@@ -161,13 +164,14 @@ def test_amoeba_oracle_rejects_a_flipped_cell(tmp_path, monkeypatch):
 
     monkeypatch.setattr("tfib.symplab.amoeba.amoeba_raster", flipped)
     code, data, _ = run(tmp_path, "fib", "amoeba", "--res", "60", "--strict")
-    assert code == 1 and data["oracle_agreement"] is False
+    assert code == 1 and data["passed"] is False
 
 
 def test_discriminant_leg_strict_passes(tmp_path):
     code, data, _ = run(tmp_path, "fib", "discriminant", "--model", "leg_h",
                         "--strict")
     assert code == 0 and data["inside_oracle_amoeba"] is False
+    assert data["passed"] is True
 
 
 def test_discriminant_strict_rejects_a_shifted_cloud(tmp_path, monkeypatch):
@@ -177,6 +181,7 @@ def test_discriminant_strict_rejects_a_shifted_cloud(tmp_path, monkeypatch):
     code, data, _ = run(tmp_path, "fib", "discriminant", "--model",
                         "thin_legs", "--strict")
     assert code == 1 and data["inside_oracle_amoeba"] is False
+    assert data["passed"] is False
 
 
 def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
@@ -187,7 +192,7 @@ def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
     code, data, _ = run(tmp_path, "periods", "frame", "--kind", "generic",
                         "--strict")
     assert code == 1 and data["passed"] is False
-    assert data["closedness_defect"] > 0.5 and data["tolerance"] == 1e-6
+    assert data["closedness_defect"] > 0.5 and data["config"]["tol"] == 1e-6
 
 
 def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch):
@@ -223,6 +228,78 @@ def test_periods_frame_strict_passes(tmp_path):
     assert code == 0 and data["passed"] is True
 
 
+def test_twist_flows_as_many_points_as_samples(tmp_path, monkeypatch):
+    real = symplab.hamiltonian_twist
+    shapes = []
+
+    def recording(h):
+        flow = real(h)
+
+        def recorded(u):
+            shapes.append(u.shape)
+            return flow(u)
+
+        recorded.hamiltonian = flow.hamiltonian
+        return recorded
+
+    monkeypatch.setattr("tfib.symplab.twist.hamiltonian_twist", recording)
+    code, data, _ = run(tmp_path, "fib", "twist", "--samples", "120", "--strict")
+    assert code == 0 and data["config"]["samples"] == 120
+    assert shapes == [(120, 2)]
+
+
+def test_periods_extend_applies_its_tolerance(tmp_path):
+    argv = ["periods", "extend", "--chart", "generic", "--strict"]
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 0 and data["passed"] is True and data["config"]["tol"] == 1e-4
+    assert abs(data["limit"] - data["expected"]) > 1e-7
+    code, data, _ = run(tmp_path, *argv, "--tol", "1e-7")
+    assert code == 1 and data["passed"] is False
+
+
+def test_smooth1_sigma_zero_strict_rejects_a_perturbed_profile(tmp_path, monkeypatch):
+    from tfib.symplab.smoothing import SmoothedLeg
+
+    code, data, _ = run(tmp_path, "fib", "smooth1", "--sigma", "zero", "--strict")
+    assert code == 0 and data["passed"] is True
+    real = SmoothedLeg.rho
+    monkeypatch.setattr("tfib.symplab.smoothing.SmoothedLeg.rho",
+                        lambda self, r, t, s: real(self, r, t, s) + 1e-12)
+    code, data, _ = run(tmp_path, "fib", "smooth1", "--sigma", "zero", "--strict")
+    assert code == 1 and data["passed"] is False
+
+
+def test_strict_reads_a_numpy_false_verdict(tmp_path, monkeypatch):
+    import numpy as np
+
+    monkeypatch.setattr("tfib.germs.cycle_integrals", lambda *a, **kw: np.array([1.5]))
+    code, data, _ = run(tmp_path, "germs", "deform", "--strict")
+    assert code == 1 and data["passed"] is False
+
+
+@pytest.mark.parametrize("case, m", [("equal", ["1", "0", "-3"]),
+                                     ("fake", ["2", "-3"])])
+def test_germs_ell1_checks_every_case(tmp_path, monkeypatch, case, m):
+    from tfib import germs
+
+    argv = ["germs", "ell1", "--case", case, "--m", *m, "--strict"]
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 0 and data["passed"] is True
+    assert data["expected"] == ([int(x) for x in m] if case == "fake" else [0] * len(m))
+    real = germs.ell1_from_frames
+    monkeypatch.setattr("tfib.germs.ell1_from_frames", lambda *a: [
+        lambda p, c=c: c(p) + 1e-3 for c in real(*a)])
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 1 and data["passed"] is False
+    code, data, _ = run(tmp_path, *argv, "--tol", "1e-2")
+    assert code == 0 and data["passed"] is True
+
+
+def test_smooth1_sigma_bump_reports_no_check(tmp_path):
+    code, data, _ = run(tmp_path, "fib", "smooth1", "--sigma", "bump", "--strict")
+    assert code == 0 and data["passed"] is None
+
+
 def readme_commands():
     """The README's CLI examples, in order, as argv lists without ``tfib``."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -231,12 +308,60 @@ def readme_commands():
             if ln.startswith("tfib ")]
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch):
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
     assert len(commands) >= 20
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert cli.main(argv) == 0, argv
+        code = cli.main(argv if "--strict" in argv else [*argv, "--strict"])
+        text = capsys.readouterr().out
+        if "--out" in argv:
+            text = Path(argv[argv.index("--out") + 1]).read_text()
+        passed = json.loads(text)["passed"]
+        assert passed in (True, False, None), argv
+        assert passed is not False and code == 0, argv
+
+
+def _leaves():
+    """[(command words, leaf parser)] for every leaf of the CLI."""
+    out = []
+
+    def walk(parser, words):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            out.append((words, parser))
+        for name, child in (subs[0].choices.items() if subs else ()):
+            walk(child, words + (name,))
+
+    walk(cli._parser(), ())
+    return out
+
+
+def test_every_leaf_option_is_read_by_its_handler():
+    assert len(_leaves()) == 24
+    unread = []
+    for words, leaf in _leaves():
+        source = inspect.getsource(leaf.get_default("run"))
+        for helper in set(re.findall(r"\b(_load\w*)\(args\)", source)):
+            source += inspect.getsource(getattr(cli, helper))
+        read = set(re.findall(r"\bargs\.(\w+)", source)) \
+            | set(re.findall(r"getattr\(args, \"(\w+)\"", source))
+        unread += [(words, a.option_strings[0]) for a in leaf._actions
+                   if a.option_strings and a.dest not in ("help", "out", "strict")
+                   and a.dest not in read]
+    assert unread == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "k3", "--seed", "3"],
+    ["fib", "list", "--samples", "10"],
+    ["fib", "smooth1", "--tol", "1e-3"],
+    ["periods", "extend", "--chart", "generic", "--seed", "1"],
+])
+def test_leaves_reject_options_they_do_not_read(tmp_path, argv):
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 2 and data is None
 
 
 def test_germs_integral_cli(tmp_path):
@@ -248,7 +373,7 @@ def test_topo_validate_cli(tmp_path):
     _, _, out = run(tmp_path, "graph", "quintic", name="q.json")
     code, data, _ = run(tmp_path, "topo", "validate", "--input", str(out),
                         "--strict")
-    assert code == 0 and data["valid"]
+    assert code == 0 and data["passed"]
 
 
 def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
@@ -260,7 +385,7 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     code, data, _ = run(tmp_path, "base", "check-simple", "--input",
                         str(atlas), "--strict")
     assert code == 1
-    assert not data["simple"]
+    assert not data["passed"]
 
 
 @pytest.mark.parametrize("argv", [
