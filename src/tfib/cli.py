@@ -330,6 +330,9 @@ def _fib_reduce_check(args):
     samples = pts[:, 0::2] + 1j * pts[:, 1::2]
     if args.t == 0.0:
         samples = samples[np.abs(samples[:, 0]) > 0.05]
+        if not len(samples):
+            raise CliError("at --t 0 only samples with |z1| > 0.05 are checked, "
+                           "and none was drawn")
     worst = symplab.reduction_check(args.t, samples)
     return {
         "t": args.t,
@@ -408,24 +411,31 @@ def _fib_twist(args):
 
     rng = np.random.default_rng(args.seed)
     u = rng.normal(size=(args.samples, 2)) + 1j * rng.normal(size=(args.samples, 2))
+    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
     if args.which == "h0":
-        flow = symplab.hamiltonian_twist(symplab.h0_quarter_turn)
+        h = symplab.h0_quarter_turn
+        flow = symplab.hamiltonian_twist(h)
         err = quarter_turn_error(flow, u)
     else:
         # the identity where H = 0 (|u|^2 = 4 eps) and the quarter turn
         # where k = 1 (|u|^2 = 0.49 eps)
-        flow = symplab.hamiltonian_twist(symplab.cutoff_hamiltonian(args.eps))
-        unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+        h = symplab.cutoff_hamiltonian(args.eps)
+        flow = symplab.hamiltonian_twist(h)
         far = unit * math.sqrt(4.0 * args.eps)
         err = max(float(np.max(np.abs(flow(far) - far))),
                   quarter_turn_error(flow, unit * math.sqrt(0.49 * args.eps)))
     defect = symplab.symplecticity_defect(flow, 0.3 * u[:20])
+    # tangent maps at three points of the cut-off shell eps < |u|^2 < 2 eps,
+    # where every term of the Hessian is live
+    shell = unit[:3] * np.sqrt(args.eps * np.array([1.2, 1.5, 1.8]))[:len(unit), None]
+    tangent = symplab.tangent_map_defect(h, shell)
     return {
         "which": args.which,
         "flow_error": err,
         "symplectic_defect": defect,
+        "tangent_map_defect": tangent,
         "ode_rtol": twist.ODE_RTOL,
-        "passed": err < args.tol and defect < args.tol,
+        "passed": err < args.tol and defect < args.tol and tangent < args.tol,
     }, {}
 
 
@@ -497,7 +507,7 @@ def _periods_numeric(args):
 
 def _periods_monodromy(args):
     from . import zlat
-    from .periods import closed_form_frame, monodromy, monodromy_from_frame
+    from .periods import closed_form_frame, monodromy_from_frame
 
     kind = _FRAME_FOR_MODEL.get(args.model) if args.model else args.frame
     if kind is None:
@@ -518,7 +528,6 @@ def _periods_monodromy(args):
         "frame": kind,
         "loop": args.loop,
         "monodromy": zlat.matrix_to_json(mat),
-        "snap_tolerance": monodromy.SNAP_TOLERANCE,
     }, {}
 
 

@@ -8,9 +8,14 @@ A frame is a list of 1-forms on the base.  Every form has one type,
 in pairs of linear coordinates (x, y) of the base, plus one single-valued
 covector field that holds the rest (constant covectors such as 2 pi db2,
 the thin-leg terms -e^{2 b} db, and dq or dH for a supplied smooth
-correction).  The kernel's angle is the whole monodromy signal:
-transporting a frame along a loop unwraps theta continuously, and the
-frame returns shifted by (2 pi dy) per unit of winding.
+correction).  The kernel's angle is the whole monodromy signal: along
+a loop theta gains 2 pi per winding of (x, y) about 0, so the frame
+returns shifted by (2 pi dy) per unit of winding.  A constant form
+carries its covector as exact data, ``const = (k, j)`` for
+(2 pi)^k db_j, in which :mod:`.monodromy` writes those shifts.
+
+Loops are data: ``frame.loops[name](radius, **kw)`` returns a circle
+(c, u, v), the base points c + cos t u + sin t v for t in [0, 2 pi].
 
 Forms and frames evaluate on batches: a base point array of shape
 (..., d) gives covectors of shape (..., d) and frame matrices of shape
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,20 +57,20 @@ class FrameForm:
     ax: np.ndarray  # (k, d): x_i(b) = ax_i . b ; dx_i covector = ax_i
     ay: np.ndarray  # (k, d): y_i(b) = ay_i . b ; dy_i covector = ay_i
     smooth: Callable[[np.ndarray], np.ndarray]  # (..., d) -> (..., d)
+    const: Optional[Tuple[int, int]] = None  # (k, j): the form is (2 pi)^k db_j
 
     def angles(self, b):
         """Principal kernel angles at b, shape (..., k)."""
         b = np.asarray(b, dtype=float)
         return np.arctan2(b @ self.ay.T, b @ self.ax.T)
 
-    def covector(self, b, angles=None):
-        """Covector at b, shape (..., d); ``angles`` of shape (..., k)
-        overrides the principal kernel angles."""
+    def covector(self, b):
+        """Covector at b, shape (..., d), on the principal kernel angles."""
         b = np.asarray(b, dtype=float)
         r = np.hypot(b @ self.ax.T, b @ self.ay.T)
         if np.any(r == 0.0):
             raise ValueError("kernel evaluated on its singular line")
-        theta = self.angles(b) if angles is None else np.asarray(angles, dtype=float)
+        theta = self.angles(b)
         terms = self.coeff[:, None] * (-np.log(r)[..., None] * self.ax
                                        + theta[..., None] * self.ay)
         # summed from +0.0 kernel by kernel: a component that is -0.0 in
@@ -83,13 +88,9 @@ class PeriodFrame:
     forms: List[FrameForm]
     loops: Dict[str, Callable] = field(default_factory=dict)
 
-    def matrix_at(self, b, angle_table=None):
-        """Frame covectors at b as rows, shape (..., forms, d); entry i of
-        ``angle_table`` holds the (..., k_i) kernel angles of form i."""
-        return np.stack([
-            form.covector(b, None if angle_table is None else angle_table[i])
-            for i, form in enumerate(self.forms)
-        ], axis=-2)
+    def matrix_at(self, b):
+        """Frame covectors at b as rows, shape (..., forms, d)."""
+        return np.stack([form.covector(b) for form in self.forms], axis=-2)
 
 
 def _kernel_form(terms, correction, name, d):
@@ -108,23 +109,27 @@ def _smooth_form(fn, d):
     return FrameForm(np.zeros(0), np.zeros((0, d)), np.zeros((0, d)), fn)
 
 
-def _const_form(vec):
-    vec = np.asarray(vec, dtype=float)
-    return _smooth_form(lambda b: np.broadcast_to(vec, np.shape(b)), len(vec))
+def _const_form(k, j, d):
+    """The constant form (2 pi)^k db_j on a d-dimensional base."""
+    vec = np.zeros(d)
+    vec[j] = (2.0 * math.pi) ** k
+    form = _smooth_form(lambda b: np.broadcast_to(vec, np.shape(b)), d)
+    form.const = (k, j)
+    return form
+
+
+def _circle(c, u, v):
+    """Loop factory: radius -> the circle (c, radius u, radius v)."""
+    c, u, v = (np.asarray(x, dtype=float) for x in (c, u, v))
+    return lambda radius=0.5: (c, radius * u, radius * v)
 
 
 def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
     """The quoted period frames; see the module docstring for the list."""
     if kind == "focus_focus":
         l1 = _kernel_form([(1.0, [1.0, 0.0], [0.0, 1.0])], q, "q", 2)
-        frame = PeriodFrame("focus_focus", 2, [l1, _const_form([0.0, 2.0 * math.pi])])
-        frame.loops = {
-            "loop": lambda radius=0.5: (
-                lambda t: radius * np.stack(
-                    [np.cos(2 * np.pi * np.asarray(t)),
-                     np.sin(2 * np.pi * np.asarray(t))], axis=-1)
-            ),
-        }
+        frame = PeriodFrame("focus_focus", 2, [l1, _const_form(1, 1, 2)])
+        frame.loops = {"loop": _circle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])}
         return frame
 
     e1 = np.array([1.0, 0.0, 0.0])
@@ -133,50 +138,31 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
 
     if kind == "generic":
         l1 = _kernel_form([(1.0, e1, e2)], h, "H", 3)
-        frame = PeriodFrame("generic", 3, [l1, _const_form(2.0 * math.pi * e2),
-                                           _const_form(e3)])
+        frame = PeriodFrame("generic", 3, [l1, _const_form(1, 1, 3),
+                                           _const_form(0, 2, 3)])
         frame.loops = {
             "loop": lambda radius=0.5, b3=0.0: (
-                lambda t: np.stack(
-                    [radius * np.cos(2 * np.pi * np.asarray(t)),
-                     radius * np.sin(2 * np.pi * np.asarray(t)),
-                     np.full(np.shape(t), b3)], axis=-1)
-            ),
+                np.array([0.0, 0.0, b3]), radius * e1, radius * e2),
         }
         return frame
 
     if kind == "positive":
         l1 = _kernel_form([(-1.0, e1, e2), (1.0, e1, e3), (1.0, e1, e2 - e3)],
                           h, "H", 3)
-        frame = PeriodFrame("positive", 3, [l1, _const_form(2.0 * math.pi * e2),
-                                            _const_form(2.0 * math.pi * e3)])
-
-        def leg_loop(center, normal):
-            center = np.asarray(center, dtype=float)
-            normal = np.asarray(normal, dtype=float)
-
-            def make(radius=0.5):
-                def loop(t):
-                    t = np.asarray(t, dtype=float)
-                    return (center[None, :]
-                            + radius * np.cos(2 * np.pi * t)[:, None] * e1[None, :]
-                            + radius * np.sin(2 * np.pi * t)[:, None] * normal[None, :])
-                return loop
-
-            return make
-
+        frame = PeriodFrame("positive", 3, [l1, _const_form(1, 1, 3),
+                                            _const_form(1, 2, 3)])
         frame.loops = {
             # anticlockwise in (b1, y_j) around a point at distance 2 on leg j;
             # for g3 the winding coordinate is y = b2 - b3
-            "g1": leg_loop([0.0, 0.0, -2.0], e2),
-            "g2": leg_loop([0.0, -2.0, 0.0], e3),
-            "g3": leg_loop([0.0, 2.0, 2.0], (e2 - e3) / math.sqrt(2.0)),
+            "g1": _circle([0.0, 0.0, -2.0], e1, e2),
+            "g2": _circle([0.0, -2.0, 0.0], e1, e3),
+            "g3": _circle([0.0, 2.0, 2.0], e1, (e2 - e3) / math.sqrt(2.0)),
         }
         return frame
 
     if kind == "thin_leg_slice":
         return PeriodFrame("thin_leg_slice", 3, [
-            _const_form(2.0 * math.pi * e1),
+            _const_form(1, 0, 3),
             _smooth_form(lambda b: -np.exp(2.0 * b[..., 1:2]) * e2, 3),
             _smooth_form(lambda b: -np.exp(2.0 * b[..., 2:3]) * e3, 3),
         ])

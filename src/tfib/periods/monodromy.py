@@ -1,86 +1,86 @@
-"""Monodromy of a period frame by continuous branch tracking.
+"""Monodromy of a period frame by exact winding numbers.
 
-Kernel angles are unwrapped along the whole loop at once: the increments
-between successive loop samples are reduced to (-pi, pi] and summed, and
-the loop is refined until every increment stays below pi/8.  After the
-loop the transported frame is expressed in the original frame at the
-base point and the matrix snapped to integers.  The returned matrix acts
-on cycle-coordinate columns, i.e. it is the transpose of the row relation
-between transported and original covector rows -- the convention that
-sends the focus-focus frame's anticlockwise unit loop to [[1, 0], [1, 1]].
+A loop is a circle (c, u, v), the base points b(t) = c + cos t u + sin t v.
+Every kernel of a form has coordinates (x, y) = (ax . b, ay . b) linear in
+b, so along the loop (x, y) runs once round the ellipse p + A (cos t, sin t)
+with p = (ax . c, ay . c) and A = [[ax . u, ax . v], [ay . u, ay . v]].
+Its winding number about 0 is sign(det A) when p^T (A A^T)^{-1} p < 1 and 0
+when it is > 1.  Equality, or a degenerate ellipse (det A = 0, a segment)
+that contains 0, means the loop meets the kernel's singular line.
+
+A winding w_k adds 2 pi w_k to the kernel's angle, so form i comes back as
+itself plus 2 pi sum_k coeff_k w_k ay_k, which is written in the frame's
+constant forms 2 pi db_j.  All of this runs in Fractions of the float
+inputs, so the matrix is exact.  It acts on cycle-coordinate columns,
+i.e. it is the transpose of the row relation between transported and
+original covector rows -- the convention that sends the focus-focus
+frame's anticlockwise unit loop to [[1, 0], [1, 1]].
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
+from fractions import Fraction
 
 from .. import zlat
 from .frames import PeriodFrame
 
-MAX_ANGLE_STEP = math.pi / 8.0
-#: loop samples of the first tracking pass; doubled on each refinement
-N_STEPS = 256
-MAX_REFINEMENTS = 8
-#: largest distance of the transported matrix from the integers
-SNAP_TOLERANCE = 1e-3
+
+def _exact(vec):
+    return [Fraction(float(x)) for x in vec]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _winding(ax, ay, c, u, v):
+    """Winding number of (ax . b, ay . b) about 0 along the circle (c, u, v)."""
+    p0, p1 = _dot(ax, c), _dot(ay, c)
+    a00, a01, a10, a11 = _dot(ax, u), _dot(ax, v), _dot(ay, u), _dot(ay, v)
+    det = a00 * a11 - a01 * a10
+    # m = A A^T
+    m00, m01, m11 = a00 * a00 + a01 * a01, a00 * a10 + a01 * a11, a10 * a10 + a11 * a11
+    if det:
+        # p^T m^{-1} p = q / det^2, with m^{-1} = adj(m) / det^2
+        q = m11 * p0 * p0 - 2 * m01 * p0 * p1 + m00 * p1 * p1
+        if q != det * det:
+            return (1 if det > 0 else -1) if q < det * det else 0
+    else:
+        # the image is the segment p + [-1, 1] sqrt(tr m) e, with e the unit
+        # vector of m's range: it holds 0 iff m p = tr(m) p and |p|^2 <= tr(m)
+        tr = m00 + m11
+        if (m00 * p0 + m01 * p1 != tr * p0 or m01 * p0 + m11 * p1 != tr * p1
+                or p0 * p0 + p1 * p1 > tr):
+            return 0
+    raise ValueError("loop meets the singular line of a kernel (the discriminant)")
 
 
 def monodromy_from_frame(frame: PeriodFrame, loop):
-    """Integer monodromy matrix of the frame transported along ``loop``.
+    """Integer monodromy matrix of the frame transported along the circle
+    ``loop`` = (c, u, v); see the module docstring.
 
-    ``loop`` maps parameters in [0, 1] to base points with
-    loop(0) = loop(1) (the tracker appends the closing point).  Tracking
-    starts at ``N_STEPS`` samples and doubles them up to
-    ``MAX_REFINEMENTS`` times; if the angle steps still exceed
-    ``MAX_ANGLE_STEP``, the loop meets (or grazes) the discriminant and a
-    ``ValueError`` is raised, as it is when the transported matrix fails
-    to snap to integers within ``SNAP_TOLERANCE``.
+    Raises ``ValueError`` when the loop meets a kernel's singular line, or
+    when a shift is not an integer combination of the frame's 2 pi db_j
+    forms.
     """
-    steps = N_STEPS
-    for _ in range(MAX_REFINEMENTS):
-        t = np.linspace(0.0, 1.0, steps + 1)
-        pts = np.atleast_2d(np.asarray(loop(t), dtype=float))
-        if not np.allclose(pts[0], pts[-1], atol=1e-12):
-            raise ValueError("loop is not closed")
-        # unwrapped[i][j] holds the continuous kernel angles of form i at
-        # pts[j]: the first principal angles plus the reduced increments
-        unwrapped = []
-        worst = 0.0
-        for form in frame.forms:
-            raw = form.angles(pts)
-            delta = np.diff(raw, axis=0)
-            delta -= 2.0 * math.pi * np.round(delta / (2.0 * math.pi))
-            worst = max(worst, float(np.max(np.abs(delta), initial=0.0)))
-            unwrapped.append(np.cumsum(np.concatenate([raw[:1], delta]), axis=0))
-        if worst <= MAX_ANGLE_STEP:
-            break
-        steps *= 2
-    else:
-        raise ValueError(
-            "angle tracking failed to meet the step bound: "
-            "the loop meets the discriminant"
-        )
-
-    # The transported frame differs from the original by constant kernel
-    # windings, so F_final(b) = M F_init(b) at every loop point; solving
-    # over several probe points keeps the system nondegenerate even where
-    # a single frame matrix drops rank (e.g. log|b| = 0 on a unit loop).
-    # The (probes, forms, d) matrices are laid side by side as (forms,
-    # probes * d).
-    probes = [int(steps * frac) for frac in (0.0, 0.29, 0.55, 0.81)]
-    f_init = frame.matrix_at(pts[probes], [u[probes] for u in unwrapped])
-    f_final = frame.matrix_at(pts[probes],
-                              [u[probes] + (u[-1] - u[0]) for u in unwrapped])
-    f_init = np.concatenate(f_init, axis=1)
-    f_final = np.concatenate(f_final, axis=1)
-    rows = np.linalg.lstsq(f_init.T, f_final.T, rcond=None)[0].T
-    snapped = np.rint(rows)
-    defect = float(np.max(np.abs(rows - snapped)))
-    if defect > SNAP_TOLERANCE:
-        raise ValueError(
-            f"transported frame is not integral (defect {defect:.2e}); "
-            "branch tracking failed or the loop meets the discriminant"
-        )
-    return zlat.mat(snapped.T.astype(int).tolist())
+    c, u, v = (_exact(vec) for vec in loop)
+    if not len(c) == len(u) == len(v) == frame.dim:
+        raise ValueError(f"loop vectors must have length {frame.dim}")
+    period_form = {form.const[1]: j for j, form in enumerate(frame.forms)
+                   if form.const is not None and form.const[0] == 1}
+    # entry (j, i) is the coefficient of form j in the transported form i
+    out = [list(row) for row in zlat.identity(len(frame.forms))]
+    for i, form in enumerate(frame.forms):
+        shift = [Fraction(0)] * frame.dim  # the shift of form i over 2 pi
+        for coeff, ax, ay in zip(form.coeff, form.ax, form.ay):
+            ay = _exact(ay)
+            w = Fraction(float(coeff)) * _winding(_exact(ax), ay, c, u, v)
+            shift = [s + w * y for s, y in zip(shift, ay)]
+        for axis, s in enumerate(shift):
+            if not s:
+                continue
+            if axis not in period_form or s.denominator != 1:
+                raise ValueError(f"shift of form {i} is not an integer combination "
+                                 "of the frame's 2 pi db_j forms")
+            out[period_form[axis]][i] += int(s)
+    return zlat.mat(out)

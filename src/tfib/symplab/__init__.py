@@ -29,6 +29,7 @@ _EXPORTS = {
     "h0_quarter_turn": "twist",
     "cutoff_hamiltonian": "twist",
     "symplecticity_defect": "twist",
+    "tangent_map_defect": "twist",
     "discriminant_sample": "discriminant",
     "rho_zero": "smoothing",
     "rho_one_smooth": "smoothing",

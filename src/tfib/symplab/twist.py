@@ -10,7 +10,8 @@ differencing the integrated map itself.  The field Jacobian D X_H is the
 same row map applied to an analytic Hessian ``hess`` (shape
 (m, 2n, 2n)), which both shipped Hamiltonians carry; only a Hamiltonian
 without one falls back to the engine (``numerics.jacobian`` of the
-field).
+field).  :func:`tangent_map_defect` checks J itself against the engine's
+derivative of the time-1 map at a few points.
 """
 
 from __future__ import annotations
@@ -127,6 +128,28 @@ def _field(h, u):
     return _symplectic_rows(h.grad(u))
 
 
+def _time_one(h, u0):
+    """The time-1 flow of ``h`` from the complex points ``u0`` (m, n)."""
+    from scipy.integrate import solve_ivp
+
+    u0 = np.atleast_2d(np.asarray(u0, dtype=complex))
+    m, n = u0.shape
+    y0 = numerics.c2r(u0).reshape(-1)
+
+    def rhs(_t, y):
+        u = numerics.r2c(y.reshape(m, 2 * n))
+        return _field(h, u).reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
+                    rtol=ODE_RTOL, atol=ODE_ATOL)
+    if not sol.success:
+        raise RuntimeError(f"Hamiltonian flow integration failed: {sol.message}")
+    out = numerics.r2c(sol.y[:, -1].reshape(m, 2 * n))
+    if np.any(np.abs(out) > MAX_RADIUS):
+        raise RuntimeError("Hamiltonian flow left the sampled region")
+    return out
+
+
 def hamiltonian_twist(h):
     """Time-1 Hamiltonian flow of ``h`` (which carries ``grad``) as a
     batched symplectomorphism.
@@ -138,24 +161,7 @@ def hamiltonian_twist(h):
     """
 
     def flow(u0):
-        from scipy.integrate import solve_ivp
-
-        u0 = np.atleast_2d(np.asarray(u0, dtype=complex))
-        m, n = u0.shape
-        y0 = numerics.c2r(u0).reshape(-1)
-
-        def rhs(_t, y):
-            u = numerics.r2c(y.reshape(m, 2 * n))
-            return _field(h, u).reshape(-1)
-
-        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                        rtol=ODE_RTOL, atol=ODE_ATOL)
-        if not sol.success:
-            raise RuntimeError(f"Hamiltonian flow integration failed: {sol.message}")
-        out = numerics.r2c(sol.y[:, -1].reshape(m, 2 * n))
-        if np.any(np.abs(out) > MAX_RADIUS):
-            raise RuntimeError("Hamiltonian flow left the sampled region")
-        return out
+        return _time_one(h, u0)
 
     flow.hamiltonian = h
     return flow
@@ -201,3 +207,17 @@ def symplecticity_defect(flow, points):
     omega = numerics.omega_matrix(points.shape[1])
     jacs = flow_jacobians(h, points)
     return float(np.max(np.abs(np.swapaxes(jacs, 1, 2) @ omega @ jacs - omega)))
+
+
+def tangent_map_defect(h, points):
+    """max |J - D phi| over the points: the tangent maps J of
+    :func:`flow_jacobians` against ``numerics.jacobian`` of the time-1 map
+    phi of ``h``.
+
+    Any symmetric Hessian makes the variational flow symplectic, so a wrong
+    one passes :func:`symplecticity_defect`; it fails this comparison.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=complex))
+    differenced = numerics.jacobian(lambda x: numerics.c2r(_time_one(h, numerics.r2c(x))),
+                                    numerics.c2r(points), step=1e-5)
+    return float(np.max(np.abs(flow_jacobians(h, points) - differenced)))

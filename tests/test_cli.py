@@ -99,13 +99,10 @@ def test_periods_monodromy_by_model(tmp_path):
 
 
 def test_reports_show_the_library_tolerances(tmp_path):
-    from tfib.periods import monodromy
     from tfib.symplab import twist
 
     code, data, _ = run(tmp_path, "fib", "twist", "--samples", "5")
     assert code == 0 and data["ode_rtol"] == twist.ODE_RTOL
-    code, data, _ = run(tmp_path, "periods", "monodromy", "--model", "sm_ff")
-    assert code == 0 and data["snap_tolerance"] == monodromy.SNAP_TOLERANCE
 
 
 @pytest.mark.parametrize("key, value", [("numeric", True),
@@ -214,6 +211,18 @@ def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch):
                         "--samples", "20", "--strict")
     assert code == 1 and data["passed"] is False
     assert data["flow_error"] > 0.01 and data["symplectic_defect"] < 1e-6
+
+
+@pytest.mark.parametrize("mutant", ["_drop_kpp", "_flip_kp"])
+def test_twist_strict_rejects_a_wrong_symmetric_hessian(tmp_path, monkeypatch, mutant):
+    import test_symplab
+
+    bad = test_symplab._cutoff_with_hess(getattr(test_symplab, mutant))
+    monkeypatch.setattr("tfib.symplab.twist.cutoff_hamiltonian", lambda eps: bad)
+    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
+                        "--samples", "20", "--strict")
+    assert code == 1 and data["passed"] is False
+    assert data["symplectic_defect"] < 1e-6 and data["tangent_map_defect"] > 1e-6
 
 
 def test_twist_cutoff_strict_passes(tmp_path):
@@ -412,6 +421,7 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["fib", "poisson", "--model", "sm_ff", "--samples", "0"],
     ["fib", "reduce-check", "--t", "0.5", "--samples", "0"],
     ["fib", "twist", "--samples", "-3"],
+    ["fib", "reduce-check", "--t", "0", "--samples", "1", "--seed", "227"],
 ])
 # a warning would reach the terminal before the error line, so it fails here
 @pytest.mark.filterwarnings("error")

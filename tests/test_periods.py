@@ -1,7 +1,8 @@
-"""Period frames, numeric periods, monodromy tracking, action extension."""
+"""Period frames, numeric periods, exact monodromy, action extension."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,48 +94,86 @@ def test_monodromy_positive_triple():
 
 def test_monodromy_trivial_loop():
     frame = closed_form_frame("focus_focus")
-
-    def loop(t):
-        t = np.asarray(t)
-        return np.stack([np.full(t.shape, 0.5), np.full(t.shape, 0.2)], axis=-1)
-
-    assert monodromy_from_frame(frame, loop) == zlat.identity(2)
+    point = ([0.5, 0.2], [0.0, 0.0], [0.0, 0.0])  # a radius-0 circle
+    assert monodromy_from_frame(frame, point) == zlat.identity(2)
 
 
 def test_monodromy_rejects_loop_through_discriminant():
     frame = closed_form_frame("focus_focus")
-
-    def loop(t):  # passes through the origin
-        t = np.asarray(t)
-        return np.stack([0.5 * np.cos(2 * np.pi * t) - 0.5,
-                         0.5 * np.sin(2 * np.pi * t)], axis=-1)
-
-    with pytest.raises(ValueError):
-        monodromy_from_frame(frame, loop)
+    for centre in (-0.5, 0.5):  # circles through the node
+        with pytest.raises(ValueError, match="singular line"):
+            monodromy_from_frame(frame, off_centre_loop(centre))
 
 
 def off_centre_loop(centre):
     """Anticlockwise radius-0.5 circle about (centre, 0); it passes the
-    focus-focus node at distance 0.5 - centre."""
-    base = closed_form_frame("focus_focus").loops["loop"](0.5)
-    return lambda t: base(t) + np.array([centre, 0.0])
+    focus-focus node at distance 0.5 - |centre|."""
+    return ([centre, 0.0], [0.5, 0.0], [0.0, 0.5])
 
 
-def test_monodromy_refines_near_the_node():
-    """0.01 from the node the first 256 samples step the angle by more
-    than pi/8, so tracking must refine (to 1024 steps) and still close."""
+def test_monodromy_of_a_loop_that_grazes_the_node():
     frame = closed_form_frame("focus_focus")
-    sizes = []
-    loop = off_centre_loop(0.49)
-    tracked = lambda t: sizes.append(len(t)) or loop(t)
-    assert monodromy_from_frame(frame, tracked) == zlat.T_NODE
-    assert sizes == [257, 513, 1025]
+    assert monodromy_from_frame(frame, off_centre_loop(0.4999)) == zlat.T_NODE
 
 
-def test_monodromy_rejects_a_loop_that_grazes_the_node():
+def test_monodromy_at_distance_1e_9_from_the_node():
+    """The winding test is exact, so the node may be as close as the
+    floats allow, inside the loop or outside it."""
     frame = closed_form_frame("focus_focus")
-    with pytest.raises(ValueError, match="discriminant"):
-        monodromy_from_frame(frame, off_centre_loop(0.4999))
+    for centre, want in ((0.5 - 1e-9, zlat.T_NODE), (0.5 + 1e-9, zlat.identity(2))):
+        gap = abs(Fraction(centre) - Fraction(1, 2))
+        assert Fraction(9, 10**10) < gap < Fraction(11, 10**10)
+        assert monodromy_from_frame(frame, off_centre_loop(centre)) == want
+
+
+def test_monodromy_of_degenerate_segments():
+    """u and v parallel: the loop sweeps a segment, which winds round
+    nothing and must not contain the node."""
+    frame = closed_form_frame("focus_focus")
+    along = ([0.5, 0.0], [0.25, 0.0])
+    assert monodromy_from_frame(frame, ([0.0, 0.3], *along)) == zlat.identity(2)
+    assert monodromy_from_frame(frame, ([0.6, 0.0], *along)) == zlat.identity(2)
+    with pytest.raises(ValueError, match="singular line"):
+        monodromy_from_frame(frame, ([0.1, 0.0], *along))
+    with pytest.raises(ValueError, match="singular line"):
+        monodromy_from_frame(frame, ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]))
+
+
+def _sampled_winding(ax, ay, c, u, v, n=1 << 16):
+    """Winding of (ax . b, ay . b) about 0 along the circle, by adding up
+    the principal angle increments of n samples; also the least |(x, y)|."""
+    t = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    b = c + np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+    x, y = b @ ax, b @ ay
+    step = np.diff(np.arctan2(y, x))
+    step -= 2.0 * math.pi * np.round(step / (2.0 * math.pi))
+    return round(float(np.sum(step)) / (2.0 * math.pi)), float(np.min(np.hypot(x, y)))
+
+
+@pytest.mark.parametrize("kind", ["focus_focus", "generic", "positive"])
+def test_monodromy_of_random_circles_matches_sampled_windings(kind):
+    """Off-centre circles with coordinates in (1/64) Z, at least 1e-3 from
+    every kernel's singular line, against the windings counted on samples."""
+    frame = closed_form_frame(kind)
+    period_form = {form.const[1]: j for j, form in enumerate(frame.forms)
+                   if form.const is not None and form.const[0] == 1}
+    rng = np.random.default_rng(16)
+    seen = []
+    while len(seen) < 12:
+        c, u, v = (rng.integers(-64, 65, size=frame.dim) / 64.0 for _ in range(3))
+        want = [list(row) for row in zlat.identity(frame.dim)]
+        near = False
+        for i, form in enumerate(frame.forms):
+            for coeff, ax, ay in zip(form.coeff, form.ax, form.ay):
+                w, gap = _sampled_winding(ax, ay, c, u, v)
+                near = near or gap < 1e-3
+                for axis in np.flatnonzero(ay):
+                    want[period_form[axis]][i] += int(coeff * w * ay[axis])
+        if near:
+            continue
+        assert monodromy_from_frame(frame, (c, u, v)) == zlat.mat(want)
+        seen.append(zlat.mat(want))
+    assert len(set(seen)) > 1  # some circles wind round a singular line
 
 
 def curled_frame(d):
@@ -178,13 +217,6 @@ def test_batched_matrix_matches_single_points(kind):
     assert batched.shape == (len(pts), len(frame.forms), frame.dim)
     single = np.stack([frame.matrix_at(p) for p in pts])
     assert np.array_equal(batched, single)
-    # explicit angles (shifted by a winding) reach every point of the batch
-    table = [form.angles(pts) + 2.0 * math.pi for form in frame.forms]
-    shifted = frame.matrix_at(pts, table)
-    assert np.array_equal(
-        shifted,
-        np.stack([frame.matrix_at(p, [a[j] for a in table])
-                  for j, p in enumerate(pts)]))
 
 
 def test_numeric_periods_sm_ff_orbit():
@@ -354,10 +386,7 @@ def test_positive_a0_matches_mpmath(b, want):
     assert abs(positive_a0(b) - want) < 1e-12
 
 
-def test_monodromy_of_double_and_reversed_loops():
+def test_monodromy_of_the_reversed_loop():
     frame = closed_form_frame("focus_focus")
-    base = frame.loops["loop"](0.5)
-    got = monodromy_from_frame(frame, lambda t: base((2.0 * np.asarray(t)) % 1.0))
-    assert got == zlat.mat_mul(zlat.T_NODE, zlat.T_NODE)
-    reverse = lambda t: base(1.0 - np.asarray(t))
-    assert monodromy_from_frame(frame, reverse) == zlat.inverse(zlat.T_NODE)
+    c, u, v = frame.loops["loop"](0.5)
+    assert monodromy_from_frame(frame, (c, u, -v)) == zlat.inverse(zlat.T_NODE)

@@ -332,6 +332,17 @@ def test_tangent_maps_see_a_wrong_symmetric_hessian(mutant):
                          - twist.flow_jacobians(engine, u))) > 1e-6
 
 
+@pytest.mark.parametrize("mutant", [None, _drop_kpp, _flip_kp])
+def test_tangent_map_defect_sees_a_wrong_symmetric_hessian(mutant):
+    # three points in the cut-off shell 0.1 < |u|^2 < 0.2, where k' and k''
+    # are live (a flow keeps |u|^2, so elsewhere the mutants change nothing)
+    u = _jacobian_points()[:3]
+    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+    shell = unit * np.sqrt(0.1 * np.array([1.2, 1.5, 1.8]))[:, None]
+    h = sl.cutoff_hamiltonian(0.1) if mutant is None else _cutoff_with_hess(mutant)
+    assert (sl.tangent_map_defect(h, shell) > 1e-6) == (mutant is not None)
+
+
 def test_analytic_tangent_maps_match_the_engine_fallback():
     u = _jacobian_points()
     engine = sl.cutoff_hamiltonian(0.1)
