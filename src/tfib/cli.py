@@ -409,6 +409,10 @@ def _fib_twist(args):
             [c * (v[:, 0] - v[:, 1]), c * (v[:, 0] + v[:, 1])], axis=-1)
         return float(np.max(np.abs(flow(v) - expected)))
 
+    # the far points (radius 2 sqrt(eps)) must stay inside the flow's region
+    if not 0.0 <= 4.0 * args.eps <= twist.MAX_RADIUS ** 2:
+        raise CliError(f"--eps must lie in [0, {twist.MAX_RADIUS ** 2 / 4.0:g}], "
+                       f"got {args.eps}")
     rng = np.random.default_rng(args.seed)
     u = rng.normal(size=(args.samples, 2)) + 1j * rng.normal(size=(args.samples, 2))
     unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]

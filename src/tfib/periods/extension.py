@@ -44,8 +44,10 @@ atan2(|b1|, t sqrt(Q)), and
 
     a0 = sign(b1) int_0^inf 2 t atan2(|b1|, t sqrt(Q(t))) dt:
 
-one modulus root (rho0) and one quadrature per evaluation.  The integrand
-depends on b1 only through |b1|, so a0 is odd in b1 exactly.
+one modulus root (rho0) and one quadrature per evaluation, the exp-sinh
+doubling rule t = sqrt(rho0) exp(pi/2 sinh x) of
+``numerics.half_line_quadrature``.  The integrand depends on b1 only
+through |b1|, so a0 is odd in b1 exactly.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .. import numerics
 from ..symplab.models import hl_modulus
 
 #: absolute and relative tolerance of the a0 quadrature
@@ -86,9 +89,8 @@ def psi_focus_focus(b, q=None, branch=1):
 def positive_a0(b):
     """The odd Harvey-Lawson correction a0(b); 0 on the plane {b1 = 0}.
 
-    One adaptive quadrature to ``A0_QUAD_TOL`` (absolute and relative)."""
-    from scipy.integrate import quad
-
+    One exp-sinh doubling quadrature (``numerics.half_line_quadrature``,
+    at scale sqrt(rho0)) to ``A0_QUAD_TOL`` (absolute and relative)."""
     b1, b2, b3 = (float(v) for v in b)
     if b1 == 0.0:
         return 0.0
@@ -99,11 +101,13 @@ def positive_a0(b):
     q1 = rho0 + d2 + d3
 
     def integrand(t):
-        tt = t * t
-        return 2.0 * t * math.atan2(c, t * math.sqrt(q0 + tt * (q1 + tt)))
+        # far out, or for huge |b|, t sqrt(Q) overflows to inf, where the
+        # arctan is 0 anyway
+        with np.errstate(over="ignore"):
+            tt = t * t
+            return 2.0 * t * np.arctan2(c, t * np.sqrt(q0 + tt * (q1 + tt)))
 
-    val, _ = quad(integrand, 0.0, math.inf, epsabs=A0_QUAD_TOL, epsrel=A0_QUAD_TOL,
-                  limit=400)
+    val, _ = numerics.half_line_quadrature(integrand, math.sqrt(rho0), A0_QUAD_TOL)
     return math.copysign(val, b1)
 
 

@@ -1,31 +1,33 @@
 """Hamiltonian twists: time-1 flows of cut-off Hamiltonians on C^2.
 
 Flows integrate  udot_k = -dH/dy_k + i dH/dx_k  (the package convention)
-with an adaptive embedded Runge-Kutta scheme (DOP853 at ``ODE_RTOL`` and
-``ODE_ATOL``), batched over all requested start points.  A Hamiltonian
-is a callable that carries its analytic gradient ``grad`` (shape (m, 2n)),
-from which the field is read.  Symplecticity of the flow is checked by
+with the package's numpy DOP853 stepper (``numerics.dop853`` at
+``ODE_RTOL`` and ``ODE_ATOL``), batched over all requested start points.
+A Hamiltonian is a callable that carries its analytic gradient ``grad``
+(shape (m, 2n)), from which the field is read.  Symplecticity of the flow is checked by
 integrating the variational equations d/dt J = D X_H J, which avoids
 differencing the integrated map itself.  The field Jacobian D X_H is the
 same row map applied to an analytic Hessian ``hess`` (shape
 (m, 2n, 2n)), which both shipped Hamiltonians carry; only a Hamiltonian
 without one falls back to the engine (``numerics.jacobian`` of the
 field).  :func:`tangent_map_defect` checks J itself against the engine's
-derivative of the time-1 map at a few points.
+derivative of the time-1 map at a few points, flowing the whole
+difference stencil in one solve.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .. import numerics
 
-#: DOP853 tolerances of the time-1 flow
+#: tolerances of the time-1 flow
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
-#: DOP853 tolerances of the variational equations
+#: tolerances of the variational equations
 VARIATIONAL_RTOL = 1e-11
 VARIATIONAL_ATOL = 1e-13
 #: a flowed point farther out than this fails the flow
@@ -72,9 +74,13 @@ def _smoothstep7_second(x):
 
 
 def cutoff_hamiltonian(eps=0.1):
-    """H = k(|u1|^2 + |u2|^2) H0 with k = 1 below eps and 0 above 2 eps."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    """H = k(|u1|^2 + |u2|^2) H0 with k = 1 below eps and 0 above 2 eps.
+
+    eps must be finite, with eps^2 a normal float: the Hessian divides by
+    eps^2."""
+    if not (math.isfinite(eps) and eps > 0.0 and eps * eps >= sys.float_info.min):
+        raise ValueError(f"eps must be finite and positive with eps^2 >= "
+                         f"{sys.float_info.min:.3g}, got {eps}")
 
     def h(u):
         u = np.asarray(u, dtype=complex)
@@ -130,21 +136,14 @@ def _field(h, u):
 
 def _time_one(h, u0):
     """The time-1 flow of ``h`` from the complex points ``u0`` (m, n)."""
-    from scipy.integrate import solve_ivp
-
     u0 = np.atleast_2d(np.asarray(u0, dtype=complex))
     m, n = u0.shape
-    y0 = numerics.c2r(u0).reshape(-1)
 
-    def rhs(_t, y):
-        u = numerics.r2c(y.reshape(m, 2 * n))
-        return _field(h, u).reshape(-1)
+    def rhs(y):
+        return _field(h, numerics.r2c(y.reshape(m, 2 * n))).reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                    rtol=ODE_RTOL, atol=ODE_ATOL)
-    if not sol.success:
-        raise RuntimeError(f"Hamiltonian flow integration failed: {sol.message}")
-    out = numerics.r2c(sol.y[:, -1].reshape(m, 2 * n))
+    y1 = numerics.dop853(rhs, numerics.c2r(u0).reshape(-1), ODE_RTOL, ODE_ATOL)
+    out = numerics.r2c(y1.reshape(m, 2 * n))
     if np.any(np.abs(out) > MAX_RADIUS):
         raise RuntimeError("Hamiltonian flow left the sampled region")
     return out
@@ -169,8 +168,6 @@ def hamiltonian_twist(h):
 
 def flow_jacobians(h, points):
     """Tangent maps of the time-1 flow via the variational equations."""
-    from scipy.integrate import solve_ivp
-
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     m, n = points.shape
     d = 2 * n
@@ -184,18 +181,15 @@ def flow_jacobians(h, points):
 
     hess = getattr(h, "hess", None)
 
-    def rhs(_t, y):
+    def rhs(y):
         x = y[: m * d].reshape(m, d)
         jacs = y[m * d:].reshape(m, d, d)
         a = _symplectic_rows(hess(numerics.r2c(x))) if hess is not None \
             else numerics.jacobian(field, x)      # D X_H at each point
         return np.concatenate([field(x).reshape(-1), (a @ jacs).reshape(-1)])
 
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                    rtol=VARIATIONAL_RTOL, atol=VARIATIONAL_ATOL)
-    if not sol.success:
-        raise RuntimeError(f"variational flow failed: {sol.message}")
-    return sol.y[m * d:, -1].reshape(m, d, d)
+    y1 = numerics.dop853(rhs, y0, VARIATIONAL_RTOL, VARIATIONAL_ATOL)
+    return y1[m * d:].reshape(m, d, d)
 
 
 def symplecticity_defect(flow, points):
@@ -218,6 +212,8 @@ def tangent_map_defect(h, points):
     one passes :func:`symplecticity_defect`; it fails this comparison.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    differenced = numerics.jacobian(lambda x: numerics.c2r(_time_one(h, numerics.r2c(x))),
-                                    numerics.c2r(points), step=1e-5)
+    xs, steps = numerics.stencil(numerics.c2r(points), step=1e-5)
+    # the flow acts pointwise, so the whole stencil flows in one solve
+    flowed = numerics.c2r(_time_one(h, numerics.r2c(xs.reshape(-1, xs.shape[-1]))))
+    differenced = numerics.richardson(flowed.reshape(xs.shape), steps)
     return float(np.max(np.abs(flow_jacobians(h, points) - differenced)))

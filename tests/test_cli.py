@@ -422,6 +422,9 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["fib", "reduce-check", "--t", "0.5", "--samples", "0"],
     ["fib", "twist", "--samples", "-3"],
     ["fib", "reduce-check", "--t", "0", "--samples", "1", "--seed", "227"],
+    ["fib", "twist", "--which", "cutoff", "--eps", "1e10"],
+    ["fib", "twist", "--which", "cutoff", "--eps", "inf"],
+    ["fib", "twist", "--which", "cutoff", "--eps", "1e-300"],
 ])
 # a warning would reach the terminal before the error line, so it fails here
 @pytest.mark.filterwarnings("error")
@@ -530,12 +533,15 @@ def test_fib_poisson_loads_no_exact_or_germs_layer(tmp_path):
     assert loaded == ["numpy"]
 
 
-def test_only_fib_twist_loads_scipy(tmp_path):
+def test_no_readme_command_loads_scipy(tmp_path):
     commands = readme_commands()
-    is_twist = lambda argv: argv[:2] == ["fib", "twist"]
-    ordered = [a for a in commands if not is_twist(a)] + \
-        [a for a in commands if is_twist(a)]
-    assert is_twist(ordered[-1])
-    for argv, (code, loaded) in zip(ordered, modules_after(tmp_path, ordered)[1:]):
+    for argv, (code, loaded) in zip(commands, modules_after(tmp_path, commands)[1:]):
         assert code == 0, argv
-        assert ("scipy" in loaded) == is_twist(argv), (argv, loaded)
+        assert "scipy" not in loaded, (argv, loaded)
+
+
+def test_no_tfib_module_imports_scipy():
+    src = Path(cli.__file__).parent
+    importers = sorted(str(p.relative_to(src)) for p in src.rglob("*.py")
+                       if re.search(r"^\s*(import|from) scipy", p.read_text(), re.M))
+    assert importers == []

@@ -332,15 +332,19 @@ def test_tangent_maps_see_a_wrong_symmetric_hessian(mutant):
                          - twist.flow_jacobians(engine, u))) > 1e-6
 
 
-@pytest.mark.parametrize("mutant", [None, _drop_kpp, _flip_kp])
-def test_tangent_map_defect_sees_a_wrong_symmetric_hessian(mutant):
-    # three points in the cut-off shell 0.1 < |u|^2 < 0.2, where k' and k''
-    # are live (a flow keeps |u|^2, so elsewhere the mutants change nothing)
+def _shell_points():
+    """Three points in the cut-off shell 0.1 < |u|^2 < 0.2, where k' and k''
+    are live (a flow keeps |u|^2, so elsewhere a wrong k' or k'' changes
+    nothing)."""
     u = _jacobian_points()[:3]
     unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
-    shell = unit * np.sqrt(0.1 * np.array([1.2, 1.5, 1.8]))[:, None]
+    return unit * np.sqrt(0.1 * np.array([1.2, 1.5, 1.8]))[:, None]
+
+
+@pytest.mark.parametrize("mutant", [None, _drop_kpp, _flip_kp])
+def test_tangent_map_defect_sees_a_wrong_symmetric_hessian(mutant):
     h = sl.cutoff_hamiltonian(0.1) if mutant is None else _cutoff_with_hess(mutant)
-    assert (sl.tangent_map_defect(h, shell) > 1e-6) == (mutant is not None)
+    assert (sl.tangent_map_defect(h, _shell_points()) > 1e-6) == (mutant is not None)
 
 
 def test_analytic_tangent_maps_match_the_engine_fallback():
@@ -364,6 +368,45 @@ def test_symplecticity_defect_takes_no_engine_jacobian(monkeypatch):
     for h in (sl.h0_quarter_turn, sl.cutoff_hamiltonian(0.1)):
         sl.symplecticity_defect(sl.hamiltonian_twist(h), u)
     assert calls == []
+
+
+def _recorded_solves(monkeypatch):
+    """The real ``numerics.dop853`` and a list that gets the arguments of
+    every call the twist layer makes to it."""
+    real, solves = numerics.dop853, []
+    monkeypatch.setattr(numerics, "dop853", lambda *args: solves.append(args) or real(*args))
+    return real, solves
+
+
+def test_twist_solves_take_the_steps_of_solve_ivp(monkeypatch):
+    from scipy.integrate import solve_ivp
+
+    real, solves = _recorded_solves(monkeypatch)
+    for h in (sl.h0_quarter_turn, sl.cutoff_hamiltonian(0.1)):
+        sl.hamiltonian_twist(h)(_shell_points())
+        twist.flow_jacobians(h, _jacobian_points())
+    assert len(solves) == 4
+    for fun, y0, rtol, atol in solves:
+        calls = []
+        ours = real(lambda y: calls.append(1) or fun(y), y0, rtol, atol)
+        ref = solve_ivp(lambda _t, y: fun(y), (0.0, 1.0), y0, method="DOP853",
+                        rtol=rtol, atol=atol)
+        assert len(calls) == ref.nfev
+        assert np.max(np.abs(ours - ref.y[:, -1])) <= 1e-13
+
+
+def test_tangent_map_defect_flows_its_stencil_in_one_solve(monkeypatch):
+    _, solves = _recorded_solves(monkeypatch)
+    sl.tangent_map_defect(sl.cutoff_hamiltonian(0.1), _shell_points())
+    # 3 points x 4 coordinates x 4 displacements, 4 real coordinates each;
+    # then the variational flow of the 3 points
+    assert [args[1].size for args in solves] == [3 * 4 * 4 * 4, 3 * (4 + 16)]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, 1e-160])
+def test_cutoff_hamiltonian_rejects_an_eps_without_a_normal_square(eps):
+    with pytest.raises(ValueError):
+        sl.cutoff_hamiltonian(eps)
 
 
 def test_smoothing_sigma_zero_bitwise_unchanged():
