@@ -20,6 +20,9 @@ the monodromy integer m = 1).  The frames are Hamiltonian fields from the
 package's one derivative engine (``numerics.hamiltonian_field``, with the
 ``numerics.fd_step`` step policy), and the fibre-cycle integrals use the
 shared doubling trapezoid rule ``numerics.periodic_quadrature``.
+
+The ``*_report`` functions at the end run these on fixed fixtures and
+return report bodies (``tfib germs ...``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ from .symplab.models import mu12
 
 TRAPEZOID_POINTS = 1024
 CYCLE_QUAD_TOL = 1e-6
+#: an ell_1 coefficient or seam integral this far from its integer fails
+ELL1_TOL = 1e-6
+#: a class-integral error or closedness defect at or above this fails a
+#: deformation
+DEFORM_TOL = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -407,3 +415,131 @@ def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
               for j in range(g_left.order + 1 - i)}
     coeffs[(0, 0)] = lambda r: np.asarray(tau(r), dtype=float)
     return GermH((a, b), g_left.order, coeffs)
+
+
+# ----------------------------------------------------------------------
+# checks on fixed fixtures
+# ----------------------------------------------------------------------
+
+def ell1_report(case="ff", ms=(1, 0)) -> dict:
+    """The seam equation on a fixture, against its integers.
+
+    ``ff``: the lower seam integral of the stitched focus-focus l_1, which
+    must be 1.  ``equal`` / ``fake``: constant frames eta^- = (i/2, 1) and
+    eta^+ = eta^- (equal) or eta^- + m_j e1 (fake), e1 = (1, -1), one pair
+    per entry m_j of ``ms``; the coefficients a_j must be 0 (equal) or m_j
+    (fake).  ``passed`` is true when each is within ``ELL1_TOL``.
+    """
+    if case == "ff":
+        rep = integral_condition(stitched_ff_ell1_sequence(), [1], base=-0.5,
+                                 tol=ELL1_TOL)
+        return {
+            "case": "ff",
+            "lower_seam_integral": rep.computed.tolist(),
+            "expected": [1],
+            "tol": ELL1_TOL,
+            "passed": rep.passed,
+        }
+    ms = list(ms)
+    e1 = np.array([1.0 + 0j, -1.0 + 0j])
+    minus = [lambda p: np.array([0.5j, 1.0 + 0j]) for _ in ms]
+    if case == "equal":
+        plus = minus
+    else:
+        plus = [(lambda p, m=m: np.array([0.5j, 1.0 + 0j]) + m * e1) for m in ms]
+    values = [c(np.zeros(2)) for c in ell1_from_frames(plus, minus, lambda p: e1)]
+    expected = ms if case == "fake" else [0] * len(ms)
+    return {
+        "case": case,
+        "a": values,
+        "m": ms,
+        "expected": expected,
+        "tol": ELL1_TOL,
+        "passed": all(abs(a - e) < ELL1_TOL for a, e in zip(values, expected)),
+    }
+
+
+def integral_report(case="negative") -> dict:
+    """The integral conditions of a fixture: the lower (1) and upper (0)
+    seams of the stitched focus-focus model (``ff``), or the negative-vertex
+    table with m1 = -1, m2 = 1 on the constant seams c, d, e of
+    coefficients (0, 0), (-1, 0), (0, 1) (``negative``).  ``passed`` is
+    true when every seam passes."""
+    if case == "ff":
+        seq = stitched_ff_ell1_sequence()
+        reports = {
+            "lower": integral_condition(seq, [1], base=-0.5).to_json(),
+            "upper": integral_condition(seq, [0], base=0.5).to_json(),
+        }
+    else:
+        seqs = {
+            "c": EllSequence.constant("c", [0.0, 0.0]),
+            "d": EllSequence.constant("d", [-1.0, 0.0]),
+            "e": EllSequence.constant("e", [0.0, 1.0]),
+        }
+        reports = {k: v.to_json() for k, v in
+                   negative_table_condition(seqs, -1, 1).items()}
+    return {"case": case, "reports": reports,
+            "passed": all(v["passed"] for v in reports.values())}
+
+
+def constant_report(case="fake") -> dict:
+    """Fake-stitched detection on a two-dimensional fibre: l_1 with the
+    constant coefficients (1, 0) (``fake``), which is fibrewise constant,
+    and with (1 + cos 2 pi y, 0), y the second angle (``wavy``), which is
+    not.  ``passed`` is true when :func:`is_fibrewise_constant` gives the
+    expected answer."""
+    if case == "fake":
+        seq = EllSequence.constant("fake", [1.0, 0.0])
+    else:
+        seq = EllSequence("wavy", 2, {1: [
+            lambda y, base=None: 1.0 + np.cos(2 * np.pi * y[..., 1]),
+            lambda y, base=None: np.zeros(np.shape(y)[:-1]),
+        ]})
+    constant = is_fibrewise_constant(seq)
+    expected = case == "fake"
+    return {
+        "case": case,
+        "fibrewise_constant": constant,
+        "expected": expected,
+        "passed": constant == expected,
+    }
+
+
+def deform_report(rho=0.5) -> dict:
+    """The interpolation (1 - rho) l' + rho l, with a constant cut-off rho,
+    of the one-dimensional l_1 coefficients 1 + sin 2 pi y (l) and 1 (l'),
+    both of class 1.  ``passed``
+    is true when the class integral stays 1 and the result stays closed,
+    both to ``DEFORM_TOL``."""
+    wavy = EllSequence("w", 1, {1: [
+        lambda y, base=None: 1.0 + np.sin(2 * np.pi * y[..., 0]),
+    ]})
+    flat = EllSequence.constant("f", [1.0])
+    mixed = deform_by_cutoff(wavy, lambda b: rho, other=flat)
+    integral = cycle_integrals(mixed)[0]
+    closed = fibrewise_closedness_defect(mixed)
+    return {
+        "rho": rho,
+        "class_integral": integral,
+        "closedness_defect": closed,
+        "passed": abs(integral - 1.0) < DEFORM_TOL and closed < DEFORM_TOL,
+    }
+
+
+def glue_report() -> dict:
+    """Glue the leg germs h_10 = 1 on [-1, 0.5] and h_10 = 0 on [-0.5, 1]
+    (both with h_00 = tau = 0) and sample the blended h_10 on 9 points of
+    [-1, 1] and at the blend ends -0.5 and 0.5 (no check)."""
+    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    one = lambda r: np.ones_like(np.asarray(r, dtype=float))
+    left = GermH((-1.0, 0.5), 2, {(0, 0): zero, (1, 0): one})
+    right = GermH((-0.5, 1.0), 2, {(0, 0): zero, (1, 0): zero})
+    h10 = glue_leg_germs(left, right, zero).coefficient(1, 0)
+    r = np.linspace(-1.0, 1.0, 9)
+    return {
+        "h10": h10(r).tolist(),
+        "r": r.tolist(),
+        "endpoints": [float(h10(np.array([-0.5]))[0]),
+                      float(h10(np.array([0.5]))[0])],
+    }

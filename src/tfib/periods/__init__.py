@@ -12,11 +12,13 @@ _EXPORTS = {
     "PeriodFrame": "frames",
     "closed_form_frame": "frames",
     "closedness_defect": "frames",
+    "frame_report": "frames",
     "monodromy_from_frame": "monodromy",
     "numeric_periods": "numeric",
     "ActionChart": "extension",
     "action_chart": "extension",
     "action_extension_check": "extension",
+    "extension_report": "extension",
     "positive_a0": "extension",
 }
 

@@ -48,6 +48,10 @@ one modulus root (rho0) and one quadrature per evaluation, the exp-sinh
 doubling rule t = sqrt(rho0) exp(pi/2 sinh x) of
 ``numerics.half_line_quadrature``.  The integrand depends on b1 only
 through |b1|, so a0 is odd in b1 exactly.
+
+:func:`extension_report` follows a shipped chart along a fixed path onto
+the discriminant and compares the limit with its known value
+(``tfib periods extend``).
 """
 
 from __future__ import annotations
@@ -175,3 +179,37 @@ def action_extension_check(chart: ActionChart, path) -> ExtensionReport:
     if not converged:
         raise ValueError("action chart diverges along the path (non-simple input)")
     return ExtensionReport(values, float(values[-1]), cauchy, converged)
+
+
+def extension_report(chart: str, t0: float, tol: float):
+    """The limit of a shipped chart's first component along a straight
+    path onto the discriminant, against its known value:
+
+    * focus_focus: from (0.5, 0) to the node, limit 0;
+    * generic, with H = b3: from (0.3, 0.2, t0 + 0.1) to (0, 0, t0),
+      limit t0;
+    * positive, with H = b3 / 2: from (0.3, 0.1, -|t0| - 0.1) to
+      (0, 0, -|t0|), limit -|t0| / 2.
+
+    Returns ``(body, rows)``: the report body, with ``passed`` true when
+    the limit is within ``tol`` of the known value, and the (s_k, value)
+    pairs of :func:`action_extension_check`.
+    """
+    if chart == "focus_focus":
+        path = lambda s: [(1.0 - s) * 0.5, 0.0]
+        h, expected = None, 0.0
+    elif chart == "generic":
+        path = lambda s: [(1 - s) * 0.3, (1 - s) * 0.2, t0 + (1 - s) * 0.1]
+        h, expected = (lambda b: b[2]), t0
+    elif chart == "positive":
+        t0 = -abs(t0)
+        path = lambda s: [(1 - s) * 0.3, (1 - s) * 0.1, t0 - (1 - s) * 0.1]
+        h, expected = (lambda b: 0.5 * b[2]), 0.5 * t0
+    else:
+        raise ValueError(f"no extension path for chart {chart!r}")
+    result = action_extension_check(action_chart(chart, h=h), path)
+    body = result.to_json()
+    body.update({"chart": chart, "expected": expected,
+                 "passed": abs(result.limit - expected) < tol})
+    svals = 1.0 - 0.5 ** np.arange(2, 2 + len(result.values))
+    return body, list(zip(svals, result.values))

@@ -21,19 +21,25 @@ _EXPORTS = {
     "gamma_t_inverse": "reduction",
     "omega_t_matrix": "reduction",
     "reduction_check": "reduction",
+    "reduction_report": "reduction",
     "AmoebaRaster": "amoeba",
     "amoeba_membership": "amoeba",
     "amoeba_raster": "amoeba",
+    "amoeba_report": "amoeba",
     "poisson_check": "poisson",
+    "poisson_report": "poisson",
     "hamiltonian_twist": "twist",
     "h0_quarter_turn": "twist",
     "cutoff_hamiltonian": "twist",
     "symplecticity_defect": "twist",
     "tangent_map_defect": "twist",
+    "twist_report": "twist",
     "discriminant_sample": "discriminant",
+    "discriminant_report": "discriminant",
     "rho_zero": "smoothing",
     "rho_one_smooth": "smoothing",
     "smoothing_one": "smoothing",
+    "smoothing_report": "smoothing",
 }
 
 

@@ -3,7 +3,9 @@
 Membership is decided by the triangle inequality on the side lengths
 (e^{x1}, e^{x2}, 1): a point is in the amoeba iff a triangle with those
 sides exists, i.e. |e^{x1} - e^{x2}| <= 1 <= e^{x1} + e^{x2}; equality is
-the boundary (degenerate triangle).
+the boundary (degenerate triangle).  :func:`amoeba_report` rasterizes the
+amoeba and spot-checks the raster against the same inequalities in log
+space (``tfib fib amoeba``).
 """
 
 from __future__ import annotations
@@ -44,3 +46,29 @@ def amoeba_raster(bounds=(-3.0, 3.0, -3.0, 3.0), resolution=(200, 200)) -> Amoeb
     edge[:, :-1] |= mask[:, :-1] != mask[:, 1:]
     boundary = np.stack([g1[edge], g2[edge]], axis=-1)
     return AmoebaRaster(tuple(bounds), (n1, n2), mask, boundary)
+
+
+def amoeba_report(res=200, lo=-3.0, hi=3.0):
+    """Rasterize the square [lo, hi]^2 at res x res and check every
+    (res // 37)-th row and column against a log-space oracle.
+
+    Returns ``(body, raster, cloud)``: the report body (``passed`` true
+    when the sub-grid matches the oracle), the raster, and every
+    (res // 50)-th inside cell center in raster order, as (x1, x2) pairs.
+    """
+    raster = amoeba_raster((lo, hi, lo, hi), (res, res))
+    x1, x2 = raster.grid()
+    # |e^x1 - e^x2| <= 1 <= e^x1 + e^x2 in log space: no exponential formed
+    k = max(1, res // 37)
+    a, b = x1[::k, None], x2[None, ::k]
+    oracle = (np.maximum(a, b) <= np.logaddexp(0.0, np.minimum(a, b))) \
+        & (np.logaddexp(a, b) >= 0.0)
+    body = {
+        "resolution": [res, res],
+        "bounds": [lo, hi, lo, hi],
+        "inside_cells": int(raster.mask.sum()),
+        "boundary_cells": int(len(raster.boundary)),
+        "passed": bool(np.array_equal(raster.mask[::k, ::k], oracle)),
+    }
+    cloud = [(x1[i], x2[j]) for i, j in np.argwhere(raster.mask)[:: max(1, res // 50)]]
+    return body, raster, cloud

@@ -3,18 +3,25 @@
 The critical surface of every Phi-twisted model is Sigma = {u1 = 0} in the
 zero reduced level, and the discriminant is {0} x (Log o Phi o Gamma_0)(Sigma);
 sampling Sigma over a grid of u2 and pushing forward gives the cloud.
+:func:`discriminant_report` checks on which side of the plain amoeba a
+model's cloud lies (``tfib fib discriminant``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import FibrationModel, thin_legs_branch
+from .models import FibrationModel, make_model, thin_legs_branch
 
 #: the polar grid of u2: GRID_N log-spaced radii in [1e-3, GRID_RADIUS]
 #: times GRID_N angles
 GRID_RADIUS = 3.0
 GRID_N = 120
+#: slack of the amoeba inequalities in the inside test of a cloud
+INSIDE_SLACK = 1e-9
+#: the models whose discriminant lies in the plain amoeba; the leg models'
+#: leave it
+INSIDE_AMOEBA = ("amoeba", "thin_legs")
 
 
 def discriminant_sample(model: FibrationModel, return_branches=False):
@@ -47,3 +54,26 @@ def discriminant_sample(model: FibrationModel, return_branches=False):
         raise ValueError(f"model {model.id} has no branch structure")
     labels = thin_legs_branch(0.0, u2[keep], model.params["eps"], model.params["M"])
     return cloud, labels.tolist()
+
+
+def discriminant_report(model_id, eps=0.1, big_m=4.0):
+    """The discriminant cloud of a model and whether it lies in the amoeba
+    of v1 + v2 + 1 = 0, to ``INSIDE_SLACK``; ``eps`` and ``big_m`` (M) are
+    read by the thin-legs model only.
+
+    Returns ``(body, cloud)``; ``passed`` is true when the cloud is inside
+    exactly for the models of ``INSIDE_AMOEBA``.
+    """
+    params = {"eps": eps, "M": big_m} if model_id == "thin_legs" else {}
+    cloud = discriminant_sample(make_model(model_id, **params))
+    a = np.exp(cloud[:, 1])
+    b = np.exp(cloud[:, 2])
+    inside = bool(np.all(np.abs(a - b) <= 1.0 + INSIDE_SLACK)
+                  and np.all(a + b >= 1.0 - INSIDE_SLACK))
+    body = {
+        "model": model_id,
+        "points": int(len(cloud)),
+        "inside_oracle_amoeba": inside,
+        "passed": inside == (model_id in INSIDE_AMOEBA),
+    }
+    return body, cloud.tolist()

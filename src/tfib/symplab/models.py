@@ -411,22 +411,25 @@ def _model_control() -> FibrationModel:
 
 
 def hl_modulus(usq, b2, b3):
-    """Positive root of rho (rho - b2)(rho - b3) = usq, rho >= max(0,b2,b3)."""
+    """Positive root of rho (rho - b2)(rho - b3) = usq, rho >= max(0,b2,b3).
+
+    Bisection until the bracket is narrower than 1e-15 times its upper end,
+    or its midpoint is no longer strictly inside it (no float left between
+    the ends, or a non-finite input)."""
     lo = max(0.0, b2, b3)
     if usq == 0.0:
         return lo
     hi = lo + max(1.0, usq) ** (1.0 / 3.0) + abs(b2) + abs(b3) + 1.0
     while hi * (hi - b2) * (hi - b3) < usq:
         hi *= 2.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-15 * hi or not lo < mid < hi:
+            return mid
         if mid * (mid - b2) * (mid - b3) < usq:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 _BUILDERS = {

@@ -3,7 +3,8 @@
 {f, g} = sum_k (df/dx_k dg/dy_k - df/dy_k dg/dx_k); components of a
 Lagrangian fibration must pairwise commute.  Gradients come from the
 package's derivative engine ``numerics.jacobian``, in batch over all
-samples at once.
+samples at once.  :func:`poisson_report` is the seeded check that
+``tfib fib poisson`` runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics
-from .models import FibrationModel
+from .models import FibrationModel, make_model, sample_domain
+
+#: a bracket at or above this fails the check
+POISSON_TOL = 1e-6
 
 
 def batch_gradients(model: FibrationModel, z, step=numerics.DEFAULT_STEP):
@@ -51,3 +55,22 @@ def poisson_check(model: FibrationModel, samples, step=numerics.DEFAULT_STEP,
             f"singular/non-smooth locus of {model.id}"
         )
     return float(np.max(np.abs(poisson_brackets(model, samples, step=step))))
+
+
+def poisson_report(model_id, samples, seed=0, step=None, margin=0.1):
+    """The Poisson check of a model on ``samples`` domain points drawn from
+    a generator seeded with ``seed``, at base step ``step``
+    (``numerics.DEFAULT_STEP`` when None): the report body, with ``passed``
+    true when the largest bracket is below ``POISSON_TOL``."""
+    step = numerics.DEFAULT_STEP if step is None else step
+    model = make_model(model_id)
+    z = sample_domain(model, samples, np.random.default_rng(seed), margin=margin)
+    worst = poisson_check(model, z, step=step, margin=margin)
+    return {
+        "model": model_id,
+        "max_bracket": worst,
+        "step": step,
+        "margin": margin,
+        "tol": POISSON_TOL,
+        "passed": worst < POISSON_TOL,
+    }

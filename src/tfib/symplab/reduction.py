@@ -6,7 +6,8 @@ The reduced form at level t is
 
 and Gamma_t(u) = (u1 / sqrt(|t| + sqrt(t^2 + |u1|^2)), u2, ...) pulls the
 standard form back to omega_t.  ``reduction_check`` verifies this with
-finite-difference Jacobians.
+finite-difference Jacobians, and :func:`reduction_report` runs it on
+seeded samples (``tfib fib reduce-check``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics
+
+#: a pull-back defect at or above this fails the check
+REDUCTION_TOL = 1e-6
+#: at t = 0 only samples with |u1| above this are checked
+T0_MIN_U1 = 0.05
 
 
 def gamma_t(u, t):
@@ -63,3 +69,26 @@ def reduction_check(t, samples):
                             numerics.c2r(samples), step=1e-6)
     pullback = np.swapaxes(jac, -1, -2) @ numerics.omega_matrix(k) @ jac
     return float(np.max(np.abs(pullback - omega_t_matrix(samples[:, 0], t, k))))
+
+
+def reduction_report(t, samples, seed=0):
+    """The reduction check at level t on ``samples`` points (u1, u2) drawn
+    uniformly from [-1.5, 1.5]^4 by a generator seeded with ``seed``: the
+    report body, with ``passed`` true when the defect is below
+    ``REDUCTION_TOL``.  At t = 0 the draws with |u1| <= ``T0_MIN_U1`` are
+    dropped, and none left raises ValueError."""
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(samples, 4))
+    z = pts[:, 0::2] + 1j * pts[:, 1::2]
+    if t == 0.0:
+        z = z[np.abs(z[:, 0]) > T0_MIN_U1]
+        if not len(z):
+            raise ValueError(f"at t = 0 only samples with |u1| > {T0_MIN_U1} "
+                             "are checked, and none was drawn")
+    worst = reduction_check(t, z)
+    return {
+        "t": t,
+        "max_defect": worst,
+        "samples": len(z),
+        "tol": REDUCTION_TOL,
+        "passed": worst < REDUCTION_TOL,
+    }

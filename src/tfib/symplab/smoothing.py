@@ -9,6 +9,8 @@ The horizontal-leg reduced fibration is (u1, u2) -> (log|u2|, g) with
 rho0(r, t) = sqrt(|t| + sqrt(t^2 + r)).  rho0 carries the |t| kink that
 makes the unsmoothed model fail to be smooth across the seam t = 0;
 wherever sigma = 1 and rho1 is smooth, g is smooth in t.
+:func:`smoothing_report` checks that on seeded seam points
+(``tfib fib smooth1``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics
+
+#: a seam derivative jump at or above this fails sigma = 1
+SEAM_JUMP_TOL = 1e-4
 
 
 def rho_zero(r, t):
@@ -124,3 +129,31 @@ def seam_derivative_jump(leg: SmoothedLeg, u1, s):
         return sign * (-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * h)
 
     return float(np.max(np.abs(one_sided(+1.0) - one_sided(-1.0))))
+
+
+def smoothing_report(sigma="bump", eps=0.1, seed=0):
+    """The seam derivative jump of the Smoothing-I leg at 100 seam points
+    (u1 in [-0.3, 0.3]^2, s in [0, eps/2]) drawn from a generator seeded
+    with ``seed``: the report body.
+
+    ``passed`` is true for sigma = 0 when the leg's g equals the
+    unsmoothed log|u1 / rho0 - 1| bit for bit (at t = 0.02), for sigma = 1
+    when the jump is below ``SEAM_JUMP_TOL``, and None (no check) for the
+    bump.
+    """
+    rng = np.random.default_rng(seed)
+    leg = smoothing_one(sigma=sigma, eps=eps)
+    u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
+    s = rng.uniform(0.0, eps / 2.0, 100)
+    jump = seam_derivative_jump(leg, u1, s)
+    if sigma == "zero":
+        raw = np.log(np.abs(u1 / rho_zero(np.abs(u1) ** 2, 0.02) - 1.0))
+        passed = bool(np.array_equal(leg.g(u1, 0.02, s), raw))
+    else:
+        passed = jump < SEAM_JUMP_TOL if sigma == "one" else None
+    return {
+        "sigma": sigma,
+        "eps": eps,
+        "seam_derivative_jump": jump,
+        "passed": passed,
+    }

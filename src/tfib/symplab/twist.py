@@ -12,7 +12,8 @@ same row map applied to an analytic Hessian ``hess`` (shape
 without one falls back to the engine (``numerics.jacobian`` of the
 field).  :func:`tangent_map_defect` checks J itself against the engine's
 derivative of the time-1 map at a few points, flowing the whole
-difference stencil in one solve.
+difference stencil in one solve.  :func:`twist_report` runs all three
+checks on seeded points (``tfib fib twist``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ VARIATIONAL_RTOL = 1e-11
 VARIATIONAL_ATOL = 1e-13
 #: a flowed point farther out than this fails the flow
 MAX_RADIUS = 50.0
+#: a flow error, symplecticity defect or tangent-map defect at or above
+#: this fails the twist check
+TWIST_TOL = 1e-6
 
 
 def h0_quarter_turn(u):
@@ -210,10 +214,71 @@ def tangent_map_defect(h, points):
 
     Any symmetric Hessian makes the variational flow symplectic, so a wrong
     one passes :func:`symplecticity_defect`; it fails this comparison.
+
+    Each point x is differenced at the scale of its norm r: the stencil is
+    taken about x / r (base step 1e-5) and flowed at r times its points,
+    and the difference quotient is divided by r.  So the check reads the
+    same at every scale of a scale-invariant flow such as the cut-off
+    twist, phi_eps(u) = sqrt(eps) phi_1(u / sqrt(eps)); a point at 0 is
+    differenced as it is.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    xs, steps = numerics.stencil(numerics.c2r(points), step=1e-5)
+    x = numerics.c2r(points)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    r = np.where(r > 0.0, r, 1.0)
+    ys, steps = numerics.stencil(x / r, step=1e-5)
     # the flow acts pointwise, so the whole stencil flows in one solve
-    flowed = numerics.c2r(_time_one(h, numerics.r2c(xs.reshape(-1, xs.shape[-1]))))
-    differenced = numerics.richardson(flowed.reshape(xs.shape), steps)
+    flowed = numerics.c2r(_time_one(h, numerics.r2c((r * ys).reshape(-1, x.shape[-1]))))
+    differenced = numerics.richardson(flowed.reshape(ys.shape), steps) / r[..., None]
     return float(np.max(np.abs(flow_jacobians(h, points) - differenced)))
+
+
+def _quarter_turn_error(flow, v):
+    """max |flow(v) - quarter turn of v| over the points v (m, 2)."""
+    c = 1.0 / math.sqrt(2.0)
+    expected = np.stack([c * (v[:, 0] - v[:, 1]), c * (v[:, 0] + v[:, 1])], axis=-1)
+    return float(np.max(np.abs(flow(v) - expected)))
+
+
+def twist_report(which="h0", eps=0.1, samples=100, seed=0):
+    """The twist checks of ``h0_quarter_turn`` (``which="h0"``) or of
+    ``cutoff_hamiltonian(eps)`` (``"cutoff"``): the report body, with
+    ``passed`` true when all three are below ``TWIST_TOL``.
+
+    ``samples`` Gaussian points u of C^2 come from a generator seeded with
+    ``seed``.  The flow error is the distance from the quarter turn at u
+    (h0), or for the cut-off the larger of the distances from the identity
+    at radius 2 sqrt(eps), where H = 0, and from the quarter turn at radius
+    0.7 sqrt(eps), where k = 1.  The symplecticity defect is taken at
+    0.3 u for the first 20 points, and the tangent-map defect at three
+    points of the cut-off shell eps < |u|^2 < 2 eps, where every term of
+    the Hessian is live.  eps must lie in [0, MAX_RADIUS^2 / 4], so that
+    the far points stay inside the flow's region.
+    """
+    if not 0.0 <= 4.0 * eps <= MAX_RADIUS ** 2:
+        raise ValueError(f"eps must lie in [0, {MAX_RADIUS ** 2 / 4.0:g}], got {eps}")
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+    if which == "h0":
+        h = h0_quarter_turn
+        flow = hamiltonian_twist(h)
+        err = _quarter_turn_error(flow, u)
+    else:
+        h = cutoff_hamiltonian(eps)
+        flow = hamiltonian_twist(h)
+        far = unit * math.sqrt(4.0 * eps)
+        err = max(float(np.max(np.abs(flow(far) - far))),
+                  _quarter_turn_error(flow, unit * math.sqrt(0.49 * eps)))
+    defect = symplecticity_defect(flow, 0.3 * u[:20])
+    shell = unit[:3] * np.sqrt(eps * np.array([1.2, 1.5, 1.8]))[:len(unit), None]
+    tangent = tangent_map_defect(h, shell)
+    return {
+        "which": which,
+        "flow_error": err,
+        "symplectic_defect": defect,
+        "tangent_map_defect": tangent,
+        "ode_rtol": ODE_RTOL,
+        "tol": TWIST_TOL,
+        "passed": err < TWIST_TOL and defect < TWIST_TOL and tangent < TWIST_TOL,
+    }

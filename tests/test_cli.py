@@ -1,6 +1,8 @@
 """CLI surface: subcommands, artifacts, exit codes, reproducibility."""
 
 import argparse
+import ast
+import importlib
 import inspect
 import json
 import os
@@ -126,11 +128,13 @@ def test_unknown_command_usage_error():
 
 
 def test_reports_embed_config(tmp_path):
+    from tfib.symplab import reduction
+
     code, data, _ = run(tmp_path, "fib", "reduce-check", "--t", "0.5",
                         "--samples", "20", "--seed", "3")
     assert code == 0
-    assert data["config"]["seed"] == 3
-    assert "tol" in data["config"]
+    assert data["config"] == {"samples": 20, "seed": 3, "strict": False}
+    assert data["tol"] == reduction.REDUCTION_TOL
 
 
 def test_byte_identical_reports(tmp_path):
@@ -189,7 +193,7 @@ def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
     code, data, _ = run(tmp_path, "periods", "frame", "--kind", "generic",
                         "--strict")
     assert code == 1 and data["passed"] is False
-    assert data["closedness_defect"] > 0.5 and data["config"]["tol"] == 1e-6
+    assert data["closedness_defect"] > 0.5 and data["tol"] == 1e-6
 
 
 def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch):
@@ -229,6 +233,10 @@ def test_twist_cutoff_strict_passes(tmp_path):
     code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
                         "--samples", "20", "--strict")
     assert code == 0 and data["passed"] is True and data["flow_error"] < 1e-9
+    # the tangent maps are differenced at the scale of the shell, sqrt(eps)
+    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
+                        "--eps", "1e-6", "--samples", "20", "--strict")
+    assert code == 0 and data["passed"] is True
 
 
 def test_periods_frame_strict_passes(tmp_path):
@@ -300,8 +308,76 @@ def test_germs_ell1_checks_every_case(tmp_path, monkeypatch, case, m):
         lambda p, c=c: c(p) + 1e-3 for c in real(*a)])
     code, data, _ = run(tmp_path, *argv)
     assert code == 1 and data["passed"] is False
-    code, data, _ = run(tmp_path, *argv, "--tol", "1e-2")
+    monkeypatch.setattr("tfib.germs.ELL1_TOL", 1e-2)
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 0 and data["passed"] is True and data["tol"] == 1e-2
+
+
+@pytest.mark.parametrize("argv, constant", [
+    (["fib", "poisson", "--model", "sm_ff", "--samples", "30"],
+     "tfib.symplab.poisson.POISSON_TOL"),
+    (["fib", "reduce-check", "--t", "0.5", "--samples", "30"],
+     "tfib.symplab.reduction.REDUCTION_TOL"),
+    (["fib", "twist", "--samples", "5"], "tfib.symplab.twist.TWIST_TOL"),
+    (["periods", "frame", "--kind", "generic"], "tfib.periods.frames.CLOSEDNESS_TOL"),
+    (["germs", "ell1", "--case", "equal"], "tfib.germs.ELL1_TOL"),
+])
+def test_reports_apply_and_state_the_layer_tolerance(tmp_path, monkeypatch, argv, constant):
+    code, data, _ = run(tmp_path, *argv, "--strict")
+    assert code == 0 and data["passed"] is True and "tol" not in data["config"]
+    # no check value is below 0: the leaf reads its layer's one constant
+    monkeypatch.setattr(constant, 0.0)
+    code, data, _ = run(tmp_path, *argv, "--strict")
+    assert code == 1 and data["passed"] is False and data["tol"] == 0.0
+
+
+def test_reports_are_the_layer_bodies(tmp_path):
+    from tfib import germs, periods, report
+
+    cases = [
+        (["fib", "twist", "--samples", "5", "--seed", "2"],
+         lambda: symplab.twist_report("h0", 0.1, 5, 2)),
+        (["periods", "frame", "--kind", "positive", "--seed", "4"],
+         lambda: periods.frame_report("positive", 4)),
+        (["germs", "ell1", "--case", "fake", "--m", "2", "-1"],
+         lambda: germs.ell1_report("fake", [2, -1])),
+    ]
+    for argv, call in cases:
+        code, data, _ = run(tmp_path, *argv)
+        del data["config"]
+        assert code == 0 and data == json.loads(report.canonical_json(call()))
+
+
+def test_germs_constant_strict_rejects_a_flipped_detector(tmp_path, monkeypatch):
+    from tfib import germs
+
+    for case in ("fake", "wavy"):
+        code, data, _ = run(tmp_path, "germs", "constant", "--case", case, "--strict")
+        assert code == 0 and data["passed"] is True
+        assert data["fibrewise_constant"] is data["expected"] is (case == "fake")
+    real = germs.is_fibrewise_constant
+    monkeypatch.setattr("tfib.germs.is_fibrewise_constant", lambda seq: not real(seq))
+    for case in ("fake", "wavy"):
+        code, data, _ = run(tmp_path, "germs", "constant", "--case", case, "--strict")
+        assert code == 1 and data["passed"] is False
+
+
+@pytest.mark.parametrize("argv, target, mutate", [
+    (["fib", "reduce-check", "--t", "0.5", "--samples", "50"],
+     "tfib.symplab.reduction.gamma_t", lambda real: lambda u, t: 1.001 * real(u, t)),
+    # a rho1 with a |t| kink at the seam
+    (["fib", "smooth1", "--sigma", "one"],
+     "tfib.symplab.smoothing.rho_one_smooth", lambda real: lambda r, t: real(r, t) + abs(t)),
+    (["germs", "integral", "--case", "negative"],
+     "tfib.germs.cycle_integrals", lambda real: lambda *a, **kw: real(*a, **kw) + 0.5),
+])
+def test_checked_leaves_strict_reject_a_mutant(tmp_path, monkeypatch, argv, target, mutate):
+    code, data, _ = run(tmp_path, *argv, "--strict")
     assert code == 0 and data["passed"] is True
+    module, name = target.rsplit(".", 1)
+    monkeypatch.setattr(target, mutate(getattr(importlib.import_module(module), name)))
+    code, data, _ = run(tmp_path, *argv, "--strict")
+    assert code == 1 and data["passed"] is False
 
 
 def test_smooth1_sigma_bump_reports_no_check(tmp_path):
@@ -367,6 +443,11 @@ def test_every_leaf_option_is_read_by_its_handler():
     ["fib", "list", "--samples", "10"],
     ["fib", "smooth1", "--tol", "1e-3"],
     ["periods", "extend", "--chart", "generic", "--seed", "1"],
+    ["fib", "poisson", "--model", "sm_ff", "--tol", "1e-3"],
+    ["fib", "reduce-check", "--t", "0.5", "--tol", "1e-3"],
+    ["fib", "twist", "--tol", "1e-3"],
+    ["periods", "frame", "--kind", "generic", "--tol", "1e-3"],
+    ["germs", "ell1", "--tol", "1e-3"],
 ])
 def test_leaves_reject_options_they_do_not_read(tmp_path, argv):
     code, data, _ = run(tmp_path, *argv)
@@ -538,6 +619,18 @@ def test_no_readme_command_loads_scipy(tmp_path):
     for argv, (code, loaded) in zip(commands, modules_after(tmp_path, commands)[1:]):
         assert code == 0, argv
         assert "scipy" not in loaded, (argv, loaded)
+
+
+def test_cli_imports_only_the_stdlib_and_tfib():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("tfib" if node.level else node.module.split(".")[0])
+    assert "numpy" not in roots and "tfib" in roots
+    assert roots - {"tfib"} <= set(sys.stdlib_module_names)
 
 
 def test_no_tfib_module_imports_scipy():

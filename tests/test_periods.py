@@ -335,6 +335,12 @@ def test_hl_modulus_is_relatively_accurate_near_zero(b1):
     assert abs(hl_modulus(b1 * b1, 0.0, 0.0) - want) <= 1e-14 * want
 
 
+def test_hl_modulus_converges_beside_a_huge_coefficient():
+    """With b3 = -1e100 the bracket starts near 1e100, and reaching the root
+    next to b2 = 0.025 takes about 390 halvings."""
+    assert abs(hl_modulus(0.075 ** 2, 0.025, -1e100) - 0.025) <= 1e-15 * 0.025
+
+
 def _a0_s_integral(b):
     """The defining s-integral of a0, one modulus root per quadrature node."""
     b1, b2, b3 = (float(v) for v in b)
