@@ -51,10 +51,6 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that takes ``-0.1,0.1,0.25``, ``-2.5e-1`` and
     ``-inf`` as option values, not as unknown options: a token of ``-``
@@ -189,7 +185,7 @@ def _rational(text, flag):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"{flag} must be an exact rational, got {text!r}") from None
+        raise ValueError(f"{flag} must be an exact rational, got {text!r}") from None
 
 
 def _load_base(args):
@@ -201,7 +197,7 @@ def _load_base(args):
     if getattr(args, "kind", None):
         tau = [_rational(c, "--tau") for c in getattr(args, "tau", "0").split(",")]
         return affine.build_local_model(args.kind, affine.Polynomial(tau))
-    raise CliError("need --kind or --input")
+    raise ValueError("need --kind or --input")
 
 
 def _base_build(args):
@@ -222,12 +218,12 @@ def _base_holonomy(args):
     base = _load_base(args)
     if args.loop:
         if args.loop not in base.loops:
-            raise CliError(f"atlas has no loop {args.loop!r}")
+            raise ValueError(f"atlas has no loop {args.loop!r}")
         word = base.loops[args.loop]
     elif args.word:
         word = affine.loop_word_from_json(json.loads(args.word))
     else:
-        raise CliError("need --loop or --word")
+        raise ValueError("need --loop or --word")
     mat = affine.holonomy(base, word)
     return {"holonomy": zlat.matrix_to_json(mat)}, {}
 
@@ -322,12 +318,7 @@ def _fib_reduce_check(args):
 def _fib_amoeba(args):
     from . import symplab
 
-    if args.res < 2:
-        raise CliError(f"--res must be at least 2, got {args.res}")
-    lo, hi = args.bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise CliError(f"--bounds must be finite, got {lo} {hi}")
-    rep, raster, cloud = symplab.amoeba_report(args.res, lo, hi)
+    rep, raster, cloud = symplab.amoeba_report(args.res, *args.bounds)
     return rep, {".svg": report.raster_svg(raster, args.px_per_unit), ".csv": cloud}
 
 
@@ -384,17 +375,17 @@ def _periods_monodromy(args):
 
     kind = _FRAME_FOR_MODEL.get(args.model) if args.model else args.frame
     if kind is None:
-        raise CliError("need --model or --frame")
+        raise ValueError("need --model or --frame")
     frame = closed_form_frame(kind)
     name, _, radius = args.loop.partition(":")
     radius = float(radius or 0.5)
     if not (math.isfinite(radius) and radius > 0):
-        raise CliError(f"--loop radius must be finite and positive, got {radius}")
+        raise ValueError(f"--loop radius must be finite and positive, got {radius}")
     key = "loop" if name == "circle" else name
     if key not in frame.loops:
         names = ["circle" if k == "loop" else k for k in frame.loops]
-        raise CliError(f"frame {kind} has no loop {name!r} "
-                       f"(loops: {', '.join(names) or 'none'})")
+        raise ValueError(f"frame {kind} has no loop {name!r} "
+                         f"(loops: {', '.join(names) or 'none'})")
     loop = frame.loops[key](radius)
     mat = monodromy_from_frame(frame, loop)
     return {
@@ -407,8 +398,6 @@ def _periods_monodromy(args):
 def _periods_extend(args):
     from . import periods
 
-    if not math.isfinite(args.t0):
-        raise CliError(f"--t0 must be finite, got {args.t0}")
     rep, rows = periods.extension_report(args.chart, args.t0, args.tol)
     return rep, {".csv": rows}
 
@@ -470,7 +459,7 @@ def main(argv=None) -> int:
                     side.write_text(payload)
         else:
             sys.stdout.write(text)
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     if args.strict and rep["passed"] is False:

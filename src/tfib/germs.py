@@ -91,20 +91,13 @@ def fibrewise_closedness_defect(seq: EllSequence) -> float:
     """max |da_j/dy_i - da_i/dy_j| over terms and a torus grid.
 
     The coefficients are evaluated at base point None and differentiated
-    with base step 1e-5.
+    by ``numerics.max_curl`` (base step 1e-5).
     """
     if seq.fibre_dim == 1:
         return 0.0
-    grid = _torus_grid(seq.fibre_dim)
-    worst = 0.0
-    for term in seq.terms.values():
-        def stacked(y, term=term):
-            return np.stack([a(y, None) for a in term], axis=-1)
-
-        jac = numerics.jacobian(stacked, grid, step=1e-5)   # [.., j, i] = da_j/dy_i
-        curl = jac - np.swapaxes(jac, -1, -2)
-        worst = max(worst, float(np.max(np.abs(curl))))
-    return worst
+    fields = [lambda y, term=term: np.stack([a(y, None) for a in term], axis=-1)
+              for term in seq.terms.values()]
+    return numerics.max_curl(fields, _torus_grid(seq.fibre_dim))
 
 
 def cycle_integrals(seq: EllSequence, base=None) -> np.ndarray:
@@ -202,7 +195,8 @@ def _as_base_cutoff(rho):
 
 def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
                      ) -> EllSequence:
-    """Termwise scaling rho * l_k, or interpolation (1-rho) l'_k + rho l_k.
+    """Termwise interpolation (1-rho) l'_k + rho l_k; without ``other``,
+    l' is the zero sequence, so this is the scaling rho * l_k.
 
     ``rho`` depends only on the base point of the reduced fibration; the
     fibre cohomology class of l_1 becomes (1-rho(b)) [l'_1] + rho(b) [l_1],
@@ -211,30 +205,22 @@ def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
     the fibres raises ValueError there.
     """
     rho_at = _as_base_cutoff(rho)
-    if other is not None and other.fibre_dim != seq.fibre_dim:
+    if other is None:
+        other = EllSequence(seq.seam_id, seq.fibre_dim)   # the zero sequence
+    if other.fibre_dim != seq.fibre_dim:
         raise ValueError("interpolation partners have different fibre dims")
-    orders = set(seq.terms) | (set(other.terms) if other is not None else set())
-    new_terms: Dict[int, List[Callable]] = {}
-    for k in sorted(orders):
-        term = seq.terms.get(k, seq.zero_term())
-        term_other = (other.terms.get(k, other.zero_term())
-                      if other is not None else None)
-        new_term = []
-        for j in range(seq.fibre_dim):
-            a = term[j]
-            if term_other is None:
-                def blended(y, base=None, a=a):
-                    return rho_at(base) * np.asarray(a(y, base), dtype=float)
-            else:
-                b = term_other[j]
 
-                def blended(y, base=None, a=a, b=b):
-                    r = rho_at(base)
-                    return (r * np.asarray(a(y, base), dtype=float)
-                            + (1.0 - r) * np.asarray(b(y, base), dtype=float))
-            new_term.append(blended)
-        new_terms[k] = new_term
-    return EllSequence(seq.seam_id, seq.fibre_dim, new_terms)
+    def blend(a, b):
+        def blended(y, base=None):
+            r = rho_at(base)
+            return (r * np.asarray(a(y, base), dtype=float)
+                    + (1.0 - r) * np.asarray(b(y, base), dtype=float))
+        return blended
+
+    terms = {k: [blend(a, b) for a, b in zip(seq.terms.get(k, seq.zero_term()),
+                                              other.terms.get(k, other.zero_term()))]
+             for k in sorted(set(seq.terms) | set(other.terms))}
+    return EllSequence(seq.seam_id, seq.fibre_dim, terms)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +414,8 @@ def ell1_report(case="ff", ms=(1, 0)) -> dict:
     must be 1.  ``equal`` / ``fake``: constant frames eta^- = (i/2, 1) and
     eta^+ = eta^- (equal) or eta^- + m_j e1 (fake), e1 = (1, -1), one pair
     per entry m_j of ``ms``; the coefficients a_j must be 0 (equal) or m_j
-    (fake).  ``passed`` is true when each is within ``ELL1_TOL``.
+    (fake).  ``passed`` is true when each is within ``ELL1_TOL``; an
+    empty ``ms`` raises ValueError.
     """
     if case == "ff":
         rep = integral_condition(stitched_ff_ell1_sequence(), [1], base=-0.5,
@@ -441,6 +428,8 @@ def ell1_report(case="ff", ms=(1, 0)) -> dict:
             "passed": rep.passed,
         }
     ms = list(ms)
+    if not ms:
+        raise ValueError(f"case {case} needs at least one m")
     e1 = np.array([1.0 + 0j, -1.0 + 0j])
     minus = [lambda p: np.array([0.5j, 1.0 + 0j]) for _ in ms]
     if case == "equal":
@@ -511,7 +500,9 @@ def deform_report(rho=0.5) -> dict:
     of the one-dimensional l_1 coefficients 1 + sin 2 pi y (l) and 1 (l'),
     both of class 1.  ``passed``
     is true when the class integral stays 1 and the result stays closed,
-    both to ``DEFORM_TOL``."""
+    both to ``DEFORM_TOL``.  rho must lie in [0, 1]."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
     wavy = EllSequence("w", 1, {1: [
         lambda y, base=None: 1.0 + np.sin(2 * np.pi * y[..., 0]),
     ]})

@@ -107,6 +107,16 @@ def jacobian(f, x, step=DEFAULT_STEP):
     return out
 
 
+def max_curl(fields, x):
+    """Closedness defect of the 1-forms ``fields`` at the points x (..., d):
+    max |J - J^T|, J the :func:`jacobian` of each at base step 1e-5."""
+    worst = 0.0
+    for f in fields:
+        jac = jacobian(f, x, step=1e-5)
+        worst = max(worst, float(np.max(np.abs(jac - np.swapaxes(jac, -1, -2)))))
+    return worst
+
+
 def gradient(f, x, step=DEFAULT_STEP):
     """Gradient of scalar f at x (or at a batch x of shape (..., d)): the
     scalar case of :func:`jacobian`, with the same shape as ``x``."""

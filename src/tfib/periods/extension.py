@@ -151,14 +151,12 @@ class ExtensionReport:
     values: np.ndarray       # chart first components along the path
     limit: float
     cauchy: np.ndarray       # successive |value differences|
-    converged: bool
 
     def to_json(self):
         return {
             "limit": self.limit,
             "values": [float(v) for v in self.values],
             "cauchy": [float(v) for v in self.cauchy],
-            "converged": self.converged,
         }
 
 
@@ -175,10 +173,9 @@ def action_extension_check(chart: ActionChart, path) -> ExtensionReport:
                        for sk in s])
     cauchy = np.abs(np.diff(values))
     tail = cauchy[-4:]
-    converged = bool(np.all(tail[1:] <= 1e-12 + 0.9 * tail[:-1]))
-    if not converged:
+    if not np.all(tail[1:] <= 1e-12 + 0.9 * tail[:-1]):
         raise ValueError("action chart diverges along the path (non-simple input)")
-    return ExtensionReport(values, float(values[-1]), cauchy, converged)
+    return ExtensionReport(values, float(values[-1]), cauchy)
 
 
 def extension_report(chart: str, t0: float, tol: float):
@@ -193,8 +190,13 @@ def extension_report(chart: str, t0: float, tol: float):
 
     Returns ``(body, rows)``: the report body, with ``passed`` true when
     the limit is within ``tol`` of the known value, and the (s_k, value)
-    pairs of :func:`action_extension_check`.
+    pairs of :func:`action_extension_check`.  t0 must be finite, and tol
+    finite and positive.
     """
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if chart == "focus_focus":
         path = lambda s: [(1.0 - s) * 0.5, 0.0]
         h, expected = None, 0.0

@@ -179,17 +179,12 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
 def closedness_defect(frame: PeriodFrame, samples) -> float:
     """max finite-difference curl over the frame forms at the samples.
 
-    One batched Jacobian per form.  Samples must sit in branch interiors
-    (away from the kernels' angle cuts and singular lines); the caller
-    chooses them accordingly.
+    One batched Jacobian per form (``numerics.max_curl``, base step 1e-5).
+    Samples must sit in branch interiors (away from the kernels' angle cuts
+    and singular lines); the caller chooses them accordingly.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    worst = 0.0
-    for form in frame.forms:
-        jac = numerics.jacobian(form.covector, samples, step=1e-5)
-        curl = jac - np.swapaxes(jac, -1, -2)
-        worst = max(worst, float(np.max(np.abs(curl))))
-    return worst
+    return numerics.max_curl([form.covector for form in frame.forms], samples)
 
 
 def frame_report(kind: str, seed=0) -> dict:

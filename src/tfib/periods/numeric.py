@@ -59,6 +59,10 @@ def numeric_periods(model: FibrationModel, b, cycles=None) -> PeriodResult:
     b_raw = np.asarray(b, dtype=float)
     z0 = model.fibre_point(b_raw)
     names = list(cycles) if cycles is not None else sorted(model.cycles)
+    unknown = [name for name in names if name not in model.cycles]
+    if unknown:
+        raise ValueError(f"model {model.id} has no cycle {unknown[0]!r} "
+                         f"(cycles: {', '.join(sorted(model.cycles))})")
     if model.chart is None:
         chart_jac_inv = np.eye(model.components)
     else:

@@ -9,6 +9,7 @@ float is not JSON: serializing one raises ``ValueError``.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 
@@ -42,7 +43,8 @@ def write_csv(path, rows):
 
 
 def raster_svg(raster, pixels_per_unit=100.0):
-    """SVG of an amoeba raster; filled cells merged into row runs."""
+    """SVG of an amoeba raster; filled cells merged into row runs.
+    ``pixels_per_unit`` must be positive, with a finite image size."""
     x1, x2 = raster.grid()
     n1, n2 = raster.resolution
     dx = (raster.bounds[1] - raster.bounds[0]) / max(n1 - 1, 1)
@@ -50,6 +52,9 @@ def raster_svg(raster, pixels_per_unit=100.0):
     s = pixels_per_unit
     width = (raster.bounds[1] - raster.bounds[0]) * s
     height = (raster.bounds[3] - raster.bounds[2]) * s
+    if not (s > 0.0 and math.isfinite(width) and math.isfinite(height)):
+        raise ValueError("pixels per unit must be positive with a finite "
+                         f"image size, got {pixels_per_unit}")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',

@@ -22,6 +22,7 @@ _EXPORTS = {
     "omega_t_matrix": "reduction",
     "reduction_check": "reduction",
     "reduction_report": "reduction",
+    "rho_zero": "reduction",
     "AmoebaRaster": "amoeba",
     "amoeba_membership": "amoeba",
     "amoeba_raster": "amoeba",
@@ -36,7 +37,6 @@ _EXPORTS = {
     "twist_report": "twist",
     "discriminant_sample": "discriminant",
     "discriminant_report": "discriminant",
-    "rho_zero": "smoothing",
     "rho_one_smooth": "smoothing",
     "smoothing_one": "smoothing",
     "smoothing_report": "smoothing",

@@ -55,7 +55,12 @@ def amoeba_report(res=200, lo=-3.0, hi=3.0):
     Returns ``(body, raster, cloud)``: the report body (``passed`` true
     when the sub-grid matches the oracle), the raster, and every
     (res // 50)-th inside cell center in raster order, as (x1, x2) pairs.
+    res must be at least 2, and lo < hi both finite.
     """
+    if res < 2:
+        raise ValueError(f"res must be at least 2, got {res}")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"bounds must be finite with lo < hi, got {lo} {hi}")
     raster = amoeba_raster((lo, hi, lo, hi), (res, res))
     x1, x2 = raster.grid()
     # |e^x1 - e^x2| <= 1 <= e^x1 + e^x2 in log space: no exponential formed

@@ -80,12 +80,21 @@ _THIN_LEGS = (("horizontal_ball", phi_leg_h), ("vertical_ball", phi_leg_v),
               ("diagonal_far", phi_leg_d))
 
 
+def _thin_legs_spheres(u1, u2, eps, big_m):
+    """(distance of (u1, u2) from the centre, radius, branch is inside) of
+    each sphere where phi_thin_legs switches branch, in the order of
+    _THIN_LEGS: |u1|^2 + |u2|^2 = eps, |u1|^2 + |u2 - sqrt2|^2 = eps, |u2|^2 = M."""
+    r1 = np.abs(u1)
+    return [(np.hypot(r1, np.abs(u2)), math.sqrt(eps), True),
+            (np.hypot(r1, np.abs(u2 - SQRT2)), math.sqrt(eps), True),
+            (np.abs(u2), math.sqrt(big_m), False)]
+
+
 def _thin_legs_masks(u1, u2, eps, big_m):
     """Where (u1, u2) lies in each leg branch of _THIN_LEGS (overlaps
     resolve to the first)."""
-    n1 = np.abs(u1) ** 2
-    n2 = np.abs(u2) ** 2
-    return [n1 + n2 <= eps, n1 + np.abs(u2 - SQRT2) ** 2 <= eps, n2 >= big_m]
+    return [dist <= radius if inside else dist >= radius
+            for dist, radius, inside in _thin_legs_spheres(u1, u2, eps, big_m)]
 
 
 def thin_legs_branch(u1, u2, eps, big_m):
@@ -116,7 +125,6 @@ class FibrationModel:
     components: int              # number of real map components
     f: Callable[[np.ndarray], np.ndarray]
     margin: Callable[[np.ndarray], np.ndarray]
-    smooth_locus: str = "smooth on its domain"
     phi: Optional[Callable] = None
     params: dict = field(default_factory=dict)
     chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -163,6 +171,8 @@ def _circle_lift(u, t, phase=1.0):
 
 
 def _model_sm_ff() -> FibrationModel:
+    """Smooth; the only singular fibre is over (0, 0)."""
+
     def f(z):
         return np.stack([mu12(z), log_abs(z[..., 0] * z[..., 1] + 1.0)], axis=-1)
 
@@ -179,14 +189,14 @@ def _model_sm_ff() -> FibrationModel:
         return np.array(_circle_lift(-1.0 + math.exp(c), t), dtype=complex)
 
     return FibrationModel(
-        id="sm_ff", n=2, components=2, f=f, margin=margin,
-        smooth_locus="smooth; only singular fibre over (0,0)",
-        chart=chart, cycles={"s1_orbit": _circle_cycle(1, -1)},
-        fibre_point=fibre_point,
+        id="sm_ff", n=2, components=2, f=f, margin=margin, chart=chart,
+        cycles={"s1_orbit": _circle_cycle(1, -1)}, fibre_point=fibre_point,
     )
 
 
 def _model_hl() -> FibrationModel:
+    """Smooth; critical on the union of {z_i = z_j = 0}."""
+
     def f(z):
         prod = z[..., 0] * z[..., 1] * z[..., 2]
         return np.stack([
@@ -198,13 +208,12 @@ def _model_hl() -> FibrationModel:
     def margin(z):
         return _min_pair_norm(z, [(0, 1), (0, 2), (1, 2)])
 
-    return FibrationModel(
-        id="hl", n=3, components=3, f=f, margin=margin,
-        smooth_locus="smooth; critical on the union of {z_i = z_j = 0}",
-    )
+    return FibrationModel(id="hl", n=3, components=3, f=f, margin=margin)
 
 
 def _model_positive() -> FibrationModel:
+    """Smooth; modeled on the Harvey-Lawson cone near its critical set."""
+
     def f(z):
         prod = z[..., 0] * z[..., 1] * z[..., 2]
         return np.stack([
@@ -231,15 +240,15 @@ def _model_positive() -> FibrationModel:
         return np.array([z1, z2, z3], dtype=complex)
 
     return FibrationModel(
-        id="positive", n=3, components=3, f=f, margin=margin,
-        smooth_locus="smooth; modeled on the Harvey-Lawson cone near its critical set",
-        chart=chart,
+        id="positive", n=3, components=3, f=f, margin=margin, chart=chart,
         cycles={"c2": _circle_cycle(1, -1, 0), "c3": _circle_cycle(1, 0, -1)},
         fibre_point=fibre_point,
     )
 
 
 def _model_generic() -> FibrationModel:
+    """Smooth; the singular fibres are over {(0, r, 0)}."""
+
     def f(z):
         return np.stack([
             mu12(z),
@@ -263,15 +272,15 @@ def _model_generic() -> FibrationModel:
         return np.array([z1, z2, math.exp(c2)], dtype=complex)
 
     return FibrationModel(
-        id="generic", n=3, components=3, f=f, margin=margin,
-        smooth_locus="smooth; singular fibres over {(0, r, 0)}",
-        chart=chart,
+        id="generic", n=3, components=3, f=f, margin=margin, chart=chart,
         cycles={"s1_orbit": _circle_cycle(1, -1, 0), "e3": _circle_cycle(0, 0, 1)},
         fibre_point=fibre_point,
     )
 
 
 def _model_stitched_ff() -> FibrationModel:
+    """Non-smooth on mu^{-1}(0)."""
+
     def f(z):
         return np.stack([
             mu12(z),
@@ -285,24 +294,17 @@ def _model_stitched_ff() -> FibrationModel:
             np.abs(mu12(z)),
         ])
 
-    return FibrationModel(
-        id="stitched_ff", n=2, components=2, f=f, margin=margin,
-        smooth_locus="non-smooth on mu^{-1}(0)",
-    )
+    return FibrationModel(id="stitched_ff", n=2, components=2, f=f, margin=margin)
 
 
 def _thin_legs_switch_gap(u1, u2, eps, big_m):
     """Distance from (u1, u2) to the spheres where phi_thin_legs switches
-    branch: |u1|^2 + |u2|^2 = eps, |u1|^2 + |u2 - sqrt2|^2 = eps, |u2|^2 = M."""
-    r1 = np.abs(u1)
-    return np.minimum.reduce([
-        np.abs(np.hypot(r1, np.abs(u2)) - math.sqrt(eps)),
-        np.abs(np.hypot(r1, np.abs(u2 - SQRT2)) - math.sqrt(eps)),
-        np.abs(np.abs(u2) - math.sqrt(big_m)),
-    ])
+    branch (``_thin_legs_spheres``)."""
+    return np.minimum.reduce([np.abs(dist - radius) for dist, radius, _
+                              in _thin_legs_spheres(u1, u2, eps, big_m)])
 
 
-def _phi_model(model_id, phi, smooth_locus, params=None):
+def _phi_model(model_id, phi, params=None):
     params = dict(params or {})
 
     def twisted(z):
@@ -328,12 +330,18 @@ def _phi_model(model_id, phi, smooth_locus, params=None):
         ])
 
     return FibrationModel(
-        id=model_id, n=3, components=3, f=f, margin=margin,
-        smooth_locus=smooth_locus, phi=phi, params=params,
+        id=model_id, n=3, components=3, f=f, margin=margin, phi=phi,
+        params=params,
     )
 
 
 def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
+    """Non-smooth on mu^{-1}(0); the discriminant is an amoeba with three
+    thin legs.  eps and M must be finite and positive."""
+    for name, value in (("eps", eps), ("M", big_m)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"thin_legs {name} must be finite and positive, got {value}")
+
     def phi(u1, u2):
         return phi_thin_legs(u1, u2, eps, big_m)
 
@@ -380,11 +388,7 @@ def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
 
         return builder
 
-    model = _phi_model(
-        "thin_legs", phi,
-        "non-smooth on mu^{-1}(0); discriminant an amoeba with three thin legs",
-        params={"eps": eps, "M": big_m},
-    )
+    model = _phi_model("thin_legs", phi, params={"eps": eps, "M": big_m})
     model.cycles = {"red_v1": reduced_cycle(0), "red_v2": reduced_cycle(1)}
     model.fibre_point = fibre_point
     model.chart = lambda b: np.asarray(b, dtype=float)
@@ -392,7 +396,9 @@ def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
 
 
 def _model_control() -> FibrationModel:
-    """Deliberately non-commuting components: (|z1|^2, Re z1, Im z2)."""
+    """Deliberately non-commuting components: (|z1|^2, Re z1, Im z2).
+
+    Smooth everywhere; the fibres are deliberately not Lagrangian."""
 
     def f(z):
         return np.stack([
@@ -404,10 +410,7 @@ def _model_control() -> FibrationModel:
     def margin(z):
         return np.abs(z[..., 0].imag)
 
-    return FibrationModel(
-        id="control", n=2, components=3, f=f, margin=margin,
-        smooth_locus="smooth everywhere; fibres deliberately not Lagrangian",
-    )
+    return FibrationModel(id="control", n=2, components=3, f=f, margin=margin)
 
 
 def hl_modulus(usq, b2, b3):
@@ -437,19 +440,13 @@ _BUILDERS = {
     "hl": _model_hl,
     "positive": _model_positive,
     "generic": _model_generic,
-    "amoeba": lambda: _phi_model(
-        "amoeba", psi_amoeba,
-        "non-smooth on mu^{-1}(0); discriminant {0} x Log(v1+v2+1=0)",
-    ),
-    "leg_h": lambda: _phi_model(
-        "leg_h", phi_leg_h, "non-smooth on mu^{-1}(0); discriminant {0} x R x {0}",
-    ),
-    "leg_v": lambda: _phi_model(
-        "leg_v", phi_leg_v, "non-smooth on mu^{-1}(0); discriminant {0} x {0} x R",
-    ),
-    "leg_d": lambda: _phi_model(
-        "leg_d", phi_leg_d, "non-smooth on mu^{-1}(0); discriminant the diagonal",
-    ),
+    # the Phi models are non-smooth on mu^{-1}(0); their discriminants are
+    # {0} x Log(v1+v2+1=0) (amoeba), {0} x R x {0} (leg_h),
+    # {0} x {0} x R (leg_v) and the diagonal (leg_d)
+    "amoeba": lambda: _phi_model("amoeba", psi_amoeba),
+    "leg_h": lambda: _phi_model("leg_h", phi_leg_h),
+    "leg_v": lambda: _phi_model("leg_v", phi_leg_v),
+    "leg_d": lambda: _phi_model("leg_d", phi_leg_d),
     "stitched_ff": _model_stitched_ff,
     "thin_legs": _model_thin_legs,
     "control": _model_control,
@@ -475,10 +472,11 @@ def sample_domain(model: FibrationModel, count: int, rng, margin: float = 0.1
 
     Draws uniformly from the cube [-SAMPLE_BOX, SAMPLE_BOX]^{2n} of real
     coordinates.  A point is in the domain when ``model.margin`` exceeds
-    ``margin``, so ``margin`` must be non-negative.
+    ``margin``, so ``margin`` must be finite and non-negative; a margin
+    that too few draws exceed raises ValueError.
     """
-    if margin < 0:
-        raise ValueError(f"sampling margin must be >= 0, got {margin}")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"sampling margin must be finite and >= 0, got {margin}")
     out = []
     need = count
     for _ in range(200):
@@ -490,17 +488,6 @@ def sample_domain(model: FibrationModel, count: int, rng, margin: float = 0.1
         need -= len(z[:need])
         if need <= 0:
             return np.concatenate(out, axis=0)[:count]
-    raise RuntimeError(
+    raise ValueError(
         f"could not draw {count} samples at margin {margin} for {model.id}"
     )
-
-
-def log_section(x1, x2):
-    """Lagrangian section (x1, x2) -> (i e^{x1}, e^{x2}) of the Log fibration.
-
-    Its image misses the critical surface {v1 + v2 + 1 = 0}:
-    |i e^{x1} + e^{x2} + 1|^2 = (e^{x2} + 1)^2 + e^{2 x1} >= 1.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return np.stack([1j * np.exp(x1), np.exp(x2).astype(complex)], axis=-1)

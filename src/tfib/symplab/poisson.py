@@ -46,6 +46,8 @@ def poisson_check(model: FibrationModel, samples, step=numerics.DEFAULT_STEP,
     Raises if a sample sits closer to the model's declared pole or
     non-smooth locus than the differencing can tolerate.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"difference step must be finite and positive, got {step}")
     samples = np.atleast_2d(np.asarray(samples, dtype=complex))
     required = margin if margin is not None else 10.0 * step
     bad = model.margin(samples) <= required

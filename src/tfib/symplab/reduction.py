@@ -22,6 +22,13 @@ REDUCTION_TOL = 1e-6
 T0_MIN_U1 = 0.05
 
 
+def rho_zero(r, t):
+    """sqrt(|t| + sqrt(t^2 + r)): the Gamma_t denominator; kinked at t=0."""
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return np.sqrt(np.abs(t) + np.sqrt(t * t + r))
+
+
 def gamma_t(u, t):
     """Gamma_t on arrays (..., k) of reduced coordinates.
 
@@ -29,7 +36,7 @@ def gamma_t(u, t):
     """
     u = np.asarray(u, dtype=complex)
     u1 = u[..., 0]
-    denom = np.sqrt(abs(t) + np.sqrt(t * t + np.abs(u1) ** 2))
+    denom = rho_zero(np.abs(u1) ** 2, t)
     out = u.copy()
     with np.errstate(invalid="ignore", divide="ignore"):
         out[..., 0] = np.where(denom > 0, u1 / np.where(denom > 0, denom, 1.0), 0.0)
@@ -61,6 +68,8 @@ def reduction_check(t, samples):
     they must avoid u1 = 0, where Gamma_0 is not smooth.  The Jacobian of
     Gamma_t takes base step 1e-6.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"level t must be finite, got {t}")
     samples = np.atleast_2d(np.asarray(samples, dtype=complex))
     k = samples.shape[1]
     if t == 0.0 and np.any(np.abs(samples[:, 0]) < 1e-9):

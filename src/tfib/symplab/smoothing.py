@@ -18,16 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics
+from .reduction import rho_zero
 
 #: a seam derivative jump at or above this fails sigma = 1
 SEAM_JUMP_TOL = 1e-4
-
-
-def rho_zero(r, t):
-    """sqrt(|t| + sqrt(t^2 + r)): the Gamma_t denominator; kinked at t=0."""
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return np.sqrt(np.abs(t) + np.sqrt(t * t + r))
 
 
 def rho_one_smooth(r, t):
@@ -64,17 +58,14 @@ class SmoothedLeg:
 
     def __init__(self, rho1, sigma, eps=0.1):
         self.rho1 = rho1
-        self.eps = eps
         if sigma == "zero":
             self.sigma = lambda r, s: np.zeros_like(np.asarray(r, dtype=float))
         elif sigma == "one":
             self.sigma = lambda r, s: np.ones_like(np.asarray(r, dtype=float))
         elif sigma == "bump":
             self.sigma = sigma_bump(eps)
-        elif callable(sigma):
-            self.sigma = sigma
         else:
-            raise ValueError("sigma must be 'zero', 'one', 'bump', or callable")
+            raise ValueError(f"sigma must be 'zero', 'one' or 'bump', got {sigma!r}")
 
     def rho(self, r, t, s):
         sig = self.sigma(r, s)
@@ -95,8 +86,8 @@ def smoothing_one(rho1=None, sigma="bump", eps=0.1) -> SmoothedLeg:
     The domination check samples 256 points (r, t) of the leg region
     [0, eps^2] x [-eps, eps], drawn from a generator seeded with 0.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0.0 and np.isfinite(eps * eps)):
+        raise ValueError(f"eps must be positive with a finite eps^2, got {eps}")
     rho1 = rho1 if rho1 is not None else rho_one_smooth
     rng = np.random.default_rng(0)
     r = rng.uniform(0.0, eps * eps, size=256)

@@ -120,7 +120,6 @@ def cutoff_hamiltonian(eps=0.1):
 
     h.grad = grad
     h.hess = hess
-    h.eps = eps
     return h
 
 
@@ -138,6 +137,14 @@ def _field(h, u):
     return _symplectic_rows(h.grad(u))
 
 
+def _atol_scale(u0):
+    """min(1, largest |u| over the start points u0), or 1 when all are 0: the
+    factor on both absolute tolerances, so a small flow is as accurate, for
+    its size, as one at radius 1."""
+    r = float(np.max(np.linalg.norm(u0, axis=-1)))
+    return min(1.0, r) if r > 0.0 else 1.0
+
+
 def _time_one(h, u0):
     """The time-1 flow of ``h`` from the complex points ``u0`` (m, n)."""
     u0 = np.atleast_2d(np.asarray(u0, dtype=complex))
@@ -146,7 +153,8 @@ def _time_one(h, u0):
     def rhs(y):
         return _field(h, numerics.r2c(y.reshape(m, 2 * n))).reshape(-1)
 
-    y1 = numerics.dop853(rhs, numerics.c2r(u0).reshape(-1), ODE_RTOL, ODE_ATOL)
+    y1 = numerics.dop853(rhs, numerics.c2r(u0).reshape(-1), ODE_RTOL,
+                         ODE_ATOL * _atol_scale(u0))
     out = numerics.r2c(y1.reshape(m, 2 * n))
     if np.any(np.abs(out) > MAX_RADIUS):
         raise RuntimeError("Hamiltonian flow left the sampled region")
@@ -192,7 +200,8 @@ def flow_jacobians(h, points):
             else numerics.jacobian(field, x)      # D X_H at each point
         return np.concatenate([field(x).reshape(-1), (a @ jacs).reshape(-1)])
 
-    y1 = numerics.dop853(rhs, y0, VARIATIONAL_RTOL, VARIATIONAL_ATOL)
+    y1 = numerics.dop853(rhs, y0, VARIATIONAL_RTOL,
+                         VARIATIONAL_ATOL * _atol_scale(points))
     return y1[m * d:].reshape(m, d, d)
 
 

@@ -24,34 +24,34 @@ from .zlat import IntMatrix
 
 @dataclass(frozen=True)
 class FibreType:
-    name: str
     euler: int
-    chern_c1: Optional[int] = None
 
 
 FIBRE_TYPES: Dict[str, FibreType] = {
-    "regular": FibreType("regular", 0),
-    "nodal_I1": FibreType("nodal_I1", 1, 1),
-    "generic_I1xS1": FibreType("generic_I1xS1", 0, 1),
-    "positive": FibreType("positive", 1, 1),
-    "negative": FibreType("negative", -1, 1),
-    "alt_negative_codim1": FibreType("alt_negative_codim1", -1, 1),
+    "regular": FibreType(0),
+    "nodal_I1": FibreType(1),
+    "generic_I1xS1": FibreType(0),
+    "positive": FibreType(1),
+    "negative": FibreType(-1),
+    "alt_negative_codim1": FibreType(-1),
 }
 
 
 def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:
-    """Euler characteristic of the compactified total space.
-
-    n = 2: one nodal fibre per node.  n = 3: (#positive) - (#negative);
-    thickened negative vertices keep their aggregate -1.
-    """
+    """Euler characteristic of the compactified total space: the sum of the
+    ``FIBRE_TYPES`` contributions of the graph's vertices.  A node is
+    ``nodal_I1`` (n = 2), a signed vertex is of its sign (n = 3; a thickened
+    negative vertex stays ``negative``), any other vertex is ``regular``."""
     if dimension == 2:
-        return sum(1 for v in graph.vertices if v.valence == 0)
-    if dimension != 3:
+        types = ["nodal_I1" if v.valence == 0 else "regular" for v in graph.vertices]
+    elif dimension == 3:
+        if any(v.sign == "unsigned" for v in graph.vertices if v.valence == 3):
+            raise ValueError("unsigned trivalent vertices present; classify signs first")
+        types = [v.sign if v.sign in ("positive", "negative") else "regular"
+                 for v in graph.vertices]
+    else:
         raise ValueError("dimension must be 2 or 3")
-    if any(v.sign == "unsigned" for v in graph.vertices if v.valence == 3):
-        raise ValueError("unsigned trivalent vertices present; classify signs first")
-    return graph.count_sign("positive") - graph.count_sign("negative")
+    return sum(FIBRE_TYPES[t].euler for t in types)
 
 
 def sign_from_triple(triple: Sequence[IntMatrix]) -> str:

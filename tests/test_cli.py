@@ -516,6 +516,68 @@ def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["fib", "poisson", "--model", "sm_ff", "--samples", "5", "--margin", "nan"],
+     ["margin", "nan"]),
+    (["fib", "poisson", "--model", "sm_ff", "--samples", "5", "--margin", "100"],
+     ["margin", "100.0"]),
+    (["fib", "poisson", "--model", "sm_ff", "--samples", "5", "--step", "0"],
+     ["step", "0.0"]),
+    (["fib", "smooth1", "--eps", "inf"], ["eps", "inf"]),
+    (["periods", "numeric", "--model", "generic", "--b", "0.1,0.3,-0.2",
+      "--cycles", "nosuch"], ["'nosuch'", "e3, s1_orbit"]),
+    (["fib", "amoeba", "--res", "5", "--bounds", "2", "1"], ["bounds", "2.0 1.0"]),
+    (["fib", "amoeba", "--res", "5", "--px-per-unit", "nan"], ["pixels", "nan"]),
+    (["fib", "amoeba", "--res", "5", "--px-per-unit", "0"], ["pixels", "0.0"]),
+    (["fib", "amoeba", "--res", "5", "--px-per-unit", "-1"], ["pixels", "-1.0"]),
+    (["fib", "discriminant", "--model", "thin_legs", "--eps", "nan"], ["eps", "nan"]),
+    (["fib", "discriminant", "--model", "thin_legs", "--eps", "-1"], ["eps", "-1.0"]),
+    (["fib", "discriminant", "--model", "thin_legs", "--M", "0"], ["M", "0.0"]),
+    (["periods", "extend", "--chart", "generic", "--tol", "-1"], ["tol", "-1.0"]),
+    (["periods", "extend", "--chart", "generic", "--tol", "nan"], ["tol", "nan"]),
+    (["fib", "reduce-check", "--t", "inf", "--samples", "10"], ["level t", "inf"]),
+    (["germs", "deform", "--rho", "1e308"], ["rho", "1e+308"]),
+    (["germs", "ell1", "--case", "fake", "--m", "--strict"], ["fake", "one m"]),
+    (["germs", "ell1", "--case", "equal", "--m", "--strict"], ["equal", "one m"]),
+])
+@pytest.mark.filterwarnings("error")
+def test_invalid_values_are_named_in_one_line(tmp_path, capsys, argv, named):
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 2 and data is None and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in named), err
+
+
+# a value for each required option of a leaf with a float option
+_REQUIRED = {"--model": "thin_legs", "--t": "0.5", "--chart": "generic"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_options_fail_as_usage_errors(tmp_path, capsys):
+    """Every float option of every leaf, at nan, inf and -1, either runs
+    or is one usage-error line: exit 0 or 2, never a traceback."""
+    runs = 0
+    for words, leaf in _leaves():
+        floats = [a for a in leaf._actions if a.type is float]
+        if not floats:
+            continue
+        argv = list(words)
+        for a in leaf._actions:
+            if a.required:
+                argv += [a.option_strings[0], _REQUIRED[a.option_strings[0]]]
+        if any(a.dest == "samples" for a in leaf._actions):
+            argv += ["--samples", "5"]
+        for action in floats:
+            for value in ("nan", "inf", "-1"):
+                opt = [action.option_strings[0]] + [value] * (action.nargs or 1)
+                code, _, _ = run(tmp_path, *argv, *opt)
+                err = capsys.readouterr().err
+                assert code in (0, 2) and err.count("\n") <= 1, (argv, opt, err)
+                runs += 1
+    assert runs == 3 * 12
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_samples_below_one_names_the_flag(tmp_path, capsys, samples):
     code, _, _ = run(tmp_path, "fib", "poisson", "--model", "sm_ff",

@@ -347,6 +347,23 @@ def test_tangent_map_defect_sees_a_wrong_symmetric_hessian(mutant):
     assert (sl.tangent_map_defect(h, _shell_points()) > 1e-6) == (mutant is not None)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_twist_report_passes_the_cutoff_at_a_tiny_eps(seed):
+    # the flows' absolute tolerances shrink with the radius of their start
+    # points, so the shell at radius ~1e-5 is flowed as accurately as at 1
+    rep = sl.twist_report("cutoff", 1e-10, 20, seed)
+    assert rep["passed"] is True and rep["tangent_map_defect"] < 2e-7
+
+
+def test_twist_tolerances_scale_with_the_start_points(monkeypatch):
+    _, solves = _recorded_solves(monkeypatch)
+    flow = sl.hamiltonian_twist(sl.h0_quarter_turn)
+    flow(np.array([[0.5j, 0.0]]))
+    flow(np.array([[3.0, 4.0]]))
+    flow(np.zeros((2, 2)))
+    assert [args[3] for args in solves] == [0.5 * twist.ODE_ATOL] + [twist.ODE_ATOL] * 2
+
+
 def test_analytic_tangent_maps_match_the_engine_fallback():
     u = _jacobian_points()
     engine = sl.cutoff_hamiltonian(0.1)
@@ -501,13 +518,6 @@ def test_sample_domain_rejects_a_negative_margin():
     with pytest.raises(ValueError):
         sl.sample_domain(sl.make_model("sm_ff"), 10, np.random.default_rng(0),
                          margin=-0.1)
-
-
-def test_log_section_avoids_critical_surface():
-    rng = np.random.default_rng(13)
-    x = rng.uniform(-4.0, 4.0, size=(500, 2))
-    v = models.log_section(x[:, 0], x[:, 1])
-    assert np.min(np.abs(v[:, 0] + v[:, 1] + 1.0)) >= 1.0
 
 
 def test_reduction_identity_in_u2_at_zero():

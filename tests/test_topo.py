@@ -35,6 +35,18 @@ def test_quintic_euler_is_minus_200():
     assert topo.euler_characteristic(pb.legendre_dual(g), 3) == 200
 
 
+def test_euler_reads_the_fibre_catalogue(monkeypatch):
+    g = quintic_graph()
+    swapped = dict(topo.FIBRE_TYPES,
+                   positive=topo.FibreType(-1), negative=topo.FibreType(1))
+    monkeypatch.setattr(topo, "FIBRE_TYPES", swapped)
+    assert topo.euler_characteristic(g, 3) == 200
+    assert topo.euler_characteristic(pb.legendre_dual(g), 3) == -200
+    monkeypatch.setattr(topo, "FIBRE_TYPES",
+                        dict(swapped, nodal_I1=topo.FibreType(2)))
+    assert topo.euler_characteristic(pb.build_k3_graph(K3), 2) == 48
+
+
 def test_euler_negates_under_dual():
     g = quintic_graph()
     assert topo.euler_characteristic(pb.legendre_dual(g), 3) == \
