@@ -391,25 +391,26 @@ def _reversed_triple(triple):
     return tuple(zlat.inverse(m) for m in reversed(triple))
 
 
-def check_simple(base: ChartedBase, bound: int = 3) -> SimplicityReport:
+def check_simple(base: ChartedBase) -> SimplicityReport:
     """Per-singular-point conjugacy verdicts against the local models.
 
     n = 2: the punctured-neighborhood holonomy must be GL(2,Z)-conjugate
     to the node generator.  n = 3: an edge generator must be conjugate to
     the generic 3x3 generator; a vertex loop triple must be simultaneously
     conjugate to the negative triple or to its inverse transposes, in the
-    given or the orientation-reversed order.
+    given or the orientation-reversed order.  Conjugators are searched
+    within ``zlat.SEARCH_BOUND``.
     """
     if not base.singular_points:
         raise ValueError("base carries no discriminant point records")
     verdicts = []
     for record in base.singular_points:
         mats = [holonomy(base, base.loops[name]) for name in record["loops"]]
-        verdicts.append(_classify_point(record["id"], base.dim, mats, bound))
+        verdicts.append(_classify_point(record["id"], base.dim, mats))
     return SimplicityReport(verdicts)
 
 
-def _classify_point(point_id: str, dim: int, mats, bound: int) -> PointVerdict:
+def _classify_point(point_id: str, dim: int, mats) -> PointVerdict:
     if dim == 2:
         targets = {"node": [zlat.T_NODE]}
     elif len(mats) == 1:
@@ -426,14 +427,14 @@ def _classify_point(point_id: str, dim: int, mats, bound: int) -> PointVerdict:
         ):
             if len(candidate) != len(model_mats):
                 continue
-            conj = zlat.simultaneous_conjugator(candidate, model_mats, bound=bound)
+            conj = zlat.simultaneous_conjugator(candidate, model_mats)
             if conj is not None:
                 return PointVerdict(point_id, True, model, conj,
                                     detail=f"matched {model}{tag}")
     return PointVerdict(
         point_id, False, None, None,
         detail="no local model matched within conjugator bound "
-               f"{bound}; holonomy Smith/charpoly data "
+               f"{zlat.SEARCH_BOUND}; holonomy Smith/charpoly data "
                f"{[zlat.smith_invariants(zlat.mat_sub(m, zlat.identity(dim))) for m in mats]}",
     )
 

@@ -92,7 +92,6 @@ def _parser():
     b.add_argument("--kind", choices=["node", "edge", "positive", "negative"])
     b.add_argument("--tau", default="0")
     b.add_argument("--input", help="atlas JSON file")
-    b.add_argument("--bound", type=int, default=3)
     b = leaf(base, "holonomy", _base_holonomy)
     b.add_argument("--kind", choices=["node", "edge", "positive", "negative"])
     b.add_argument("--input")
@@ -109,10 +108,8 @@ def _parser():
     topo_p = sub.add_parser("topo").add_subparsers(dest="command", required=True)
     t = leaf(topo_p, "euler", _topo_euler)
     t.add_argument("--input", required=True)
-    t.add_argument("--dimension", type=int, choices=[2, 3])
     t = leaf(topo_p, "validate", _topo_validate)
     t.add_argument("--input", required=True)
-    t.add_argument("--bound", type=int, default=3)
     t = leaf(topo_p, "sign", _topo_sign)
     t.add_argument("--triple", required=True,
                    help="JSON list of three integer matrices")
@@ -121,26 +118,19 @@ def _parser():
     leaf(fib, "list", _fib_list)
     f = leaf(fib, "poisson", _fib_poisson, seed=0, samples=1000)
     f.add_argument("--model", required=True)
-    f.add_argument("--step", type=float, default=None,
-                   help="finite-difference base step "
-                        "(default: numerics.DEFAULT_STEP)")
-    f.add_argument("--margin", type=float, default=0.1)
     f = leaf(fib, "reduce-check", _fib_reduce_check, seed=0, samples=1000)
     f.add_argument("--t", type=float, required=True)
     f = leaf(fib, "amoeba", _fib_amoeba)
     f.add_argument("--res", type=int, default=200)
     f.add_argument("--bounds", type=float, nargs=2, default=[-3.0, 3.0])
-    f.add_argument("--px-per-unit", type=float, default=100.0)
     f = leaf(fib, "discriminant", _fib_discriminant)
     f.add_argument("--model", required=True)
-    f.add_argument("--eps", type=float, default=0.1)
-    f.add_argument("--M", dest="big_m", type=float, default=4.0)
     f = leaf(fib, "twist", _fib_twist, seed=0, samples=100)
     f.add_argument("--which", choices=["h0", "cutoff"], default="h0")
-    f.add_argument("--eps", type=float, default=0.1)
+    f.add_argument("--eps", type=float, default=None,
+                   help="cut-off scale of --which cutoff (default 0.1)")
     f = leaf(fib, "smooth1", _fib_smooth1, seed=0)
     f.add_argument("--sigma", choices=["zero", "one", "bump"], default="bump")
-    f.add_argument("--eps", type=float, default=0.1)
 
     per = sub.add_parser("periods").add_subparsers(dest="command", required=True)
     q = leaf(per, "frame", _periods_frame, seed=0)
@@ -149,7 +139,6 @@ def _parser():
     q = leaf(per, "numeric", _periods_numeric)
     q.add_argument("--model", required=True)
     q.add_argument("--b", required=True, help="comma-separated base point")
-    q.add_argument("--cycles", help="comma-separated cycle names")
     q = leaf(per, "monodromy", _periods_monodromy)
     q.add_argument("--model", help="model id (sm_ff, generic, positive)")
     q.add_argument("--frame", help="frame kind, if no model given")
@@ -168,8 +157,7 @@ def _parser():
     g.add_argument("--case", choices=["negative", "ff"], default="negative")
     g = leaf(ger, "constant", _germs_constant)
     g.add_argument("--case", choices=["fake", "wavy"], default="fake")
-    g = leaf(ger, "deform", _germs_deform)
-    g.add_argument("--rho", type=float, default=0.5)
+    leaf(ger, "deform", _germs_deform)
     leaf(ger, "glue", _germs_glue)
     return p
 
@@ -209,7 +197,7 @@ def _base_build(args):
 def _base_check_simple(args):
     from . import affine
 
-    return affine.check_simple(_load_base(args), bound=args.bound).to_json(), {}
+    return affine.check_simple(_load_base(args)).to_json(), {}
 
 
 def _base_holonomy(args):
@@ -271,9 +259,7 @@ def _topo_euler(args):
     from . import topo
 
     graph = _load_graph(args.input)
-    dimension = args.dimension
-    if dimension is None:
-        dimension = 3 if any(v.valence == 3 for v in graph.vertices) else 2
+    dimension = 3 if any(v.valence == 3 for v in graph.vertices) else 2
     return {
         "euler": topo.euler_characteristic(graph, dimension),
         "dimension": dimension,
@@ -284,8 +270,7 @@ def _topo_validate(args):
     from . import topo
 
     graph = _load_graph(args.input)
-    rep = topo.validate_semistable(
-        graph, topo.canonical_assignment(graph), bound=args.bound)
+    rep = topo.validate_semistable(graph, topo.canonical_assignment(graph))
     return rep.to_json(), {}
 
 
@@ -305,8 +290,7 @@ def _fib_list(args):
 def _fib_poisson(args):
     from . import symplab
 
-    return symplab.poisson_report(args.model, args.samples, args.seed,
-                                  step=args.step, margin=args.margin), {}
+    return symplab.poisson_report(args.model, args.samples, args.seed), {}
 
 
 def _fib_reduce_check(args):
@@ -319,13 +303,13 @@ def _fib_amoeba(args):
     from . import symplab
 
     rep, raster, cloud = symplab.amoeba_report(args.res, *args.bounds)
-    return rep, {".svg": report.raster_svg(raster, args.px_per_unit), ".csv": cloud}
+    return rep, {".svg": report.raster_svg(raster), ".csv": cloud}
 
 
 def _fib_discriminant(args):
     from . import symplab
 
-    rep, cloud = symplab.discriminant_report(args.model, args.eps, args.big_m)
+    rep, cloud = symplab.discriminant_report(args.model)
     return rep, {".csv": cloud}
 
 
@@ -338,7 +322,7 @@ def _fib_twist(args):
 def _fib_smooth1(args):
     from . import symplab
 
-    return symplab.smoothing_report(args.sigma, args.eps, args.seed), {}
+    return symplab.smoothing_report(args.sigma, args.seed), {}
 
 
 _FRAME_FOR_MODEL = {"sm_ff": "focus_focus", "generic": "generic",
@@ -357,8 +341,7 @@ def _periods_numeric(args):
 
     model = symplab.make_model(args.model)
     b = [float(v) for v in args.b.split(",")]
-    cycles = args.cycles.split(",") if args.cycles else None
-    res = numeric_periods(model, b, cycles=cycles)
+    res = numeric_periods(model, b)
     rows = [list(v) for _, v in sorted(res.covectors.items())]
     return {
         "model": args.model,
@@ -423,7 +406,7 @@ def _germs_constant(args):
 def _germs_deform(args):
     from . import germs
 
-    return germs.deform_report(args.rho), {}
+    return germs.deform_report(), {}
 
 
 def _germs_glue(args):

@@ -43,6 +43,8 @@ ELL1_TOL = 1e-6
 #: a class-integral error or closedness defect at or above this fails a
 #: deformation
 DEFORM_TOL = 1e-6
+#: the constant cut-off of ``deform_report``'s interpolation
+DEFORM_RHO = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -495,23 +497,21 @@ def constant_report(case="fake") -> dict:
     }
 
 
-def deform_report(rho=0.5) -> dict:
-    """The interpolation (1 - rho) l' + rho l, with a constant cut-off rho,
-    of the one-dimensional l_1 coefficients 1 + sin 2 pi y (l) and 1 (l'),
-    both of class 1.  ``passed``
-    is true when the class integral stays 1 and the result stays closed,
-    both to ``DEFORM_TOL``.  rho must lie in [0, 1]."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+def deform_report() -> dict:
+    """The interpolation (1 - rho) l' + rho l, with the constant cut-off
+    rho = ``DEFORM_RHO``, of the one-dimensional l_1 coefficients
+    1 + sin 2 pi y (l) and 1 (l'), both of class 1.  ``passed`` is true
+    when the class integral stays 1 and the result stays closed, both to
+    ``DEFORM_TOL``."""
     wavy = EllSequence("w", 1, {1: [
         lambda y, base=None: 1.0 + np.sin(2 * np.pi * y[..., 0]),
     ]})
     flat = EllSequence.constant("f", [1.0])
-    mixed = deform_by_cutoff(wavy, lambda b: rho, other=flat)
+    mixed = deform_by_cutoff(wavy, lambda b: DEFORM_RHO, other=flat)
     integral = cycle_integrals(mixed)[0]
     closed = fibrewise_closedness_defect(mixed)
     return {
-        "rho": rho,
+        "rho": DEFORM_RHO,
         "class_integral": integral,
         "closedness_defect": closed,
         "passed": abs(integral - 1.0) < DEFORM_TOL and closed < DEFORM_TOL,

@@ -47,8 +47,9 @@ def _cycle_integrand(model, cyc, b_raw, s):
     return -numerics.omega_pair(lifts, dz[:, None, :]), defect
 
 
-def numeric_periods(model: FibrationModel, b, cycles=None) -> PeriodResult:
-    """Period covectors of the named cycles at base point b (chart coords).
+def numeric_periods(model: FibrationModel, b) -> PeriodResult:
+    """Period covectors of every shipped cycle of the model at base point
+    b (chart coords).
 
     Each cycle is sampled at ``CYCLE_POINTS`` nodes.  Raises when a cycle
     parametrization leaves the fibre by more than ``FIBRE_TOL`` or the
@@ -58,11 +59,6 @@ def numeric_periods(model: FibrationModel, b, cycles=None) -> PeriodResult:
         raise ValueError(f"model {model.id} ships no cycle parametrizations")
     b_raw = np.asarray(b, dtype=float)
     z0 = model.fibre_point(b_raw)
-    names = list(cycles) if cycles is not None else sorted(model.cycles)
-    unknown = [name for name in names if name not in model.cycles]
-    if unknown:
-        raise ValueError(f"model {model.id} has no cycle {unknown[0]!r} "
-                         f"(cycles: {', '.join(sorted(model.cycles))})")
     if model.chart is None:
         chart_jac_inv = np.eye(model.components)
     else:
@@ -72,7 +68,7 @@ def numeric_periods(model: FibrationModel, b, cycles=None) -> PeriodResult:
     covectors = {}
     errors = {}
     worst_defect = 0.0
-    for name in names:
+    for name in sorted(model.cycles):
         cyc, norm = model.cycles[name](z0)
         vals, defect = _cycle_integrand(
             model, cyc, b_raw, np.arange(CYCLE_POINTS) / CYCLE_POINTS)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: the largest |bound| of a report's square: e^x is a finite float up to it
+MAX_BOUND = 709.0
+
 
 def amoeba_membership(x1, x2):
     """Vectorized membership test for the closed amoeba."""
@@ -55,12 +58,13 @@ def amoeba_report(res=200, lo=-3.0, hi=3.0):
     Returns ``(body, raster, cloud)``: the report body (``passed`` true
     when the sub-grid matches the oracle), the raster, and every
     (res // 50)-th inside cell center in raster order, as (x1, x2) pairs.
-    res must be at least 2, and lo < hi both finite.
+    res must be at least 2, and -MAX_BOUND <= lo < hi <= MAX_BOUND.
     """
     if res < 2:
         raise ValueError(f"res must be at least 2, got {res}")
-    if not -np.inf < lo < hi < np.inf:
-        raise ValueError(f"bounds must be finite with lo < hi, got {lo} {hi}")
+    if not -MAX_BOUND <= lo < hi <= MAX_BOUND:
+        raise ValueError(f"bounds must satisfy -{MAX_BOUND:g} <= lo < hi <= "
+                         f"{MAX_BOUND:g}, got {lo} {hi}")
     raster = amoeba_raster((lo, hi, lo, hi), (res, res))
     x1, x2 = raster.grid()
     # |e^x1 - e^x2| <= 1 <= e^x1 + e^x2 in log space: no exponential formed

@@ -50,22 +50,20 @@ def discriminant_sample(model: FibrationModel, return_branches=False):
     ], axis=-1)
     if not return_branches:
         return cloud
-    if "eps" not in model.params:
+    if model.id != "thin_legs":
         raise ValueError(f"model {model.id} has no branch structure")
-    labels = thin_legs_branch(0.0, u2[keep], model.params["eps"], model.params["M"])
+    labels = thin_legs_branch(0.0, u2[keep])
     return cloud, labels.tolist()
 
 
-def discriminant_report(model_id, eps=0.1, big_m=4.0):
+def discriminant_report(model_id):
     """The discriminant cloud of a model and whether it lies in the amoeba
-    of v1 + v2 + 1 = 0, to ``INSIDE_SLACK``; ``eps`` and ``big_m`` (M) are
-    read by the thin-legs model only.
+    of v1 + v2 + 1 = 0, to ``INSIDE_SLACK``.
 
     Returns ``(body, cloud)``; ``passed`` is true when the cloud is inside
     exactly for the models of ``INSIDE_AMOEBA``.
     """
-    params = {"eps": eps, "M": big_m} if model_id == "thin_legs" else {}
-    cloud = discriminant_sample(make_model(model_id, **params))
+    cloud = discriminant_sample(make_model(model_id))
     a = np.exp(cloud[:, 1])
     b = np.exp(cloud[:, 2])
     inside = bool(np.all(np.abs(a - b) <= 1.0 + INSIDE_SLACK)

@@ -26,6 +26,10 @@ from .reduction import gamma_t_inverse
 SQRT2 = math.sqrt(2.0)
 #: half-width of the cube in C^n = R^{2n} that ``sample_domain`` draws from
 SAMPLE_BOX = 1.5
+#: the thin-legs pinching: the two leg balls have squared radius
+#: THIN_LEGS_EPS, the diagonal leg starts at |u2|^2 = THIN_LEGS_M
+THIN_LEGS_EPS = 0.1
+THIN_LEGS_M = 4.0
 
 
 def mu12(z):
@@ -80,34 +84,35 @@ _THIN_LEGS = (("horizontal_ball", phi_leg_h), ("vertical_ball", phi_leg_v),
               ("diagonal_far", phi_leg_d))
 
 
-def _thin_legs_spheres(u1, u2, eps, big_m):
+def _thin_legs_spheres(u1, u2):
     """(distance of (u1, u2) from the centre, radius, branch is inside) of
     each sphere where phi_thin_legs switches branch, in the order of
-    _THIN_LEGS: |u1|^2 + |u2|^2 = eps, |u1|^2 + |u2 - sqrt2|^2 = eps, |u2|^2 = M."""
+    _THIN_LEGS: |u1|^2 + |u2|^2 = eps, |u1|^2 + |u2 - sqrt2|^2 = eps, |u2|^2 = M
+    (eps = THIN_LEGS_EPS, M = THIN_LEGS_M)."""
     r1 = np.abs(u1)
-    return [(np.hypot(r1, np.abs(u2)), math.sqrt(eps), True),
-            (np.hypot(r1, np.abs(u2 - SQRT2)), math.sqrt(eps), True),
-            (np.abs(u2), math.sqrt(big_m), False)]
+    return [(np.hypot(r1, np.abs(u2)), math.sqrt(THIN_LEGS_EPS), True),
+            (np.hypot(r1, np.abs(u2 - SQRT2)), math.sqrt(THIN_LEGS_EPS), True),
+            (np.abs(u2), math.sqrt(THIN_LEGS_M), False)]
 
 
-def _thin_legs_masks(u1, u2, eps, big_m):
+def _thin_legs_masks(u1, u2):
     """Where (u1, u2) lies in each leg branch of _THIN_LEGS (overlaps
     resolve to the first)."""
     return [dist <= radius if inside else dist >= radius
-            for dist, radius, inside in _thin_legs_spheres(u1, u2, eps, big_m)]
+            for dist, radius, inside in _thin_legs_spheres(u1, u2)]
 
 
-def thin_legs_branch(u1, u2, eps, big_m):
+def thin_legs_branch(u1, u2):
     """Branch labels of phi_thin_legs at the points (u1, u2)."""
-    return np.select(_thin_legs_masks(u1, u2, eps, big_m),
+    return np.select(_thin_legs_masks(u1, u2),
                      [name for name, _ in _THIN_LEGS], "amoeba")
 
 
-def phi_thin_legs(u1, u2, eps, big_m):
+def phi_thin_legs(u1, u2):
     """The piecewise symplectomorphism pinching all three legs."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
-    masks = _thin_legs_masks(u1, u2, eps, big_m)
+    masks = _thin_legs_masks(u1, u2)
     legs = [phi(u1, u2) for _, phi in _THIN_LEGS]
     v1, v2 = psi_amoeba(u1, u2)
     return (np.select(masks, [leg[0] for leg in legs], v1),
@@ -126,7 +131,6 @@ class FibrationModel:
     f: Callable[[np.ndarray], np.ndarray]
     margin: Callable[[np.ndarray], np.ndarray]
     phi: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
     chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cycles: Dict[str, Callable] = field(default_factory=dict)
     fibre_point: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -297,24 +301,23 @@ def _model_stitched_ff() -> FibrationModel:
     return FibrationModel(id="stitched_ff", n=2, components=2, f=f, margin=margin)
 
 
-def _thin_legs_switch_gap(u1, u2, eps, big_m):
+def _thin_legs_switch_gap(u1, u2):
     """Distance from (u1, u2) to the spheres where phi_thin_legs switches
     branch (``_thin_legs_spheres``)."""
     return np.minimum.reduce([np.abs(dist - radius) for dist, radius, _
-                              in _thin_legs_spheres(u1, u2, eps, big_m)])
+                              in _thin_legs_spheres(u1, u2)])
 
 
-def _phi_model(model_id, phi, params=None):
-    params = dict(params or {})
+def _phi_model(model_id, phi, switch_gap=None):
+    """The Phi-twisted model; ``switch_gap(u1, u2)`` is the distance to the
+    spheres where a piecewise Phi switches branch (None: a single branch)."""
 
     def twisted(z):
         """(v1, v2) = Phi(gamma(z1, z2), z3), and the distance to the
         spheres where Phi switches branch (inf for a single-branch Phi)."""
         g = gamma(z[..., 0], z[..., 1])
         v1, v2 = phi(g, z[..., 2])
-        if "eps" not in params:
-            return v1, v2, np.inf
-        return v1, v2, _thin_legs_switch_gap(g, z[..., 2], params["eps"], params["M"])
+        return v1, v2, np.inf if switch_gap is None else switch_gap(g, z[..., 2])
 
     def f(z):
         v1, v2, _ = twisted(z)
@@ -331,19 +334,12 @@ def _phi_model(model_id, phi, params=None):
 
     return FibrationModel(
         id=model_id, n=3, components=3, f=f, margin=margin, phi=phi,
-        params=params,
     )
 
 
-def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
+def _model_thin_legs() -> FibrationModel:
     """Non-smooth on mu^{-1}(0); the discriminant is an amoeba with three
-    thin legs.  eps and M must be finite and positive."""
-    for name, value in (("eps", eps), ("M", big_m)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"thin_legs {name} must be finite and positive, got {value}")
-
-    def phi(u1, u2):
-        return phi_thin_legs(u1, u2, eps, big_m)
+    thin legs, pinched at THIN_LEGS_EPS and THIN_LEGS_M."""
 
     def lift(v, t):
         """Points z over mu = t with Phi(gamma(z1, z2), z3) = v, for v of
@@ -351,7 +347,7 @@ def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
         # invert Psi, then Gamma_t, then split u1 = z1 z2 with mu = t
         w = np.stack([v[..., 0] + v[..., 1] + 1.0,
                       -v[..., 0] + v[..., 1] + 1.0], axis=-1) / SQRT2
-        if np.any(thin_legs_branch(w[..., 0], w[..., 1], eps, big_m) != "amoeba"):
+        if np.any(thin_legs_branch(w[..., 0], w[..., 1]) != "amoeba"):
             raise ValueError(
                 "fibre leaves the plain-amoeba branch of Phi; move the base "
                 "point inward or enlarge M"
@@ -388,7 +384,7 @@ def _model_thin_legs(eps=0.1, big_m=4.0) -> FibrationModel:
 
         return builder
 
-    model = _phi_model("thin_legs", phi, params={"eps": eps, "M": big_m})
+    model = _phi_model("thin_legs", phi_thin_legs, switch_gap=_thin_legs_switch_gap)
     model.cycles = {"red_v1": reduced_cycle(0), "red_v2": reduced_cycle(1)}
     model.fibre_point = fibre_point
     model.chart = lambda b: np.asarray(b, dtype=float)
@@ -453,16 +449,10 @@ _BUILDERS = {
 }
 
 
-def make_model(model_id: str, **params) -> FibrationModel:
-    """Construct a fibration model by id; thin_legs accepts eps and M."""
+def make_model(model_id: str) -> FibrationModel:
+    """Construct a fibration model by id."""
     if model_id not in _BUILDERS:
         raise ValueError(f"unknown model id {model_id!r}; known: {MODEL_IDS}")
-    if model_id == "thin_legs":
-        return _model_thin_legs(
-            eps=params.pop("eps", 0.1), big_m=params.pop("M", 4.0)
-        )
-    if params:
-        raise ValueError(f"model {model_id} takes no parameters")
     return _BUILDERS[model_id]()
 
 

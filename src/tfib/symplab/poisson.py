@@ -16,6 +16,8 @@ from .models import FibrationModel, make_model, sample_domain
 
 #: a bracket at or above this fails the check
 POISSON_TOL = 1e-6
+#: the report's samples keep this margin from each model's singular locus
+REPORT_MARGIN = 0.1
 
 
 def batch_gradients(model: FibrationModel, z, step=numerics.DEFAULT_STEP):
@@ -59,20 +61,20 @@ def poisson_check(model: FibrationModel, samples, step=numerics.DEFAULT_STEP,
     return float(np.max(np.abs(poisson_brackets(model, samples, step=step))))
 
 
-def poisson_report(model_id, samples, seed=0, step=None, margin=0.1):
-    """The Poisson check of a model on ``samples`` domain points drawn from
-    a generator seeded with ``seed``, at base step ``step``
-    (``numerics.DEFAULT_STEP`` when None): the report body, with ``passed``
+def poisson_report(model_id, samples, seed=0):
+    """The Poisson check of a model on ``samples`` domain points, drawn
+    from a generator seeded with ``seed`` at margin ``REPORT_MARGIN``, at
+    base step ``numerics.DEFAULT_STEP``: the report body, with ``passed``
     true when the largest bracket is below ``POISSON_TOL``."""
-    step = numerics.DEFAULT_STEP if step is None else step
     model = make_model(model_id)
-    z = sample_domain(model, samples, np.random.default_rng(seed), margin=margin)
-    worst = poisson_check(model, z, step=step, margin=margin)
+    z = sample_domain(model, samples, np.random.default_rng(seed),
+                      margin=REPORT_MARGIN)
+    worst = poisson_check(model, z, margin=REPORT_MARGIN)
     return {
         "model": model_id,
         "max_bracket": worst,
-        "step": step,
-        "margin": margin,
+        "step": numerics.DEFAULT_STEP,
+        "margin": REPORT_MARGIN,
         "tol": POISSON_TOL,
         "passed": worst < POISSON_TOL,
     }

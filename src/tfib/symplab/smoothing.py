@@ -22,6 +22,8 @@ from .reduction import rho_zero
 
 #: a seam derivative jump at or above this fails sigma = 1
 SEAM_JUMP_TOL = 1e-4
+#: the leg width eps: the leg region is [0, eps^2] x [-eps, eps] in (r, t)
+LEG_EPS = 0.1
 
 
 def rho_one_smooth(r, t):
@@ -36,14 +38,14 @@ def rho_one_smooth(r, t):
     return np.sqrt(t + np.sqrt(t * t + r)) + 1.0
 
 
-def sigma_bump(eps=0.1):
+def sigma_bump():
     """Cut-off equal to 1 on the inner rectangle S1 and 0 outside S0.
 
     S0 = [-9 eps^2/64, 9 eps^2/64] x [-3 eps/8, 3 eps/8] in the (r, s)
-    plane, S1 the centered copy scaled by 1/2.
+    plane (eps = LEG_EPS), S1 the centered copy scaled by 1/2.
     """
-    r0 = 9.0 * eps * eps / 64.0
-    s0 = 3.0 * eps / 8.0
+    r0 = 9.0 * LEG_EPS * LEG_EPS / 64.0
+    s0 = 3.0 * LEG_EPS / 8.0
 
     def sigma(r, s):
         pr = numerics.plateau(r, -0.5 * r0, 0.5 * r0, -r0, r0)
@@ -56,14 +58,14 @@ def sigma_bump(eps=0.1):
 class SmoothedLeg:
     """The leg model with the interpolated profile substituted."""
 
-    def __init__(self, rho1, sigma, eps=0.1):
+    def __init__(self, rho1, sigma):
         self.rho1 = rho1
         if sigma == "zero":
             self.sigma = lambda r, s: np.zeros_like(np.asarray(r, dtype=float))
         elif sigma == "one":
             self.sigma = lambda r, s: np.ones_like(np.asarray(r, dtype=float))
         elif sigma == "bump":
-            self.sigma = sigma_bump(eps)
+            self.sigma = sigma_bump()
         else:
             raise ValueError(f"sigma must be 'zero', 'one' or 'bump', got {sigma!r}")
 
@@ -79,19 +81,18 @@ class SmoothedLeg:
         return np.log(np.abs(u1 / rho - 1.0))
 
 
-def smoothing_one(rho1=None, sigma="bump", eps=0.1) -> SmoothedLeg:
+def smoothing_one(rho1=None, sigma="bump") -> SmoothedLeg:
     """Build the Smoothing-I leg model, verifying rho1 > rho0 by sampling.
 
     ``rho1`` defaults to the smooth dominating profile rho_one_smooth.
     The domination check samples 256 points (r, t) of the leg region
-    [0, eps^2] x [-eps, eps], drawn from a generator seeded with 0.
+    [0, eps^2] x [-eps, eps] (eps = LEG_EPS), drawn from a generator
+    seeded with 0.
     """
-    if not (eps > 0.0 and np.isfinite(eps * eps)):
-        raise ValueError(f"eps must be positive with a finite eps^2, got {eps}")
     rho1 = rho1 if rho1 is not None else rho_one_smooth
     rng = np.random.default_rng(0)
-    r = rng.uniform(0.0, eps * eps, size=256)
-    t = rng.uniform(-eps, eps, size=256)
+    r = rng.uniform(0.0, LEG_EPS * LEG_EPS, size=256)
+    t = rng.uniform(-LEG_EPS, LEG_EPS, size=256)
     gap = rho1(r, t) - rho_zero(r, t)
     if np.any(gap <= 0):
         worst = int(np.argmin(gap))
@@ -99,7 +100,7 @@ def smoothing_one(rho1=None, sigma="bump", eps=0.1) -> SmoothedLeg:
             "rho1 <= rho0 at sampled (r, t) = "
             f"({r[worst]:.4g}, {t[worst]:.4g})"
         )
-    return SmoothedLeg(rho1, sigma, eps=eps)
+    return SmoothedLeg(rho1, sigma)
 
 
 def seam_derivative_jump(leg: SmoothedLeg, u1, s):
@@ -122,10 +123,10 @@ def seam_derivative_jump(leg: SmoothedLeg, u1, s):
     return float(np.max(np.abs(one_sided(+1.0) - one_sided(-1.0))))
 
 
-def smoothing_report(sigma="bump", eps=0.1, seed=0):
+def smoothing_report(sigma="bump", seed=0):
     """The seam derivative jump of the Smoothing-I leg at 100 seam points
-    (u1 in [-0.3, 0.3]^2, s in [0, eps/2]) drawn from a generator seeded
-    with ``seed``: the report body.
+    (u1 in [-0.3, 0.3]^2, s in [0, eps/2], eps = LEG_EPS) drawn from a
+    generator seeded with ``seed``: the report body.
 
     ``passed`` is true for sigma = 0 when the leg's g equals the
     unsmoothed log|u1 / rho0 - 1| bit for bit (at t = 0.02), for sigma = 1
@@ -133,9 +134,9 @@ def smoothing_report(sigma="bump", eps=0.1, seed=0):
     bump.
     """
     rng = np.random.default_rng(seed)
-    leg = smoothing_one(sigma=sigma, eps=eps)
+    leg = smoothing_one(sigma=sigma)
     u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
-    s = rng.uniform(0.0, eps / 2.0, 100)
+    s = rng.uniform(0.0, LEG_EPS / 2.0, 100)
     jump = seam_derivative_jump(leg, u1, s)
     if sigma == "zero":
         raw = np.log(np.abs(u1 / rho_zero(np.abs(u1) ** 2, 0.02) - 1.0))
@@ -144,7 +145,7 @@ def smoothing_report(sigma="bump", eps=0.1, seed=0):
         passed = jump < SEAM_JUMP_TOL if sigma == "one" else None
     return {
         "sigma": sigma,
-        "eps": eps,
+        "eps": LEG_EPS,
         "seam_derivative_jump": jump,
         "passed": passed,
     }

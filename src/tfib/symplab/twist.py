@@ -249,10 +249,11 @@ def _quarter_turn_error(flow, v):
     return float(np.max(np.abs(flow(v) - expected)))
 
 
-def twist_report(which="h0", eps=0.1, samples=100, seed=0):
+def twist_report(which="h0", eps=None, samples=100, seed=0):
     """The twist checks of ``h0_quarter_turn`` (``which="h0"``) or of
-    ``cutoff_hamiltonian(eps)`` (``"cutoff"``): the report body, with
-    ``passed`` true when all three are below ``TWIST_TOL``.
+    ``cutoff_hamiltonian(eps)`` (``"cutoff"``, eps 0.1 when None): the
+    report body, with ``passed`` true when all three are below
+    ``TWIST_TOL``.  The h0 check takes no eps (it raises ValueError).
 
     ``samples`` Gaussian points u of C^2 come from a generator seeded with
     ``seed``.  The flow error is the distance from the quarter turn at u
@@ -262,8 +263,13 @@ def twist_report(which="h0", eps=0.1, samples=100, seed=0):
     0.3 u for the first 20 points, and the tangent-map defect at three
     points of the cut-off shell eps < |u|^2 < 2 eps, where every term of
     the Hessian is live.  eps must lie in [0, MAX_RADIUS^2 / 4], so that
-    the far points stay inside the flow's region.
+    the far points stay inside the flow's region; the h0 check takes its
+    shell at eps = 0.1.
     """
+    if which == "h0" and eps is not None:
+        raise ValueError(f"eps sets the cut-off Hamiltonian only; the h0 check "
+                         f"takes none, got {eps}")
+    eps = 0.1 if eps is None else eps
     if not 0.0 <= 4.0 * eps <= MAX_RADIUS ** 2:
         raise ValueError(f"eps must lie in [0, {MAX_RADIUS ** 2 / 4.0:g}], got {eps}")
     rng = np.random.default_rng(seed)

@@ -22,18 +22,14 @@ from .polybase import DiscriminantGraph
 from .zlat import IntMatrix
 
 
-@dataclass(frozen=True)
-class FibreType:
-    euler: int
-
-
-FIBRE_TYPES: Dict[str, FibreType] = {
-    "regular": FibreType(0),
-    "nodal_I1": FibreType(1),
-    "generic_I1xS1": FibreType(0),
-    "positive": FibreType(1),
-    "negative": FibreType(-1),
-    "alt_negative_codim1": FibreType(-1),
+#: Euler contribution of each singular-fibre type
+FIBRE_TYPES: Dict[str, int] = {
+    "regular": 0,
+    "nodal_I1": 1,
+    "generic_I1xS1": 0,
+    "positive": 1,
+    "negative": -1,
+    "alt_negative_codim1": -1,
 }
 
 
@@ -51,7 +47,7 @@ def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:
                  for v in graph.vertices]
     else:
         raise ValueError("dimension must be 2 or 3")
-    return sum(FIBRE_TYPES[t].euler for t in types)
+    return sum(FIBRE_TYPES[t] for t in types)
 
 
 def sign_from_triple(triple: Sequence[IntMatrix]) -> str:
@@ -160,22 +156,20 @@ class ValidationReport:
 def validate_semistable(
     graph: DiscriminantGraph,
     assignment: MonodromyAssignment,
-    bound: int = 3,
 ) -> ValidationReport:
     """Check an assignment against the semi-stable hypotheses.
 
     Every edge matrix must be GL(3,Z)-conjugate to the generic generator;
     every vertex triple must multiply to the identity and be simultaneously
     conjugate to the triple matching its sign; each edge must be conjugate
-    to the corresponding entry of its incident vertex triples.  A bound
-    below 1 raises ValueError, even when nothing needs a conjugator.
+    to the corresponding entry of its incident vertex triples.  Conjugators
+    are searched within ``zlat.SEARCH_BOUND``.
     """
-    zlat.check_bound(bound)
     items: List[ValidationItem] = []
     if len(assignment.edge_matrices) != len(graph.edges):
         raise ValueError("assignment does not cover all edges")
     for j, m in enumerate(assignment.edge_matrices):
-        conj = zlat.conjugator(m, zlat.T_GENERIC, bound=bound)
+        conj = zlat.conjugator(m, zlat.T_GENERIC)
         items.append(ValidationItem(
             f"edge {j}", conj is not None,
             "conjugate to generic generator" if conj is not None
@@ -194,7 +188,7 @@ def validate_semistable(
                 f"vertex {i}", False, "triple product is not the identity"))
             continue
         target = zlat.NEGATIVE_TRIPLE if v.sign == "negative" else zlat.POSITIVE_TRIPLE
-        conj = zlat.simultaneous_conjugator(list(mats), list(target), bound=bound)
+        conj = zlat.simultaneous_conjugator(list(mats), list(target))
         items.append(ValidationItem(
             f"vertex {i}", conj is not None,
             f"simultaneously conjugate to the {v.sign} triple" if conj is not None
@@ -202,9 +196,7 @@ def validate_semistable(
             conj,
         ))
         for slot, j in enumerate(edge_ids):
-            edge_conj = zlat.conjugator(
-                assignment.edge_matrices[j], mats[slot], bound=bound
-            )
+            edge_conj = zlat.conjugator(assignment.edge_matrices[j], mats[slot])
             items.append(ValidationItem(
                 f"vertex {i} / edge {j}", edge_conj is not None,
                 "edge generator matches the vertex loop generator"

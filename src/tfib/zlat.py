@@ -81,12 +81,7 @@ def det(m: IntMatrix) -> int:
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
-    # Laplace expansion; n stays <= 3 in this package but keep it total.
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
+    raise ValueError(f"det is closed-form for n <= 3, got n = {n}")
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
@@ -157,60 +152,20 @@ def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
 
     Invariant under left/right GL(n,Z) action, in particular under
     conjugation; the cheap conclusive obstruction for conjugacy tests.
+    Computed from the determinantal divisors (n <= 3): with g_k the gcd of
+    the k x k minors and g_0 = 1, the k-th invariant is g_k / g_{k-1}, and
+    0 from the first vanishing g_k on.
     """
-    a = [list(row) for row in m]
-    n = len(a)
-    result = []
-    top = 0
-    while top < n:
-        # find a nonzero pivot in the submatrix
-        piv = None
-        for i in range(top, n):
-            for j in range(top, n):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            result.extend([0] * (n - top))
-            break
-        i, j = piv
-        a[top], a[i] = a[i], a[top]
-        for row in a:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            # clear column then row by Euclidean steps
-            changed = False
-            for i in range(top + 1, n):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                    changed = True
-            for j in range(top + 1, n):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    for row in a:
-                        row[j] -= q * row[top]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                    changed = True
-            if not changed:
-                break
-        result.append(abs(a[top][top]))
-        top += 1
-    # enforce divisibility chain
-    result = sorted(result, key=lambda v: (v == 0, v))
-    for i in range(len(result) - 1):
-        for j in range(i + 1, len(result)):
-            if result[i] and result[j] % max(result[i], 1) != 0:
-                g = math.gcd(result[i], result[j])
-                l = result[i] * result[j] // g if g else 0
-                result[i], result[j] = g, l
-    return tuple(result)
+    n = len(m)
+    out = []
+    prev = 1
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        g = math.gcd(*(det([[m[i][j] for j in cols] for i in rows])
+                       for rows in subsets for cols in subsets))
+        out.append(g // prev if prev else 0)
+        prev = g
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -362,16 +317,15 @@ def _nullspace_rref(rows, ncols):
     return basis, free
 
 
-def check_bound(bound: int) -> None:
-    """Reject a conjugator search bound below 1 (an empty search box)."""
-    if bound < 1:
-        raise ValueError(f"conjugator bound must be at least 1, got {bound}")
+#: the sup-norm box [-SEARCH_BOUND, SEARCH_BOUND] of every conjugator search
+#: the checks run (local models, semi-stable validation)
+SEARCH_BOUND = 3
 
 
 def simultaneous_conjugator(
     sources: Sequence[IntMatrix],
     targets: Sequence[IntMatrix],
-    bound: int = 3,
+    bound: int = SEARCH_BOUND,
 ) -> Optional[IntMatrix]:
     """Find P in GL(n,Z), entries in [-bound, bound], with P^{-1} A_i P = B_i.
 
@@ -386,7 +340,8 @@ def simultaneous_conjugator(
     memoized, since graph validation asks about the same few matrices over
     and over.  A bound below 1 raises ValueError.
     """
-    check_bound(bound)
+    if bound < 1:
+        raise ValueError(f"conjugator bound must be at least 1, got {bound}")
     return _conjugator_cached(tuple(sources), tuple(targets), bound)
 
 
@@ -483,7 +438,8 @@ def _enumerate_conjugators(basis, n, bound):
     return None
 
 
-def conjugator(a: IntMatrix, b: IntMatrix, bound: int = 3) -> Optional[IntMatrix]:
+def conjugator(a: IntMatrix, b: IntMatrix,
+               bound: int = SEARCH_BOUND) -> Optional[IntMatrix]:
     """GL(n,Z) conjugator P with P^{-1} a P = b, or None."""
     return simultaneous_conjugator([a], [b], bound=bound)
 

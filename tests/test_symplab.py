@@ -172,14 +172,15 @@ def test_discriminant_thin_legs_pinched():
     assert np.all(np.abs(a - b) <= 1.0 + 1e-9) and np.all(a + b >= 1.0 - 1e-9)
 
 
-def _thin_legs_pointwise(u1, u2, eps, big_m):
-    """Reference: the branch label and Phi of the thin-legs model at one point."""
+def _thin_legs_pointwise(u1, u2):
+    """Reference: the branch label and Phi of the thin-legs model at one
+    point, pinched at eps = 0.1 and M = 4."""
     n1, n2 = abs(u1) ** 2, abs(u2) ** 2
-    if n1 + n2 <= eps:
+    if n1 + n2 <= 0.1:
         return "horizontal_ball", models.phi_leg_h(u1, u2)
-    if n1 + abs(u2 - math.sqrt(2.0)) ** 2 <= eps:
+    if n1 + abs(u2 - math.sqrt(2.0)) ** 2 <= 0.1:
         return "vertical_ball", models.phi_leg_v(u1, u2)
-    if n2 >= big_m:
+    if n2 >= 4.0:
         return "diagonal_far", models.phi_leg_d(u1, u2)
     return "amoeba", models.psi_amoeba(u1, u2)
 
@@ -189,9 +190,9 @@ def test_thin_legs_branch_and_phi_match_pointwise_reference():
     u = rng.normal(size=(3000, 2)) + 1j * rng.normal(size=(3000, 2))
     u[:1000, 1] += math.sqrt(2.0)
     u[1000:2000] *= 0.3
-    labels = models.thin_legs_branch(u[:, 0], u[:, 1], 0.1, 4.0)
-    v1, v2 = models.phi_thin_legs(u[:, 0], u[:, 1], 0.1, 4.0)
-    ref = [_thin_legs_pointwise(a, b, 0.1, 4.0) for a, b in u]
+    labels = models.thin_legs_branch(u[:, 0], u[:, 1])
+    v1, v2 = models.phi_thin_legs(u[:, 0], u[:, 1])
+    ref = [_thin_legs_pointwise(a, b) for a, b in u]
     assert labels.tolist() == [label for label, _ in ref]
     assert set(labels.tolist()) == {"horizontal_ball", "vertical_ball",
                                     "diagonal_far", "amoeba"}
@@ -464,7 +465,7 @@ def test_smoothing_rejects_dominated_rho1():
 
 def test_smoothing_bump_matches_ends():
     """Blend equals rho0 outside S0 and rho1 inside S1."""
-    leg = sl.smoothing_one(sigma="bump", eps=0.1)
+    leg = sl.smoothing_one(sigma="bump")
     r_out, s_out = 0.9, 0.9
     assert leg.rho(r_out, 0.02, s_out) == sl.rho_zero(r_out, 0.02)
     r_in, s_in = 1e-5, 1e-4

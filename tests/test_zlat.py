@@ -184,6 +184,43 @@ def test_smith_invariants_against_minor_gcds():
         assert zlat.smith_invariants(m) == _minor_gcds(m), m
 
 
+def _gl3():
+    """GL(3,Z) elements: a signed permutation matrix times shears."""
+    shear = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+
+    def build(perm, signs, shears):
+        m = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(3))
+                  for i in range(3))
+        for i, j, k in shears:
+            e = [list(row) for row in zlat.identity(3)]
+            e[i][j] += k if i != j else 0
+            m = zlat.mat_mul(m, zlat.mat(e))
+        return m
+
+    return st.builds(build, st.permutations(range(3)),
+                     st.tuples(*[st.sampled_from([-1, 1])] * 3),
+                     st.lists(shear, max_size=6))
+
+
+_entry = st.integers(min_value=-12, max_value=12)
+
+
+@given(st.tuples(*[st.tuples(_entry, _entry, _entry)] * 3),
+       st.tuples(*[st.integers(0, 6)] * 3), _gl3(), _gl3())
+@settings(max_examples=200, deadline=None)
+def test_smith_invariants_are_a_gl3_normal_form(m, chain, p, q):
+    """Invariant under GL(3,Z) on either side, a divisibility chain whose
+    product is |det|, and the diagonal itself for a diagonal chain."""
+    d = zlat.smith_invariants(m)
+    assert zlat.smith_invariants(zlat.mat_mul(zlat.mat_mul(p, m), q)) == d
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
+    assert min(d) >= 0 and d[0] * d[1] * d[2] == abs(zlat.det(m))
+    a, b, c = chain
+    diagonal = (a, a * b, a * b * c)
+    dm = tuple(tuple(diagonal[i] if i == j else 0 for j in range(3)) for i in range(3))
+    assert zlat.smith_invariants(zlat.mat_mul(zlat.mat_mul(p, dm), q)) == diagonal
+
+
 def _faddeev_leverrier(m):
     """Characteristic polynomial by Faddeev-LeVerrier in exact Fractions."""
     n = len(m)
