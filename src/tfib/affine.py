@@ -509,3 +509,41 @@ def loop_word_from_json(data) -> LoopWord:
     if not crossings:
         raise ValueError("empty loop word has no base chart")
     return LoopWord(crossings[0].frm, crossings)
+
+
+# ----------------------------------------------------------------------
+# reports (``tfib base ...``)
+# ----------------------------------------------------------------------
+
+def _base(kind, atlas, tau=None) -> ChartedBase:
+    """The atlas document if given, else the local model ``kind``."""
+    if atlas is not None:
+        return base_from_json(atlas)
+    return build_local_model(kind, None if tau is None else Polynomial(tau))
+
+
+def build_report(kind, tau) -> dict:
+    """The JSON atlas of the local model ``kind`` whose discriminant handle
+    has the rational coefficients ``tau`` (constant term first)."""
+    return base_to_json(build_local_model(kind, Polynomial(tau)))
+
+
+def check_simple_report(kind, tau, atlas) -> dict:
+    """The simplicity verdicts of an atlas document, or of the local model
+    ``kind`` with handle ``tau``; a handle belongs to a local model only."""
+    if atlas is not None and tau is not None:
+        raise ValueError("tau applies to a local model (kind), not to an atlas")
+    return check_simple(_base(kind, atlas, tau)).to_json()
+
+
+def holonomy_report(kind, atlas, loop, word) -> dict:
+    """The holonomy of the named ``loop`` of an atlas document or of the
+    local model ``kind``, or of a JSON loop ``word`` on it."""
+    base = _base(kind, atlas)
+    if loop is not None:
+        if loop not in base.loops:
+            raise ValueError(f"atlas has no loop {loop!r}")
+        word = base.loops[loop]
+    else:
+        word = loop_word_from_json(word)
+    return {"holonomy": zlat.matrix_to_json(holonomy(base, word))}

@@ -409,15 +409,15 @@ def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
 # checks on fixed fixtures
 # ----------------------------------------------------------------------
 
-def ell1_report(case="ff", ms=(1, 0)) -> dict:
+def ell1_report(case="ff", m=(1, 0)) -> dict:
     """The seam equation on a fixture, against its integers.
 
     ``ff``: the lower seam integral of the stitched focus-focus l_1, which
     must be 1.  ``equal`` / ``fake``: constant frames eta^- = (i/2, 1) and
     eta^+ = eta^- (equal) or eta^- + m_j e1 (fake), e1 = (1, -1), one pair
-    per entry m_j of ``ms``; the coefficients a_j must be 0 (equal) or m_j
+    per entry m_j of ``m``; the coefficients a_j must be 0 (equal) or m_j
     (fake).  ``passed`` is true when each is within ``ELL1_TOL``; an
-    empty ``ms`` raises ValueError.
+    empty ``m`` raises ValueError.
     """
     if case == "ff":
         rep = integral_condition(stitched_ff_ell1_sequence(), [1], base=-0.5,
@@ -429,7 +429,7 @@ def ell1_report(case="ff", ms=(1, 0)) -> dict:
             "tol": ELL1_TOL,
             "passed": rep.passed,
         }
-    ms = list(ms)
+    ms = list(m)
     if not ms:
         raise ValueError(f"case {case} needs at least one m")
     e1 = np.array([1.0 + 0j, -1.0 + 0j])

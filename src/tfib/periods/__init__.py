@@ -14,7 +14,9 @@ _EXPORTS = {
     "closedness_defect": "frames",
     "frame_report": "frames",
     "monodromy_from_frame": "monodromy",
+    "monodromy_report": "monodromy",
     "numeric_periods": "numeric",
+    "numeric_report": "numeric",
     "ActionChart": "extension",
     "action_chart": "extension",
     "action_extension_check": "extension",

@@ -188,9 +188,9 @@ def extension_report(chart: str, t0: float, tol: float):
     * positive, with H = b3 / 2: from (0.3, 0.1, -|t0| - 0.1) to
       (0, 0, -|t0|), limit -|t0| / 2.
 
-    Returns ``(body, rows)``: the report body, with ``passed`` true when
-    the limit is within ``tol`` of the known value, and the (s_k, value)
-    pairs of :func:`action_extension_check`.  t0 must be finite, and tol
+    Returns ``(body, {".csv": rows})``: the report body, with ``passed``
+    true when the limit is within ``tol`` of the known value, and the
+    (s_k, value) pairs of :func:`action_extension_check`.  t0 must be finite, and tol
     finite and positive.
     """
     if not math.isfinite(t0):
@@ -214,4 +214,4 @@ def extension_report(chart: str, t0: float, tol: float):
     body.update({"chart": chart, "expected": expected,
                  "passed": abs(result.limit - expected) < tol})
     svals = 1.0 - 0.5 ** np.arange(2, 2 + len(result.values))
-    return body, list(zip(svals, result.values))
+    return body, {".csv": list(zip(svals, result.values))}

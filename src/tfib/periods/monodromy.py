@@ -19,10 +19,16 @@ frame's anticlockwise unit loop to [[1, 0], [1, 1]].
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .. import zlat
+from . import frames
 from .frames import PeriodFrame
+
+#: the closed-form frame of each model that has one
+_FRAME_FOR_MODEL = {"sm_ff": "focus_focus", "generic": "generic",
+                   "positive": "positive", "thin_legs": "thin_leg_slice"}
 
 
 def _exact(vec):
@@ -84,3 +90,26 @@ def monodromy_from_frame(frame: PeriodFrame, loop):
                                  "of the frame's 2 pi db_j forms")
             out[period_form[axis]][i] += int(s)
     return zlat.mat(out)
+
+
+def monodromy_report(model, frame, loop) -> dict:
+    """The monodromy of the closed-form frame of ``model`` (a model id) or
+    of the frame kind ``frame``, one of them None, around ``loop``:
+    ``circle:R`` for the frame's one loop, or ``NAME:R`` for a named loop,
+    R a finite positive radius (default 0.5)."""
+    kind = frame if model is None else _FRAME_FOR_MODEL.get(model)
+    if kind is None:
+        raise ValueError(f"model {model!r} has no closed-form frame "
+                         f"(models: {', '.join(_FRAME_FOR_MODEL)})")
+    period_frame = frames.closed_form_frame(kind)
+    name, _, radius = loop.partition(":")
+    radius = float(radius or 0.5)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"--loop radius must be finite and positive, got {radius}")
+    key = "loop" if name == "circle" else name
+    if key not in period_frame.loops:
+        names = ["circle" if k == "loop" else k for k in period_frame.loops]
+        raise ValueError(f"frame {kind} has no loop {name!r} "
+                         f"(loops: {', '.join(names) or 'none'})")
+    mat = monodromy_from_frame(period_frame, period_frame.loops[key](radius))
+    return {"frame": kind, "loop": loop, "monodromy": zlat.matrix_to_json(mat)}

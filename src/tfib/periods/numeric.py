@@ -17,7 +17,7 @@ from typing import Dict
 import numpy as np
 
 from .. import numerics
-from ..symplab.models import FibrationModel
+from ..symplab.models import FibrationModel, make_model
 from ..symplab.poisson import batch_gradients
 
 #: trapezoid nodes per cycle
@@ -47,24 +47,46 @@ def _cycle_integrand(model, cyc, b_raw, s):
     return -numerics.omega_pair(lifts, dz[:, None, :]), defect
 
 
+def _base_point(model: FibrationModel, b_raw):
+    """The fibre point over b_raw and the inverse chart Jacobian there, or
+    ``ValueError`` naming b unless b_raw is a regular value: finite, with
+    finite both of them and the fibre point at positive margin."""
+    b = b_raw.tolist()
+    if b_raw.shape != (model.components,) or not np.all(np.isfinite(b_raw)):
+        raise ValueError(f"base point b must be {model.components} finite "
+                         f"numbers for model {model.id}, got {b}")
+    try:
+        with np.errstate(all="ignore"):
+            z0 = np.asarray(model.fibre_point(b_raw), dtype=complex)
+            if model.chart is None:
+                chart_jac_inv = np.eye(model.components)
+            else:
+                chart_jac_inv = np.linalg.inv(numerics.jacobian(
+                    lambda x: np.asarray(model.chart(x)), b_raw))
+            regular = bool(np.all(np.isfinite(z0)) and model.margin(z0) > 0
+                           and np.all(np.isfinite(chart_jac_inv)))
+    except (ArithmeticError, ValueError):  # e.g. 1/0, or a singular Jacobian
+        regular = False
+    if not regular:
+        raise ValueError(f"base point b = {b} is not a regular value of model "
+                         f"{model.id}: its fibre point is not finite at positive "
+                         "margin, or its chart Jacobian is not invertible")
+    return z0, chart_jac_inv
+
+
 def numeric_periods(model: FibrationModel, b) -> PeriodResult:
     """Period covectors of every shipped cycle of the model at base point
     b (chart coords).
 
-    Each cycle is sampled at ``CYCLE_POINTS`` nodes.  Raises when a cycle
-    parametrization leaves the fibre by more than ``FIBRE_TOL`` or the
-    doubling error estimate exceeds ``QUAD_TOL``.
+    Each cycle is sampled at ``CYCLE_POINTS`` nodes.  Raises when b is not
+    a regular value (see ``_base_point``), a cycle parametrization leaves
+    the fibre by more than ``FIBRE_TOL`` or the doubling error estimate
+    exceeds ``QUAD_TOL``.
     """
     if model.fibre_point is None or not model.cycles:
         raise ValueError(f"model {model.id} ships no cycle parametrizations")
     b_raw = np.asarray(b, dtype=float)
-    z0 = model.fibre_point(b_raw)
-    if model.chart is None:
-        chart_jac_inv = np.eye(model.components)
-    else:
-        chart_jac_inv = np.linalg.inv(
-            numerics.jacobian(lambda x: np.asarray(model.chart(x)), b_raw)
-        )
+    z0, chart_jac_inv = _base_point(model, b_raw)
     covectors = {}
     errors = {}
     worst_defect = 0.0
@@ -86,3 +108,18 @@ def numeric_periods(model: FibrationModel, b) -> PeriodResult:
         covectors[name] = raw @ chart_jac_inv
         errors[name] = err
     return PeriodResult(covectors, errors, worst_defect)
+
+
+def numeric_report(model, b):
+    """The period covectors of the model with id ``model`` at base point
+    ``b``, with their quadrature errors and fibre defect.  Returns
+    ``(body, {".csv": one covector row per cycle, by cycle name})``."""
+    res = numeric_periods(make_model(model), b)
+    rows = [list(v) for _, v in sorted(res.covectors.items())]
+    return {
+        "model": model,
+        "b": b,
+        "covectors": {k: v.tolist() for k, v in res.covectors.items()},
+        "quadrature_errors": res.errors,
+        "fibre_defect": res.fibre_defect,
+    }, {".csv": rows}

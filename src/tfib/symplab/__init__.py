@@ -1,10 +1,10 @@
 """Numerical symplectic laboratory: explicit fibration models and checks.
 
-The model ids are a literal here, so listing them imports nothing.  Every
-other name below is exported lazily (PEP 562): reading one imports its
-submodule, and every read looks the name up on the submodule again, so a
-replaced submodule attribute (a monkeypatch, a tracing wrapper) is what
-the package returns.
+The model ids are a literal here, and ``list_report`` is defined here, so
+listing them imports nothing.  Every other name below is exported lazily
+(PEP 562): reading one imports its submodule, and every read looks the
+name up on the submodule again, so a replaced submodule attribute (a
+monkeypatch, a tracing wrapper) is what the package returns.
 """
 
 import importlib
@@ -41,6 +41,11 @@ _EXPORTS = {
     "smoothing_one": "smoothing",
     "smoothing_report": "smoothing",
 }
+
+
+def list_report():
+    """The model ids (``tfib fib list``); it imports no submodule."""
+    return {"models": list(MODEL_IDS)}
 
 
 def __getattr__(name):

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import report
+
 #: the largest |bound| of a report's square: e^x is a finite float up to it
 MAX_BOUND = 709.0
+#: the largest resolution of a report: at its peak ``amoeba_raster`` holds
+#: six res x res float temporaries (the mesh and its exponentials), 192 MB
+MAX_RES = 2000
 
 
 def amoeba_membership(x1, x2):
@@ -51,17 +56,18 @@ def amoeba_raster(bounds=(-3.0, 3.0, -3.0, 3.0), resolution=(200, 200)) -> Amoeb
     return AmoebaRaster(tuple(bounds), (n1, n2), mask, boundary)
 
 
-def amoeba_report(res=200, lo=-3.0, hi=3.0):
-    """Rasterize the square [lo, hi]^2 at res x res and check every
-    (res // 37)-th row and column against a log-space oracle.
+def amoeba_report(res=200, bounds=(-3.0, 3.0)):
+    """Rasterize the square [lo, hi]^2 = ``bounds``^2 at res x res and
+    check every (res // 37)-th row and column against a log-space oracle.
 
-    Returns ``(body, raster, cloud)``: the report body (``passed`` true
-    when the sub-grid matches the oracle), the raster, and every
-    (res // 50)-th inside cell center in raster order, as (x1, x2) pairs.
-    res must be at least 2, and -MAX_BOUND <= lo < hi <= MAX_BOUND.
+    Returns ``(body, {".svg": raster, ".csv": cloud})``: the report body
+    (``passed`` true when the sub-grid matches the oracle), the raster as
+    SVG, and every (res // 50)-th inside cell center in raster order, as
+    (x1, x2) pairs.  2 <= res <= MAX_RES, -MAX_BOUND <= lo < hi <= MAX_BOUND.
     """
-    if res < 2:
-        raise ValueError(f"res must be at least 2, got {res}")
+    lo, hi = bounds
+    if not 2 <= res <= MAX_RES:
+        raise ValueError(f"res must be from 2 to {MAX_RES}, got {res}")
     if not -MAX_BOUND <= lo < hi <= MAX_BOUND:
         raise ValueError(f"bounds must satisfy -{MAX_BOUND:g} <= lo < hi <= "
                          f"{MAX_BOUND:g}, got {lo} {hi}")
@@ -80,4 +86,4 @@ def amoeba_report(res=200, lo=-3.0, hi=3.0):
         "passed": bool(np.array_equal(raster.mask[::k, ::k], oracle)),
     }
     cloud = [(x1[i], x2[j]) for i, j in np.argwhere(raster.mask)[:: max(1, res // 50)]]
-    return body, raster, cloud
+    return body, {".svg": report.raster_svg(raster), ".csv": cloud}

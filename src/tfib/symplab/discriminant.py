@@ -56,22 +56,22 @@ def discriminant_sample(model: FibrationModel, return_branches=False):
     return cloud, labels.tolist()
 
 
-def discriminant_report(model_id):
-    """The discriminant cloud of a model and whether it lies in the amoeba
-    of v1 + v2 + 1 = 0, to ``INSIDE_SLACK``.
+def discriminant_report(model):
+    """The discriminant cloud of the model with id ``model`` and whether it
+    lies in the amoeba of v1 + v2 + 1 = 0, to ``INSIDE_SLACK``.
 
-    Returns ``(body, cloud)``; ``passed`` is true when the cloud is inside
-    exactly for the models of ``INSIDE_AMOEBA``.
+    Returns ``(body, {".csv": cloud rows})``; ``passed`` is true when the
+    cloud is inside exactly for the models of ``INSIDE_AMOEBA``.
     """
-    cloud = discriminant_sample(make_model(model_id))
+    cloud = discriminant_sample(make_model(model))
     a = np.exp(cloud[:, 1])
     b = np.exp(cloud[:, 2])
     inside = bool(np.all(np.abs(a - b) <= 1.0 + INSIDE_SLACK)
                   and np.all(a + b >= 1.0 - INSIDE_SLACK))
     body = {
-        "model": model_id,
+        "model": model,
         "points": int(len(cloud)),
         "inside_oracle_amoeba": inside,
-        "passed": inside == (model_id in INSIDE_AMOEBA),
+        "passed": inside == (model in INSIDE_AMOEBA),
     }
-    return body, cloud.tolist()
+    return body, {".csv": cloud.tolist()}

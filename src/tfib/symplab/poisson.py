@@ -61,17 +61,18 @@ def poisson_check(model: FibrationModel, samples, step=numerics.DEFAULT_STEP,
     return float(np.max(np.abs(poisson_brackets(model, samples, step=step))))
 
 
-def poisson_report(model_id, samples, seed=0):
-    """The Poisson check of a model on ``samples`` domain points, drawn
-    from a generator seeded with ``seed`` at margin ``REPORT_MARGIN``, at
-    base step ``numerics.DEFAULT_STEP``: the report body, with ``passed``
-    true when the largest bracket is below ``POISSON_TOL``."""
-    model = make_model(model_id)
-    z = sample_domain(model, samples, np.random.default_rng(seed),
+def poisson_report(model, samples, seed=0):
+    """The Poisson check of the model with id ``model`` on ``samples``
+    domain points, drawn from a generator seeded with ``seed`` at margin
+    ``REPORT_MARGIN``, at base step ``numerics.DEFAULT_STEP``: the report
+    body, with ``passed`` true when the largest bracket is below
+    ``POISSON_TOL``."""
+    fibration = make_model(model)
+    z = sample_domain(fibration, samples, np.random.default_rng(seed),
                       margin=REPORT_MARGIN)
-    worst = poisson_check(model, z, margin=REPORT_MARGIN)
+    worst = poisson_check(fibration, z, margin=REPORT_MARGIN)
     return {
-        "model": model_id,
+        "model": model,
         "max_bracket": worst,
         "step": numerics.DEFAULT_STEP,
         "margin": REPORT_MARGIN,

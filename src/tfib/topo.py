@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import zlat
+from . import polybase, zlat
 from .polybase import DiscriminantGraph
 from .zlat import IntMatrix
 
@@ -205,3 +205,63 @@ def validate_semistable(
                 edge_conj,
             ))
     return ValidationReport(items)
+
+
+# ----------------------------------------------------------------------
+# reports (``tfib graph ...``, ``tfib topo ...``)
+# ----------------------------------------------------------------------
+
+def graph_report(which, dual, thicken):
+    """The discriminant graph of the standard simplex boundary, ``k3``
+    (n = 2) or ``quintic`` (n = 3, signed), its Legendre dual if ``dual``,
+    thickened at the exact radius ``thicken`` if given, with its counts
+    and Euler number.  Returns ``(body, {".dot": Graphviz text})``."""
+    if which == "k3":
+        boundary = polybase.LatticeSimplexBoundary(3)
+        graph = polybase.build_k3_graph(boundary)
+        dimension = 2
+    else:
+        boundary = polybase.LatticeSimplexBoundary(4)
+        graph = polybase.classify_signs(
+            polybase.build_quintic_graph(boundary), boundary)
+        dimension = 3
+    if dual:
+        graph = polybase.legendre_dual(graph)
+    if thicken is not None:
+        graph = polybase.localized_thickening(graph, thicken)
+    body = {
+        "graph": polybase.graph_to_json(graph),
+        "vertices": len(graph.vertices),
+        "edges": len(graph.edges),
+        "positive": graph.count_sign("positive"),
+        "negative": graph.count_sign("negative"),
+        "components": graph.connected_components(),
+        "euler": euler_characteristic(graph, dimension),
+        "dimension": dimension,
+        "thickened": len(graph.thickening),
+    }
+    return body, {".dot": polybase.graph_to_dot(graph)}
+
+
+def _graph_from_document(doc) -> DiscriminantGraph:
+    """A graph JSON document, or a report that holds one under "graph"."""
+    return polybase.graph_from_json(doc.get("graph", doc))
+
+
+def euler_report(graph) -> dict:
+    """The Euler number of a graph document; a trivalent vertex makes it
+    a 3-dimensional graph, otherwise it is 2-dimensional."""
+    g = _graph_from_document(graph)
+    dimension = 3 if any(v.valence == 3 for v in g.vertices) else 2
+    return {"euler": euler_characteristic(g, dimension), "dimension": dimension}
+
+
+def validate_report(graph) -> dict:
+    """The semi-stable validation of a graph document's canonical assignment."""
+    g = _graph_from_document(graph)
+    return validate_semistable(g, canonical_assignment(g)).to_json()
+
+
+def sign_report(triple) -> dict:
+    """The sign of a vertex from its triple of integer matrices."""
+    return {"sign": sign_from_triple([zlat.mat(m) for m in triple])}

@@ -423,21 +423,30 @@ def _leaves():
     return out
 
 
-def test_every_leaf_option_is_read_by_its_handler():
+def _layer_function(leaf):
+    module, name = leaf.get_default("run").split(":")
+    return getattr(importlib.import_module(f"tfib.{module}"), name)
+
+
+def test_every_leaf_option_is_a_parameter_of_its_layer_function():
     assert len(_leaves()) == 24
     assert sum(1 for _, leaf in _leaves() for a in leaf._actions
                if a.option_strings and a.dest != "help") == 93
-    unread = []
     for words, leaf in _leaves():
-        source = inspect.getsource(leaf.get_default("run"))
-        for helper in set(re.findall(r"\b(_load\w*)\(args\)", source)):
-            source += inspect.getsource(getattr(cli, helper))
-        read = set(re.findall(r"\bargs\.(\w+)", source)) \
-            | set(re.findall(r"getattr\(args, \"(\w+)\"", source))
-        unread += [(words, a.option_strings[0]) for a in leaf._actions
-                   if a.option_strings and a.dest not in ("help", "out", "strict")
-                   and a.dest not in read]
-    assert unread == []
+        dests = {a.dest for a in leaf._actions
+                 if a.option_strings and a.dest not in ("help", "out", "strict")}
+        extras = set(leaf._defaults) - {"run"}
+        params = set(inspect.signature(_layer_function(leaf)).parameters)
+        assert dests | extras == params, words
+
+
+def test_cli_defines_no_handler():
+    """Only the dispatch helper takes the parsed ``args``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    takes_args = sorted(node.name for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and "args" in [a.arg for a in node.args.args])
+    assert takes_args == ["_call"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,9 +473,14 @@ def test_every_leaf_option_is_read_by_its_handler():
      "--cycles", "e3"],
     ["germs", "deform", "--rho", "0.5"],
 ])
-def test_leaves_reject_options_they_do_not_read(tmp_path, argv):
+def test_leaves_reject_options_they_do_not_read(tmp_path, monkeypatch, capsys, argv):
+    # --input files are read while parsing: give the topo leaves a real one
+    monkeypatch.chdir(tmp_path)
+    cli.main(["graph", "k3", "--out", "k3.json"])
+    capsys.readouterr()
     code, data, _ = run(tmp_path, *argv)
     assert code == 2 and data is None
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_germs_integral_cli(tmp_path):
@@ -521,6 +535,12 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["periods", "monodromy", "--frame", "focus_focus", "--loop", "circle:0"],
     ["fib", "amoeba", "--res", "5", "--bounds", "1", "1"],
     ["periods", "extend", "--chart", "generic", "--tol", "0"],
+    # argparse's own errors
+    ["fib", "poisson"],
+    ["fib", "smooth1", "--sigma", "half"],
+    ["base", "build"],
+    ["topo", "euler", "--input", "does-not-exist.json"],
+    ["topo", "sign", "--triple", "[[1"],
 ])
 # a warning would reach the terminal before the error line, so it fails here
 @pytest.mark.filterwarnings("error")
@@ -553,6 +573,19 @@ def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     (["graph", "quintic", "--thicken", "1/0"], ["--thicken", "'1/0'"]),
     (["base", "build", "--kind", "node", "--tau", "0,x"], ["--tau", "'x'"]),
     (["periods", "extend", "--chart", "generic", "--tol", "inf"], ["tol", "inf"]),
+    (["fib", "amoeba", "--res", "100000"], ["res", "100000"]),
+    # a point on a leg, a node, and base points that are not 3 finite numbers
+    (["periods", "numeric", "--model", "positive", "--b=0,0,-1"],
+     ["b = [0.0, 0.0, -1.0]"]),
+    (["periods", "numeric", "--model", "sm_ff", "--b=0,0"], ["b = [0.0, 0.0]"]),
+    (["periods", "numeric", "--model", "generic", "--b=inf,0.3,-0.2"],
+     ["base point b", "[inf, 0.3, -0.2]"]),
+    (["periods", "numeric", "--model", "generic", "--b=1e300,0.3,-0.2"],
+     ["b = [1e+300, 0.3, -0.2]"]),
+    (["periods", "numeric", "--model", "generic", "--b=nan,0.3,-0.2"],
+     ["base point b", "[nan, 0.3, -0.2]"]),
+    (["periods", "numeric", "--model", "generic", "--b", "0.1,0.3"],
+     ["base point b", "3 finite numbers", "[0.1, 0.3]"]),
 ])
 @pytest.mark.filterwarnings("error")
 def test_invalid_values_are_named_in_one_line(tmp_path, capsys, argv, named):
@@ -561,6 +594,31 @@ def test_invalid_values_are_named_in_one_line(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["base", "holonomy", "--kind", "node", "--input", "atlas.json", "--loop", "g1",
+      "--word", '[["x", "U1", "U2"]]'], "not allowed with argument --kind"),
+    (["base", "holonomy", "--input", "atlas.json", "--loop", "g1",
+      "--word", '[["x", "U1", "U2"]]'], "not allowed with argument --loop"),
+    (["base", "holonomy", "--input", "atlas.json"], "--loop --word is required"),
+    (["base", "check-simple", "--kind", "edge", "--input", "atlas.json"],
+     "not allowed with argument --kind"),
+    (["base", "check-simple", "--input", "atlas.json", "--tau", "0,1"], "tau"),
+    (["periods", "monodromy", "--model", "sm_ff", "--frame", "positive"],
+     "not allowed with argument --model"),
+    (["periods", "monodromy"], "--model --frame is required"),
+])
+@pytest.mark.filterwarnings("error")
+def test_conflicting_options_are_one_line_usage_errors(tmp_path, monkeypatch, capsys,
+                                                       argv, message):
+    monkeypatch.chdir(tmp_path)
+    cli.main(["base", "build", "--kind", "negative", "--out", "atlas.json"])
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
 # a value for each required option of a leaf with a float option

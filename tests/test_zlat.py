@@ -1,5 +1,6 @@
 """Exact linear algebra: group laws, unipotency, conjugacy machinery."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -151,73 +152,48 @@ def test_affine_from_json_accepts_only_exact_translations():
         zlat.affine_from_json({**data, "translation": [0.25, 0]})
 
 
-def _minor_gcds(m):
-    """Invariant factors via gcds of k x k minors (independent oracle)."""
-    import itertools
-    import math as _math
-    n = len(m)
-    dets = []
-    for k in range(1, n + 1):
-        vals = []
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
-                sub = tuple(tuple(m[i][j] for j in cols) for i in rows)
-                vals.append(abs(zlat.det(sub)))
-        g = 0
-        for v in vals:
-            g = _math.gcd(g, v)
-        dets.append(g)
-    out = []
-    prev = 1
-    for d in dets:
-        out.append(0 if prev == 0 or d == 0 else d // prev)
-        prev = d
-    return tuple(out)
-
-
-def test_smith_invariants_against_minor_gcds():
-    import random
-    rng = random.Random(0)
-    for _ in range(200):
-        n = rng.choice([2, 3])
-        m = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
-        assert zlat.smith_invariants(m) == _minor_gcds(m), m
-
-
-def _gl3():
-    """GL(3,Z) elements: a signed permutation matrix times shears."""
-    shear = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+def _gl(n):
+    """GL(n,Z) elements: a signed permutation matrix times shears."""
+    shear = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
 
     def build(perm, signs, shears):
-        m = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(3))
-                  for i in range(3))
+        m = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                  for i in range(n))
         for i, j, k in shears:
-            e = [list(row) for row in zlat.identity(3)]
+            e = [list(row) for row in zlat.identity(n)]
             e[i][j] += k if i != j else 0
             m = zlat.mat_mul(m, zlat.mat(e))
         return m
 
-    return st.builds(build, st.permutations(range(3)),
-                     st.tuples(*[st.sampled_from([-1, 1])] * 3),
+    return st.builds(build, st.permutations(range(n)),
+                     st.tuples(*[st.sampled_from([-1, 1])] * n),
                      st.lists(shear, max_size=6))
 
 
 _entry = st.integers(min_value=-12, max_value=12)
 
 
-@given(st.tuples(*[st.tuples(_entry, _entry, _entry)] * 3),
-       st.tuples(*[st.integers(0, 6)] * 3), _gl3(), _gl3())
-@settings(max_examples=200, deadline=None)
-def test_smith_invariants_are_a_gl3_normal_form(m, chain, p, q):
-    """Invariant under GL(3,Z) on either side, a divisibility chain whose
-    product is |det|, and the diagonal itself for a diagonal chain."""
+def _normal_form_case(n):
+    """(m, chain, p, q): an n x n matrix, the ratios of a divisibility
+    chain, and two GL(n,Z) elements."""
+    return st.tuples(st.tuples(*[st.tuples(*[_entry] * n)] * n),
+                     st.tuples(*[st.integers(0, 6)] * n), _gl(n), _gl(n))
+
+
+@given(st.sampled_from([2, 3]).flatmap(_normal_form_case))
+@settings(max_examples=300, deadline=None)
+def test_smith_invariants_are_a_gl3_normal_form(case):
+    """For n = 2 and 3: invariant under GL(n,Z) on either side, a
+    divisibility chain whose product is |det|, and the diagonal itself for
+    a diagonal chain."""
+    m, chain, p, q = case
+    n = len(m)
     d = zlat.smith_invariants(m)
     assert zlat.smith_invariants(zlat.mat_mul(zlat.mat_mul(p, m), q)) == d
     assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
-    assert min(d) >= 0 and d[0] * d[1] * d[2] == abs(zlat.det(m))
-    a, b, c = chain
-    diagonal = (a, a * b, a * b * c)
-    dm = tuple(tuple(diagonal[i] if i == j else 0 for j in range(3)) for i in range(3))
+    assert min(d) >= 0 and math.prod(d) == abs(zlat.det(m))
+    diagonal = tuple(math.prod(chain[:k + 1]) for k in range(n))
+    dm = tuple(tuple(diagonal[i] if i == j else 0 for j in range(n)) for i in range(n))
     assert zlat.smith_invariants(zlat.mat_mul(zlat.mat_mul(p, dm), q)) == diagonal
 
 
@@ -328,7 +304,6 @@ def _brute_force_conjugator(sources, targets, bound):
     """Lexicographically first conjugator of least sup-norm over the whole
     [-bound, bound]^d box of free coordinates (last coordinate fastest)."""
     import itertools
-    import math
 
     n = len(sources[0])
     basis, _ = _fraction_nullspace(_conjugacy_rows(sources, targets), n * n)
