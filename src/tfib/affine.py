@@ -81,7 +81,13 @@ class Polynomial:
 
     @staticmethod
     def from_json(data) -> "Polynomial":
-        return Polynomial([Fraction(c) for c in data])
+        """From an array of exact rational strings (or integers)."""
+        try:
+            if all(isinstance(c, (str, int)) for c in data):
+                return Polynomial([Fraction(c) for c in data])
+        except ZeroDivisionError:
+            pass
+        raise ValueError(f"tau coefficients must be exact rationals, got {data!r}")
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -471,41 +477,69 @@ def base_to_json(base: ChartedBase) -> dict:
     }
 
 
+def _strings(values, what: str) -> None:
+    bad = [v for v in values if not isinstance(v, str)]
+    if bad:
+        raise ValueError(f"{what} must be strings, got {bad[0]!r}")
+
+
 def base_from_json(data: dict) -> ChartedBase:
-    loops = {
-        name: LoopWord(
-            w["base_chart"],
-            tuple(Crossing(piece, frm, to) for piece, frm, to in w["crossings"]),
-        )
-        for name, w in data.get("loops", {}).items()
-    }
+    """Inverse of ``base_to_json``; a document of another shape raises
+    ValueError."""
+    zlat.json_object(data, ("dim", "charts", "pieces"), "an atlas document")
+    charts = zlat.json_array(data["charts"], "atlas charts", ("id", "dim"))
+    pieces = zlat.json_array(data["pieces"], "atlas pieces",
+                             ("id", "chart_a", "chart_b", "region", "transition"))
+    points = zlat.json_array(data.get("singular_points", []), "atlas singular points",
+                             ("id", "loops"))
+    loops = zlat.json_object(data.get("loops", {}), (), "atlas loops")
+    for name, w in loops.items():
+        zlat.json_object(w, ("base_chart", "crossings"), f"loop {name!r}")
+    if any(type(d) is not int for d in (data["dim"], *(c["dim"] for c in charts))):
+        raise ValueError("atlas dimensions must be integers")
+    _strings([c["id"] for c in charts] + [c.get("region", "") for c in charts]
+             + [p[k] for p in pieces for k in ("id", "chart_a", "chart_b", "region")]
+             + [w["base_chart"] for w in loops.values()] + [r["id"] for r in points],
+             "atlas ids and regions")
+    for r in points:
+        _strings(zlat.json_array(r["loops"], f"the loops of point {r['id']}"),
+                 f"the loops of point {r['id']}")
+        if not set(r["loops"]) <= set(loops):
+            raise ValueError(f"point {r['id']} names a loop the atlas does not have: "
+                             f"{sorted(set(r['loops']) - set(loops))}")
     return ChartedBase(
         dim=data["dim"],
-        charts=[Chart(c["id"], c["dim"], c.get("region", ""))
-                for c in data["charts"]],
+        charts=[Chart(c["id"], c["dim"], c.get("region", "")) for c in charts],
         pieces=[
             OverlapPiece(
                 p["id"], p["chart_a"], p["chart_b"], p["region"],
                 zlat.affine_from_json(p["transition"]),
             )
-            for p in data["pieces"]
+            for p in pieces
         ],
-        discriminant=data.get("discriminant", {}),
-        tau=Polynomial.from_json(data.get("tau", ["0"])),
-        loops=loops,
-        singular_points=data.get("singular_points", []),
+        discriminant=zlat.json_object(data.get("discriminant", {}), (),
+                                      "an atlas discriminant"),
+        tau=Polynomial.from_json(zlat.json_array(data.get("tau", ["0"]), "tau")),
+        loops={name: LoopWord(w["base_chart"], _crossings(w["crossings"]))
+               for name, w in loops.items()},
+        singular_points=points,
     )
 
 
-def loop_word_from_json(data) -> LoopWord:
-    """Loop word from a JSON array of [piece, from, to] crossings, based at
-    the chart the first crossing leaves."""
+def _crossings(data) -> Tuple[Crossing, ...]:
+    """Crossings from a JSON array of [piece, from, to] string triples."""
     if not isinstance(data, list) or not all(
             isinstance(c, list) and len(c) == 3 and all(isinstance(x, str) for x in c)
             for c in data):
         raise ValueError("a loop word is a JSON array of [piece, from, to] "
                          f"string triples, got {data!r}")
-    crossings = tuple(Crossing(piece, frm, to) for piece, frm, to in data)
+    return tuple(Crossing(piece, frm, to) for piece, frm, to in data)
+
+
+def loop_word_from_json(data) -> LoopWord:
+    """Loop word from a JSON array of [piece, from, to] crossings, based at
+    the chart the first crossing leaves."""
+    crossings = _crossings(data)
     if not crossings:
         raise ValueError("empty loop word has no base chart")
     return LoopWord(crossings[0].frm, crossings)

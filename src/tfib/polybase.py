@@ -10,9 +10,12 @@ vertices.  All positions are exact rationals; no floating point here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
+
+from .zlat import json_array, json_object
 
 Point = Tuple[Fraction, ...]
 
@@ -150,17 +153,16 @@ class DiscriminantGraph:
     def count_sign(self, sign: str) -> int:
         return sum(1 for v in self.vertices if v.sign == sign)
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in (e.a, e.b))
-
-    def neighbors(self, i: int) -> List[int]:
-        out = []
-        for e in self.edges:
-            if e.a == i:
-                out.append(e.b)
-            elif e.b == i:
-                out.append(e.a)
-        return out
+    @cached_property
+    def incidence(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per vertex, the ascending indices of its edges (a loop once),
+        built in one pass over the edges and kept with the graph."""
+        out: List[List[int]] = [[] for _ in self.vertices]
+        for j, e in enumerate(self.edges):
+            out[e.a].append(j)
+            if e.b != e.a:
+                out[e.b].append(j)
+        return tuple(map(tuple, out))
 
     def connected_components(self) -> int:
         parent = list(range(len(self.vertices)))
@@ -200,27 +202,37 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
     barycenters interior to a 2-face have two incident triangles and are
     absorbed into a single graph edge; side barycenters on a 1-face are
     shared by the three adjacent 2-faces and become trivalent vertices.
+
+    Points are computed as integer tuples scaled by D = 6 * scale (lattice
+    points have denominator scale, barycenters 3 * scale, side midpoints
+    2 * scale), and a vertex's Fraction position is made once, when it is
+    interned.  Scaling by D > 0 keeps the order of points, so the edges
+    come out in the order of the exact positions.
     """
     if boundary.dimension != 4:
         raise ValueError("quintic graph lives on the 4-simplex boundary")
     s = boundary.scale
-    verts = boundary.vertices
-    vertex_index: Dict[Point, int] = {}
-    vertices: List[GraphVertex] = []
+    D = 6 * s
+    verts = [tuple(int(c * D) for c in v) for v in boundary.vertices]
+    vertex_index: Dict[Tuple[int, ...], int] = {}
+    points: List[Tuple[Point, FrozenSet[int]]] = []
     edges: List[GraphEdge] = []
 
-    def intern(pos: Point, sign: str, face: FrozenSet[int]) -> int:
-        if pos in vertex_index:
-            return vertex_index[pos]
-        vertex_index[pos] = len(vertices)
-        vertices.append(GraphVertex(pos, sign, 0, face))
-        return vertex_index[pos]
+    def intern(key: Tuple[int, ...], face) -> int:
+        """Index of the vertex at ``key`` / D; ``face`` None means its
+        minimal face."""
+        i = vertex_index.get(key)
+        if i is None:
+            i = vertex_index[key] = len(points)
+            pos = tuple(Fraction(c, D) for c in key)
+            points.append((pos, boundary.minimal_face(pos) if face is None else face))
+        return i
 
     for face in boundary.faces(2):
         i0, i1, i2 = sorted(face)
         p0 = verts[i0]
-        e1 = tuple((a - b) / s for a, b in zip(verts[i1], p0))
-        e2 = tuple((a - b) / s for a, b in zip(verts[i2], p0))
+        e1 = tuple((a - b) // s for a, b in zip(verts[i1], p0))
+        e2 = tuple((a - b) // s for a, b in zip(verts[i2], p0))
 
         def at(u, v):
             return tuple(p + u * a + v * b for p, a, b in zip(p0, e1, e2))
@@ -232,28 +244,25 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
                 if u + v < s - 1:
                     triangles.append((at(u + 1, v), at(u, v + 1), at(u + 1, v + 1)))
 
-        side_hits: Dict[Tuple[Point, Point], List[int]] = {}
+        side_hits: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
         for tri in triangles:
-            bary = tuple(sum(c) / 3 for c in zip(*tri))
-            ti = intern(bary, "unsigned", face)
+            ti = intern(tuple(sum(c) // 3 for c in zip(*tri)), face)
             for a, b in ((0, 1), (0, 2), (1, 2)):
-                side = tuple(sorted((tri[a], tri[b])))
+                side = (tri[a], tri[b]) if tri[a] < tri[b] else (tri[b], tri[a])
                 side_hits.setdefault(side, []).append(ti)
         for (pa, pb), hits in sorted(side_hits.items()):
             if len(hits) == 2:
                 edges.append(GraphEdge(hits[0], hits[1], face))
             else:
-                mid = tuple((x + y) / 2 for x, y in zip(pa, pb))
-                mi = intern(mid, "unsigned", boundary.minimal_face(mid))
+                mi = intern(tuple((x + y) // 2 for x, y in zip(pa, pb)), None)
                 edges.append(GraphEdge(hits[0], mi, face))
 
-    degrees = [0] * len(vertices)
+    degrees = [0] * len(points)
     for e in edges:
         degrees[e.a] += 1
         degrees[e.b] += 1
-    final = tuple(
-        replace(v, valence=degrees[i]) for i, v in enumerate(vertices)
-    )
+    final = tuple(GraphVertex(pos, "unsigned", degrees[i], face)
+                  for i, (pos, face) in enumerate(points))
     return DiscriminantGraph(final, tuple(edges))
 
 
@@ -312,7 +321,8 @@ def localized_thickening(
     for i, v in enumerate(graph.vertices):
         if v.sign != "negative":
             continue
-        nbrs = graph.neighbors(i)
+        incident = [graph.edges[j] for j in graph.incidence[i]]
+        nbrs = [e.b if e.a == i else e.a for e in incident]
         for j in nbrs:
             if _dist2(v.position, graph.vertices[j].position) <= radius**2:
                 raise ValueError(
@@ -369,30 +379,69 @@ def graph_to_json(graph: DiscriminantGraph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> DiscriminantGraph:
-    vertices = tuple(
-        GraphVertex(
-            _frac_point(v["position"]), v["sign"], v["valence"],
-            frozenset(v.get("face", [])),
-        )
-        for v in data["vertices"]
-    )
+#: the vertex signs a graph document may carry
+_SIGNS = ("positive", "negative", "none", "unsigned")
+
+
+def _index(x, n: int, what: str) -> int:
+    if type(x) is not int or not 0 <= x < n:
+        raise ValueError(f"{what} must be a vertex index below {n}, got {x!r}")
+    return x
+
+
+def _face(x) -> FrozenSet[int]:
+    if not isinstance(x, list) or not all(type(i) is int for i in x):
+        raise ValueError(f"a face must be an array of vertex ids, got {x!r}")
+    return frozenset(x)
+
+
+def graph_from_json(data) -> DiscriminantGraph:
+    """Inverse of ``graph_to_json``; a document of another shape raises
+    ValueError.  Each distinct coordinate string is parsed once."""
+    json_object(data, ("vertices", "edges"), "a graph document")
+    parsed: Dict[object, Fraction] = {}
+
+    def rational(c) -> Fraction:
+        if not isinstance(c, (str, int)):
+            raise ValueError(f"a coordinate must be a rational string, got {c!r}")
+        if c not in parsed:
+            try:
+                parsed[c] = Fraction(c)
+            except ZeroDivisionError:
+                raise ValueError(f"a coordinate must be a rational string, "
+                                 f"got {c!r}") from None
+        return parsed[c]
+
+    def point(p) -> Point:
+        return tuple(map(rational, json_array(p, "a point")))
+
+    vertices = []
+    for v in json_array(data["vertices"], "graph vertices",
+                        ("position", "sign", "valence")):
+        if v["sign"] not in _SIGNS or type(v["valence"]) is not int:
+            raise ValueError(f"a vertex needs a sign in {_SIGNS} and an integer "
+                             f"valence, got {v['sign']!r} and {v['valence']!r}")
+        vertices.append(GraphVertex(point(v["position"]), v["sign"], v["valence"],
+                                    _face(v.get("face", []))))
+    n = len(vertices)
     edges = tuple(
-        GraphEdge(e["a"], e["b"], frozenset(e.get("face", [])))
-        for e in data["edges"]
+        GraphEdge(_index(e["a"], n, "an edge end"), _index(e["b"], n, "an edge end"),
+                  _face(e.get("face", [])))
+        for e in json_array(data["edges"], "graph edges", ("a", "b"))
     )
     thick = tuple(
         Thickening(
-            t["vertex"],
-            _frac_point(t["center"]),
-            tuple(_frac_point(d) for d in t["legs"]),
-            Fraction(t["radius"]),
-            Fraction(t["disc_radius"]),
-            frozenset(t.get("plane_face", [])),
+            _index(t["vertex"], n, "a thickened vertex"),
+            point(t["center"]),
+            tuple(map(point, json_array(t["legs"], "thickening legs"))),
+            rational(t["radius"]),
+            rational(t["disc_radius"]),
+            _face(t.get("plane_face", [])),
         )
-        for t in data.get("thickening", [])
+        for t in json_array(data.get("thickening", []), "graph thickening",
+                            ("vertex", "center", "legs", "radius", "disc_radius"))
     )
-    return DiscriminantGraph(vertices, edges, thick)
+    return DiscriminantGraph(tuple(vertices), edges, thick)
 
 
 def graph_to_dot(graph: DiscriminantGraph) -> str:

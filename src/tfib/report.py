@@ -1,37 +1,91 @@
 """Canonical report serialization and side artifacts (CSV, SVG, DOT).
 
 JSON is the single source-of-truth report format: keys sorted, two-space
-indent, a trailing newline, and every value reduced to plain Python
-scalars, so identical runs produce byte-identical files.  A non-finite
-float is not JSON: serializing one raises ``ValueError``.
+indent, a trailing newline, so identical runs produce byte-identical
+files.  ``canonical_json`` writes it in one recursive walk: a numpy array
+or scalar (anything with ``tolist()``) is written as its ``tolist()``
+value, a Fraction as its string and a non-string key as ``str(key)``, and
+the text is what ``json.dumps(..., sort_keys=True, indent=2,
+allow_nan=False)`` writes for the report so reduced.  There is no
+separate reduction pass (``sanitize`` is gone): with ``indent`` set,
+``json`` runs its pure-Python encoder, after a pass that copied the whole
+report.  A non-finite float is not JSON and raises ``ValueError``; any
+other unsupported object raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
+
+_int = int.__repr__
+_float = float.__repr__
+_INF = float("inf")
 
 
-def sanitize(obj):
-    """Reduce numpy scalars/arrays and Fractions to plain JSON values.
+def _number(x: float) -> str:
+    if x != x or x == _INF or x == -_INF:
+        raise ValueError(
+            "Out of range float values are not JSON compliant: " + repr(x))
+    return _float(x)
 
-    numpy is never imported here: anything with ``tolist()`` (arrays and
-    numpy scalars alike) is reduced through it to plain Python values.
-    """
+
+def _encode(obj, newline: str) -> str:
+    """JSON text of ``obj`` whose closing bracket follows ``newline``."""
+    kind = type(obj)
+    if kind is str:
+        return _string(obj)
+    if kind is int:
+        return _int(obj)
+    if kind is float:
+        return _number(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        first = type(obj[0])
+        if first is int and all(type(v) is int for v in obj):
+            items = map(_int, obj)
+        elif first is str and all(type(v) is str for v in obj):
+            items = map(_string, obj)
+        else:
+            items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        inner = newline + "  "
+        items = [_string(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    # subclasses and foreign types, in the order their reduction tests them
     if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
+        return _encode({str(k): v for k, v in obj.items()}, newline)
     if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
+        return _encode(list(obj), newline)
     if isinstance(obj, Fraction):
-        return str(obj)
+        return _string(str(obj))
     if hasattr(obj, "tolist"):
-        return sanitize(obj.tolist())
-    return obj
+        return _encode(obj.tolist(), newline)
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, int):
+        return _int(obj)
+    if isinstance(obj, float):
+        return _number(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    "is not JSON serializable")
 
 
 def canonical_json(report: dict) -> str:
-    return json.dumps(sanitize(report), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    return _encode(report, "\n") + "\n"
 
 
 def write_csv(path, rows):

@@ -105,9 +105,7 @@ def canonical_assignment(graph: DiscriminantGraph) -> MonodromyAssignment:
     for i, v in enumerate(graph.vertices):
         if v.sign not in ("positive", "negative"):
             continue
-        incident = tuple(
-            sorted(j for j, e in enumerate(graph.edges) if i in (e.a, e.b))
-        )
+        incident = graph.incidence[i]
         if len(incident) != 3:
             raise ValueError(f"signed vertex {i} is not trivalent")
         mats = zlat.NEGATIVE_TRIPLE if v.sign == "negative" else zlat.POSITIVE_TRIPLE
@@ -211,11 +209,28 @@ def validate_semistable(
 # reports (``tfib graph ...``, ``tfib topo ...``)
 # ----------------------------------------------------------------------
 
+_K3 = {"vertices": 24, "edges": 0, "positive": 0, "negative": 0, "euler": 24}
+
+#: the paper's counts for the standard graphs, by (which, dual): 24 nodes
+#: and Euler number 24 on the K3 base (its own mirror); 300 trivalent
+#: vertices, 450 edges, 50 positive and 250 negative vertices and Euler
+#: number -200 on the quintic base, the signs swapped and +200 on its dual
+STANDARD_GRAPHS = {
+    ("k3", False): _K3,
+    ("k3", True): _K3,
+    ("quintic", False): {"vertices": 300, "edges": 450, "positive": 50,
+                         "negative": 250, "euler": -200},
+    ("quintic", True): {"vertices": 300, "edges": 450, "positive": 250,
+                        "negative": 50, "euler": 200},
+}
+
+
 def graph_report(which, dual, thicken):
     """The discriminant graph of the standard simplex boundary, ``k3``
     (n = 2) or ``quintic`` (n = 3, signed), its Legendre dual if ``dual``,
     thickened at the exact radius ``thicken`` if given, with its counts
-    and Euler number.  Returns ``(body, {".dot": Graphviz text})``."""
+    and Euler number; it passes when they are the paper's
+    (``STANDARD_GRAPHS``).  Returns ``(body, {".dot": Graphviz text})``."""
     if which == "k3":
         boundary = polybase.LatticeSimplexBoundary(3)
         graph = polybase.build_k3_graph(boundary)
@@ -240,12 +255,15 @@ def graph_report(which, dual, thicken):
         "dimension": dimension,
         "thickened": len(graph.thickening),
     }
+    body["passed"] = all(body[k] == n for k, n in STANDARD_GRAPHS[which, dual].items())
     return body, {".dot": polybase.graph_to_dot(graph)}
 
 
 def _graph_from_document(doc) -> DiscriminantGraph:
     """A graph JSON document, or a report that holds one under "graph"."""
-    return polybase.graph_from_json(doc.get("graph", doc))
+    if isinstance(doc, dict):
+        doc = doc.get("graph", doc)
+    return polybase.graph_from_json(doc)
 
 
 def euler_report(graph) -> dict:
@@ -264,4 +282,6 @@ def validate_report(graph) -> dict:
 
 def sign_report(triple) -> dict:
     """The sign of a vertex from its triple of integer matrices."""
+    if not isinstance(triple, list):
+        raise ValueError(f"a triple is a JSON array of three matrices, got {triple!r}")
     return {"sign": sign_from_triple([zlat.mat(m) for m in triple])}

@@ -28,7 +28,11 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 def mat(rows) -> IntMatrix:
     """Freeze a nested sequence into an IntMatrix, validating squareness."""
-    m = tuple(tuple(int(v) for v in row) for row in rows)
+    try:
+        m = tuple(tuple(int(v) for v in row) for row in rows)
+    except TypeError:
+        raise ValueError(f"a matrix is an array of rows of integers, "
+                         f"got {rows!r}") from None
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
@@ -237,6 +241,25 @@ def invert(a: AffineMapZ) -> AffineMapZ:
 # JSON encoding
 # ----------------------------------------------------------------------
 
+def json_object(data, keys, what: str) -> dict:
+    """``data`` if it is a JSON object that holds ``keys``; else ValueError."""
+    if not isinstance(data, dict) or not all(k in data for k in keys):
+        holding = f" with {', '.join(keys)}" if keys else ""
+        raise ValueError(f"{what} must be a JSON object{holding}, got {repr(data)[:60]}")
+    return data
+
+
+def json_array(data, what: str, keys=None) -> list:
+    """``data`` if it is a JSON array, whose entries are JSON objects that
+    hold ``keys`` when ``keys`` is given; else ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, got {repr(data)[:60]}")
+    if keys is not None:
+        for entry in data:
+            json_object(entry, keys, f"an entry of {what}")
+    return data
+
+
 def matrix_to_json(m: IntMatrix) -> list:
     return [list(row) for row in m]
 
@@ -255,10 +278,18 @@ def affine_from_json(data) -> AffineMapZ:
     """Inverse of `affine_to_json`.  Translations must be exact: a JSON
     float entry raises ValueError, and so does a ``"numeric": true`` tag
     (a float-translation map); ``"numeric": false`` is accepted."""
+    json_object(data, ("linear", "translation"), "an affine map")
     if data.get("numeric", False):
         raise ValueError("float-translation affine maps are not supported; "
                          "translations must be exact rationals")
-    return AffineMapZ(matrix_from_json(data["linear"]), tuple(data["translation"]))
+    translation = json_array(data["translation"], "a translation")
+    inexact = ValueError(f"translation entries must be exact rationals, got {translation!r}")
+    if not all(isinstance(v, (str, int, float)) for v in translation):
+        raise inexact
+    try:
+        return AffineMapZ(matrix_from_json(data["linear"]), tuple(translation))
+    except ZeroDivisionError:
+        raise inexact from None
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ def run(tmp_path, *argv, name="report.json"):
 
 
 def test_graph_k3(tmp_path):
-    code, data, _ = run(tmp_path, "graph", "k3")
-    assert code == 0
+    code, data, _ = run(tmp_path, "graph", "k3", "--strict")
+    assert code == 0 and data["passed"] is True
     assert data["vertices"] == 24
     assert data["euler"] == 24
 
@@ -545,6 +545,54 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
 # a warning would reach the terminal before the error line, so it fails here
 @pytest.mark.filterwarnings("error")
 def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    code, data, _ = run(tmp_path, *argv)
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_VERTEX = {"position": ["0", "0", "0", "0"], "sign": "negative", "valence": 3}
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["base", "check-simple", "--input"], {}),
+    (["base", "check-simple", "--input"], [1]),
+    (["base", "holonomy", "--loop", "g1", "--input"],
+     {"dim": 3, "charts": [], "pieces": [{"id": "p"}]}),
+    (["base", "holonomy", "--loop", "g1", "--input"],
+     {"dim": 3, "charts": [], "pieces": [], "loops": {"g1": {"base_chart": "U"}}}),
+    (["base", "check-simple", "--input"], {"dim": "3", "charts": [], "pieces": []}),
+    (["base", "check-simple", "--input"],
+     {"dim": 3, "charts": [{"id": [1], "dim": 3}], "pieces": []}),
+    (["base", "check-simple", "--input"],
+     {"dim": 3, "charts": [], "pieces": [], "singular_points": 5}),
+    (["base", "check-simple", "--input"],
+     {"dim": 3, "charts": [], "pieces": [], "singular_points": [{"id": "p", "loops": ["g"]}]}),
+    (["base", "check-simple", "--input"], {"dim": 3, "charts": [], "pieces": [], "tau": [None]}),
+    (["base", "check-simple", "--input"], {"dim": 3, "charts": [{"id": "U", "dim": 3}], "pieces": [
+        {"id": "p", "chart_a": "U", "chart_b": "U", "region": "",
+         "transition": {"linear": [[1]], "translation": [None]}}]}),
+    (["topo", "euler", "--input"], [1]),
+    (["topo", "validate", "--input"], [1]),
+    (["topo", "euler", "--input"], {}),
+    (["topo", "euler", "--input"], {"vertices": [1], "edges": []}),
+    (["topo", "euler", "--input"], {"vertices": [dict(_VERTEX, position=5)], "edges": []}),
+    (["topo", "euler", "--input"], {"vertices": [dict(_VERTEX, position=[["0"]])],
+                                    "edges": []}),
+    (["topo", "euler", "--input"], {"vertices": [dict(_VERTEX, position=["1/0"])],
+                                    "edges": []}),
+    (["topo", "euler", "--input"], {"vertices": [_VERTEX], "edges": [{"a": 0, "b": 5}]}),
+    (["topo", "euler", "--input"], {"graph": {"vertices": [_VERTEX], "edges": {}}}),
+    (["topo", "sign", "--triple", "[1,2,3]"], None),
+    (["topo", "sign", "--triple", "5"], None),
+])
+@pytest.mark.filterwarnings("error")
+def test_json_of_the_wrong_shape_is_a_one_line_usage_error(tmp_path, capsys, argv,
+                                                          document):
+    if document is not None:
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
+        argv = [*argv, str(path)]
     code, data, _ = run(tmp_path, *argv)
     assert code == 2 and data is None
     err = capsys.readouterr().err

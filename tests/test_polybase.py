@@ -96,8 +96,19 @@ def test_quintic_counts():
 def test_quintic_trivalent_and_connected():
     g = quintic_graph()
     assert all(v.valence == 3 for v in g.vertices)
-    assert all(g.degree(i) == 3 for i in range(len(g.vertices)))
+    assert all(len(edges) == 3 for edges in g.incidence)
     assert g.connected_components() == 1
+
+
+def test_incidence_lists_each_vertex_edges_in_order():
+    g = quintic_graph()
+    for i, edges in enumerate(g.incidence):
+        assert edges == tuple(j for j, e in enumerate(g.edges) if i in (e.a, e.b))
+    # a loop is incident once; an isolated vertex has no edges
+    loop = pb.DiscriminantGraph(
+        tuple(pb.GraphVertex((Fraction(k),), "none", 0) for k in range(3)),
+        (pb.GraphEdge(0, 1), pb.GraphEdge(1, 1), pb.GraphEdge(1, 0)))
+    assert loop.incidence == ((0, 2), (0, 1, 2), ())
 
 
 def test_quintic_sign_placement():

@@ -1,11 +1,68 @@
-"""Report serialization: numpy values and Fractions reduce to plain JSON."""
+"""Report serialization: numpy values and Fractions reduce to plain JSON,
+and the one-walk writer gives the text ``json.dumps`` gives."""
 
+import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfib import report
+
+
+def reference_reduce(obj):
+    """The reduction the writer does on the fly, as a separate pass."""
+    if isinstance(obj, dict):
+        return {str(k): reference_reduce(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_reduce(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if hasattr(obj, "tolist"):
+        return reference_reduce(obj.tolist())
+    return obj
+
+
+def reference_json(doc) -> str:
+    return json.dumps(reference_reduce(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2**200, max_value=2**200),
+    finite, st.sampled_from([-0.0, 1e300, -1e-300, 5e-324]),
+    st.text(), st.text(alphabet=st.characters(max_codepoint=0x20), max_size=4),
+    st.fractions(),
+    st.builds(np.float64, finite), st.builds(np.float32, st.floats(width=32, allow_nan=False,
+                                                                 allow_infinity=False)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+    st.lists(finite, max_size=3).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=2).map(
+        lambda rows: np.array(rows, dtype=np.int32)),
+)
+keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
+                 st.sampled_from(["1", "True", "None", "é", "\x00"]))
+documents = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(documents)
+def test_canonical_json_is_the_json_dumps_text(doc):
+    assert report.canonical_json(doc) == reference_json(doc)
 
 
 def assert_plain(value, expected):
@@ -23,7 +80,7 @@ def assert_plain(value, expected):
         assert value == expected
 
 
-def test_sanitize_reduces_numpy_and_fractions_to_plain_values():
+def test_canonical_json_reduces_numpy_and_fractions_to_plain_values():
     data = {
         "flag": np.bool_(True),
         "count": np.int64(-7),
@@ -34,15 +91,16 @@ def test_sanitize_reduces_numpy_and_fractions_to_plain_values():
         "nested": ({"a": [np.float32(0.5), (1, "s")]}, [np.int8(2), None]),
         3: "int key",
     }
-    assert_plain(report.sanitize(data), {
-        "flag": True,
+    # read back in the writer's key order: sorted
+    assert_plain(json.loads(report.canonical_json(data)), {
+        "3": "int key",
         "count": -7,
-        "x": 0.1,
+        "flag": True,
         "grid": [[0.5, -1.25], [3.0, 1e-12]],
         "ids": [1, 2, 3],
-        "q": "-3/4",
         "nested": [{"a": [0.5, [1, "s"]]}, [2, None]],
-        "3": "int key",
+        "q": "-3/4",
+        "x": 0.1,
     })
 
 
@@ -76,4 +134,23 @@ def test_canonical_json_text_of_numpy_values():
                                    np.array([1.0, -np.inf])])
 def test_non_finite_numpy_value_is_not_json(value):
     with pytest.raises(ValueError):
+        report.canonical_json({"x": value})
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, [1, (2.0, -math.inf)], {"y": {3: math.nan}},
+    np.float64("nan"), np.float32("-inf"), np.array([[1.0], [np.inf]]),
+])
+def test_non_finite_values_raise_the_json_dumps_error(value):
+    with pytest.raises(ValueError) as want:
+        reference_json({"x": value})
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        report.canonical_json({"x": value})
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"bytes", [range(2)]])
+def test_unsupported_objects_raise_the_json_dumps_error(value):
+    with pytest.raises(TypeError) as want:
+        reference_json({"x": value})
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
         report.canonical_json({"x": value})

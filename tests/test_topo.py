@@ -1,11 +1,12 @@
 """Euler counts, semi-stable validation, vertex sign from triples."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from tfib import polybase as pb
-from tfib import topo, zlat
+from tfib import report, topo, zlat
 
 
 K3 = pb.LatticeSimplexBoundary(3)
@@ -118,7 +119,8 @@ def test_validate_canonical_on_quintic_sample():
     g = quintic_graph()
     # restrict to one negative vertex with stub endpoints to keep it fast
     i = next(k for k, v in enumerate(g.vertices) if v.sign == "negative")
-    nbrs = g.neighbors(i)
+    nbrs = [g.edges[j].b if g.edges[j].a == i else g.edges[j].a
+            for j in g.incidence[i]]
     keep = [i] + nbrs
     remap = {old: new for new, old in enumerate(keep)}
     vertices = []
@@ -152,3 +154,62 @@ def test_validate_canonical_on_full_quintic():
     report = topo.validate_semistable(g, topo.canonical_assignment(g))
     assert report.valid
     assert len(report.items) == 450 + 300 * 4
+
+
+# SHA-256 of the canonical JSON of each report body (without its verdict,
+# which the bodies did not carry when these were taken) and of its DOT text,
+# so the exact graph pipeline and the report writer keep every byte
+PINNED = {
+    ("k3", False, None): (
+        "d278cae5988d5c2916a7b678471802bba8c964790dc15eb2d7d9718f58ec885b",
+        "e6bf5c0754fb7702579b69d1b1acc1a9e06ce987001bb2d0021aeb557cd355c0"),
+    ("quintic", False, None): (
+        "b6ee71eaf2b4a641693e8cf2d481d5f6d2008284d67c87abecd123664913a7c4",
+        "e84fb6257dede0c45493bafb3e57fecdfad2d70e2a1957cbafd46037fb66395a"),
+    ("quintic", True, None): (
+        "53fc8c006f18752a3aa9d7a17f604340078a28965a7b4084566f459d380f18f8",
+        "687f1397c85ac4df24b581406ca9294f3e9c093c7f2c5aab2cabb84913e708a4"),
+    ("quintic", False, Fraction(2, 25)): (
+        "2ba4ed27ca5c2b1a8a358a3eaafd02f036a7bcce28ce18e83d4186ec9eb11239",
+        "e84fb6257dede0c45493bafb3e57fecdfad2d70e2a1957cbafd46037fb66395a"),
+}
+PINNED_VALIDATION = {
+    False: "5a6f1154c385868aaee95536c6a8dbbd859b3358d5f1cc7b7b066dbbd46c2ba6",
+    True: "40229d3ea9dfd8069aa6d6d50cfd7d113d7eb675ff2f22469ebb78138a5f7c0b",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_graph_and_validation_reports_keep_their_pinned_bytes():
+    bodies = {}
+    for (which, dual, thicken), (body_sha, dot_sha) in PINNED.items():
+        body, side = topo.graph_report(which, dual, thicken)
+        assert body.pop("passed") is True
+        assert (sha256(report.canonical_json(body)), sha256(side[".dot"])) == (
+            body_sha, dot_sha), (which, dual, thicken)
+        bodies[which, dual, thicken] = body
+    for dual, want in PINNED_VALIDATION.items():
+        got = report.canonical_json(topo.validate_report(bodies["quintic", dual, None]))
+        assert sha256(got) == want, dual
+
+
+def test_a_quintic_graph_missing_an_edge_fails(monkeypatch):
+    build = pb.build_quintic_graph
+
+    def drop_one_edge(boundary):
+        g = build(boundary)
+        return pb.DiscriminantGraph(g.vertices, g.edges[:-1])
+
+    monkeypatch.setattr(pb, "build_quintic_graph", drop_one_edge)
+    for dual in (False, True):
+        body, _ = topo.graph_report("quintic", dual, None)
+        assert body["edges"] == 449 and body["passed"] is False
+
+
+def test_a_wrong_euler_number_fails(monkeypatch):
+    monkeypatch.setitem(topo.FIBRE_TYPES, "nodal_I1", 2)
+    body, _ = topo.graph_report("k3", False, None)
+    assert body["euler"] == 48 and body["passed"] is False
