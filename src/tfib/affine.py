@@ -139,7 +139,7 @@ def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
     contributions multiply in crossing order, which makes concatenation of
     loop words go to the product of their holonomies.
     """
-    if loop.base_chart not in {c.id for c in base.charts}:
+    if loop.base_chart not in base._chart_ids:
         raise ValueError(f"unknown base chart {loop.base_chart}")
     current = loop.base_chart
     acc = zlat.identity(base.dim)
@@ -185,11 +185,62 @@ def check_cocycle(base: ChartedBase) -> bool:
 # the local models
 # ----------------------------------------------------------------------
 
-def _shift3(m2: IntMatrix) -> IntMatrix:
-    """Embed a 2x2 block into the upper-left of a 3x3 identity."""
-    return zlat.mat(
-        [[m2[0][0], m2[0][1], 0], [m2[1][0], m2[1][1], 0], [0, 0, 1]]
-    )
+_T1, _T2, _ = zlat.NEGATIVE_TRIPLE
+_I3 = zlat.identity(3)
+_G = {"g": [("Hminus", "U1", "U2"), ("Hplus", "U2", "U1")]}
+
+#: chart id -> region of each local model
+_REGIONS = {
+    "node": {"U1": "R^2 minus the ray {x2=0, x1>=0}",
+             "U2": "R^2 minus the ray {x2=0, x1<=0}"},
+    "edge": {"U1": "(R^2 x I) minus {(x1,0,s): x1 >= tau(s)}",
+             "U2": "(R^2 x I) minus {(x1,0,s): x1 <= tau(s)}"},
+    "positive": {"U1": "R^3 minus R+ = {x1 >= tau} x Delta",
+                 "U2": "R^3 minus R- = {x1 <= tau} x Delta"},
+    "negative": {"U1": "R^3 minus (closure C2 u closure C3)",
+                 "U2": "R^3 minus (closure C1 u closure C3)",
+                 "U3": "R^3 minus (closure C1 u closure C2)"},
+}
+
+#: overlap pieces (id, chart_a, chart_b, region, linear part of the a -> b
+#: transition) and loop words {name: [(piece, from, to), ...]} based at U1
+_MODELS = {
+    "node": ([("Hplus", "U1", "U2", "Hplus", zlat.identity(2)),
+              ("Hminus", "U1", "U2", "Hminus", zlat.inverse_transpose(zlat.T_NODE))], _G),
+    "edge": ([("Hplus", "U1", "U2", "Hplus", _I3),
+              ("Hminus", "U1", "U2", "Hminus", zlat.inverse_transpose(zlat.T_GENERIC))], _G),
+    "positive": ([("V1", "U1", "U2", "V1", _I3),
+                  ("V2", "U1", "U2", "V2", zlat.inverse(_T1)),
+                  ("V3", "U1", "U2", "V3", _T2)],
+                 {"g1": [("V1", "U1", "U2"), ("V2", "U2", "U1")],
+                  "g2": [("V3", "U1", "U2"), ("V1", "U2", "U1")],
+                  "g3": [("V2", "U1", "U2"), ("V3", "U2", "U1")]}),
+    "negative": ([("12+", "U1", "U2", "Vplus", zlat.inverse_transpose(_T1)),
+                  ("12-", "U1", "U2", "Vminus", _I3),
+                  ("13+", "U1", "U3", "Vplus", _I3),
+                  ("13-", "U1", "U3", "Vminus", zlat.inverse_transpose(_T2)),
+                  ("23+", "U2", "U3", "Vplus", zlat.transpose(_T1)),
+                  ("23-", "U2", "U3", "Vminus", zlat.inverse_transpose(_T2))],
+                 {"g1": [("12+", "U1", "U2"), ("12-", "U2", "U1")],
+                  "g2": [("13-", "U1", "U3"), ("13+", "U3", "U1")],
+                  "g3": [("12-", "U1", "U2"), ("23+", "U2", "U3"), ("13-", "U3", "U1")]}),
+}
+
+
+def _discriminant(kind: str, tau: Polynomial) -> dict:
+    """The node point, the edge curve or the trivalent vertex of ``kind``."""
+    if kind == "node":
+        return {"kind": "node", "points": [["0", "0"]]}
+    if kind == "edge":
+        return {"kind": "edge_curve", "curve": "(tau(s), 0, s)", "plane": "{x2=0}",
+                "tau": tau.to_json()}
+    return {
+        "kind": "trivalent_vertex",
+        "sign": kind,
+        "legs": ["{x2=0, x3<=0}", "{x3=0, x2<=0}", "{x2=x3>=0}"],
+        "plane": "{x1=0}" if kind == "negative" else "graph of tau over R = R x Delta",
+        "tau": tau.to_json(),
+    }
 
 
 def build_local_model(kind: str, tau: Optional[Polynomial] = None) -> ChartedBase:
@@ -197,162 +248,28 @@ def build_local_model(kind: str, tau: Optional[Polynomial] = None) -> ChartedBas
 
     ``tau`` perturbs the discriminant inside its holonomy-invariant plane
     (edge: the curve (tau(s), 0, s); positive/negative: graph of tau over
-    the legs).  For the vertex kinds tau must vanish at the vertex.
+    the legs).  For the vertex kinds tau must vanish at the vertex; the
+    node model has no handle.
     """
-    tau = tau if tau is not None else ZERO_TAU
-    if kind in ("positive", "negative", "edge") and tau(Fraction(0)) != 0:
+    if kind not in _REGIONS:
+        raise ValueError(f"unsupported local model kind: {kind}")
+    tau = ZERO_TAU if tau is None or kind == "node" else tau
+    if tau(Fraction(0)) != 0:
         raise ValueError("tau must vanish at the vertex: tau(0) != 0")
-    if kind == "node":
-        return _node_model()
-    if kind == "edge":
-        return _edge_model(tau)
-    if kind == "positive":
-        return _positive_model(tau)
-    if kind == "negative":
-        return _negative_model(tau)
-    raise ValueError(f"unsupported local model kind: {kind}")
-
-
-def _node_model() -> ChartedBase:
-    t_inv_t = zlat.inverse_transpose(zlat.T_NODE)
-    pieces = [
-        OverlapPiece("Hplus", "U1", "U2", "Hplus", AffineMapZ.identity(2)),
-        OverlapPiece("Hminus", "U1", "U2", "Hminus", AffineMapZ.from_linear(t_inv_t)),
-    ]
-    loops = {
-        "g": LoopWord("U1", (Crossing("Hminus", "U1", "U2"),
-                             Crossing("Hplus", "U2", "U1"))),
-    }
+    dim = 2 if kind == "node" else 3
+    pieces, loops = _MODELS[kind]
     return ChartedBase(
-        dim=2,
-        charts=[
-            Chart("U1", 2, "R^2 minus the ray {x2=0, x1>=0}"),
-            Chart("U2", 2, "R^2 minus the ray {x2=0, x1<=0}"),
-        ],
-        pieces=pieces,
-        discriminant={"kind": "node", "points": [["0", "0"]]},
-        loops=loops,
-        singular_points=[{"id": "node0", "type": "node", "loops": ["g"]}],
-    )
-
-
-def _edge_model(tau: Polynomial) -> ChartedBase:
-    t = _shift3(zlat.T_NODE)
-    pieces = [
-        OverlapPiece("Hplus", "U1", "U2", "Hplus", AffineMapZ.identity(3)),
-        OverlapPiece(
-            "Hminus", "U1", "U2", "Hminus",
-            AffineMapZ.from_linear(zlat.inverse_transpose(t)),
-        ),
-    ]
-    loops = {
-        "g": LoopWord("U1", (Crossing("Hminus", "U1", "U2"),
-                             Crossing("Hplus", "U2", "U1"))),
-    }
-    return ChartedBase(
-        dim=3,
-        charts=[
-            Chart("U1", 3, "(R^2 x I) minus {(x1,0,s): x1 >= tau(s)}"),
-            Chart("U2", 3, "(R^2 x I) minus {(x1,0,s): x1 <= tau(s)}"),
-        ],
-        pieces=pieces,
-        discriminant={
-            "kind": "edge_curve",
-            "curve": "(tau(s), 0, s)",
-            "plane": "{x2=0}",
-            "tau": tau.to_json(),
-        },
+        dim=dim,
+        charts=[Chart(c, dim, region) for c, region in _REGIONS[kind].items()],
+        pieces=[OverlapPiece(i, a, b, region, AffineMapZ.from_linear(linear))
+                for i, a, b, region, linear in pieces],
+        discriminant=_discriminant(kind, tau),
         tau=tau,
-        loops=loops,
-        singular_points=[{"id": "edge0", "type": "edge", "loops": ["g"]}],
+        loops={name: LoopWord("U1", tuple(Crossing(*c) for c in word))
+               for name, word in loops.items()},
+        singular_points=[{"id": kind + "0" if kind in ("node", "edge") else "vertex0",
+                          "type": kind, "loops": sorted(loops)}],
     )
-
-
-def _positive_model(tau: Polynomial) -> ChartedBase:
-    t1, t2, _ = zlat.NEGATIVE_TRIPLE
-    pieces = [
-        OverlapPiece("V1", "U1", "U2", "V1", AffineMapZ.identity(3)),
-        OverlapPiece("V2", "U1", "U2", "V2",
-                     AffineMapZ.from_linear(zlat.inverse(t1))),
-        OverlapPiece("V3", "U1", "U2", "V3", AffineMapZ.from_linear(t2)),
-    ]
-    loops = {
-        "g1": LoopWord("U1", (Crossing("V1", "U1", "U2"),
-                              Crossing("V2", "U2", "U1"))),
-        "g2": LoopWord("U1", (Crossing("V3", "U1", "U2"),
-                              Crossing("V1", "U2", "U1"))),
-        "g3": LoopWord("U1", (Crossing("V2", "U1", "U2"),
-                              Crossing("V3", "U2", "U1"))),
-    }
-    return ChartedBase(
-        dim=3,
-        charts=[
-            Chart("U1", 3, "R^3 minus R+ = {x1 >= tau} x Delta"),
-            Chart("U2", 3, "R^3 minus R- = {x1 <= tau} x Delta"),
-        ],
-        pieces=pieces,
-        discriminant=_vertex_discriminant("positive", tau),
-        tau=tau,
-        loops=loops,
-        singular_points=[
-            {"id": "vertex0", "type": "positive", "loops": ["g1", "g2", "g3"]},
-        ],
-    )
-
-
-def _negative_model(tau: Polynomial) -> ChartedBase:
-    t1, t2, _ = zlat.NEGATIVE_TRIPLE
-    t1it = zlat.inverse_transpose(t1)
-    t2it = zlat.inverse_transpose(t2)
-    pieces = [
-        OverlapPiece("12+", "U1", "U2", "Vplus", AffineMapZ.from_linear(t1it)),
-        OverlapPiece("12-", "U1", "U2", "Vminus", AffineMapZ.identity(3)),
-        OverlapPiece("13+", "U1", "U3", "Vplus", AffineMapZ.identity(3)),
-        OverlapPiece("13-", "U1", "U3", "Vminus", AffineMapZ.from_linear(t2it)),
-        OverlapPiece("23+", "U2", "U3", "Vplus",
-                      AffineMapZ.from_linear(zlat.transpose(t1))),
-        OverlapPiece("23-", "U2", "U3", "Vminus", AffineMapZ.from_linear(t2it)),
-    ]
-    loops = {
-        "g1": LoopWord("U1", (Crossing("12+", "U1", "U2"),
-                              Crossing("12-", "U2", "U1"))),
-        "g2": LoopWord("U1", (Crossing("13-", "U1", "U3"),
-                              Crossing("13+", "U3", "U1"))),
-        "g3": LoopWord("U1", (Crossing("12-", "U1", "U2"),
-                              Crossing("23+", "U2", "U3"),
-                              Crossing("13-", "U3", "U1"))),
-    }
-    return ChartedBase(
-        dim=3,
-        charts=[
-            Chart("U1", 3, "R^3 minus (closure C2 u closure C3)"),
-            Chart("U2", 3, "R^3 minus (closure C1 u closure C3)"),
-            Chart("U3", 3, "R^3 minus (closure C1 u closure C2)"),
-        ],
-        pieces=pieces,
-        discriminant=_vertex_discriminant("negative", tau),
-        tau=tau,
-        loops=loops,
-        singular_points=[
-            {"id": "vertex0", "type": "negative", "loops": ["g1", "g2", "g3"]},
-        ],
-    )
-
-
-def _vertex_discriminant(sign: str, tau: Polynomial) -> dict:
-    legs = [
-        "{x2=0, x3<=0}",
-        "{x3=0, x2<=0}",
-        "{x2=x3>=0}",
-    ]
-    plane = "{x1=0}" if sign == "negative" else "graph of tau over R = R x Delta"
-    return {
-        "kind": "trivalent_vertex",
-        "sign": sign,
-        "legs": legs,
-        "plane": plane,
-        "tau": tau.to_json(),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -80,22 +80,18 @@ class LatticeSimplexBoundary:
             pts.append(p)
         return pts
 
-    def barycentrics(self, p: Point) -> Tuple[Fraction, ...]:
-        """Exact barycentric coordinates w.r.t. the simplex vertices.
-
-        For this family, p_j = -1 + scale * t_{j+1}, and t_0 = 1 - sum.
-        """
-        s = self.scale
-        t = [(Fraction(c) + 1) / s for c in p]
-        t0 = 1 - sum(t)
-        return (t0, *t)
-
     def minimal_face(self, p: Point) -> FrozenSet[int]:
-        """Smallest face containing p (indices with positive barycentric)."""
-        bc = self.barycentrics(p)
-        if any(b < 0 for b in bc):
+        """Smallest face containing p (indices with positive barycentric).
+
+        For this family the barycentrics are t_{j+1} = (p_j + 1) / scale
+        and t_0 = 1 - sum, so their signs are those of p_j + 1 and of
+        scale - sum(p_j + 1).
+        """
+        signs = [c + 1 for c in p]
+        signs.insert(0, self.scale - sum(signs))
+        if any(b < 0 for b in signs):
             raise ValueError(f"point {p} lies outside the simplex")
-        return frozenset(i for i, b in enumerate(bc) if b > 0)
+        return frozenset(i for i, b in enumerate(signs) if b > 0)
 
 
 def _compositions(total: int, parts: int):
@@ -298,10 +294,6 @@ def legendre_dual(graph: DiscriminantGraph) -> DiscriminantGraph:
     return DiscriminantGraph(out, graph.edges, graph.thickening)
 
 
-def _dist2(a: Point, b: Point) -> Fraction:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
-
-
 def localized_thickening(
     graph: DiscriminantGraph, amoeba_radius
 ) -> DiscriminantGraph:
@@ -317,26 +309,26 @@ def localized_thickening(
         raise ValueError("amoeba radius must be positive")
     if any(v.sign == "unsigned" for v in graph.vertices):
         raise ValueError("localized_thickening requires a signed graph")
+    reach = radius**2
     records = []
     for i, v in enumerate(graph.vertices):
         if v.sign != "negative":
             continue
-        incident = [graph.edges[j] for j in graph.incidence[i]]
-        nbrs = [e.b if e.a == i else e.a for e in incident]
-        for j in nbrs:
-            if _dist2(v.position, graph.vertices[j].position) <= radius**2:
+        legs = []
+        for e in (graph.edges[k] for k in graph.incidence[i]):
+            j = e.b if e.a == i else e.a
+            leg = tuple(q - p for p, q in zip(v.position, graph.vertices[j].position))
+            if sum(x * x for x in leg) <= reach:
                 raise ValueError(
                     f"amoeba radius {radius} reaches vertex {j} from vertex {i}"
                 )
-        legs = tuple(
-            tuple(q - p for p, q in zip(v.position, graph.vertices[j].position))
-            for j in sorted(nbrs)
-        )
+            legs.append((j, leg))
+        legs.sort(key=lambda jl: jl[0])
         records.append(
             Thickening(
                 vertex=i,
                 center=v.position,
-                leg_directions=legs,
+                leg_directions=tuple(leg for _, leg in legs),
                 radius=radius,
                 disc_radius=radius,
                 plane_face=v.face,

@@ -27,12 +27,17 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def mat(rows) -> IntMatrix:
-    """Freeze a nested sequence into an IntMatrix, validating squareness."""
+    """Freeze a nested sequence into an IntMatrix, validating squareness;
+    an entry that is not an ``int`` (a float, a bool, a string) raises
+    ValueError."""
     try:
-        m = tuple(tuple(int(v) for v in row) for row in rows)
+        m = tuple(tuple(row) for row in rows)
     except TypeError:
         raise ValueError(f"a matrix is an array of rows of integers, "
                          f"got {rows!r}") from None
+    bad = [v for row in m for v in row if type(v) is not int]
+    if bad:
+        raise ValueError(f"matrix entries must be integers, got {bad[0]!r}")
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")

@@ -1,10 +1,12 @@
 """Local models, holonomy conventions, cocycle and simplicity checks."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from tfib import affine, zlat
+from tfib import affine, report, zlat
 from tfib.affine import (
     AffineMapZ,
     ChartedBase,
@@ -185,3 +187,23 @@ def test_atlas_json_roundtrip():
         assert holonomy(back, back.loops[g]) == holonomy(base, base.loops[g])
     word = affine.loop_word_from_json([["12+", "U1", "U2"], ["12-", "U2", "U1"]])
     assert holonomy(back, word) == zlat.NEGATIVE_TRIPLE[0]
+
+
+# SHA-256 of the canonical JSON atlas of each local model, with the default
+# handle and with tau = 1/2 s - 3 s^2, so the model table keeps every byte
+PINNED_ATLASES = {
+    ("node", None): "144e931d8317425ec79a4d3cb2bcbb8edd435bd5cd4fd9c7c0ea37bdc66906cc",
+    ("edge", None): "2b47fd73572a9fbdf98202de79d2b75f730bab099dab9089e69c0038fe1bab3c",
+    ("positive", None): "be164eff74a4397fd046ef7e74e5debc19edd37a3e22103a95d3385013685ccc",
+    ("negative", None): "36dc7589addee1fcc91ed4165bef80a7bb723e141db158d7f355d5caaf740a51",
+    ("edge", "tau"): "5408b115d9db7118b06449418988345aff76d056d1e5835d78a1427f6d90317e",
+    ("positive", "tau"): "267ba20561f1699c6dbce0300530fcf1d39abe1e2cd479e7eaa5a7810173c89a",
+    ("negative", "tau"): "50af1b95cfcd1f3bc73e334e7ee213355c13414b81da94cfd55959754783ea89",
+}
+
+
+@pytest.mark.parametrize("kind, tau", list(PINNED_ATLASES))
+def test_local_model_atlases_keep_their_pinned_bytes(kind, tau):
+    handle = None if tau is None else Polynomial([0, Fraction(1, 2), -3])
+    text = report.canonical_json(affine.base_to_json(build_local_model(kind, handle)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ATLASES[kind, tau]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tfib import cli, numerics, symplab, zlat
+from tfib import affine, cli, numerics, symplab, zlat
 
 
 def run(tmp_path, *argv, name="report.json"):
@@ -496,7 +496,6 @@ def test_topo_validate_cli(tmp_path):
 
 
 def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
-    from tfib import affine
     from test_affine import doctored_node_model
 
     atlas = tmp_path / "doctored.json"
@@ -554,6 +553,19 @@ def test_invalid_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
 _VERTEX = {"position": ["0", "0", "0", "0"], "sign": "negative", "valence": 3}
 
 
+def _triple_with(entry):
+    """The negative triple with T1[0][1] replaced by ``entry``, as JSON."""
+    triple = [[list(row) for row in m] for m in zlat.NEGATIVE_TRIPLE]
+    triple[0][0][1] = entry
+    return json.dumps(triple)
+
+
+def _negative_atlas_with_float_entry():
+    atlas = affine.base_to_json(affine.build_local_model("negative"))
+    atlas["pieces"][1]["transition"]["linear"][0][0] = 1.0
+    return atlas
+
+
 @pytest.mark.parametrize("argv, document", [
     (["base", "check-simple", "--input"], {}),
     (["base", "check-simple", "--input"], [1]),
@@ -585,6 +597,11 @@ _VERTEX = {"position": ["0", "0", "0", "0"], "sign": "negative", "valence": 3}
     (["topo", "euler", "--input"], {"graph": {"vertices": [_VERTEX], "edges": {}}}),
     (["topo", "sign", "--triple", "[1,2,3]"], None),
     (["topo", "sign", "--triple", "5"], None),
+    # a non-integer matrix entry is not truncated
+    (["topo", "sign", "--triple", _triple_with(1.9)], None),
+    (["topo", "sign", "--triple", _triple_with(True)], None),
+    (["topo", "sign", "--triple", _triple_with("1")], None),
+    (["base", "check-simple", "--input"], _negative_atlas_with_float_entry()),
 ])
 @pytest.mark.filterwarnings("error")
 def test_json_of_the_wrong_shape_is_a_one_line_usage_error(tmp_path, capsys, argv,
