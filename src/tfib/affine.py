@@ -114,6 +114,14 @@ class ChartedBase:
         for p in self.pieces:
             if p.chart_a not in self._chart_ids or p.chart_b not in self._chart_ids:
                 raise ValueError(f"overlap piece {p.id} references unknown chart")
+        # the cotangent contribution of each crossing, keyed (piece, from,
+        # to): (L^t)^{-1} for a -> b and L^t for b -> a; a piece from a chart
+        # to itself is crossed a -> b, as in `crossing_transition`
+        self._cotangent = {}
+        for p in self._pieces_by_id.values():
+            lin = p.transition.linear
+            self._cotangent[p.id, p.chart_b, p.chart_a] = zlat.transpose(lin)
+            self._cotangent[p.id, p.chart_a, p.chart_b] = zlat.inverse_transpose(lin)
 
     def piece(self, piece_id: str) -> OverlapPiece:
         if piece_id not in self._pieces_by_id:
@@ -131,13 +139,24 @@ class ChartedBase:
             f"({p.chart_a} <-> {p.chart_b})"
         )
 
+    def cotangent(self, crossing: Crossing) -> IntMatrix:
+        """The holonomy contribution (L^t)^{-1} of a crossing whose
+        transition has linear part L, from the table `__post_init__` built;
+        a crossing that does not match its piece raises ValueError."""
+        key = (crossing.piece, crossing.frm, crossing.to)
+        if key not in self._cotangent:
+            self.crossing_transition(crossing)  # raises: unknown piece or charts
+        return self._cotangent[key]
+
 
 def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
     """Cotangent holonomy of a loop word (exact integer matrix).
 
     Each crossing with transition linear part L contributes (L^t)^{-1};
     contributions multiply in crossing order, which makes concatenation of
-    loop words go to the product of their holonomies.
+    loop words go to the product of their holonomies.  The contributions
+    are read from `ChartedBase.cotangent`, which holds both directions of
+    every piece, so no transition is inverted per call.
     """
     if loop.base_chart not in base._chart_ids:
         raise ValueError(f"unknown base chart {loop.base_chart}")
@@ -149,8 +168,7 @@ def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
                 f"crossing sequence broken: at {current}, next crossing "
                 f"leaves from {crossing.frm}"
             )
-        lin = base.crossing_transition(crossing).linear
-        acc = zlat.mat_mul(acc, zlat.inverse_transpose(lin))
+        acc = zlat.mat_mul(acc, base.cotangent(crossing))
         current = crossing.to
     if current != loop.base_chart:
         raise ValueError("loop word does not return to its base chart")
@@ -467,16 +485,20 @@ def loop_word_from_json(data) -> LoopWord:
 # ----------------------------------------------------------------------
 
 def _base(kind, atlas, tau=None) -> ChartedBase:
-    """The atlas document if given, else the local model ``kind``."""
+    """The atlas document if given, else the local model ``kind``; the node
+    model has no handle, so a ``tau`` that is not identically zero is
+    rejected there rather than dropped."""
     if atlas is not None:
         return base_from_json(atlas)
+    if kind == "node" and tau is not None and any(tau):
+        raise ValueError("the node model has no handle: tau must be 0")
     return build_local_model(kind, None if tau is None else Polynomial(tau))
 
 
 def build_report(kind, tau) -> dict:
     """The JSON atlas of the local model ``kind`` whose discriminant handle
     has the rational coefficients ``tau`` (constant term first)."""
-    return base_to_json(build_local_model(kind, Polynomial(tau)))
+    return base_to_json(_base(kind, None, tau))
 
 
 def check_simple_report(kind, tau, atlas) -> dict:

@@ -5,13 +5,16 @@ or 3 throughout.  Affine maps carry an integer linear part and an exact
 rational translation.  Everything is immutable and safe to share.
 
 Also home to the exact conjugacy machinery used by the simplicity checker
-and the semi-stable validation.  Conclusive prefilters (closed-form
-characteristic polynomial, Smith form of A - I) run first.  The linear
-conditions A P = P B are then solved by integer-only row reduction, and
-the integer points of the solution space are searched shell by shell,
-sup-norm 1, 2, ..., bound.  The conjugator returned is the one of least
-sup-norm, ties going to the lexicographically first in the free
-coordinates of the solution space; None means none lies in the box.
+and the semi-stable validation.  Conclusive prefilters run first: the
+closed-form characteristic polynomial and the Smith form of A - I of each
+matrix, and for a tuple the dimension of its common fixed space.  The
+linear conditions A P = P B are then solved by integer-only row
+reduction, and the integer points of the solution space are searched
+shell by shell, sup-norm 1, 2, ..., bound, pruning a candidate as soon as
+an entry it fixes is not integral or too large.  The conjugator returned
+is the one of least sup-norm, ties going to the lexicographically first
+in the free coordinates of the solution space; None means none lies in
+the box.
 """
 
 from __future__ import annotations
@@ -137,9 +140,10 @@ def is_unipotent(m: IntMatrix) -> bool:
     return acc == tuple(tuple(0 for _ in range(n)) for _ in range(n))
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank over Q, from the integer row reduction."""
-    return len(_rref(m, len(m))[1])
+def rank(m) -> int:
+    """Rank over Q of a nonempty integer matrix given as rows (not
+    necessarily square), from the integer row reduction."""
+    return len(_rref(m, len(m[0]))[1])
 
 
 def charpoly(m: IntMatrix) -> Tuple[int, ...]:
@@ -334,23 +338,28 @@ def _rref(rows, ncols):
 
 
 def _nullspace_rref(rows, ncols):
-    """RREF nullspace basis of an integer matrix given as row lists.
+    """RREF nullspace basis of an integer matrix given as row lists,
+    scaled to integers.
 
-    Returns a list of Fraction vectors such that every solution's
-    coordinates at the free columns are exactly its coefficients in this
-    basis (the standard free-variable parametrization).  The elimination
-    runs on integers; the one division per entry happens here.
+    Returns ``(denom, basis, free)``: divided by ``denom``, the integer
+    vectors of ``basis`` are the standard free-variable basis, so every
+    solution's coordinates at the ``free`` columns are exactly its
+    coefficients in this basis.  ``denom`` is the least common denominator
+    of that rational basis.  The elimination runs on integers and nothing
+    is divided inexactly.
     """
     rows, pivots = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
+    denom = math.lcm(*(row[pc] // math.gcd(row[pc], row[fc])
+                       for row, pc in zip(rows, pivots) for fc in free))
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = denom
         for row, pc in zip(rows, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
+            vec[pc] = -row[fc] * denom // row[pc]
         basis.append(vec)
-    return basis, free
+    return denom, basis, free
 
 
 #: the sup-norm box [-SEARCH_BOUND, SEARCH_BOUND] of every conjugator search
@@ -372,9 +381,12 @@ def simultaneous_conjugator(
     ties going to the lexicographically first in free coordinates.  When
     the sources equal the targets the identity is returned at once.
     Returns None when no conjugator lies in the box.  Conclusive invariant
-    prefilters (charpoly, Smith form of A - I) run first; results are
-    memoized, since graph validation asks about the same few matrices over
-    and over.  A bound below 1 raises ValueError.
+    prefilters run first: charpoly and Smith form of A - I per pair, and
+    for more than one pair the common fixed-space dimension, which a
+    simultaneous conjugator maps from the sources onto the targets (so the
+    two signs of vertex triple are told apart without a search).  Results
+    are memoized, since graph validation asks about the same few matrices
+    over and over.  A bound below 1 raises ValueError.
     """
     if bound < 1:
         raise ValueError(f"conjugator bound must be at least 1, got {bound}")
@@ -393,6 +405,8 @@ def _conjugator_cached(sources, targets, bound):
             raise ValueError("dimension mismatch")
         if _invariants(a) != _invariants(b):
             return None
+    if len(sources) > 1 and _fixed_space_dimension(sources) != _fixed_space_dimension(targets):
+        return None
     if tuple(sources) == tuple(targets):
         return identity(n)
     # build the linear system (A P - P B = 0 for every pair), unknowns P[i][j]
@@ -405,10 +419,10 @@ def _conjugator_cached(sources, targets, bound):
                     row[k * n + j] += a[i][k]
                     row[i * n + k] -= b[k][j]
                 rows.append(row)
-    basis, _ = _nullspace_rref(rows, n * n)
+    denom, basis, free = _nullspace_rref(rows, n * n)
     if not basis:
         return None
-    return _enumerate_conjugators(basis, n, bound)
+    return _enumerate_conjugators(denom, basis, free, n, bound)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -419,58 +433,70 @@ def _invariants(m):
     return charpoly(m), smith_invariants(mat_sub(m, identity(len(m))))
 
 
-def _enumerate_conjugators(basis, n, bound):
+@functools.lru_cache(maxsize=1024)
+def _fixed_space_dimension(mats):
+    """`fixed_space_dimension` of a tuple of matrices, cached like
+    `_invariants`: the target tuples are the two standard triples."""
+    return fixed_space_dimension(mats)
+
+
+def _enumerate_conjugators(denom, basis, free, n, bound):
     """Least-norm unimodular integer point of the solution space, by shells.
 
-    The RREF basis is the identity at the free columns, so the free
-    coordinates of a solution are entries of P: every conjugator of
-    sup-norm <= s has free coordinates in [-s, s]^d.  Shell s = 1, ...,
-    bound scans that box in lexicographic order (last coordinate fastest),
-    keeps the integral candidates of sup-norm <= s and returns the first
-    unimodular one.  Shell s - 1 found none, so the hit has sup-norm
-    exactly s, and lexicographic order on [-s, s]^d is the order of the
-    full box restricted to it: the result is the lexicographically first
-    conjugator of least sup-norm in [-bound, bound]^d.
+    ``basis`` is the RREF nullspace basis times ``denom`` (see
+    `_nullspace_rref`).  At the ``free`` columns it is ``denom`` times the
+    identity, so the free coordinates of a solution are entries of P:
+    every conjugator of sup-norm <= s has free coordinates in [-s, s]^d.
+    Shell s = 1, ..., bound scans that box in lexicographic order (last
+    coordinate fastest), keeps the integral candidates of sup-norm <= s
+    and returns the first unimodular one.  Shell s - 1 found none, so the
+    hit has sup-norm exactly s, and lexicographic order on [-s, s]^d is
+    the order of the full box restricted to it: the result is the
+    lexicographically first conjugator of least sup-norm in
+    [-bound, bound]^d.
 
-    Scaling the rational basis to integers turns integrality into a
-    divisibility test that numpy runs in bulk, 200k candidates at a time;
-    the determinant is an exact int64 formula, with no floating point.
+    The box is never materialised.  Candidates grow one basis vector at a
+    time, from the last coordinate to the first, and each new coordinate's
+    steps become the outer axis, so the rows stay in lexicographic order.
+    An entry of P is fixed once every coordinate it depends on is placed,
+    and a row goes as soon as such an entry is not integral or exceeds s;
+    a free column equals its own coordinate and needs no test.  With the
+    basis scaled to integers, integrality is a divisibility test, and the
+    arithmetic, the determinant included, is exact int64 with no floating
+    point.
     """
     import numpy as np
 
-    denom = math.lcm(*(v.denominator for vec in basis for v in vec))
-    b_int = np.array(
-        [[v.numerator * (denom // v.denominator) for v in vec] for vec in basis],
-        dtype=np.int64,
-    )
-    d = len(basis)
-    chunk = 200_000
+    d, size = len(basis), n * n
+    # fixed[k]: the entries of P that placing coordinate k fixes
+    fixed = [[] for _ in range(d)]
+    for j in range(size):
+        k = next((k for k in range(d) if basis[k][j]), None)
+        if k is not None and j not in free:
+            fixed[k].append(j)
+    vecs = np.array(basis, dtype=np.int64)
     for s in range(1, bound + 1):
-        side = 2 * s + 1
-        total = side ** d
-        for start in range(0, total, chunk):
-            rest = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            coeffs = np.empty((rest.size, d), dtype=np.int64)
-            for k in range(d - 1, -1, -1):
-                rest, coeffs[:, k] = np.divmod(rest, side)
-            coeffs -= s
-            vecs = coeffs @ b_int  # entries of denom * P
-            vecs = vecs[(vecs % denom == 0).all(axis=1)] // denom
-            mats = vecs[(np.abs(vecs) <= s).all(axis=1)].reshape(-1, n, n)
-            if n == 2:
-                dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-            else:
-                dets = (
-                    mats[:, 0, 0] * (mats[:, 1, 1] * mats[:, 2, 2]
-                                     - mats[:, 1, 2] * mats[:, 2, 1])
-                    - mats[:, 0, 1] * (mats[:, 1, 0] * mats[:, 2, 2]
-                                       - mats[:, 1, 2] * mats[:, 2, 0])
-                    + mats[:, 0, 2] * (mats[:, 1, 0] * mats[:, 2, 1]
-                                       - mats[:, 1, 1] * mats[:, 2, 0])
-                )
-            hits = np.flatnonzero(np.abs(dets) == 1)
-            if hits.size:
-                return tuple(tuple(int(v) for v in row) for row in mats[hits[0]])
+        # moves[i, k]: basis vector k at the i-th step -s, ..., s
+        moves = np.arange(-s, s + 1, dtype=np.int64)[:, None, None] * vecs
+        rows = np.zeros((1, size), dtype=np.int64)
+        for k in range(d - 1, -1, -1):
+            rows = (moves[:, k, None] + rows).reshape(-1, size)
+            if fixed[k]:
+                entries = rows[:, fixed[k]]
+                keep = (np.abs(entries) <= s * denom).all(axis=1)
+                if denom != 1:
+                    keep &= (entries % denom == 0).all(axis=1)
+                rows = rows[keep]
+        e = (rows // denom).T
+        if n == 2:
+            dets = e[0] * e[3] - e[1] * e[2]
+        else:
+            dets = (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
+                    + e[2] * (e[3] * e[7] - e[4] * e[6]))
+        hits = np.flatnonzero(np.abs(dets) == 1)
+        if hits.size:
+            p = e[:, hits[0]].tolist()
+            return tuple(tuple(p[i * n:(i + 1) * n]) for i in range(n))
     return None
 
 
@@ -481,16 +507,12 @@ def conjugator(a: IntMatrix, b: IntMatrix,
 
 
 def fixed_space_dimension(mats: Sequence[IntMatrix]) -> int:
-    """Dimension of the common fixed subspace of a list of matrices (over Q)."""
+    """Dimension of the common fixed subspace of a list of matrices (over
+    Q): n minus the rank of the stacked A_i - I."""
     if not mats:
         raise ValueError("empty matrix list")
     n = len(mats[0])
-    rows = []
-    for m in mats:
-        for row in mat_sub(m, identity(n)):
-            rows.append(list(row))
-    basis, _ = _nullspace_rref(rows, n)
-    return len(basis)
+    return n - rank([row for m in mats for row in mat_sub(m, identity(n))])
 
 
 # ----------------------------------------------------------------------

@@ -207,3 +207,61 @@ def test_local_model_atlases_keep_their_pinned_bytes(kind, tau):
     handle = None if tau is None else Polynomial([0, Fraction(1, 2), -3])
     text = report.canonical_json(affine.base_to_json(build_local_model(kind, handle)))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ATLASES[kind, tau]
+
+
+def test_node_reports_reject_a_handle():
+    for tau in ([1, 2], [0, Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="no handle"):
+            affine.build_report("node", tau)
+        with pytest.raises(ValueError, match="no handle"):
+            affine.check_simple_report("node", tau, None)
+    for zero in ([0], [0, 0]):
+        text = report.canonical_json(affine.build_report("node", zero))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ATLASES["node", None]
+    assert affine.check_simple_report("node", [0], None)["passed"]
+
+
+@pytest.mark.parametrize("kind, tau", list(PINNED_ATLASES))
+def test_cached_cotangent_matrices_match_the_transitions(kind, tau):
+    handle = None if tau is None else Polynomial([0, Fraction(1, 2), -3])
+    base = build_local_model(kind, handle)
+    for p in base.pieces:
+        for frm, to in ((p.chart_a, p.chart_b), (p.chart_b, p.chart_a)):
+            c = Crossing(p.id, frm, to)
+            assert base.cotangent(c) == zlat.inverse_transpose(base.crossing_transition(c).linear)
+    piece = base.pieces[0]
+    with pytest.raises(ValueError, match="does not match piece"):
+        holonomy(base, LoopWord("U1", (Crossing(piece.id, "U1", "U1"),)))
+    with pytest.raises(ValueError, match="unknown overlap piece"):
+        holonomy(base, LoopWord("U1", (Crossing("nowhere", "U1", "U2"),)))
+    with pytest.raises(ValueError, match="crossing sequence broken"):
+        holonomy(base, LoopWord("U1", (Crossing(piece.id, "U2", "U1"),)))
+    with pytest.raises(ValueError, match="does not return"):
+        holonomy(base, LoopWord("U1", (Crossing(piece.id, "U1", "U2"),)))
+
+
+def test_check_simple_searches_only_the_matching_sign(monkeypatch):
+    """A positive model whose U2 coordinates are changed by W has its
+    holonomy conjugated by W^t; negative is tried first, and the
+    fixed-space prefilter turns both of its orders away unsearched."""
+    w = zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    base = build_local_model("positive")
+    base = ChartedBase(
+        dim=3, charts=base.charts, discriminant=base.discriminant, loops=base.loops,
+        singular_points=base.singular_points,
+        pieces=[OverlapPiece(p.id, p.chart_a, p.chart_b, p.region,
+                             AffineMapZ.from_linear(zlat.mat_mul(w, p.transition.linear)))
+                for p in base.pieces],
+    )
+    calls = []
+    search = zlat._enumerate_conjugators
+
+    def counted(*args):
+        calls.append(search(*args))
+        return calls[-1]
+
+    zlat._conjugator_cached.cache_clear()
+    monkeypatch.setattr(zlat, "_enumerate_conjugators", counted)
+    (verdict,) = check_simple(base).verdicts
+    assert verdict.matched_model == "positive" and verdict.conjugator != zlat.identity(3)
+    assert calls == [verdict.conjugator]

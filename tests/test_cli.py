@@ -673,6 +673,8 @@ def test_invalid_values_are_named_in_one_line(tmp_path, capsys, argv, named):
     (["periods", "monodromy", "--model", "sm_ff", "--frame", "positive"],
      "not allowed with argument --model"),
     (["periods", "monodromy"], "--model --frame is required"),
+    (["base", "build", "--kind", "node", "--tau", "1,2"], "no handle"),
+    (["base", "check-simple", "--kind", "node", "--tau", "0,1"], "no handle"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_conflicting_options_are_one_line_usage_errors(tmp_path, monkeypatch, capsys,

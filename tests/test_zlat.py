@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tfib import zlat
@@ -129,8 +129,22 @@ def test_negative_and_positive_triples_not_conjugate():
 
 
 def test_fixed_space_dimensions():
+    import random
+
     assert zlat.fixed_space_dimension(list(zlat.NEGATIVE_TRIPLE)) == 1
     assert zlat.fixed_space_dimension(list(zlat.POSITIVE_TRIPLE)) == 2
+    # I + R with R of random rank, so that the fixed spaces are not all 0
+    rng = random.Random(4)
+    tuples = [list(zlat.NEGATIVE_TRIPLE), list(zlat.POSITIVE_TRIPLE)]
+    for _ in range(200):
+        n = rng.choice([2, 3])
+        tuples.append([[[v + (i == j) for j, v in enumerate(row)] for i, row in
+                        enumerate(_random_system(rng, n, n, rng.randint(0, n)))]
+                       for _ in range(rng.randint(1, 3))])
+    for mats in tuples:
+        n = len(mats[0])
+        stacked = [row for m in mats for row in zlat.mat_sub(m, zlat.identity(n))]
+        assert zlat.fixed_space_dimension(mats) == len(_fraction_nullspace(stacked, n)[0])
 
 
 def test_affine_json_roundtrip():
@@ -263,6 +277,15 @@ def _random_system(rng, nrows, ncols, rank=None):
              for j in range(ncols)] for i in range(nrows)]
 
 
+def _scaled_down(nullspace):
+    """The rational basis of an integer ``(denom, basis, free)`` nullspace;
+    ``denom`` must be its least common denominator."""
+    denom, basis, free = nullspace
+    rational = [[Fraction(v, denom) for v in vec] for vec in basis]
+    assert denom == math.lcm(*(v.denominator for vec in rational for v in vec))
+    return rational, free
+
+
 def test_integer_nullspace_matches_fraction_rref():
     import random
 
@@ -271,9 +294,10 @@ def test_integer_nullspace_matches_fraction_rref():
         nrows, ncols = rng.randint(1, 27), rng.randint(1, 9)
         rank = rng.randint(0, min(nrows, ncols)) if trial % 2 else None
         rows = _random_system(rng, nrows, ncols, rank)
-        assert zlat._nullspace_rref(rows, ncols) == _fraction_nullspace(rows, ncols), rows
+        want = _fraction_nullspace(rows, ncols)
+        assert _scaled_down(zlat._nullspace_rref(rows, ncols)) == want, rows
     zero = [[0, 0, 0]] * 4
-    assert zlat._nullspace_rref(zero, 3) == _fraction_nullspace(zero, 3)
+    assert _scaled_down(zlat._nullspace_rref(zero, 3)) == _fraction_nullspace(zero, 3)
 
 
 def test_rank_is_columns_minus_nullity():
@@ -360,6 +384,18 @@ def test_shell_search_matches_brute_force(sources, targets, bound):
             assert zlat.mat_mul(zlat.mat_mul(zlat.inverse(found), a), found) == b
 
 
+@given(st.sampled_from([(zlat.T_NODE,), (zlat.T_GENERIC,), zlat.NEGATIVE_TRIPLE,
+                         zlat.POSITIVE_TRIPLE]).flatmap(
+    lambda targets: st.tuples(st.just(targets), _gl(len(targets[0])), st.integers(1, 3))))
+@settings(max_examples=12, deadline=None)
+def test_shell_search_matches_brute_force_on_random_witnesses(case):
+    targets, w, bound = case
+    sources = [_conj(w, m) for m in targets]
+    assume(tuple(sources) != tuple(targets))  # answered by the identity, unsearched
+    found = zlat.simultaneous_conjugator(sources, targets, bound=bound)
+    assert found == _brute_force_conjugator(sources, targets, bound)
+
+
 def test_norm_4_problems_need_bound_4():
     for src, tgt in ((NODE_NORM_4, zlat.T_NODE), (GENERIC_NORM_4, zlat.T_GENERIC)):
         assert zlat.conjugator(src, tgt, bound=3) is None
@@ -396,3 +432,78 @@ def test_exact_layers_import_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "True", "1"]
+
+
+def _planted_witness(rng, n):
+    """A GL(n,Z) element of sup-norm <= 3: elementary row moves, then a
+    signed permutation of the rows."""
+    while True:
+        m = [list(row) for row in zlat.identity(n)]
+        for _ in range(rng.randint(2, 8)):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        w = tuple(tuple(s * v for v in m[p]) for s, p in zip(signs, rng.sample(range(n), n)))
+        if max(abs(v) for row in w for v in row) <= 3:
+            return w
+
+
+def _planted_problems():
+    """Seeded (sources, targets) problems: planted witnesses for T_GENERIC,
+    the two triples and T_NODE, and opposite-sign triple controls."""
+    import random
+
+    rng = random.Random(24)
+    triples = {"negative": zlat.NEGATIVE_TRIPLE, "positive": zlat.POSITIVE_TRIPLE}
+    plan = ([("generic", (zlat.T_GENERIC,))] * 40 + [("negative", triples["negative"])] * 20
+            + [("positive", triples["positive"])] * 20 + [("node", (zlat.T_NODE,))] * 20
+            + [("control", None)] * 12)
+    problems = []
+    for kind, targets in plan:
+        if kind == "control":
+            sign = rng.choice(("negative", "positive"))
+            other = "positive" if sign == "negative" else "negative"
+            sources, targets = triples[other], triples[sign]
+        else:
+            sources = targets
+        w = _planted_witness(rng, len(targets[0]))
+        problems.append(([_conj(w, m) for m in sources], list(targets)))
+    return problems
+
+
+#: SHA-256 of the answers to `_planted_problems` at bounds 1-4, taken from
+#: the exhaustive-box search that the pruned search replaced
+PLANTED_ANSWERS_SHA256 = "3001b25464a9b8292538e1a0775245a382cd44f949cf6691cbd70ee06b7d9077"
+
+
+def test_planted_problem_answers_keep_their_pinned_digest():
+    import hashlib
+    import json
+
+    answers = [zlat.simultaneous_conjugator(sources, targets, bound=bound)
+               for bound in (1, 2, 3, 4) for sources, targets in _planted_problems()]
+    assert sum(p is None for p in answers) < len(answers)
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == PLANTED_ANSWERS_SHA256
+
+
+def test_opposite_signs_are_rejected_without_a_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the fixed-space prefilter should have answered")
+
+    zlat._conjugator_cached.cache_clear()
+    monkeypatch.setattr(zlat, "_enumerate_conjugators", no_search)
+    w = zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    for sources, targets in ((zlat.NEGATIVE_TRIPLE, zlat.POSITIVE_TRIPLE),
+                             (zlat.POSITIVE_TRIPLE, zlat.NEGATIVE_TRIPLE)):
+        for bound in (1, 3, 4):
+            assert zlat.simultaneous_conjugator([_conj(w, m) for m in sources],
+                                                list(targets), bound=bound) is None
+
+
+@given(_gl(3), st.sampled_from([zlat.NEGATIVE_TRIPLE, zlat.POSITIVE_TRIPLE]))
+@settings(max_examples=60, deadline=None)
+def test_fixed_space_prefilter_keeps_every_conjugate_tuple(w, triple):
+    sources = tuple(_conj(w, m) for m in triple)
+    assert zlat._fixed_space_dimension(sources) == zlat._fixed_space_dimension(triple)
