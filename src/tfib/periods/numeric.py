@@ -18,7 +18,6 @@ import numpy as np
 
 from .. import numerics
 from ..symplab.models import FibrationModel, make_model
-from ..symplab.poisson import batch_gradients
 
 #: trapezoid nodes per cycle
 CYCLE_POINTS = 512
@@ -36,11 +35,23 @@ class PeriodResult:
 
 
 def _cycle_integrand(model, cyc, b_raw, s):
+    """The period integrand at the nodes ``s`` and the fibre defect.
+
+    The cycle and the model map act pointwise, so each derivative stencil
+    is evaluated in large calls: the whole stencil of the nodes in one call
+    of ``cyc``, and the model gradients in one call of ``model.f`` per real
+    coordinate, on its four displaced copies of the cycle points (one
+    coordinate at a time: all of them at once raised the peak memory).
+    """
     z = np.asarray(cyc(s), dtype=complex)
     defect = float(np.max(np.abs(model.f(z) - b_raw[None, :])))
-    dz = numerics.r2c(numerics.jacobian(
-        lambda t: numerics.c2r(cyc(t[..., 0])), s[:, None])[..., 0])
-    grads = batch_gradients(model, z)          # (m, comps, 2n)
+    ss, hs = numerics.stencil(s[:, None])
+    dz = numerics.r2c(numerics.richardson(numerics.c2r(cyc(ss[..., 0])), hs)[..., 0])
+    x = numerics.c2r(z)
+    h = numerics.fd_step(x)
+    grads = numerics.richardson(                    # (m, comps, 2n)
+        [model.f(numerics.r2c(numerics.displaced(x, k, h[:, k])))
+         for k in range(x.shape[-1])], h.T)
     # Moore-Penrose lifts: rows of (jac jac^T)^{-1} jac, one per direction
     lifts = numerics.r2c(np.linalg.solve(grads @ np.swapaxes(grads, 1, 2), grads))
     # omega(w, dz), one value per base direction

@@ -320,7 +320,8 @@ def _phi_model(model_id, phi, switch_gap=None):
         return v1, v2, np.inf if switch_gap is None else switch_gap(g, z[..., 2])
 
     def f(z):
-        v1, v2, _ = twisted(z)
+        # Phi alone: the map does not read twisted's switch distance
+        v1, v2 = phi(gamma(z[..., 0], z[..., 1]), z[..., 2])
         return np.stack([mu12(z), log_abs(v1), log_abs(v2)], axis=-1)
 
     def margin(z):
@@ -337,30 +338,33 @@ def _phi_model(model_id, phi, switch_gap=None):
     )
 
 
+def thin_legs_lift(v, t):
+    """Points z over mu = t with phi_thin_legs(gamma(z1, z2), z3) = v, for v
+    of shape (..., 2) in the plain-amoeba branch; ``ValueError`` if any v
+    lies in a leg branch."""
+    # invert Psi, then Gamma_t, then split u1 = z1 z2 with mu = t
+    w = np.stack([v[..., 0] + v[..., 1] + 1.0,
+                  -v[..., 0] + v[..., 1] + 1.0], axis=-1) / SQRT2
+    # a point lies in a leg branch exactly when one of its masks is set
+    if np.any(np.logical_or.reduce(_thin_legs_masks(w[..., 0], w[..., 1]))):
+        raise ValueError(
+            "fibre leaves the plain-amoeba branch of Phi; move the base "
+            "point inward or enlarge M"
+        )
+    u = gamma_t_inverse(w, t)
+    z1, z2 = _circle_lift(u[..., 0], t, np.exp(1j * np.angle(u[..., 0])))
+    return np.stack([z1, z2, u[..., 1]], axis=-1)
+
+
 def _model_thin_legs() -> FibrationModel:
     """Non-smooth on mu^{-1}(0); the discriminant is an amoeba with three
     thin legs, pinched at THIN_LEGS_EPS and THIN_LEGS_M."""
 
-    def lift(v, t):
-        """Points z over mu = t with Phi(gamma(z1, z2), z3) = v, for v of
-        shape (..., 2) in the plain-amoeba branch of Phi."""
-        # invert Psi, then Gamma_t, then split u1 = z1 z2 with mu = t
-        w = np.stack([v[..., 0] + v[..., 1] + 1.0,
-                      -v[..., 0] + v[..., 1] + 1.0], axis=-1) / SQRT2
-        if np.any(thin_legs_branch(w[..., 0], w[..., 1]) != "amoeba"):
-            raise ValueError(
-                "fibre leaves the plain-amoeba branch of Phi; move the base "
-                "point inward or enlarge M"
-            )
-        u = gamma_t_inverse(w, t)
-        z1, z2 = _circle_lift(u[..., 0], t, np.exp(1j * np.angle(u[..., 0])))
-        return np.stack([z1, z2, u[..., 1]], axis=-1)
-
     def fibre_point(b):
         """A fibre point in the plain-amoeba branch."""
         t, x1, x2 = (float(v) for v in b)
-        return lift(np.array([np.exp(x1) * np.exp(0.35j),
-                              np.exp(x2) * np.exp(-0.2j)]), t)
+        return thin_legs_lift(np.array([np.exp(x1) * np.exp(0.35j),
+                                        np.exp(x2) * np.exp(-0.2j)]), t)
 
     def reduced_cycle(which):
         """Circle in the v_which coordinate of the reduced fibre, lifted.
@@ -377,7 +381,7 @@ def _model_thin_legs() -> FibrationModel:
             v_circle, _ = circle(psi_amoeba(gamma(z0[0], z0[1]), z0[2]))
 
             def cyc(s):
-                return lift(v_circle(s), t)
+                return thin_legs_lift(v_circle(s), t)
 
             cyc(np.linspace(0.0, 1.0, 64))   # raises if the torus leaves the branch
             return cyc, 1.0 / (2.0 * math.pi)

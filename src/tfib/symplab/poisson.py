@@ -20,18 +20,11 @@ POISSON_TOL = 1e-6
 REPORT_MARGIN = 0.1
 
 
-def batch_gradients(model: FibrationModel, z, step=numerics.DEFAULT_STEP):
-    """Gradients of every map component at every sample.
-
-    Returns an array (m, components, 2n) of d f_i / d (x_k, y_k).
-    """
-    x = numerics.c2r(np.atleast_2d(z))
-    return numerics.jacobian(lambda xx: model.f(numerics.r2c(xx)), x, step=step)
-
-
 def poisson_brackets(model: FibrationModel, z, step=numerics.DEFAULT_STEP):
     """All pairwise brackets {f_i, f_j}, i < j, shape (m, pairs)."""
-    grads = batch_gradients(model, z, step=step)
+    # d f_i / d (x_k, y_k) of every component at every sample: (m, comps, 2n)
+    grads = numerics.jacobian(lambda x: model.f(numerics.r2c(x)),
+                              numerics.c2r(np.atleast_2d(z)), step=step)
     gx = grads[:, :, 0::2]
     gy = grads[:, :, 1::2]
     out = []

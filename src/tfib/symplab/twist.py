@@ -8,9 +8,15 @@ A Hamiltonian is a callable that carries its analytic gradient ``grad``
 integrating the variational equations d/dt J = D X_H J, which avoids
 differencing the integrated map itself.  The field Jacobian D X_H is the
 same row map applied to an analytic Hessian ``hess`` (shape
-(m, 2n, 2n)), which both shipped Hamiltonians carry; only a Hamiltonian
-without one falls back to the engine (``numerics.jacobian`` of the
-field).  :func:`tangent_map_defect` checks J itself against the engine's
+(m, 2n, 2n)), which both shipped Hamiltonians carry; the right-hand side
+applies the row map once, to the product ``hess @ J`` (a signed row
+permutation commutes with it exactly).  Only a Hamiltonian without a
+``hess`` falls back to the engine (``numerics.jacobian`` of the field).
+The quarter-turn H0 is quadratic, so its gradient is its constant Hessian
+applied to the point; the cut-off Hamiltonian's ``grad`` and ``hess`` take
+the cut-off and its derivatives from one helper, with the values of the
+separate ``numerics.cutoff`` and smoothstep formulas bit for bit.
+:func:`tangent_map_defect` checks J itself against the engine's
 derivative of the time-1 map at a few points, flowing the whole
 difference stencil in one solve.  :func:`twist_report` runs all three
 checks on seeded points (``tfib fib twist``).
@@ -45,17 +51,14 @@ def h0_quarter_turn(u):
     return (math.pi / 4.0) * (u[..., 0] * np.conj(u[..., 1])).imag
 
 
-def _h0_grad(u):
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    x1, y1 = u[:, 0].real, u[:, 0].imag
-    x2, y2 = u[:, 1].real, u[:, 1].imag
-    c = math.pi / 4.0
-    return np.stack([-c * y2, c * x2, c * y1, -c * x1], axis=-1)
-
-
 _H0_HESS = np.zeros((4, 4))
 _H0_HESS[0, 3] = _H0_HESS[3, 0] = -math.pi / 4.0
 _H0_HESS[1, 2] = _H0_HESS[2, 1] = math.pi / 4.0
+
+
+def _h0_grad(u):
+    # H0 is quadratic, so its gradient is its constant Hessian applied to x
+    return numerics.c2r(np.atleast_2d(u)) @ _H0_HESS
 
 
 def _h0_hess(u):
@@ -67,14 +70,26 @@ h0_quarter_turn.grad = _h0_grad
 h0_quarter_turn.hess = _h0_hess
 
 
-def _smoothstep7_prime(x):
-    x = np.clip(x, 0.0, 1.0)
-    return 140.0 * x**3 * (1.0 - x) ** 3
+def _cutoff_terms(u, eps, second=False):
+    """Interleaved coordinates x of the points u (m, 2), H0 there, and the
+    cut-off k(t) = 1 - S((t - eps) / eps) with k' (and k'' when ``second``,
+    else None) at t = |u1|^2 + |u2|^2, S the smoothstep of
+    ``numerics.smoothstep7``.
 
-
-def _smoothstep7_second(x):
-    x = np.clip(x, 0.0, 1.0)
-    return 420.0 * x**2 * (1.0 - x) ** 2 * (1.0 - 2.0 * x)
+    One clamp of (t - eps) / eps to [0, 1] serves all three, and each power
+    is taken once, written as ``numerics.smoothstep7`` writes it: k is
+    ``numerics.cutoff(t, eps, 2 eps)`` bit for bit.
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    a = np.abs(u) ** 2
+    t = a[:, 0] + a[:, 1]
+    s = np.minimum(np.maximum((t - eps) / eps, 0.0), 1.0)
+    s2, s3, r = s**2, s**3, 1.0 - s
+    k = 1.0 - s**4 * (35.0 - 84.0 * s + 70.0 * s2 - 20.0 * s3)
+    # -(y / e) is y / -e exactly
+    kp = 140.0 * s3 * r**3 / -eps
+    kpp = 420.0 * s2 * r**2 * (1.0 - 2.0 * s) / -(eps**2) if second else None
+    return numerics.c2r(u), h0_quarter_turn(u), k, kp, kpp
 
 
 def cutoff_hamiltonian(eps=0.1):
@@ -92,31 +107,18 @@ def cutoff_hamiltonian(eps=0.1):
         return numerics.cutoff(t, eps, 2.0 * eps) * h0_quarter_turn(u)
 
     def grad(u):
-        u = np.atleast_2d(np.asarray(u, dtype=complex))
-        t = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2
-        k = numerics.cutoff(t, eps, 2.0 * eps)
-        kp = -_smoothstep7_prime((t - eps) / eps) / eps
-        coords = numerics.c2r(u)
-        h0 = h0_quarter_turn(u)
-        return (k[:, None] * _h0_grad(u)
-                + (kp * h0)[:, None] * 2.0 * coords)
+        x, h0, k, kp, _ = _cutoff_terms(u, eps)
+        return k[:, None] * (x @ _H0_HESS) + (kp * h0)[:, None] * 2.0 * x
 
     def hess(u):
         # product rule on k(t) H0 with t = |x|^2, grad t = 2x, Hess t = 2I
-        u = np.atleast_2d(np.asarray(u, dtype=complex))
-        t = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2
-        s = (t - eps) / eps
-        k = numerics.cutoff(t, eps, 2.0 * eps)
-        kp = -_smoothstep7_prime(s) / eps
-        kpp = -_smoothstep7_second(s) / eps**2
-        x = numerics.c2r(u)
-        h0 = h0_quarter_turn(u)
-        g0 = _h0_grad(u)
-        xg = x[:, :, None] * g0[:, None, :]
-        return (k[:, None, None] * _H0_HESS
-                + (2.0 * kp)[:, None, None] * (xg + np.swapaxes(xg, 1, 2))
-                + (4.0 * kpp * h0)[:, None, None] * (x[:, :, None] * x[:, None, :])
-                + (2.0 * kp * h0)[:, None, None] * np.eye(4))
+        x, h0, k, kp, kpp = _cutoff_terms(u, eps, second=True)
+        xg = x[:, :, None] * (x @ _H0_HESS)[:, None, :]
+        out = (k[:, None, None] * _H0_HESS
+               + (2.0 * kp)[:, None, None] * (xg + np.swapaxes(xg, 1, 2))
+               + (4.0 * kpp * h0)[:, None, None] * (x[:, :, None] * x[:, None, :]))
+        out.reshape(-1, 16)[:, ::5] += (2.0 * kp * h0)[:, None]   # the diagonals
+        return out
 
     h.grad = grad
     h.hess = hess
@@ -196,9 +198,14 @@ def flow_jacobians(h, points):
     def rhs(y):
         x = y[: m * d].reshape(m, d)
         jacs = y[m * d:].reshape(m, d, d)
-        a = _symplectic_rows(hess(numerics.r2c(x))) if hess is not None \
-            else numerics.jacobian(field, x)      # D X_H at each point
-        return np.concatenate([field(x).reshape(-1), (a @ jacs).reshape(-1)])
+        if hess is None:
+            # D X_H at each point, from the engine
+            return np.concatenate([field(x).reshape(-1),
+                                   (numerics.jacobian(field, x) @ jacs).reshape(-1)])
+        u = numerics.r2c(x)
+        # D X_H J: the row map of X_H commutes with the product
+        return np.concatenate([_field(h, u).reshape(-1),
+                               _symplectic_rows(hess(u) @ jacs).reshape(-1)])
 
     y1 = numerics.dop853(rhs, y0, VARIATIONAL_RTOL,
                          VARIATIONAL_ATOL * _atol_scale(points))

@@ -71,6 +71,43 @@ def test_hamiltonian_field_of_the_moment_map_rotates():
     assert np.array_equal(numerics.hamiltonian_field(mu, z[2]), field[2])
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+# signed zeros, infinities, a nan, subnormals and the extremes of the range
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+            1.7976931348623157e308, -1.0, 0.1, -3.5]
+
+
+def test_r2c_is_the_exact_inverse_of_c2r():
+    vals = np.array(_SPECIAL)
+    x = np.stack(np.meshgrid(vals, vals), axis=-1).reshape(-1, 4)   # (72, 4)
+    with np.errstate(all="raise"):
+        z = numerics.r2c(x)
+        assert z.shape == (72, 2)
+        assert _bits(numerics.c2r(z)) == _bits(x)
+        assert _bits(numerics.r2c(numerics.c2r(z))) == _bits(z)
+        # a non-contiguous input: every other row, and a transposed copy
+        assert _bits(numerics.c2r(numerics.r2c(x[::2]))) == _bits(x[::2])
+        xt = np.asfortranarray(x)
+        assert _bits(numerics.c2r(numerics.r2c(xt))) == _bits(x)
+
+
+def test_r2c_keeps_an_infinite_part_and_a_negative_zero():
+    with np.errstate(all="raise"):       # no invalid-value warning either
+        z = numerics.r2c([0.0, np.inf])
+    assert z[0].real == 0.0 and z[0].imag == np.inf
+    z = numerics.r2c([1.0, -0.0])
+    assert np.signbit(z[0].imag) and z[0].real == 1.0
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), (4, 0, 1)])
+def test_r2c_rejects_an_odd_last_axis(shape):
+    with pytest.raises(ValueError):
+        numerics.r2c(np.ones(shape))
+
+
 def test_periodic_quadrature_reuses_the_even_nodes():
     s = np.arange(64) / 64
     mean, err = numerics.periodic_quadrature(np.stack([np.cos(2 * np.pi * s) ** 2,
@@ -94,6 +131,8 @@ def test_whole_stencil_in_one_call_equals_jacobian_bitwise():
     assert xs.shape == (3, 4, 7, 3) and h.shape == (3, 7)
     for f in (_scalar, _vector):
         assert np.array_equal(numerics.richardson(f(xs), h), numerics.jacobian(f, x))
+    for k in range(3):
+        assert np.array_equal(numerics.displaced(x, k, h[k]), xs[k])
 
 
 def test_dop853_table_satisfies_the_order_conditions():

@@ -1,5 +1,6 @@
 """Period frames, numeric periods, exact monodromy, action extension."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -21,7 +22,10 @@ from tfib.periods import (
 )
 from tfib.periods.extension import A0_QUAD_TOL, psi_focus_focus
 from tfib.periods.frames import FrameForm, PeriodFrame
-from tfib.symplab.models import hl_modulus
+from tfib.report import canonical_json
+from tfib.periods.numeric import CYCLE_POINTS
+from tfib.symplab import models
+from tfib.symplab.models import hl_modulus, thin_legs_lift
 from tfib import numerics
 
 
@@ -247,6 +251,80 @@ def test_numeric_periods_thin_leg_slice():
     # cross coefficients vanish
     assert abs(res.covectors["red_v1"][2]) < 1e-6
     assert abs(res.covectors["red_v2"][1]) < 1e-6
+
+
+# SHA-256 of the canonical JSON of each result: however the quadrature
+# batches its stencil evaluations, it must return these results bit for bit
+PERIOD_DIGESTS = {
+    ("sm_ff", (0.2, 0.4)):
+        "5c53013abc0167b506691554ed16be2e905cb86d933e1e7b771b604c9887fa0a",
+    ("sm_ff", (0.23, 0.36)):
+        "f1340707445746c66f2943aaa3a2d47d67396ac81a951a92f557628b46dacf81",
+    ("generic", (0.15, 0.3, -0.2)):
+        "958338196a41dcd50eb6370a84afc91199963fbce0ce0f4e09a79a805f690b1f",
+    ("generic", (-0.1, 0.1, 0.25)):
+        "c4e8772a0a0b5cafe21c7239c4a908e3c13b327a07d30899961fa8327e8dd870",
+    ("positive", (0.3, 0.2, -0.4)):
+        "95dfa44a4f5d5f6fb5bcf97f49ce0123aaecd730e26a034eec6d86dd4ad034fa",
+    ("positive", (0.27, 0.23, -0.36)):
+        "5685a3a23ecf84a227a2532bfec32fe38f9da4441edad2b1b033dd76c2f9a628",
+    ("thin_legs", (0.3, -0.2, -0.15)):
+        "92498b155e68d8a7acad49f3edb279b9b1c61a1532bc2c253ce6d43e45075b7c",
+    ("thin_legs", (0.33, -0.17, -0.12)):
+        "e79c1c4cba57e9fbccd0aa31e6bc2629a4f901450b3224f938f55941cadb0e8e",
+}
+
+
+@pytest.mark.parametrize("mid, b", sorted(PERIOD_DIGESTS))
+def test_numeric_periods_keep_their_pinned_digests(mid, b):
+    res = numeric_periods(sl.make_model(mid), list(b))
+    text = canonical_json({"covectors": res.covectors, "errors": res.errors,
+                           "fibre_defect": res.fibre_defect})
+    assert hashlib.sha256(text.encode()).hexdigest() == PERIOD_DIGESTS[mid, b]
+
+
+def test_numeric_periods_evaluate_each_stencil_in_one_call():
+    """Per cycle of thin_legs: model.f once at the nodes and once per real
+    coordinate on its four displaced copies (1 + 2n = 7 calls), and the
+    cycle once at the nodes and once on its whole stencil."""
+    model = sl.make_model("thin_legs")
+    f_shapes, cyc_shapes = [], []
+    real_f = model.f
+    model.f = lambda z: f_shapes.append(np.shape(z)) or real_f(z)
+
+    def counted(builder):
+        def build(z0):
+            cyc, norm = builder(z0)
+            return (lambda s: cyc_shapes.append(np.shape(s)) or cyc(s)), norm
+        return build
+
+    model.cycles = {name: counted(b) for name, b in model.cycles.items()}
+    numeric_periods(model, [0.3, -0.2, -0.15])
+    m, cycles = CYCLE_POINTS, len(model.cycles)
+    assert f_shapes == ([(m, 3)] + [(4, m, 3)] * 6) * cycles
+    assert cyc_shapes == [(m,), (1, 4, m)] * cycles
+
+
+@pytest.mark.parametrize("w, leg", [
+    ((0.1, 0.1), "horizontal_ball"),
+    ((0.1, math.sqrt(2.0) + 0.1), "vertical_ball"),
+    ((0.5, 2.5), "diagonal_far"),
+    ((1.0, 0.5), None),
+])
+def test_thin_legs_lift_accepts_only_the_plain_amoeba_branch(w, leg):
+    """The lift raises for a point of each leg branch of Phi and lifts a
+    plain-amoeba point onto its fibre."""
+    assert models.thin_legs_branch(*w) == (leg or "amoeba")
+    v = np.array(models.psi_amoeba(*w), dtype=complex)      # Phi at w, amoeba branch
+    if leg is not None:
+        with pytest.raises(ValueError, match="plain-amoeba branch"):
+            thin_legs_lift(v, 0.3)
+        with pytest.raises(ValueError, match="plain-amoeba branch"):
+            thin_legs_lift(np.stack([np.array(models.psi_amoeba(1.0, 0.5)), v]), 0.3)
+        return
+    z = thin_legs_lift(v, 0.3)
+    model = sl.make_model("thin_legs")
+    assert np.allclose(model.f(z), [0.3, np.log(abs(v[0])), np.log(abs(v[1]))])
 
 
 def test_numeric_periods_rejects_bad_cycle():

@@ -1,5 +1,6 @@
 """Fibration models, Poisson commutation, reduction, amoeba, twists, smoothing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from tfib import numerics
 from tfib import symplab as sl
+from tfib.report import canonical_json
 from tfib.symplab import models, smoothing, twist
 
 
@@ -63,6 +65,56 @@ def test_thin_legs_margin_covers_branch_switches(seed):
     m = sl.make_model("thin_legs")
     z = sl.sample_domain(m, 2000, np.random.default_rng(seed), margin=0.1)
     assert sl.poisson_check(m, z) < 1e-6
+
+
+def _digest(value):
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+# SHA-256 of the canonical JSON of each result: the difference engine and
+# the complex views it differentiates through must return these bit for bit
+POISSON_DIGESTS = {
+    "sm_ff": "9350c04f54b08977b89c1ccbb1b97d5b95dcdb4fcce8b771afc9861bf90d0156",
+    "generic": "1b489ab986bceb0c84609f1b4d4777fa487e378c3dfa5bb0c3077072de509b72",
+    "thin_legs": "4d62b490d7964a3011e9d058398f87cd9c13ace7cae36cfbcb1b2a3e1e83e4eb",
+}
+
+
+def test_poisson_check_keeps_its_pinned_digests():
+    rng = np.random.default_rng(3)
+    for mid in ("sm_ff", "generic", "thin_legs"):
+        m = sl.make_model(mid)
+        z = sl.sample_domain(m, 200, rng, margin=0.1)
+        assert _digest(sl.poisson_check(m, z)) == POISSON_DIGESTS[mid]
+
+
+def test_reduction_check_keeps_its_pinned_digest():
+    pts = np.random.default_rng(5).uniform(-1.5, 1.5, (100, 4))
+    s = pts[:, 0::2] + 1j * pts[:, 1::2]
+    defects = [sl.reduction_check(0.0, s[np.abs(s[:, 0]) > 0.05])]
+    defects += [sl.reduction_check(t, s) for t in (0.5, 1.0)]
+    assert _digest(defects) == \
+        "1efc4e6e2c9cfa544911f0a22a9c2995641154b869864f25184f8d070a9809f5"
+
+
+def test_hamiltonian_field_keeps_its_pinned_digest():
+    z = (np.random.default_rng(6).normal(size=(40, 2))
+         + 1j * np.random.default_rng(7).normal(size=(40, 2)))
+    field = numerics.hamiltonian_field(
+        lambda u: np.abs(u[..., 0]) ** 2 * np.cos(u[..., 1].real)
+        + (u[..., 0] * u[..., 1]).imag, z)
+    assert _digest([field.real, field.imag]) == \
+        "c6b8ca194303a2a6cf7606e5b7660fad44deb5431444834282977348d8279f0f"
+
+
+def test_poisson_check_calls_the_map_once_per_displaced_copy():
+    # 6 real coordinates x 4 displaced copies, one call each
+    m = sl.make_model("generic")
+    z = sl.sample_domain(m, 10, np.random.default_rng(2), margin=0.1)
+    shapes, real_f = [], m.f
+    m.f = lambda w: shapes.append(np.shape(w)) or real_f(w)
+    sl.poisson_check(m, z)
+    assert shapes == [(10, 3)] * 24
 
 
 def test_poisson_control_model_fails():
@@ -287,10 +339,77 @@ def _cutoff_with_hess(hess):
     return h
 
 
+# Reference cut-off derivatives, each term through numerics.cutoff,
+# h0_quarter_turn and its own clip: the shipped grad and hess, which share
+# one helper, must equal them bit for bit
+
+def _reference_smoothstep7_prime(x):
+    x = np.clip(x, 0.0, 1.0)
+    return 140.0 * x**3 * (1.0 - x) ** 3
+
+
+def _reference_smoothstep7_second(x):
+    x = np.clip(x, 0.0, 1.0)
+    return 420.0 * x**2 * (1.0 - x) ** 2 * (1.0 - 2.0 * x)
+
+
+def _reference_h0_grad(u):
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    x1, y1 = u[:, 0].real, u[:, 0].imag
+    x2, y2 = u[:, 1].real, u[:, 1].imag
+    c = math.pi / 4.0
+    return np.stack([-c * y2, c * x2, c * y1, -c * x1], axis=-1)
+
+
+def _reference_cutoff_grad(u, eps):
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    t = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2
+    k = numerics.cutoff(t, eps, 2.0 * eps)
+    kp = -_reference_smoothstep7_prime((t - eps) / eps) / eps
+    coords = numerics.c2r(u)
+    h0 = sl.h0_quarter_turn(u)
+    return (k[:, None] * _reference_h0_grad(u)
+            + (kp * h0)[:, None] * 2.0 * coords)
+
+
+def _reference_cutoff_hess(u, eps):
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    t = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2
+    s = (t - eps) / eps
+    k = numerics.cutoff(t, eps, 2.0 * eps)
+    kp = -_reference_smoothstep7_prime(s) / eps
+    kpp = -_reference_smoothstep7_second(s) / eps**2
+    x = numerics.c2r(u)
+    h0 = sl.h0_quarter_turn(u)
+    g0 = _reference_h0_grad(u)
+    xg = x[:, :, None] * g0[:, None, :]
+    return (k[:, None, None] * twist._H0_HESS
+            + (2.0 * kp)[:, None, None] * (xg + np.swapaxes(xg, 1, 2))
+            + (4.0 * kpp * h0)[:, None, None] * (x[:, :, None] * x[:, None, :])
+            + (2.0 * kp * h0)[:, None, None] * np.eye(4))
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.1, 2.5])
+def test_cutoff_derivatives_equal_the_reference_formulas_bitwise(eps):
+    """Over radii 0..2 sqrt(eps), the shell eps < |u|^2 < 2 eps densest;
+    array_equal also takes -0.0 for 0.0."""
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=(400, 2)) + 1j * rng.normal(size=(400, 2))
+    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+    t = eps * np.concatenate([rng.uniform(0.0, 4.0, 200), rng.uniform(1.0, 2.0, 200),
+                              [0.0, 1.0, 2.0, 4.0]])
+    u = np.concatenate([unit, unit[:4]]) * np.sqrt(t)[:, None]
+    h = sl.cutoff_hamiltonian(eps)
+    assert np.array_equal(h.grad(u), _reference_cutoff_grad(u, eps))
+    assert np.array_equal(h.hess(u), _reference_cutoff_hess(u, eps))
+    assert np.array_equal(sl.h0_quarter_turn.grad(u), _reference_h0_grad(u))
+
+
 def _kp_kpp(u, eps=0.1):
     t = np.sum(np.abs(np.atleast_2d(u)) ** 2, axis=1)
     s = (t - eps) / eps
-    return (-twist._smoothstep7_prime(s) / eps, -twist._smoothstep7_second(s) / eps**2)
+    return (-_reference_smoothstep7_prime(s) / eps,
+            -_reference_smoothstep7_second(s) / eps**2)
 
 
 def _x_g0(u):
