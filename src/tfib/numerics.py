@@ -1,5 +1,5 @@
-"""Shared numerical helpers: finite differences, Hamiltonian fields, bumps,
-the time-1 ODE stepper and the two doubling quadratures.
+"""Shared numerical helpers: finite differences, Hamiltonian fields, bumps
+and the two doubling quadratures.
 
 Every derivative in the package comes from one engine, :func:`jacobian`:
 central differences with one Richardson extrapolation step (fourth order),
@@ -12,7 +12,11 @@ the real interleaved coordinates of :func:`c2r` (a copy) and :func:`r2c`
 (a zero-copy complex view of its input, which must not be written
 through while the view is in use).  Piecewise
 maps are differentiated one-sidedly by the callers where a seam is known;
-nothing here tries to be clever across branch cuts.
+nothing here tries to be clever across branch cuts.  There is no ODE
+integrator: the package's only flows, the twists of ``symplab.twist``,
+are known in closed form, and both of their checks (symplecticity, and
+the integral-curve identity d/ds phi_s = X_H) take their derivatives
+from :func:`jacobian`.
 
 Sign conventions, fixed once for the whole package:
 
@@ -219,137 +223,6 @@ def plateau(t, inner_lo, inner_hi, outer_lo, outer_hi):
     up = smoothstep7((np.asarray(t, dtype=float) - outer_lo) / (inner_lo - outer_lo))
     down = 1.0 - smoothstep7((np.asarray(t, dtype=float) - inner_hi) / (outer_hi - inner_hi))
     return up * down
-
-
-# ----------------------------------------------------------------------
-# the time-1 flow of an autonomous ODE (DOP853)
-# ----------------------------------------------------------------------
-
-# The 12 stepping stages of the Prince-Dormand 8(5,3) pair of DOP853
-# (Hairer, Norsett, Wanner, Solving ODE I, II.5 and the authors' Fortran):
-# nodes C, the nonzero entries of each row of A, weights B (the 13th row
-# of the full table) and the 5th- and 3rd-order error weights E5, E3.
-_DOP_C = np.array([
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
-
-
-def _lower_triangle(rows):
-    a = np.zeros((12, 12))
-    for i, entries in rows.items():
-        for j, value in entries.items():
-            a[i, j] = value
-    return a
-
-
-_DOP_A = _lower_triangle({
-    1: {0: 0.05260015195876773},
-    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
-    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
-    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
-    5: {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
-    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
-        5: -0.017578125},
-    7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
-        5: -0.015319437748624402, 6: 0.008273789163814023},
-    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
-        5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
-    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
-        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
-        8: -0.020331201708508627},
-    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
-         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
-         8: 2.4936055526796523, 9: -3.0467644718982196},
-    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
-         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
-         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
-})
-_DOP_B = np.zeros(12)
-_DOP_B[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
-    0.20136540080403034, 0.04471061572777259]
-_DOP_E5 = np.zeros(12)
-_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
-    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
-    0.08192320648511571, -0.022355307863886294]
-_DOP_E3 = _DOP_B.copy()
-_DOP_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
-# step control as in scipy's solve_ivp: a step shrinks by at most
-# _MIN_FACTOR and grows by at most _MAX_FACTOR; the error exponent is -1/8
-# for the 7th-order error estimate
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
-
-
-def _rms(v):
-    return float(np.linalg.norm(v) / v.size ** 0.5)
-
-
-def _first_step(fun, y, f, rtol, atol):
-    """Initial step of Hairer-Norsett-Wanner II.4, on the interval [0, 1]."""
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, 1.0)
-    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
-    return min(100.0 * h0, h1, 1.0)
-
-
-def _error_norm(k, h, scale):
-    """DOP853's blend of its 5th- and 3rd-order error estimates."""
-    err5 = np.linalg.norm((k.T @ _DOP_E5) / scale) ** 2
-    err3 = np.linalg.norm((k.T @ _DOP_E3) / scale) ** 2
-    if err5 == 0.0 and err3 == 0.0:
-        return 0.0
-    return abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * scale.size)
-
-
-def dop853(fun, y0, rtol, atol):
-    """y(1) for y' = fun(y), y(0) = ``y0``: adaptive DOP853 on [0, 1].
-
-    ``fun`` maps a state (a flat float array) to its derivative.  The error
-    norm, initial step and step control are those of scipy's
-    ``solve_ivp(method="DOP853")``, so both take the same steps and the
-    same number of ``fun`` calls: 2 + 12 per attempted step.  Raises
-    ``RuntimeError`` at once if an error estimate is not finite or the
-    step falls below 10 spacing(t).
-    """
-    y = np.array(y0, dtype=float)
-    f = np.asarray(fun(y), dtype=float)
-    h_abs = _first_step(fun, y, f, rtol, atol)
-    k = np.empty((12, y.size))
-    t = 0.0
-    while t < 1.0:
-        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise RuntimeError(f"DOP853 step fell below {min_step:.1e} at t = {t}")
-            t_new = min(t + h_abs, 1.0)
-            h = t_new - t
-            k[0] = f
-            for s in range(1, 12):
-                k[s] = fun(y + (k[:s].T @ _DOP_A[s, :s]) * h)
-            y_new = y + h * (k.T @ _DOP_B)
-            f_new = np.asarray(fun(y_new), dtype=float)
-            norm = _error_norm(k, h, atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
-            if not math.isfinite(norm):
-                raise RuntimeError(f"DOP853 error estimate is {norm} at t = {t}")
-            if norm < 1.0:
-                factor = _MAX_FACTOR if norm == 0.0 else \
-                    min(_MAX_FACTOR, _SAFETY * norm ** _ERROR_EXPONENT)
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * norm ** _ERROR_EXPONENT)
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-    return y
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ _EXPORTS = {
     "h0_quarter_turn": "twist",
     "cutoff_hamiltonian": "twist",
     "symplecticity_defect": "twist",
-    "tangent_map_defect": "twist",
+    "integral_curve_defect": "twist",
     "twist_report": "twist",
     "discriminant_sample": "discriminant",
     "discriminant_report": "discriminant",

@@ -140,7 +140,7 @@ def test_criterion_7_amoeba():
 
 
 def test_criterion_8_twists():
-    with criterion(8, "quarter-turn flow, cut-off identity, symplectic J"):
+    with criterion(8, "quarter-turn flow, cut-off identity, symplectic J, integral curves"):
         rng = np.random.default_rng(99)
         u = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
         flow = symplab.hamiltonian_twist(symplab.h0_quarter_turn)
@@ -155,6 +155,9 @@ def test_criterion_8_twists():
         assert np.max(np.abs(cut(far) - far)) < 1e-6
         assert symplab.symplecticity_defect(flow, u[:25]) < 1e-6
         assert symplab.symplecticity_defect(cut, 0.3 * u[:25]) < 1e-6
+        # the closed form's curves are integral curves of X_H in the shell
+        shell = u[:5] / norms[:5, None] * math.sqrt(1.5 * eps)
+        assert symplab.integral_curve_defect(cut.hamiltonian, shell) < 1e-6
 
 
 def test_criterion_9_periods_monodromy():

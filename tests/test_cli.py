@@ -104,7 +104,7 @@ def test_reports_show_the_library_tolerances(tmp_path):
     from tfib.symplab import twist
 
     code, data, _ = run(tmp_path, "fib", "twist", "--samples", "5")
-    assert code == 0 and data["ode_rtol"] == twist.ODE_RTOL
+    assert code == 0 and data["tol"] == twist.TWIST_TOL
 
 
 @pytest.mark.parametrize("key, value", [("numeric", True),
@@ -197,46 +197,42 @@ def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
 
 
 def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch):
-    from tfib.symplab import twist
-
-    real = twist.cutoff_hamiltonian
-
-    def half(eps):
-        h = real(eps)
-        out = lambda u: 0.5 * h(u)
-        out.grad = lambda u: 0.5 * h.grad(u)
-        out.hess = lambda u: 0.5 * h.hess(u)
-        return out
-
-    # a half-angle twist is still the identity where H = 0: only the inside
-    # quarter-turn check can see it
-    monkeypatch.setattr("tfib.symplab.twist.cutoff_hamiltonian", half)
-    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
-                        "--samples", "20", "--strict")
-    assert code == 1 and data["passed"] is False
-    assert data["flow_error"] > 0.01 and data["symplectic_defect"] < 1e-6
-
-
-@pytest.mark.parametrize("mutant", ["_drop_kpp", "_flip_kp"])
-def test_twist_strict_rejects_a_wrong_symmetric_hessian(tmp_path, monkeypatch, mutant):
     import test_symplab
 
-    bad = test_symplab._cutoff_with_hess(getattr(test_symplab, mutant))
+    # H / 2 with its own flow: a consistent, symplectic twist, still the
+    # identity where H = 0, so only the inside quarter-turn check sees it
+    bad = test_symplab._half_angle(0.1, flow_too=True)
     monkeypatch.setattr("tfib.symplab.twist.cutoff_hamiltonian", lambda eps: bad)
     code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
                         "--samples", "20", "--strict")
     assert code == 1 and data["passed"] is False
-    assert data["symplectic_defect"] < 1e-6 and data["tangent_map_defect"] > 1e-6
+    assert data["flow_error"] > 0.01 and data["symplectic_defect"] < 1e-6
+    assert data["integral_curve_defect"] < 1e-6
+
+
+@pytest.mark.parametrize("mutant", ["radial_rotation", "flipped_phase", "half_angle_grad"])
+def test_twist_strict_rejects_a_known_bad_twist(tmp_path, monkeypatch, mutant):
+    import test_symplab
+
+    bad = test_symplab.KNOWN_BAD[mutant](0.1)
+    monkeypatch.setattr("tfib.symplab.twist.cutoff_hamiltonian", lambda eps: bad)
+    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
+                        "--samples", "20", "--strict")
+    assert code == 1 and data["passed"] is False
+    assert data["flow_error"] < 1e-6 and data["integral_curve_defect"] > 1e-6
+    # a wrong phase is not symplectic; a wrong grad with H's flow is
+    assert (data["symplectic_defect"] < 1e-6) is (mutant == "half_angle_grad")
 
 
 def test_twist_cutoff_strict_passes(tmp_path):
     code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
                         "--samples", "20", "--strict")
     assert code == 0 and data["passed"] is True and data["flow_error"] < 1e-9
-    # the tangent maps are differenced at the scale of the shell, sqrt(eps)
-    code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
-                        "--eps", "1e-6", "--samples", "20", "--strict")
-    assert code == 0 and data["passed"] is True
+    # both checks difference at the scale of the shell, sqrt(eps)
+    for eps in ("1e-6", "1e-10"):
+        code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
+                            "--eps", eps, "--samples", "20", "--strict")
+        assert code == 0 and data["passed"] is True
 
 
 def test_periods_frame_strict_passes(tmp_path):

@@ -77,9 +77,8 @@ def run_readme(workdir, commands=None):
 
 
 def _value_mismatch(want, got, where):
-    if isinstance(want, float) or isinstance(got, float):
-        ok = (isinstance(want, (int, float)) and isinstance(got, (int, float))
-              and not isinstance(want, bool) and not isinstance(got, bool)
+    if float in (type(want), type(got)):
+        ok = ({type(want), type(got)} <= {int, float}
               and abs(want - got) <= GOLDEN_RTOL * max(1.0, abs(want), abs(got)))
         return [] if ok else [f"{where}: {got!r} != {want!r}"]
     if isinstance(want, dict) and isinstance(got, dict):

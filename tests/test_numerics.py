@@ -135,42 +135,6 @@ def test_whole_stencil_in_one_call_equals_jacobian_bitwise():
         assert np.array_equal(numerics.displaced(x, k, h[k]), xs[k])
 
 
-def test_dop853_table_satisfies_the_order_conditions():
-    a, b, c = numerics._DOP_A, numerics._DOP_B, numerics._DOP_C
-    assert np.max(np.abs(a.sum(axis=1) - c)) < 1e-14
-    assert not np.any(np.triu(a))
-    for k in range(8):
-        assert abs(b @ c**k - 1.0 / (k + 1)) < 1e-14, k
-    # the embedded 5th- and 3rd-order rules: their differences from B
-    # integrate polynomials of degree 4 and 2 exactly
-    for k in range(5):
-        assert abs(numerics._DOP_E5 @ c**k) < 1e-14, k
-    for k in range(3):
-        assert abs(numerics._DOP_E3 @ c**k) < 1e-14, k
-
-
-def test_dop853_integrates_a_rotation():
-    # y' = (-y1, y0): the time-1 flow is the rotation by 1 radian
-    y = numerics.dop853(lambda y: np.array([-y[1], y[0]]), [1.0, 0.5], 1e-12, 1e-14)
-    want = [np.cos(1.0) - 0.5 * np.sin(1.0), np.sin(1.0) + 0.5 * np.cos(1.0)]
-    assert np.max(np.abs(y - want)) < 1e-11
-
-
-def test_dop853_stops_at_once_on_a_non_finite_error_or_a_blow_up():
-    calls = []
-
-    def nan_field(y):
-        calls.append(1)
-        return y * np.nan if len(calls) > 2 else y
-
-    with pytest.raises(RuntimeError, match="error estimate"):
-        numerics.dop853(nan_field, [1.0], 1e-9, 1e-12)
-    assert len(calls) == 2 + 12
-    # y' = y^2 from y(0) = 2 blows up at t = 1/2
-    with pytest.raises(RuntimeError):
-        numerics.dop853(lambda y: y * y, [2.0], 1e-9, 1e-12)
-
-
 def test_half_line_quadrature_known_integrals():
     cases = [
         (lambda t: 1.0 / (1.0 + t * t), 1.0, np.pi / 2.0),

@@ -308,8 +308,9 @@ def test_cutoff_analytic_gradient_matches_fd():
 
 
 @pytest.mark.parametrize("eps", [None, 0.05, 0.1, 0.3])
-def test_analytic_hessian_matches_fd(eps):
-    """The quarter-turn H0 (eps None) and the cut-off Hamiltonians."""
+def test_flow_is_an_integral_curve_of_the_field(eps):
+    """The quarter-turn H0 (eps None) and the cut-off Hamiltonians: the
+    closed-form curves s -> phi_s(u) have velocity X_H from ``grad``."""
     h = sl.h0_quarter_turn if eps is None else sl.cutoff_hamiltonian(eps)
     eps = eps or 0.1
     rng = np.random.default_rng(10)
@@ -319,11 +320,7 @@ def test_analytic_hessian_matches_fd(eps):
     t = eps * np.concatenate([rng.uniform(0.05, 0.95, 10), rng.uniform(1.05, 1.95, 10),
                               rng.uniform(2.05, 3.0, 10)])
     u = unit * np.sqrt(t)[:, None]
-    hess = h.hess(u)
-    fd = numerics.jacobian(lambda x: h.grad(numerics.r2c(x)), numerics.c2r(u))
-    assert hess.shape == (30, 4, 4)
-    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
-    assert np.max(np.abs(hess - fd)) < 1e-8 * np.max(np.abs(hess))
+    assert sl.integral_curve_defect(h, u) < 1e-10
 
 
 def _jacobian_points():
@@ -332,25 +329,21 @@ def _jacobian_points():
     return 0.3 * (rng.normal(size=(25, 2)) + 1j * rng.normal(size=(25, 2)))
 
 
-def _cutoff_with_hess(hess):
-    h = sl.cutoff_hamiltonian(0.1)
-    good = h.hess
-    h.hess = lambda u: hess(good, u)
-    return h
+def _shell_points(eps=0.1):
+    """Three points in the cut-off shell eps < |u|^2 < 2 eps, where k' is
+    live (a flow keeps |u|^2, so elsewhere a wrong phase changes nothing)."""
+    u = _jacobian_points()[:3]
+    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
+    return unit * np.sqrt(eps * np.array([1.2, 1.5, 1.8]))[:, None]
 
 
 # Reference cut-off derivatives, each term through numerics.cutoff,
-# h0_quarter_turn and its own clip: the shipped grad and hess, which share
-# one helper, must equal them bit for bit
+# h0_quarter_turn and its own clip: the shipped grad, which shares one
+# helper with the flow, must equal them bit for bit
 
 def _reference_smoothstep7_prime(x):
     x = np.clip(x, 0.0, 1.0)
     return 140.0 * x**3 * (1.0 - x) ** 3
-
-
-def _reference_smoothstep7_second(x):
-    x = np.clip(x, 0.0, 1.0)
-    return 420.0 * x**2 * (1.0 - x) ** 2 * (1.0 - 2.0 * x)
 
 
 def _reference_h0_grad(u):
@@ -372,23 +365,6 @@ def _reference_cutoff_grad(u, eps):
             + (kp * h0)[:, None] * 2.0 * coords)
 
 
-def _reference_cutoff_hess(u, eps):
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    t = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2
-    s = (t - eps) / eps
-    k = numerics.cutoff(t, eps, 2.0 * eps)
-    kp = -_reference_smoothstep7_prime(s) / eps
-    kpp = -_reference_smoothstep7_second(s) / eps**2
-    x = numerics.c2r(u)
-    h0 = sl.h0_quarter_turn(u)
-    g0 = _reference_h0_grad(u)
-    xg = x[:, :, None] * g0[:, None, :]
-    return (k[:, None, None] * twist._H0_HESS
-            + (2.0 * kp)[:, None, None] * (xg + np.swapaxes(xg, 1, 2))
-            + (4.0 * kpp * h0)[:, None, None] * (x[:, :, None] * x[:, None, :])
-            + (2.0 * kp * h0)[:, None, None] * np.eye(4))
-
-
 @pytest.mark.parametrize("eps", [1e-10, 0.1, 2.5])
 def test_cutoff_derivatives_equal_the_reference_formulas_bitwise(eps):
     """Over radii 0..2 sqrt(eps), the shell eps < |u|^2 < 2 eps densest;
@@ -401,143 +377,154 @@ def test_cutoff_derivatives_equal_the_reference_formulas_bitwise(eps):
     u = np.concatenate([unit, unit[:4]]) * np.sqrt(t)[:, None]
     h = sl.cutoff_hamiltonian(eps)
     assert np.array_equal(h.grad(u), _reference_cutoff_grad(u, eps))
-    assert np.array_equal(h.hess(u), _reference_cutoff_hess(u, eps))
     assert np.array_equal(sl.h0_quarter_turn.grad(u), _reference_h0_grad(u))
 
 
-def _kp_kpp(u, eps=0.1):
-    t = np.sum(np.abs(np.atleast_2d(u)) ** 2, axis=1)
-    s = (t - eps) / eps
-    return (-_reference_smoothstep7_prime(s) / eps,
-            -_reference_smoothstep7_second(s) / eps**2)
+# Known-bad twists.  Each is a cut-off Hamiltonian H (eps 0.1 by default)
+# whose flow or grad is wrong in one way:
+#   radial_rotation  the flow drops its phase factor: u -> R(pi s k / 4) u
+#   flipped_phase    the flow turns the phase the other way
+#   half_angle_grad  grad is that of H / 2, the flow is still H's
+# (``test_twist_strict_rejects_a_half_angle_cutoff`` in test_cli halves
+# the flow too, which only the flow-error check can see).
+
+def _reference_flow(u, s, eps, phase):
+    """R(pi s k(t) / 4) e^{2i phase s H0 k'(t)} u, each term from the
+    reference formulas; ``phase`` 1 is the cut-off flow."""
+    u = np.atleast_2d(np.asarray(u, dtype=complex))
+    t = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1]) ** 2
+    k = numerics.cutoff(t, eps, 2.0 * eps)
+    kp = -_reference_smoothstep7_prime((t - eps) / eps) / eps
+    v = np.exp(2j * phase * s * sl.h0_quarter_turn(u) * kp)[:, None] * u
+    c, sn = np.cos(math.pi / 4.0 * s * k), np.sin(math.pi / 4.0 * s * k)
+    return np.stack([c * v[:, 0] - sn * v[:, 1], sn * v[:, 0] + c * v[:, 1]], axis=-1)
 
 
-def _x_g0(u):
-    u = np.atleast_2d(u)
-    return numerics.c2r(u)[:, :, None] * twist._h0_grad(u)[:, None, :]
+def _with_phase(phase, eps=0.1):
+    h = sl.cutoff_hamiltonian(eps)
+    h.flow = lambda u, s: _reference_flow(u, s, eps, phase)
+    return h
 
 
-def test_symplecticity_defect_sees_an_asymmetric_hessian():
-    # only one half of the symmetric k' outer product 2k'(x g0^T + g0 x^T):
-    # D X_H is no longer Hamiltonian, so the tangent maps stop being symplectic
-    bad = _cutoff_with_hess(lambda good, u: good(u)
-                            - (2.0 * _kp_kpp(u)[0])[:, None, None] * _x_g0(u))
-    assert sl.symplecticity_defect(sl.hamiltonian_twist(bad), _jacobian_points()) > 1e-6
+def _half_angle(eps=0.1, flow_too=False):
+    """H / 2 with grad halved; its flow is H's at half the time only when
+    ``flow_too``."""
+    real = sl.cutoff_hamiltonian(eps)
+    h = lambda u: 0.5 * real(u)                           # noqa: E731
+    h.grad = lambda u: 0.5 * real.grad(u)
+    h.flow = (lambda u, s: real.flow(u, 0.5 * s)) if flow_too else real.flow
+    return h
 
 
-def _drop_kpp(good, u):
-    kpp = _kp_kpp(u)[1]
-    x = numerics.c2r(np.atleast_2d(u))
-    return good(u) - (4.0 * kpp * sl.h0_quarter_turn(u))[:, None, None] \
-        * x[:, :, None] * x[:, None, :]
+KNOWN_BAD = {
+    "radial_rotation": lambda eps=0.1: _with_phase(0.0, eps),
+    "flipped_phase": lambda eps=0.1: _with_phase(-1.0, eps),
+    "half_angle_grad": _half_angle,
+}
 
 
-def _flip_kp(good, u):
-    kp = _kp_kpp(u)[0]
-    xg = _x_g0(u)
-    return good(u) - (4.0 * kp)[:, None, None] * (xg + np.swapaxes(xg, 1, 2)) \
-        - (4.0 * kp * sl.h0_quarter_turn(u))[:, None, None] * np.eye(4)
+@pytest.mark.parametrize("phase", [1.0, 0.0, -1.0],
+                         ids=["shipped", "radial_rotation", "flipped_phase"])
+def test_integral_curve_defect_sees_a_wrong_phase(phase):
+    assert (sl.integral_curve_defect(_with_phase(phase), _shell_points()) > 1e-6) \
+        == (phase != 1.0)
 
 
-@pytest.mark.parametrize("mutant", [_drop_kpp, _flip_kp])
-def test_tangent_maps_see_a_wrong_symmetric_hessian(mutant):
-    # any symmetric Hessian makes D X_H Hamiltonian, so the variational flow
-    # stays symplectic; the engine fallback is what exposes the wrong term
-    u = _jacobian_points()
-    bad = _cutoff_with_hess(mutant)
+@pytest.mark.parametrize("mutant", ["radial_rotation", "flipped_phase"])
+def test_symplecticity_defect_sees_a_wrong_phase(mutant):
+    bad = KNOWN_BAD[mutant]()
+    assert sl.symplecticity_defect(sl.hamiltonian_twist(bad), _shell_points()) > 1e-6
+
+
+def test_only_the_integral_curve_defect_sees_a_wrong_grad():
+    # the flow is H's, so it is symplectic and fixes the far and inside
+    # points; only the comparison with X_H from grad sees the halved field
+    bad = _half_angle()
+    u = np.concatenate([_jacobian_points(), _shell_points()])
     assert sl.symplecticity_defect(sl.hamiltonian_twist(bad), u) < 1e-6
-    engine = sl.cutoff_hamiltonian(0.1)
-    del engine.hess
-    assert np.max(np.abs(twist.flow_jacobians(bad, u)
-                         - twist.flow_jacobians(engine, u))) > 1e-6
-
-
-def _shell_points():
-    """Three points in the cut-off shell 0.1 < |u|^2 < 0.2, where k' and k''
-    are live (a flow keeps |u|^2, so elsewhere a wrong k' or k'' changes
-    nothing)."""
-    u = _jacobian_points()[:3]
-    unit = u / np.sqrt(np.sum(np.abs(u) ** 2, axis=1))[:, None]
-    return unit * np.sqrt(0.1 * np.array([1.2, 1.5, 1.8]))[:, None]
-
-
-@pytest.mark.parametrize("mutant", [None, _drop_kpp, _flip_kp])
-def test_tangent_map_defect_sees_a_wrong_symmetric_hessian(mutant):
-    h = sl.cutoff_hamiltonian(0.1) if mutant is None else _cutoff_with_hess(mutant)
-    assert (sl.tangent_map_defect(h, _shell_points()) > 1e-6) == (mutant is not None)
+    assert sl.integral_curve_defect(bad, _shell_points()) > 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_twist_report_passes_the_cutoff_at_a_tiny_eps(seed):
-    # the flows' absolute tolerances shrink with the radius of their start
-    # points, so the shell at radius ~1e-5 is flowed as accurately as at 1
+    # both checks difference at the scale of each point, so the shell at
+    # radius ~1e-5 reads as it does at radius 1
     rep = sl.twist_report("cutoff", 1e-10, 20, seed)
-    assert rep["passed"] is True and rep["tangent_map_defect"] < 2e-7
+    assert rep["passed"] is True and rep["integral_curve_defect"] < 1e-10
 
 
-def test_twist_tolerances_scale_with_the_start_points(monkeypatch):
-    _, solves = _recorded_solves(monkeypatch)
-    flow = sl.hamiltonian_twist(sl.h0_quarter_turn)
-    flow(np.array([[0.5j, 0.0]]))
-    flow(np.array([[3.0, 4.0]]))
-    flow(np.zeros((2, 2)))
-    assert [args[3] for args in solves] == [0.5 * twist.ODE_ATOL] + [twist.ODE_ATOL] * 2
+def test_twist_checks_read_the_same_at_every_scale():
+    ref = [sl.symplecticity_defect(sl.hamiltonian_twist(sl.cutoff_hamiltonian(0.1)),
+                                   _shell_points()),
+           sl.integral_curve_defect(sl.cutoff_hamiltonian(0.1), _shell_points())]
+    for eps in (1e-6, 1e-12, 2.5):
+        h, u = sl.cutoff_hamiltonian(eps), _shell_points(eps)
+        assert sl.symplecticity_defect(sl.hamiltonian_twist(h), u) < 10.0 * ref[0]
+        assert sl.integral_curve_defect(h, u) < 10.0 * ref[1]
+        for mutant in KNOWN_BAD.values():
+            assert sl.integral_curve_defect(mutant(eps), u) > 0.1
 
 
-def test_analytic_tangent_maps_match_the_engine_fallback():
-    u = _jacobian_points()
-    engine = sl.cutoff_hamiltonian(0.1)
-    del engine.hess
-    assert np.max(np.abs(twist.flow_jacobians(sl.cutoff_hamiltonian(0.1), u)
-                         - twist.flow_jacobians(engine, u))) <= 1e-8
-
-
-def test_symplecticity_defect_takes_no_engine_jacobian(monkeypatch):
+def test_symplecticity_defect_differences_the_closed_form(monkeypatch):
+    # one engine Jacobian of the time-1 map; H and grad are not evaluated
     calls = []
     real = numerics.jacobian
-
-    def counted(*a, **kw):
-        calls.append(1)
-        return real(*a, **kw)
-
-    monkeypatch.setattr(numerics, "jacobian", counted)
-    u = _jacobian_points()
+    monkeypatch.setattr(numerics, "jacobian",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
     for h in (sl.h0_quarter_turn, sl.cutoff_hamiltonian(0.1)):
-        sl.symplecticity_defect(sl.hamiltonian_twist(h), u)
-    assert calls == []
+        counted = lambda u: pytest.fail("H evaluated")          # noqa: E731
+        counted.grad = lambda u: pytest.fail("grad evaluated")
+        counted.flow = h.flow
+        assert sl.symplecticity_defect(sl.hamiltonian_twist(counted),
+                                       _jacobian_points()) < 1e-6
+    assert len(calls) == 2
 
 
-def _recorded_solves(monkeypatch):
-    """The real ``numerics.dop853`` and a list that gets the arguments of
-    every call the twist layer makes to it."""
-    real, solves = numerics.dop853, []
-    monkeypatch.setattr(numerics, "dop853", lambda *args: solves.append(args) or real(*args))
-    return real, solves
-
-
-def test_twist_solves_take_the_steps_of_solve_ivp(monkeypatch):
+def _scipy_flow(h, u):
+    """phi_1(u) of scipy's DOP853 on the field of ``h.grad``, one point at
+    a time, at rtol 1e-12 and atol 1e-14 |u|."""
     from scipy.integrate import solve_ivp
 
-    real, solves = _recorded_solves(monkeypatch)
-    for h in (sl.h0_quarter_turn, sl.cutoff_hamiltonian(0.1)):
-        sl.hamiltonian_twist(h)(_shell_points())
-        twist.flow_jacobians(h, _jacobian_points())
-    assert len(solves) == 4
-    for fun, y0, rtol, atol in solves:
-        calls = []
-        ours = real(lambda y: calls.append(1) or fun(y), y0, rtol, atol)
-        ref = solve_ivp(lambda _t, y: fun(y), (0.0, 1.0), y0, method="DOP853",
-                        rtol=rtol, atol=atol)
-        assert len(calls) == ref.nfev
-        assert np.max(np.abs(ours - ref.y[:, -1])) <= 1e-13
+    def rhs(_t, y):
+        return twist._field(h, numerics.r2c(y[None, :]))[0]
+
+    out = []
+    for x in numerics.c2r(u):
+        sol = solve_ivp(rhs, (0.0, 1.0), x, method="DOP853", rtol=1e-12,
+                        atol=1e-14 * np.linalg.norm(x))
+        assert sol.success
+        out.append(sol.y[:, -1])
+    return numerics.r2c(np.array(out))
 
 
-def test_tangent_map_defect_flows_its_stencil_in_one_solve(monkeypatch):
-    _, solves = _recorded_solves(monkeypatch)
-    sl.tangent_map_defect(sl.cutoff_hamiltonian(0.1), _shell_points())
-    # 3 points x 4 coordinates x 4 displacements, 4 real coordinates each;
-    # then the variational flow of the 3 points
-    assert [args[1].size for args in solves] == [3 * 4 * 4 * 4, 3 * (4 + 16)]
+def test_closed_form_twist_matches_solve_ivp():
+    for eps in (0.1, 1e-6, 2.5):
+        u = np.concatenate([_shell_points(eps), 0.7 * _shell_points(eps)])
+        h = sl.cutoff_hamiltonian(eps)
+        assert np.max(np.abs(sl.hamiltonian_twist(h)(u) - _scipy_flow(h, u))) \
+            <= 1e-8 * math.sqrt(eps)
+    u = _jacobian_points()[:3]
+    assert np.max(np.abs(sl.hamiltonian_twist(sl.h0_quarter_turn)(u)
+                         - _scipy_flow(sl.h0_quarter_turn, u))) <= 1e-10
+
+
+def test_quarter_turn_flow_is_the_rotation_at_every_time():
+    # X_H0 is linear, x' = A x, so phi_s = expm(s A) exactly
+    from scipy.linalg import expm
+
+    a = np.empty((4, 4))
+    a[0::2], a[1::2] = -twist._H0_HESS[1::2], twist._H0_HESS[0::2]
+    u = _jacobian_points()
+    for s in (0.25, 1.0, 3.0, -2.0):
+        want = numerics.r2c(numerics.c2r(u) @ expm(s * a).T)
+        assert np.max(np.abs(sl.h0_quarter_turn.flow(u, s) - want)) <= 1e-14
+
+
+def test_twist_without_a_closed_form_raises():
+    h = sl.cutoff_hamiltonian(0.1)
+    del h.flow
+    with pytest.raises(ValueError, match="closed-form flow"):
+        sl.hamiltonian_twist(h)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, 1e-160])
