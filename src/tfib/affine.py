@@ -71,9 +71,10 @@ class Polynomial:
         self.coeffs = tuple(Fraction(c) for c in coeffs) or (Fraction(0),)
 
     def __call__(self, s):
-        acc = Fraction(0) if isinstance(s, Fraction) else 0.0
+        """The exact value at ``s`` (an int or a Fraction), by Horner."""
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * s + (c if isinstance(s, Fraction) else float(c))
+            acc = acc * s + c
         return acc
 
     def to_json(self) -> list:

@@ -26,13 +26,13 @@ Every run writes a canonical JSON report (stdout, or --out PATH plus side
 artifacts next to it); identical configurations produce byte-identical
 JSON.  The report's "passed" is the run's one verdict: true or false for
 a leaf with a check, null for a leaf without one; a report whose check
-has a fixed tolerance states it as "tol".  Every leaf takes --out and
+has a tolerance states it as "tol", a constant of the layer that checks,
+as no leaf takes a tolerance option.  Every leaf takes --out and
 --strict; --seed and --samples exist only on the leaves that read them,
-with that leaf's default, --tol only on ``periods extend``, and the
-report's "config" echoes the ones the leaf has.  Exit codes: 0, or 1
-under --strict exactly when "passed" is false, 2 on usage errors and on
-a non-finite report value (then nothing is written, and stderr holds one
-``error:`` line).
+with that leaf's default, and the report's "config" echoes the ones the
+leaf has.  Exit codes: 0, or 1 under --strict exactly when "passed" is
+false, 2 on usage errors and on a non-finite report value (then nothing
+is written, and stderr holds one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -118,17 +118,15 @@ def _parser():
     p = _Parser(prog="tfib", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, run, seed=None, samples=None, tol=None, **extras):
+    def leaf(group, name, run, seed=None, samples=None, **extras):
         """A leaf parser that runs ``run`` ("module:function" under tfib)
-        with its options and ``extras``; --seed, --samples and --tol exist
-        only where given a default, which is the leaf's."""
+        with its options and ``extras``; --seed and --samples exist only
+        where given a default, which is the leaf's."""
         parser = group.add_parser(name, parents=[common])
         parser.set_defaults(run=run, **extras)
-        for flag, kind, default in (("--seed", int, seed),
-                                    ("--samples", int, samples),
-                                    ("--tol", float, tol)):
+        for flag, default in (("--seed", seed), ("--samples", samples)):
             if default is not None:
-                parser.add_argument(flag, type=kind, default=default)
+                parser.add_argument(flag, type=int, default=default)
         return parser
 
     def one_of(parser, *options):
@@ -202,7 +200,7 @@ def _parser():
            ("--frame", {"help": "frame kind"}))
     q.add_argument("--loop", default="circle:0.5",
                    help="circle:R (focus-focus/generic) or g1:R,g2:R,g3:R")
-    q = leaf(per, "extend", "periods:extension_report", tol=1e-4)
+    q = leaf(per, "extend", "periods:extension_report")
     q.add_argument("--chart", required=True,
                    choices=["focus_focus", "generic", "positive"])
     q.add_argument("--t0", type=float, default=0.7)
@@ -241,7 +239,7 @@ def main(argv=None) -> int:
         if rep.setdefault("passed", None) is not None:
             rep["passed"] = bool(rep["passed"])  # an array-scalar bool too
         rep["config"] = {key: getattr(args, key)
-                         for key in ("seed", "samples", "tol", "strict")
+                         for key in ("seed", "samples", "strict")
                          if key in args}
         text = report.canonical_json(rep)
         if args.out:

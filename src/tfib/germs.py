@@ -179,34 +179,17 @@ def is_fibrewise_constant(seq: EllSequence) -> bool:
     return True
 
 
-def _as_base_cutoff(rho):
-    """Wrap rho as a function of the base point, rejecting fibre dependence."""
-    probe_y = _torus_grid(2, n=5)
-
-    def at(base):
-        try:
-            return float(rho(base))
-        except TypeError:
-            vals = np.asarray(rho(probe_y, base), dtype=float)
-            if float(vals.max() - vals.min()) > 1e-9:
-                raise ValueError("cut-off varies along the fibres")
-            return float(vals.reshape(-1)[0])
-
-    return at
-
-
 def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
                      ) -> EllSequence:
     """Termwise interpolation (1-rho) l'_k + rho l_k; without ``other``,
     l' is the zero sequence, so this is the scaling rho * l_k.
 
-    ``rho`` depends only on the base point of the reduced fibration; the
-    fibre cohomology class of l_1 becomes (1-rho(b)) [l'_1] + rho(b) [l_1],
-    so it is unchanged whenever both inputs share the class.  ``rho`` is
-    evaluated lazily, with the blended terms: a cut-off that varies along
-    the fibres raises ValueError there.
+    ``rho`` is a function of the base point of the reduced fibration
+    alone, ``rho(base)``, so the fibre cohomology class of l_1 becomes
+    (1-rho(b)) [l'_1] + rho(b) [l_1], and it is unchanged whenever both
+    inputs share the class.  ``rho`` is evaluated lazily, with the blended
+    terms, at the base point they are evaluated at.
     """
-    rho_at = _as_base_cutoff(rho)
     if other is None:
         other = EllSequence(seq.seam_id, seq.fibre_dim)   # the zero sequence
     if other.fibre_dim != seq.fibre_dim:
@@ -214,7 +197,7 @@ def deform_by_cutoff(seq: EllSequence, rho, other: Optional[EllSequence] = None
 
     def blend(a, b):
         def blended(y, base=None):
-            r = rho_at(base)
+            r = float(rho(base))
             return (r * np.asarray(a(y, base), dtype=float)
                     + (1.0 - r) * np.asarray(b(y, base), dtype=float))
         return blended

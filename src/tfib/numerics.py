@@ -25,6 +25,7 @@ Sign conventions, fixed once for the whole package:
 * Hamiltonian vector field of F:  xdot_k = -dF/dy_k, ydot_k = +dF/dx_k,
   equivalently udot_k = 2i dF/du_k.  With this choice the moment map
   (|z1|^2 - |z2|^2)/2 generates (z1, z2) -> (e^{i t} z1, e^{-i t} z2).
+  Its one home is :func:`field_of_gradient`, which every field applies.
 """
 
 from __future__ import annotations
@@ -192,15 +193,23 @@ def omega_pair(a, b):
     return np.sum((np.conj(a) * b).imag, axis=-1)
 
 
+def field_of_gradient(g):
+    """X_F from the gradient ``g`` of F, both interleaved real (..., 2n):
+    each pair (x_k, y_k) of dF becomes (-y_k, x_k)."""
+    out = np.empty(g.shape)
+    out[..., 0::2] = -g[..., 1::2]
+    out[..., 1::2] = g[..., 0::2]
+    return out
+
+
 def hamiltonian_field(F, z, step=DEFAULT_STEP):
     """Hamiltonian vector field of a real function F of a complex tuple.
 
-    udot_k = -dF/dy_k + i dF/dx_k, the convention stated in the module
-    docstring.  ``F`` maps complex points (..., n) to real values (...);
-    ``z`` is one point (n,) or a batch (..., n), and the field has its shape.
+    udot_k = -dF/dy_k + i dF/dx_k, from the engine's gradient.  ``F`` maps
+    complex points (..., n) to real values (...); ``z`` is one point (n,)
+    or a batch (..., n), and the field has its shape.
     """
-    g = gradient(lambda x: F(r2c(x)), c2r(z), step=step)
-    return -g[..., 1::2] + 1j * g[..., 0::2]
+    return r2c(field_of_gradient(gradient(lambda x: F(r2c(x)), c2r(z), step=step)))
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .. import numerics
 from . import MODEL_IDS
 from .reduction import gamma_t_inverse
 
@@ -475,7 +476,7 @@ def sample_domain(model: FibrationModel, count: int, rng, margin: float = 0.1
     need = count
     for _ in range(200):
         raw = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(4 * need, 2 * model.n))
-        z = raw[:, 0::2] + 1j * raw[:, 1::2]
+        z = numerics.r2c(raw)
         keep = model.margin(z) > margin
         z = z[keep]
         out.append(z[:need])

@@ -87,7 +87,7 @@ def reduction_report(t, samples, seed=0):
     ``REDUCTION_TOL``.  At t = 0 the draws with |u1| <= ``T0_MIN_U1`` are
     dropped, and none left raises ValueError."""
     pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(samples, 4))
-    z = pts[:, 0::2] + 1j * pts[:, 1::2]
+    z = numerics.r2c(pts)
     if t == 0.0:
         z = z[np.abs(z[:, 0]) > T0_MIN_U1]
         if not len(z):

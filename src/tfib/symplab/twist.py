@@ -20,8 +20,9 @@ k' come from one helper, with the values of the separate
 integrator: a Hamiltonian without ``flow`` has no twist.
 
 Two checks tie the closed form to H, both from the derivative engine
-``numerics.jacobian`` and both read in units of each point's norm, so that
-they read the same at every eps of the scale-invariant cut-off flow,
+``numerics.jacobian`` and both read in units of each point's norm (as is
+the report's flow error), so that they read the same at every eps of the
+scale-invariant cut-off flow,
 phi_eps(u) = sqrt(eps) phi_1(u / sqrt(eps)):
 
 * :func:`symplecticity_defect`, max |J^t Omega J - Omega| with J the
@@ -132,16 +133,6 @@ def cutoff_hamiltonian(eps=0.1):
     return h
 
 
-def _field(h, u):
-    """X_H on a batch, from the Hamiltonian's analytic gradient: the rows
-    (x_k, y_k) of dH become (-y_k, x_k)."""
-    g = h.grad(u)
-    out = np.empty(g.shape)
-    out[:, 0::2] = -g[:, 1::2]
-    out[:, 1::2] = g[:, 0::2]
-    return out
-
-
 def hamiltonian_twist(h):
     """The time-1 flow of ``h`` as a batched symplectomorphism: its closed
     form ``h.flow(u, 1)``.
@@ -191,7 +182,8 @@ def symplecticity_defect(flow, points):
 def integral_curve_defect(h, points):
     """max |d/ds phi_s(u) - X_H(phi_s(u))| / |u| over the points u and the
     times ``CURVE_TIMES``: phi_s is ``h.flow``, d/ds comes from
-    ``numerics.jacobian`` and X_H from ``h.grad``.
+    ``numerics.jacobian`` and X_H is ``numerics.field_of_gradient`` of
+    ``h.grad``.
 
     phi_s is the flow of H exactly when its curves are integral curves of
     X_H, so this ties the closed form to H without an integrator.  The
@@ -201,15 +193,15 @@ def integral_curve_defect(h, points):
     u = np.tile(points, (len(CURVE_TIMES), 1))
     s = np.repeat(CURVE_TIMES, len(points))
     ds = numerics.jacobian(lambda sv: numerics.c2r(h.flow(u, sv[:, 0])), s[:, None])
-    drift = ds[..., 0] - _field(h, h.flow(u, s))
+    drift = ds[..., 0] - numerics.field_of_gradient(h.grad(h.flow(u, s)))
     return float(np.max(np.abs(drift) / _norms(u)[:, None]))
 
 
 def _quarter_turn_error(flow, v):
-    """max |flow(v) - quarter turn of v| over the points v (m, 2)."""
+    """max |flow(v) - quarter turn of v| / |v| over the points v (m, 2)."""
     c = 1.0 / math.sqrt(2.0)
     expected = np.stack([c * (v[:, 0] - v[:, 1]), c * (v[:, 0] + v[:, 1])], axis=-1)
-    return float(np.max(np.abs(flow(v) - expected)))
+    return float(np.max(np.abs(flow(v) - expected) / _norms(v)[:, None]))
 
 
 def twist_report(which="h0", eps=None, samples=100, seed=0):
@@ -222,10 +214,10 @@ def twist_report(which="h0", eps=None, samples=100, seed=0):
     ``seed``.  The flow error is the distance from the quarter turn at u
     (h0), or for the cut-off the larger of the distances from the identity
     at radius 2 sqrt(eps), where H = 0, and from the quarter turn at radius
-    0.7 sqrt(eps), where k = 1.  The integral-curve defect is taken at
-    three points of the cut-off shell eps < |u|^2 < 2 eps, where k' is
-    live, and the symplecticity defect at those three and at 0.3 u for the
-    first 20 points.  eps must lie in [0, MAX_RADIUS^2 / 4], so that the
+    0.7 sqrt(eps), where k = 1, each distance divided by its point's radius.
+    The integral-curve defect is taken at three points of the cut-off shell
+    eps < |u|^2 < 2 eps, where k' is live, and the symplecticity defect at
+    those three and at 0.3 u for the first 20 points.  eps must lie in [0, MAX_RADIUS^2 / 4], so that the
     far points lie in the sampled region; the h0 check takes its shell at
     eps = 0.1.
     """
@@ -246,7 +238,7 @@ def twist_report(which="h0", eps=None, samples=100, seed=0):
         h = cutoff_hamiltonian(eps)
         flow = hamiltonian_twist(h)
         far = unit * math.sqrt(4.0 * eps)
-        err = max(float(np.max(np.abs(flow(far) - far))),
+        err = max(float(np.max(np.abs(flow(far) - far) / _norms(far)[:, None])),
                   _quarter_turn_error(flow, unit * math.sqrt(0.49 * eps)))
     shell = unit[:3] * np.sqrt(eps * np.array([1.2, 1.5, 1.8]))[:len(unit), None]
     defect = symplecticity_defect(flow, np.concatenate([0.3 * u[:20], shell]))

@@ -14,7 +14,8 @@ shell by shell, sup-norm 1, 2, ..., bound, pruning a candidate as soon as
 an entry it fixes is not integral or too large.  The conjugator returned
 is the one of least sup-norm, ties going to the lexicographically first
 in the free coordinates of the solution space; None means none lies in
-the box.
+the box.  Like the whole module, the search runs on plain Python ints,
+with no array library or machine integer: exact for every input.
 """
 
 from __future__ import annotations
@@ -455,48 +456,58 @@ def _enumerate_conjugators(denom, basis, free, n, bound):
     lexicographically first conjugator of least sup-norm in
     [-bound, bound]^d.
 
-    The box is never materialised.  Candidates grow one basis vector at a
-    time, from the last coordinate to the first, and each new coordinate's
-    steps become the outer axis, so the rows stay in lexicographic order.
-    An entry of P is fixed once every coordinate it depends on is placed,
-    and a row goes as soon as such an entry is not integral or exceeds s;
-    a free column equals its own coordinate and needs no test.  With the
-    basis scaled to integers, integrality is a divisibility test, and the
-    arithmetic, the determinant included, is exact int64 with no floating
-    point.
+    The box is never materialised: a depth-first search places the
+    coordinates first to last on one row, P times ``denom``, updated in
+    place by the nonzero entries of each basis vector and undone on the
+    way back.  An entry of P is fixed once the last coordinate touching it
+    is placed, and the branch goes when it is not divisible by ``denom``
+    or exceeds s; a free column equals its coordinate and needs no test.
     """
-    import numpy as np
-
     d, size = len(basis), n * n
-    # fixed[k]: the entries of P that placing coordinate k fixes
+    # the nonzero entries of each basis vector; the entries placing k fixes
+    steps = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis]
     fixed = [[] for _ in range(d)]
     for j in range(size):
-        k = next((k for k in range(d) if basis[k][j]), None)
+        k = max((k for k in range(d) if basis[k][j]), default=None)
         if k is not None and j not in free:
             fixed[k].append(j)
-    vecs = np.array(basis, dtype=np.int64)
-    for s in range(1, bound + 1):
-        # moves[i, k]: basis vector k at the i-th step -s, ..., s
-        moves = np.arange(-s, s + 1, dtype=np.int64)[:, None, None] * vecs
-        rows = np.zeros((1, size), dtype=np.int64)
-        for k in range(d - 1, -1, -1):
-            rows = (moves[:, k, None] + rows).reshape(-1, size)
-            if fixed[k]:
-                entries = rows[:, fixed[k]]
-                keep = (np.abs(entries) <= s * denom).all(axis=1)
-                if denom != 1:
-                    keep &= (entries % denom == 0).all(axis=1)
-                rows = rows[keep]
-        e = (rows // denom).T
+    row = [0] * size
+
+    def unimodular():
+        e = [v // denom for v in row] if denom != 1 else row
         if n == 2:
-            dets = e[0] * e[3] - e[1] * e[2]
+            det = e[0] * e[3] - e[1] * e[2]
         else:
-            dets = (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
-                    + e[2] * (e[3] * e[7] - e[4] * e[6]))
-        hits = np.flatnonzero(np.abs(dets) == 1)
-        if hits.size:
-            p = e[:, hits[0]].tolist()
-            return tuple(tuple(p[i * n:(i + 1) * n]) for i in range(n))
+            det = (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
+                   + e[2] * (e[3] * e[7] - e[4] * e[6]))
+        if det == 1 or det == -1:
+            return tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n))
+        return None
+
+    def place(k, s, top):
+        # coordinate k through -s, ..., s: start at -s, then step by +1
+        step, tests = steps[k], fixed[k]
+        for j, v in step:
+            row[j] -= s * v
+        for _ in range(2 * s + 1):
+            for j in tests:
+                x = row[j]
+                if x > top or x < -top or x % denom:
+                    break
+            else:
+                hit = unimodular() if k == d - 1 else place(k + 1, s, top)
+                if hit is not None:
+                    return hit
+            for j, v in step:
+                row[j] += v
+        for j, v in step:
+            row[j] -= (s + 1) * v
+        return None
+
+    for s in range(1, bound + 1):
+        hit = place(0, s, s * denom)
+        if hit is not None:
+            return hit
     return None
 
 

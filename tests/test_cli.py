@@ -196,15 +196,17 @@ def test_periods_frame_strict_rejects_a_curled_frame(tmp_path, monkeypatch):
     assert data["closedness_defect"] > 0.5 and data["tol"] == 1e-6
 
 
-def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch):
+@pytest.mark.parametrize("eps", [0.1, 1e-10, 1e-11, 1e-12])
+def test_twist_strict_rejects_a_half_angle_cutoff(tmp_path, monkeypatch, eps):
     import test_symplab
 
     # H / 2 with its own flow: a consistent, symplectic twist, still the
-    # identity where H = 0, so only the inside quarter-turn check sees it
-    bad = test_symplab._half_angle(0.1, flow_too=True)
+    # identity where H = 0, so only the inside quarter-turn check sees it,
+    # at every eps, since the flow error is in units of the point's radius
+    bad = test_symplab._half_angle(eps, flow_too=True)
     monkeypatch.setattr("tfib.symplab.twist.cutoff_hamiltonian", lambda eps: bad)
     code, data, _ = run(tmp_path, "fib", "twist", "--which", "cutoff",
-                        "--samples", "20", "--strict")
+                        "--eps", str(eps), "--samples", "20", "--strict")
     assert code == 1 and data["passed"] is False
     assert data["flow_error"] > 0.01 and data["symplectic_defect"] < 1e-6
     assert data["integral_curve_defect"] < 1e-6
@@ -261,15 +263,6 @@ def test_twist_flows_as_many_points_as_samples(tmp_path, monkeypatch):
     assert shapes == [(120, 2)]
 
 
-def test_periods_extend_applies_its_tolerance(tmp_path):
-    argv = ["periods", "extend", "--chart", "generic", "--strict"]
-    code, data, _ = run(tmp_path, *argv)
-    assert code == 0 and data["passed"] is True and data["config"]["tol"] == 1e-4
-    assert abs(data["limit"] - data["expected"]) > 1e-7
-    code, data, _ = run(tmp_path, *argv, "--tol", "1e-7")
-    assert code == 1 and data["passed"] is False
-
-
 def test_smooth1_sigma_zero_strict_rejects_a_perturbed_profile(tmp_path, monkeypatch):
     from tfib.symplab.smoothing import SmoothedLeg
 
@@ -317,6 +310,7 @@ def test_germs_ell1_checks_every_case(tmp_path, monkeypatch, case, m):
     (["fib", "twist", "--samples", "5"], "tfib.symplab.twist.TWIST_TOL"),
     (["periods", "frame", "--kind", "generic"], "tfib.periods.frames.CLOSEDNESS_TOL"),
     (["germs", "ell1", "--case", "equal"], "tfib.germs.ELL1_TOL"),
+    (["periods", "extend", "--chart", "generic"], "tfib.periods.extension.EXTEND_TOL"),
 ])
 def test_reports_apply_and_state_the_layer_tolerance(tmp_path, monkeypatch, argv, constant):
     code, data, _ = run(tmp_path, *argv, "--strict")
@@ -427,13 +421,51 @@ def _layer_function(leaf):
 def test_every_leaf_option_is_a_parameter_of_its_layer_function():
     assert len(_leaves()) == 24
     assert sum(1 for _, leaf in _leaves() for a in leaf._actions
-               if a.option_strings and a.dest != "help") == 93
+               if a.option_strings and a.dest != "help") == 92
     for words, leaf in _leaves():
         dests = {a.dest for a in leaf._actions
                  if a.option_strings and a.dest not in ("help", "out", "strict")}
         extras = set(leaf._defaults) - {"run"}
         params = set(inspect.signature(_layer_function(leaf)).parameters)
         assert dests | extras == params, words
+
+
+#: every leaf's options but --out and --strict, which every leaf takes: an
+#: option added to or removed from the CLI shows as an edit of this ledger
+OPTION_LEDGER = {
+    "base build": ["--kind", "--tau"],
+    "base check-simple": ["--input", "--kind", "--tau"],
+    "base holonomy": ["--input", "--kind", "--loop", "--word"],
+    "graph k3": ["--dual", "--thicken"],
+    "graph quintic": ["--dual", "--thicken"],
+    "topo euler": ["--input"],
+    "topo validate": ["--input"],
+    "topo sign": ["--triple"],
+    "fib list": [],
+    "fib poisson": ["--model", "--samples", "--seed"],
+    "fib reduce-check": ["--samples", "--seed", "--t"],
+    "fib amoeba": ["--bounds", "--res"],
+    "fib discriminant": ["--model"],
+    "fib twist": ["--eps", "--samples", "--seed", "--which"],
+    "fib smooth1": ["--seed", "--sigma"],
+    "periods frame": ["--kind", "--seed"],
+    "periods numeric": ["--b", "--model"],
+    "periods monodromy": ["--frame", "--loop", "--model"],
+    "periods extend": ["--chart", "--t0"],
+    "germs ell1": ["--case", "--m"],
+    "germs integral": ["--case"],
+    "germs constant": ["--case"],
+    "germs deform": [],
+    "germs glue": [],
+}
+
+
+def test_cli_options_match_the_ledger():
+    found = {(" ".join(words), option) for words, leaf in _leaves()
+             for action in leaf._actions for option in action.option_strings
+             if option not in ("-h", "--help")}
+    assert found == {(leaf, option) for leaf, options in OPTION_LEDGER.items()
+                     for option in ["--out", "--strict", *options]}
 
 
 def test_cli_defines_no_handler():
@@ -455,6 +487,7 @@ def test_cli_defines_no_handler():
     ["fib", "twist", "--tol", "1e-3"],
     ["periods", "frame", "--kind", "generic", "--tol", "1e-3"],
     ["germs", "ell1", "--tol", "1e-3"],
+    ["periods", "extend", "--chart", "generic", "--tol", "1e-3"],
     # options that each leaf reads at one value only
     ["base", "check-simple", "--kind", "edge", "--bound", "3"],
     ["topo", "validate", "--input", "k3.json", "--bound", "3"],
@@ -502,6 +535,30 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     assert not data["passed"]
 
 
+def test_check_simple_reports_an_edge_conjugate_with_huge_entries(tmp_path, capsys):
+    from test_zlat import _brute_force_conjugator
+
+    # the edge model with its Hminus cotangent holonomy conjugated by Q,
+    # Q's entries 2^40: the search's integers go far beyond 64 bits
+    q = zlat.mat([[1, 2**40, 0], [0, 1, 2**40], [0, 0, 1]])
+    base = affine.base_to_json(affine.build_local_model("edge"))
+    piece = next(p for p in base["pieces"] if p["id"] == "Hminus")
+    piece["transition"]["linear"] = zlat.matrix_to_json(zlat.inverse_transpose(
+        zlat.mat_mul(zlat.mat_mul(q, zlat.T_GENERIC), zlat.inverse(q))))
+    atlas = tmp_path / "huge.json"
+    atlas.write_text(json.dumps(base))
+    edge = affine.base_from_json(base)
+    g = affine.holonomy(edge, edge.loops["g"])
+    assert zlat.conjugator(g, zlat.T_GENERIC, bound=3) is None
+    assert _brute_force_conjugator([g], [zlat.T_GENERIC], 3) is None
+    code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas))
+    assert code == 0 and data["passed"] is False
+    assert "bound 3" in data["points"][0]["detail"]
+    assert capsys.readouterr().err == ""
+    code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas), "--strict")
+    assert code == 1 and data["passed"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "quintic", "--thicken", "1/0"],
     ["base", "build", "--kind", "node", "--tau", "0,1/0"],
@@ -529,8 +586,8 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     ["fib", "twist", "--which", "cutoff", "--eps", "1e-300"],
     ["periods", "monodromy", "--frame", "focus_focus", "--loop", "circle:0"],
     ["fib", "amoeba", "--res", "5", "--bounds", "1", "1"],
-    ["periods", "extend", "--chart", "generic", "--tol", "0"],
     # argparse's own errors
+    ["periods", "extend", "--chart", "generic", "--tol", "0"],
     ["fib", "poisson"],
     ["fib", "smooth1", "--sigma", "half"],
     ["base", "build"],
@@ -619,8 +676,9 @@ def test_json_of_the_wrong_shape_is_a_one_line_usage_error(tmp_path, capsys, arg
     (["fib", "amoeba", "--res", "5", "--bounds", "-1e306", "1e306"],
      ["bounds", "-1e+306 1e+306"]),
     (["fib", "twist", "--which", "h0", "--eps", "0.1"], ["h0", "0.1"]),
-    (["periods", "extend", "--chart", "generic", "--tol", "-1"], ["tol", "-1.0"]),
-    (["periods", "extend", "--chart", "generic", "--tol", "nan"], ["tol", "nan"]),
+    # the extend tolerance is a layer constant: the option itself is named
+    (["periods", "extend", "--chart", "generic", "--tol", "-1"], ["--tol", "-1"]),
+    (["periods", "extend", "--chart", "generic", "--tol", "nan"], ["--tol", "nan"]),
     (["fib", "reduce-check", "--t", "inf", "--samples", "10"], ["level t", "inf"]),
     (["germs", "ell1", "--case", "fake", "--m", "--strict"], ["fake", "one m"]),
     (["germs", "ell1", "--case", "equal", "--m", "--strict"], ["equal", "one m"]),
@@ -633,7 +691,7 @@ def test_json_of_the_wrong_shape_is_a_one_line_usage_error(tmp_path, capsys, arg
     (["fib", "amoeba", "--res", "-2"], ["res", "-2"]),
     (["graph", "quintic", "--thicken", "1/0"], ["--thicken", "'1/0'"]),
     (["base", "build", "--kind", "node", "--tau", "0,x"], ["--tau", "'x'"]),
-    (["periods", "extend", "--chart", "generic", "--tol", "inf"], ["tol", "inf"]),
+    (["periods", "extend", "--chart", "generic", "--tol", "inf"], ["--tol", "inf"]),
     (["fib", "amoeba", "--res", "100000"], ["res", "100000"]),
     # a point on a leg, a node, and base points that are not 3 finite numbers
     (["periods", "numeric", "--model", "positive", "--b=0,0,-1"],
@@ -710,7 +768,7 @@ def test_float_options_fail_as_usage_errors(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert code in (0, 2) and err.count("\n") <= 1, (argv, opt, err)
                 runs += 1
-    assert runs == 3 * 5
+    assert runs == 3 * 4
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

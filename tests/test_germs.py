@@ -171,14 +171,6 @@ def test_deform_scaling_support():
     assert abs(cycle_integrals(scaled, base=0.7)[0] - 0.7) < 1e-12
 
 
-def test_deform_rejects_fibre_dependent_cutoff():
-    seq = EllSequence.constant("k", [1.0, 1.0])
-    bad = lambda y, base=None: y[..., 0]
-    deformed = deform_by_cutoff(seq, bad)  # lazy: nothing is evaluated yet
-    with pytest.raises(ValueError, match="varies along the fibres"):
-        cycle_integrals(deformed)
-
-
 def test_deform_evaluates_the_cutoff_only_with_the_terms():
     calls = []
 

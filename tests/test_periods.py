@@ -96,6 +96,20 @@ def test_monodromy_positive_triple():
         assert got == zlat.POSITIVE_TRIPLE
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+@pytest.mark.parametrize("centre, u, v", [
+    ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
+    ((0, 2, 0), (1, 0, 0), (0, 0, 1)),
+    ((0, -2, -2), (1, 0, 0), (0, math.sqrt(0.5), -math.sqrt(0.5))),
+])
+def test_monodromy_positive_non_leg_loops_are_trivial(centre, u, v):
+    # radius-1/2 circles whose discs miss the three legs: each loop is
+    # trivial in the legs' complement, but the frame's kernels are singular
+    # on whole lines, so today they return the leg matrices g1, g2 and g3
+    loop = (centre, [0.5 * x for x in u], [0.5 * x for x in v])
+    assert monodromy_from_frame(closed_form_frame("positive"), loop) == zlat.identity(3)
+
+
 def test_monodromy_trivial_loop():
     frame = closed_form_frame("focus_focus")
     point = ([0.5, 0.2], [0.0, 0.0], [0.0, 0.0])  # a radius-0 circle

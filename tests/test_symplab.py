@@ -486,7 +486,7 @@ def _scipy_flow(h, u):
     from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
-        return twist._field(h, numerics.r2c(y[None, :]))[0]
+        return numerics.field_of_gradient(h.grad(numerics.r2c(y[None, :])))[0]
 
     out = []
     for x in numerics.c2r(u):

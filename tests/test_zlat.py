@@ -356,6 +356,12 @@ def _conj(w, m):
 # a node and a generic problem whose least conjugator has sup-norm 4
 NODE_NORM_4 = zlat.mat([[13, -9], [16, -11]])
 GENERIC_NORM_4 = zlat.mat([[5, -2, 0], [8, -3, 0], [-2, 1, 1]])
+# unimodular matrices with entries above 2^32: the conjugates they make have
+# entries near 2^66 and no conjugator in a small box, and the solution
+# spaces below have basis entries beyond 64-bit integers (BIG_Q2's generic
+# one has a denominator near 2^34 instead)
+BIG_Q1 = zlat.mat([[1, 2**33, 0], [0, 1, 2**33 + 1], [0, 0, 1]])
+BIG_Q2 = zlat.mat([[1, 0, 0], [2**35, 1, 0], [3, 2**34 - 1, 1]])
 
 
 @pytest.mark.parametrize("sources, targets, bound", [
@@ -374,6 +380,10 @@ GENERIC_NORM_4 = zlat.mat([[5, -2, 0], [8, -3, 0], [-2, 1, 1]])
     ([_conj(zlat.mat([[2, 1], [1, 1]]), zlat.T_NODE)], [zlat.T_NODE], 3),
     ([NODE_NORM_4], [zlat.T_NODE], 3),
     ([NODE_NORM_4], [zlat.T_NODE], 4),
+    ([_conj(BIG_Q1, zlat.T_GENERIC)], [zlat.T_GENERIC], 2),
+    ([_conj(BIG_Q2, zlat.T_GENERIC)], [zlat.T_GENERIC], 2),
+    ([_conj(BIG_Q2, t) for t in zlat.NEGATIVE_TRIPLE], list(zlat.NEGATIVE_TRIPLE), 2),
+    ([_conj(BIG_Q1, t) for t in zlat.POSITIVE_TRIPLE], list(zlat.POSITIVE_TRIPLE), 2),
 ])
 def test_shell_search_matches_brute_force(sources, targets, bound):
     zlat._conjugator_cached.cache_clear()
@@ -418,20 +428,26 @@ def test_exact_layers_import_without_numpy():
     import sys
     from pathlib import Path
 
+    # numpy is absent after the import, after a searched conjugacy, and
+    # after the simplicity check of every local model
     code = (
         "import sys\n"
         "import tfib.zlat, tfib.affine, tfib.polybase, tfib.topo\n"
         "print('numpy' in sys.modules)\n"
-        "from tfib import zlat\n"
+        "from tfib import affine, zlat\n"
         "w = zlat.mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])\n"
         "src = zlat.mat_mul(zlat.mat_mul(w, zlat.T_GENERIC), zlat.inverse(w))\n"
         "print(zlat.conjugator(src, zlat.T_GENERIC) is not None)\n"
         "print(zlat._conjugator_cached.cache_info().misses)\n"
+        "print('numpy' in sys.modules)\n"
+        "for kind in ('node', 'edge', 'positive', 'negative'):\n"
+        "    print(affine.check_simple(affine.build_local_model(kind)).simple)\n"
+        "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(zlat.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.split() == ["False", "True", "1"]
+    assert out.stdout.split() == ["False", "True", "1", "False"] + ["True"] * 4 + ["False"]
 
 
 def _planted_witness(rng, n):
