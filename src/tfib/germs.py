@@ -45,6 +45,10 @@ ELL1_TOL = 1e-6
 DEFORM_TOL = 1e-6
 #: the constant cut-off of ``deform_report``'s interpolation
 DEFORM_RHO = 0.5
+#: nodes per angle of the torus grid of the fibrewise checks
+TORUS_GRID_POINTS = 24
+#: ``glue_leg_germs`` blends the leg germs over (-GLUE_DELTA, GLUE_DELTA)
+GLUE_DELTA = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +87,8 @@ class EllSequence:
         return EllSequence(seam_id, len(coeffs), {1: term})
 
 
-def _torus_grid(fibre_dim, n=24):
-    axes = [np.arange(n) / n for _ in range(fibre_dim)]
+def _torus_grid(fibre_dim):
+    axes = [np.arange(TORUS_GRID_POINTS) / TORUS_GRID_POINTS] * fibre_dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
@@ -143,20 +147,20 @@ class IntegralReport:
         }
 
 
-def integral_condition(seq: EllSequence, expected, base=None, tol=1e-6
-                       ) -> IntegralReport:
-    """Compare the l_1 fibre-cycle integrals with expected integers."""
+def integral_condition(seq: EllSequence, expected, base=None) -> IntegralReport:
+    """Compare the l_1 fibre-cycle integrals with expected integers, each
+    to ``ELL1_TOL``."""
     expected = np.asarray(expected, dtype=float)
     if expected.shape != (seq.fibre_dim,):
         raise ValueError("expected-vector length mismatch")
     computed = cycle_integrals(seq, base=base)
-    return IntegralReport(computed, expected, tol)
+    return IntegralReport(computed, expected, ELL1_TOL)
 
 
 def negative_table_condition(seqs: Dict[str, EllSequence], m1: int, m2: int
                              ) -> Dict[str, IntegralReport]:
     """The three-seam table: c -> (0, 0), d -> (m1, 0), e -> (0, m2), each
-    checked by `integral_condition` at its default tolerance."""
+    checked by `integral_condition` (to ``ELL1_TOL``)."""
     table = {"c": (0, 0), "d": (m1, 0), "e": (0, m2)}
     missing = set(table) - set(seqs)
     if missing:
@@ -345,23 +349,23 @@ class GermH:
         return self.coeffs.get((i, j), lambda r: np.zeros_like(np.asarray(r, dtype=float)))
 
 
-def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
-                   delta: float = 0.25) -> GermH:
-    """Blend two leg germs over (-delta, delta) with zero-order term tau.
+def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable) -> GermH:
+    """Blend two leg germs over (-GLUE_DELTA, GLUE_DELTA) with zero-order
+    term tau.
 
     Preconditions: both inputs carry the same truncation order, their
     zero-order coefficients equal tau on their intervals (to 1e-9, checked
     at 33 points of each), and both are evaluable across the blend region.
     The output restricts to the inputs coefficientwise outside
-    (-delta, delta).
+    (-GLUE_DELTA, GLUE_DELTA).
     """
     if g_left.order != g_right.order:
         raise ValueError("germ truncation orders differ")
     a = g_left.interval[0]
     b = g_right.interval[1]
-    if not (g_left.interval[1] >= delta and g_right.interval[0] <= -delta):
+    if not (g_left.interval[1] >= GLUE_DELTA and g_right.interval[0] <= -GLUE_DELTA):
         raise ValueError("input germs must overlap the blend region")
-    for germ, lo, hi in ((g_left, a, delta), (g_right, -delta, b)):
+    for germ, lo, hi in ((g_left, a, GLUE_DELTA), (g_right, -GLUE_DELTA, b)):
         r = np.linspace(lo, hi, 33)
         mismatch = np.max(np.abs(np.asarray(germ.coefficient(0, 0)(r), dtype=float)
                                  - np.asarray(tau(r), dtype=float)))
@@ -376,7 +380,7 @@ def glue_leg_germs(g_left: GermH, g_right: GermH, tau: Callable,
 
         def h(r):
             r = np.asarray(r, dtype=float)
-            w = numerics.smoothstep7((r + delta) / (2.0 * delta))
+            w = numerics.smoothstep7((r + GLUE_DELTA) / (2.0 * GLUE_DELTA))
             return (1.0 - w) * np.asarray(left(r), dtype=float) \
                 + w * np.asarray(right(r), dtype=float)
 
@@ -403,8 +407,7 @@ def ell1_report(case="ff", m=(1, 0)) -> dict:
     empty ``m`` raises ValueError.
     """
     if case == "ff":
-        rep = integral_condition(stitched_ff_ell1_sequence(), [1], base=-0.5,
-                                 tol=ELL1_TOL)
+        rep = integral_condition(stitched_ff_ell1_sequence(), [1], base=-0.5)
         return {
             "case": "ff",
             "lower_seam_integral": rep.computed.tolist(),

@@ -5,9 +5,10 @@ Every derivative in the package comes from one engine, :func:`jacobian`:
 central differences with one Richardson extrapolation step (fourth order),
 batched over any leading axes.  Its one step policy is :func:`fd_step`:
 each coordinate's step is the base step scaled by that coordinate's
-magnitude (never below the base step); :func:`stencil` and
-:func:`richardson` are its two halves, for callers that evaluate the
-whole stencil at once.  Complex-valued callers go through
+magnitude (never below the base step).  Its one stencil builder is
+:func:`displaced`, the four copies of a point displaced along one
+coordinate, and :func:`richardson` combines f on them, for callers that
+evaluate a whole stencil at once.  Complex-valued callers go through
 the real interleaved coordinates of :func:`c2r` (a copy) and :func:`r2c`
 (a zero-copy complex view of its input, which must not be written
 through while the view is in use).  Piecewise
@@ -44,41 +45,14 @@ def fd_step(x, step=DEFAULT_STEP):
     return step * np.maximum(1.0, np.abs(x))
 
 
-def _displaced(x, k, hk):
-    """Copies of ``x`` with coordinate k displaced by +hk, -hk, +hk/2 and
-    -hk/2, made one at a time."""
-    for shift in (hk, hk / 2.0):
-        xi = x.copy()
-        xi[..., k] += shift
-        yield xi
-        xi = x.copy()
-        xi[..., k] -= shift
-        yield xi
-
-
 def displaced(x, k, hk):
     """The four copies of ``x`` (shape (..., d)) with coordinate k displaced
-    by +hk, -hk, +hk/2 and -hk/2, stacked: shape (4, ..., d).  Each equals
-    the copy :func:`jacobian` makes, bit for bit (x - h is x + (-h))."""
+    by +hk, -hk, +hk/2 and -hk/2, stacked: shape (4, ..., d); ``hk`` has
+    shape (...)."""
     xs = np.empty((4,) + x.shape)
     xs[...] = x
     xs[..., k] += np.stack([hk, -hk, hk / 2.0, -(hk / 2.0)])
     return xs
-
-
-def stencil(x, step=DEFAULT_STEP):
-    """The displaced copies of ``x`` (shape (..., d)) that :func:`jacobian`
-    evaluates f at, and their steps.
-
-    Returns ``(xs, h)``: ``xs[k, i]`` is ``x`` with coordinate k displaced by
-    (+h, -h, +h/2, -h/2)[i], shape (d, 4, ..., d), and ``h[k]`` =
-    ``fd_step(x[..., k], step)``, shape (d, ...).  A caller that evaluates
-    f once per coordinate can take ``displaced(x, k, h[k])`` one k at a
-    time instead, holding one coordinate's copies at once.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.moveaxis(fd_step(x, step), -1, 0)
-    return np.array([displaced(x, k, hk) for k, hk in enumerate(h)]), h
 
 
 def _combine(fp, fm, fp2, fm2, h):
@@ -92,12 +66,12 @@ def _combine(fp, fm, fp2, fm2, h):
 
 
 def richardson(values, h):
-    """The derivative from f at the :func:`stencil` with steps ``h``.
+    """The derivative from f at the stencils with steps ``h`` (d, ...).
 
-    ``values[k, i]`` is f at ``xs[k, i]``, shape (d, 4) + f's shape (...) or
-    (..., k).  The central quotients D(h), D(h/2) along each coordinate
-    combine to the fourth-order (4 D(h/2) - D(h)) / 3; the result has shape
-    (..., d) for scalar f and (..., k, d) for vector f.
+    ``values[k, i]`` is f at ``displaced(x, k, h[k])[i]``, shape (d, 4) +
+    f's shape (...) or (..., k).  The central quotients D(h), D(h/2) along
+    each coordinate combine to the fourth-order (4 D(h/2) - D(h)) / 3; the
+    result has shape (..., d) for scalar f and (..., k, d) for vector f.
     """
     values = np.asarray(values, dtype=float)
     return np.moveaxis(_combine(*values.swapaxes(0, 1), h), 0, -1)
@@ -110,8 +84,8 @@ def jacobian(f, x, step=DEFAULT_STEP):
     and ``f`` maps such an array to values of shape (...) (scalar f) or
     (..., k) (vector f), acting pointwise on the leading axes.  Returns
     (..., d) for scalar f and (..., k, d) for vector f: :func:`richardson`
-    of f at the :func:`stencil`, one call of f per displaced copy, made one
-    at a time.  The engine keeps one copy per call on purpose: with four
+    of f on the :func:`displaced` copies of each coordinate, one call of f
+    per copy.  The engine keeps one copy per call on purpose: with four
     copies per call, the gradients of the ten 2000-point Poisson batches of
     the ``numeric`` benchmark took 37 ms instead of 19 ms (best of 7,
     2-core Xeon, numpy 2.4), because the larger temporaries cost more than
@@ -124,7 +98,7 @@ def jacobian(f, x, step=DEFAULT_STEP):
     out = None
     for k in range(d):
         hk = fd_step(x[..., k], step)
-        col = _combine(*[np.asarray(f(xi)) for xi in _displaced(x, k, hk)], hk)
+        col = _combine(*[np.asarray(f(xi)) for xi in displaced(x, k, hk)], hk)
         if out is None:
             out = np.empty(col.shape + (d,))
         out[..., k] = col

@@ -1,10 +1,11 @@
 """Action charts and their continuous extension toward the discriminant.
 
-The focus-focus and generic charts are the quoted primitives
+The focus-focus and generic charts are the quoted primitive
 
-    psi_j(b) = -b1 log|b| + b1 + q(b) + b2 arg_j(b)        (j = 1, 2),
+    psi(b) = -b1 log|b| + b1 + b2 arg(b),
 
-single-valued on their branch domains, with the -b1 log b1 -> 0 behavior
+with arg on (0, 2 pi), cut along {b2 = 0, b1 > 0} (where b2 arg(b) is 0),
+single-valued on that branch domain, with the -b1 log b1 -> 0 behavior
 at the discriminant; the generic chart adds the smooth correction H and
 its limit along the discriminant recovers tau = H|_Delta.
 
@@ -77,19 +78,12 @@ def arg_branch_1(b1, b2):
     return a if a >= 0.0 else a + 2.0 * math.pi
 
 
-def arg_branch_2(b1, b2):
-    """Branch of arg on (-pi, pi]; cut along {b2 = 0, b1 < 0}."""
-    return math.atan2(b2, b1)
-
-
-def psi_focus_focus(b, q=None, branch=1):
-    """The focus-focus action chart (psi_j(b), 2 pi b2)."""
+def psi_focus_focus(b):
+    """The focus-focus action chart (psi(b), 2 pi b2)."""
     b1, b2 = float(b[0]), float(b[1])
     r = math.hypot(b1, b2)
-    corr = float(q(np.asarray(b, dtype=float))) if q is not None else 0.0
-    arg = (arg_branch_1 if branch == 1 else arg_branch_2)(b1, b2)
     lead = -b1 * math.log(r) + b1 if r > 0.0 else 0.0
-    return np.array([lead + corr + b2 * arg, 2.0 * math.pi * b2])
+    return np.array([lead + b2 * arg_branch_1(b1, b2), 2.0 * math.pi * b2])
 
 
 def positive_a0(b):
@@ -119,23 +113,21 @@ def positive_a0(b):
 
 @dataclass
 class ActionChart:
-    """Evaluable action chart on a branch domain."""
+    """Evaluable action chart on its branch domain; ``h`` is the smooth
+    correction H of the generic and positive charts."""
 
     kind: str
-    branch: int = 1
-    q: Optional[Callable] = None
     h: Optional[Callable] = None
 
     def __call__(self, b):
         b = np.asarray(b, dtype=float)
         if self.kind == "focus_focus":
-            return psi_focus_focus(b, q=self.q, branch=self.branch)
+            return psi_focus_focus(b)
+        corr = float(self.h(b)) if self.h is not None else 0.0
         if self.kind == "generic":
-            psi = psi_focus_focus(b[:2], branch=self.branch)
-            corr = float(self.h(b)) if self.h is not None else 0.0
-            return np.array([psi[0] + corr, 2.0 * math.pi * b[1], b[2]])
+            return np.array([psi_focus_focus(b[:2])[0] + corr,
+                             2.0 * math.pi * b[1], b[2]])
         if self.kind == "positive":
-            corr = float(self.h(b)) if self.h is not None else 0.0
             return np.array([
                 positive_a0(b) + corr,
                 2.0 * math.pi * b[1],
@@ -144,8 +136,8 @@ class ActionChart:
         raise ValueError(f"no action chart for kind {self.kind!r}")
 
 
-def action_chart(kind: str, q=None, h=None, branch=1) -> ActionChart:
-    return ActionChart(kind, branch=branch, q=q, h=h)
+def action_chart(kind: str, h=None) -> ActionChart:
+    return ActionChart(kind, h=h)
 
 
 @dataclass

@@ -7,12 +7,11 @@ A frame is a list of 1-forms on the base.  Every form has one type,
 
 in pairs of linear coordinates (x, y) of the base, plus one single-valued
 covector field that holds the rest (constant covectors such as 2 pi db2,
-the thin-leg terms -e^{2 b} db, and dq or dH for a supplied smooth
-correction).  The kernel's angle is the whole monodromy signal: along
-a loop theta gains 2 pi per winding of (x, y) about 0, so the frame
-returns shifted by (2 pi dy) per unit of winding.  A constant form
-carries its covector as exact data, ``const = (k, j)`` for
-(2 pi)^k db_j, in which :mod:`.monodromy` writes those shifts.
+and the thin-leg terms -e^{2 b} db).  The kernel's angle is the whole
+monodromy signal: along a loop theta gains 2 pi per winding of (x, y)
+about 0, so the frame returns shifted by (2 pi dy) per unit of winding.
+A constant form carries its covector as exact data, ``const = (k, j)``
+for (2 pi)^k db_j, in which :mod:`.monodromy` writes those shifts.
 
 Loops are data: ``frame.loops[name](radius, **kw)`` returns a circle
 (c, u, v), the base points c + cos t u + sin t v for t in [0, 2 pi].
@@ -20,15 +19,13 @@ Loops are data: ``frame.loops[name](radius, **kw)`` returns a circle
 Forms and frames evaluate on batches: a base point array of shape
 (..., d) gives covectors of shape (..., d) and frame matrices of shape
 (..., forms, d), and a single point of shape (d,) gives (d,) and
-(forms, d).  A correction q or H is called on such batches too, so it
-must index coordinates as ``b[..., k]`` and return shape (...).
+(forms, d).
 
-The shipped frames (with q(0) = 0, H(0) = 0; without q or H there is no
-dq or dH term):
+The shipped frames:
 
-    focus_focus(q):  l1 = kappa(b1, b2) + dq,   l2 = 2 pi db2
-    generic(H):      l1 = kappa(b1, b2) + dH,   l2 = 2 pi db2,  l3 = db3
-    positive(H):     l1 = -kappa(b1, b2) + kappa(b1, b3) + kappa(b1, b2 - b3) + dH,
+    focus_focus:     l1 = kappa(b1, b2),   l2 = 2 pi db2
+    generic:         l1 = kappa(b1, b2),   l2 = 2 pi db2,  l3 = db3
+    positive:        l1 = -kappa(b1, b2) + kappa(b1, b3) + kappa(b1, b2 - b3),
                      l2 = 2 pi db2,  l3 = 2 pi db3
     thin_leg_slice:  l1 = 2 pi db1,  l2 = -e^{2 b2} db2,  l3 = -e^{2 b3} db3
 
@@ -99,16 +96,10 @@ class PeriodFrame:
         return np.stack([form.covector(b) for form in self.forms], axis=-2)
 
 
-def _kernel_form(terms, correction, name, d):
-    """Form of (coeff, ax, ay) kernel terms plus d(correction), if given."""
-    if correction is None:
-        smooth = np.zeros_like
-    elif abs(float(correction(np.zeros(d)))) > 0:
-        raise ValueError(f"{name}(0) != 0")
-    else:
-        smooth = lambda b: numerics.gradient(correction, b)
+def _kernel_form(terms):
+    """Form of (coeff, ax, ay) kernel terms, with no smooth part."""
     coeff, ax, ay = (np.array(col, dtype=float) for col in zip(*terms))
-    return FrameForm(coeff, ax, ay, smooth)
+    return FrameForm(coeff, ax, ay, np.zeros_like)
 
 
 def _smooth_form(fn, d):
@@ -130,10 +121,10 @@ def _circle(c, u, v):
     return lambda radius=0.5: (c, radius * u, radius * v)
 
 
-def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
+def closed_form_frame(kind: str) -> PeriodFrame:
     """The quoted period frames; see the module docstring for the list."""
     if kind == "focus_focus":
-        l1 = _kernel_form([(1.0, [1.0, 0.0], [0.0, 1.0])], q, "q", 2)
+        l1 = _kernel_form([(1.0, [1.0, 0.0], [0.0, 1.0])])
         frame = PeriodFrame("focus_focus", 2, [l1, _const_form(1, 1, 2)])
         frame.loops = {"loop": _circle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])}
         return frame
@@ -143,7 +134,7 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
     e3 = np.array([0.0, 0.0, 1.0])
 
     if kind == "generic":
-        l1 = _kernel_form([(1.0, e1, e2)], h, "H", 3)
+        l1 = _kernel_form([(1.0, e1, e2)])
         frame = PeriodFrame("generic", 3, [l1, _const_form(1, 1, 3),
                                            _const_form(0, 2, 3)])
         frame.loops = {
@@ -153,8 +144,7 @@ def closed_form_frame(kind: str, q=None, h=None) -> PeriodFrame:
         return frame
 
     if kind == "positive":
-        l1 = _kernel_form([(-1.0, e1, e2), (1.0, e1, e3), (1.0, e1, e2 - e3)],
-                          h, "H", 3)
+        l1 = _kernel_form([(-1.0, e1, e2), (1.0, e1, e3), (1.0, e1, e2 - e3)])
         frame = PeriodFrame("positive", 3, [l1, _const_form(1, 1, 3),
                                             _const_form(1, 2, 3)])
         frame.loops = {

@@ -45,8 +45,9 @@ def _cycle_integrand(model, cyc, b_raw, s):
     """
     z = np.asarray(cyc(s), dtype=complex)
     defect = float(np.max(np.abs(model.f(z) - b_raw[None, :])))
-    ss, hs = numerics.stencil(s[:, None])
-    dz = numerics.r2c(numerics.richardson(numerics.c2r(cyc(ss[..., 0])), hs)[..., 0])
+    hs = numerics.fd_step(s)
+    ss = numerics.displaced(s[:, None], 0, hs)[..., 0]
+    dz = numerics.r2c(numerics.richardson([numerics.c2r(cyc(ss))], hs[None])[..., 0])
     x = numerics.c2r(z)
     h = numerics.fd_step(x)
     grads = numerics.richardson(                    # (m, comps, 2n)

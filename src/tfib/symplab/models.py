@@ -46,12 +46,9 @@ def gamma(z1, z2):
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    r1 = np.abs(z1)
-    r2 = np.abs(z2)
-    denom = np.where(r1 >= r2, r1, r2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0, z1 * z2 / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+    denom = np.maximum(np.abs(z1), np.abs(z2))
+    # where the denominator is 0 the numerator is 0 too
+    return z1 * z2 / np.where(denom > 0, denom, 1.0)
 
 
 def log_abs(w):
@@ -135,9 +132,6 @@ class FibrationModel:
     chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cycles: Dict[str, Callable] = field(default_factory=dict)
     fibre_point: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, z):
-        return self.f(np.asarray(z, dtype=complex))
 
 
 def _min_pair_norm(z, pairs):
@@ -313,20 +307,14 @@ def _phi_model(model_id, phi, switch_gap=None):
     """The Phi-twisted model; ``switch_gap(u1, u2)`` is the distance to the
     spheres where a piecewise Phi switches branch (None: a single branch)."""
 
-    def twisted(z):
-        """(v1, v2) = Phi(gamma(z1, z2), z3), and the distance to the
-        spheres where Phi switches branch (inf for a single-branch Phi)."""
-        g = gamma(z[..., 0], z[..., 1])
-        v1, v2 = phi(g, z[..., 2])
-        return v1, v2, np.inf if switch_gap is None else switch_gap(g, z[..., 2])
-
     def f(z):
-        # Phi alone: the map does not read twisted's switch distance
         v1, v2 = phi(gamma(z[..., 0], z[..., 1]), z[..., 2])
         return np.stack([mu12(z), log_abs(v1), log_abs(v2)], axis=-1)
 
     def margin(z):
-        v1, v2, switch = twisted(z)
+        g = gamma(z[..., 0], z[..., 1])
+        v1, v2 = phi(g, z[..., 2])
+        switch = np.inf if switch_gap is None else switch_gap(g, z[..., 2])
         return np.minimum.reduce([
             np.abs(v1), np.abs(v2),
             _min_pair_norm(z, [(0, 1)]),

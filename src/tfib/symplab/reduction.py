@@ -38,8 +38,8 @@ def gamma_t(u, t):
     u1 = u[..., 0]
     denom = rho_zero(np.abs(u1) ** 2, t)
     out = u.copy()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[..., 0] = np.where(denom > 0, u1 / np.where(denom > 0, denom, 1.0), 0.0)
+    # the denominator is 0 only where u1 is 0 too
+    out[..., 0] = u1 / np.where(denom > 0, denom, 1.0)
     return out
 
 

@@ -281,7 +281,16 @@ def validate_report(graph) -> dict:
 
 
 def sign_report(triple) -> dict:
-    """The sign of a vertex from its triple of integer matrices."""
+    """The sign of a vertex from its triple of integer matrices.  It passes
+    when the triple is simultaneously conjugate, within ``zlat.SEARCH_BOUND``,
+    to the standard triple of its sign; the report names the conjugator P
+    (P^-1 T_i P is the standard T_i), or null."""
     if not isinstance(triple, list):
         raise ValueError(f"a triple is a JSON array of three matrices, got {triple!r}")
-    return {"sign": sign_from_triple([zlat.mat(m) for m in triple])}
+    mats = [zlat.mat(m) for m in triple]
+    sign = sign_from_triple(mats)
+    standard = zlat.NEGATIVE_TRIPLE if sign == "negative" else zlat.POSITIVE_TRIPLE
+    p = zlat.simultaneous_conjugator(mats, standard)
+    return {"sign": sign, "bound": zlat.SEARCH_BOUND,
+            "conjugator": None if p is None else zlat.matrix_to_json(p),
+            "passed": p is not None}

@@ -52,10 +52,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def dim(m: IntMatrix) -> int:
-    return len(m)
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     n = len(a)
     if len(b) != n:
@@ -274,10 +270,6 @@ def matrix_to_json(m: IntMatrix) -> list:
     return [list(row) for row in m]
 
 
-def matrix_from_json(data) -> IntMatrix:
-    return mat(data)
-
-
 def affine_to_json(a: AffineMapZ) -> dict:
     """Translation entries as exact rational strings ("1/2")."""
     return {"linear": matrix_to_json(a.linear),
@@ -297,7 +289,7 @@ def affine_from_json(data) -> AffineMapZ:
     if not all(isinstance(v, (str, int, float)) for v in translation):
         raise inexact
     try:
-        return AffineMapZ(matrix_from_json(data["linear"]), tuple(translation))
+        return AffineMapZ(mat(data["linear"]), tuple(translation))
     except ZeroDivisionError:
         raise inexact from None
 

@@ -222,7 +222,7 @@ def test_criterion_11_stitched_invariants():
         assert abs(fake[0](p0) - 2.0) < 1e-8
         assert abs(fake[1](p0) + 3.0) < 1e-8
         seq = germs.stitched_ff_ell1_sequence()
-        assert germs.integral_condition(seq, [1], base=-0.5, tol=1e-6).passed
+        assert germs.integral_condition(seq, [1], base=-0.5).passed
         table = germs.negative_table_condition({
             "c": germs.EllSequence.constant("c", [0.0, 0.0]),
             "d": germs.EllSequence.constant("d", [-1.0, 0.0]),
@@ -239,7 +239,7 @@ def test_criterion_11_stitched_invariants():
         for rho in (0.0, 0.5, 1.0):
             mixed = germs.deform_by_cutoff(wavy, lambda b, v=rho: v,
                                            other=fake_seq)
-            assert germs.integral_condition(mixed, [-1, 0], tol=1e-6).passed
+            assert germs.integral_condition(mixed, [-1, 0]).passed
             assert germs.fibrewise_closedness_defect(mixed) < 1e-6
 
 

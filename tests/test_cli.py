@@ -58,7 +58,32 @@ def test_topo_euler_from_file(tmp_path):
 def test_topo_sign(tmp_path):
     triple = json.dumps([list(map(list, m)) for m in zlat.NEGATIVE_TRIPLE])
     code, data, _ = run(tmp_path, "topo", "sign", "--triple", triple)
+    assert code == 0 and data["sign"] == "negative" and data["passed"] is True
+    assert data["conjugator"] == [list(r) for r in zlat.identity(3)]
+
+
+def test_topo_sign_finds_the_conjugator_of_a_conjugated_positive_triple(tmp_path):
+    q = zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    conj = [zlat.mat_mul(zlat.mat_mul(q, t), zlat.inverse(q)) for t in zlat.POSITIVE_TRIPLE]
+    code, data, _ = run(tmp_path, "topo", "sign", "--triple",
+                        json.dumps([list(map(list, m)) for m in conj]), "--strict")
+    assert code == 0 and data["sign"] == "positive" and data["passed"] is True
+    p = zlat.mat(data["conjugator"])
+    assert [zlat.mat_mul(zlat.mat_mul(zlat.inverse(p), t), p) for t in conj] \
+        == list(zlat.POSITIVE_TRIPLE)
+
+
+def test_topo_sign_fails_a_triple_not_conjugate_to_the_standard_one(tmp_path):
+    # fixed space of dimension 1, so "negative"; but the Smith form of
+    # T1 - I is (2, 0, 0), and no GL(3, Z) matrix takes it to a standard entry
+    t1 = zlat.mat([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    t2 = zlat.mat([[1, 0, -1], [0, 1, 0], [0, 0, 1]])
+    triple = [t1, t2, zlat.inverse(zlat.mat_mul(t1, t2))]
+    text = json.dumps([list(map(list, m)) for m in triple])
+    code, data, _ = run(tmp_path, "topo", "sign", "--triple", text)
     assert code == 0 and data["sign"] == "negative"
+    assert data["passed"] is False and data["conjugator"] is None
+    assert cli.main(["topo", "sign", "--triple", text, "--strict"]) == 1
 
 
 def test_topo_sign_degenerate_is_usage_error(tmp_path):
@@ -769,6 +794,66 @@ def test_float_options_fail_as_usage_errors(tmp_path, capsys):
                 assert code in (0, 2) and err.count("\n") <= 1, (argv, opt, err)
                 runs += 1
     assert runs == 3 * 4
+
+
+# a quick valid run of each leaf, into which the fuzz puts one option
+_FUZZ_BASE = {
+    "base build": ["--kind", "negative"],
+    "base check-simple": ["--kind", "edge"],
+    "base holonomy": ["--kind", "negative", "--loop", "g1"],
+    "topo euler": ["--input", "k3.json"],
+    "topo validate": ["--input", "k3.json"],
+    "topo sign": ["--triple", json.dumps([[list(r) for r in m]
+                                          for m in zlat.NEGATIVE_TRIPLE])],
+    "fib poisson": ["--model", "sm_ff", "--samples", "5"],
+    "fib reduce-check": ["--t", "0.5", "--samples", "5"],
+    "fib amoeba": ["--res", "2"],
+    "fib discriminant": ["--model", "thin_legs"],
+    "fib twist": ["--samples", "2"],
+    "periods frame": ["--kind", "generic"],
+    "periods numeric": ["--model", "generic", "--b", "0.15,0.3,-0.2"],
+    "periods monodromy": ["--frame", "positive", "--loop", "g2:1.0"],
+    "periods extend": ["--chart", "generic"],
+}
+_FUZZ_VALUES = ["", "nan", "-inf", "1e400", "-1", "x", "[]", "1/0"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_option_survives_adversarial_values(tmp_path, monkeypatch, capsys):
+    """Every option of the ledger, given each of ``_FUZZ_VALUES`` (as many
+    times as it takes values, at least once) in a quick valid run of its leaf, with the
+    options it excludes taken out: exit 0 or 1 with nothing on stderr, or
+    exit 2 with one ``error:`` line; never a traceback or a warning."""
+    monkeypatch.chdir(tmp_path)
+    cli.main(["graph", "k3", "--out", "k3.json"])
+    # one parser for every run: building it is most of a usage error's time
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    leaves = {" ".join(words): leaf for words, leaf in _leaves()}
+    runs = 0
+    for name, options in OPTION_LEDGER.items():
+        leaf = leaves[name]
+        for option in options:
+            action = leaf._option_string_actions[option]
+            excluded = {option} | {o for g in leaf._mutually_exclusive_groups
+                                   if action in g._group_actions
+                                   for a in g._group_actions for o in a.option_strings}
+            base = _FUZZ_BASE.get(name, [])
+            pairs = [base[i:i + 2] for i in range(0, len(base), 2)]
+            argv = [*name.split(), *(w for p in pairs if p[0] not in excluded for w in p)]
+            for value in _FUZZ_VALUES:
+                # a flag (nargs 0) gets the value as a stray argument
+                values = [value] * max(1, action.nargs if isinstance(action.nargs, int) else 1)
+                code = cli.main([*argv, option, *values, "--out", "report.json"])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv, option, value, code)
+                if code == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, \
+                        (argv, option, value, err)
+                else:
+                    assert err == "", (argv, option, value, err)
+                runs += 1
+    assert runs == 8 * sum(map(len, OPTION_LEDGER.values()))
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -89,9 +89,9 @@ def test_ell1_linear_in_discrepancy():
 
 def test_stitched_ff_lower_seam_integral_is_one():
     seq = stitched_ff_ell1_sequence()
-    report = integral_condition(seq, [1], base=-0.5, tol=1e-6)
+    report = integral_condition(seq, [1], base=-0.5)
     assert report.passed
-    report = integral_condition(seq, [0], base=0.5, tol=1e-6)
+    report = integral_condition(seq, [0], base=0.5)
     assert report.passed  # upper seam carries the zero class
 
 
@@ -224,7 +224,7 @@ def test_glue_identical_inputs():
 def test_glue_blends_h10():
     gl = GermH((-1.0, 0.5), 2, {(0, 0): _zero, (1, 0): _one})
     gr = GermH((-0.5, 1.0), 2, {(0, 0): _zero, (1, 0): _zero})
-    out = glue_leg_germs(gl, gr, _zero, delta=0.25)
+    out = glue_leg_germs(gl, gr, _zero)
     h10 = out.coefficient(1, 0)
     assert h10(np.array([-0.5]))[0] == 1.0
     assert h10(np.array([0.5]))[0] == 0.0

@@ -21,13 +21,13 @@ def test_make_model_ids():
 
 def test_sm_ff_value():
     m = sl.make_model("sm_ff")
-    out = m(np.array([[1.0 + 0j, 1.0 + 0j]]))[0]
+    out = m.f(np.array([[1.0 + 0j, 1.0 + 0j]]))[0]
     assert np.allclose(out, [0.0, math.log(2.0)])
 
 
 def test_positive_value_at_origin():
     m = sl.make_model("positive")
-    assert np.allclose(m(np.array([[0j, 0j, 0j]]))[0], [0.0, 0.0, 0.0])
+    assert np.allclose(m.f(np.array([[0j, 0j, 0j]]))[0], [0.0, 0.0, 0.0])
 
 
 def test_gamma_branches_agree_on_seam():
@@ -47,7 +47,7 @@ def test_amoeba_model_matches_leg_models_at_phi():
         np.log(np.abs(g - z[..., 2]) / math.sqrt(2.0)),
         np.log(np.abs(g + z[..., 2] - math.sqrt(2.0)) / math.sqrt(2.0)),
     ], axis=-1)
-    assert np.allclose(m(z), expected)
+    assert np.allclose(m.f(z), expected)
 
 
 def test_poisson_smooth_models_commute():
