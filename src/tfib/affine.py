@@ -65,10 +65,12 @@ class LoopWord:
 
 
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients (tau handles)."""
+    """Univariate polynomial with exact rational coefficients (tau handles),
+    constant term first, each read by `zlat.rational`."""
 
     def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(Fraction(c) for c in coeffs) or (Fraction(0),)
+        self.coeffs = (tuple(zlat.rational(c, "tau coefficients") for c in coeffs)
+                       or (Fraction(0),))
 
     def __call__(self, s):
         """The exact value at ``s`` (an int or a Fraction), by Horner."""
@@ -82,13 +84,8 @@ class Polynomial:
 
     @staticmethod
     def from_json(data) -> "Polynomial":
-        """From an array of exact rational strings (or integers)."""
-        try:
-            if all(isinstance(c, (str, int)) for c in data):
-                return Polynomial([Fraction(c) for c in data])
-        except ZeroDivisionError:
-            pass
-        raise ValueError(f"tau coefficients must be exact rationals, got {data!r}")
+        """From a JSON array of exact rational strings (or integers)."""
+        return Polynomial(zlat.json_array(data, "tau"))
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -354,15 +351,11 @@ def check_simple(base: ChartedBase) -> SimplicityReport:
 
 def _classify_point(point_id: str, dim: int, mats) -> PointVerdict:
     if dim == 2:
-        targets = {"node": [zlat.T_NODE]}
-    elif len(mats) == 1:
-        targets = {"edge": [zlat.T_GENERIC]}
+        models = ("node",)
     else:
-        targets = {
-            "negative": list(zlat.NEGATIVE_TRIPLE),
-            "positive": list(zlat.POSITIVE_TRIPLE),
-        }
-    for model, model_mats in targets.items():
+        models = ("edge",) if len(mats) == 1 else ("negative", "positive")
+    for model in models:
+        model_mats = zlat.STANDARD[model]
         for candidate, tag in (
             (mats, ""),
             (list(_reversed_triple(mats)), " (orientation reversed)"),
@@ -455,7 +448,7 @@ def base_from_json(data: dict) -> ChartedBase:
         ],
         discriminant=zlat.json_object(data.get("discriminant", {}), (),
                                       "an atlas discriminant"),
-        tau=Polynomial.from_json(zlat.json_array(data.get("tau", ["0"]), "tau")),
+        tau=Polynomial.from_json(data.get("tau", ["0"])),
         loops={name: LoopWord(w["base_chart"], _crossings(w["crossings"]))
                for name, w in loops.items()},
         singular_points=points,

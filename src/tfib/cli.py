@@ -3,7 +3,7 @@
 Subcommands:
 
     base    build | check-simple | holonomy
-    graph   k3 | quintic   [--dual] [--thicken R]
+    graph   k3 [--dual] | quintic [--dual] [--thicken R]
     topo    euler | validate | sign
     fib     list | poisson | reduce-check | amoeba | discriminant | twist | smooth1
     periods frame | numeric | monodromy | extend
@@ -155,10 +155,11 @@ def _parser():
 
     graph = sub.add_parser("graph").add_subparsers(dest="command", required=True)
     for name in ("k3", "quintic"):
-        g = leaf(graph, name, "topo:graph_report", which=name)
+        g = leaf(graph, name, "topo:graph_report", which=name, thicken=None)
         g.add_argument("--dual", action="store_true")
-        g.add_argument("--thicken", type=_rational, default=None,
-                       help="amoeba radius (exact rational)")
+    # only the quintic graph has negative vertices to thicken
+    g.add_argument("--thicken", type=_rational, default=None,
+                   help="amoeba radius (exact rational)")
 
     topo = sub.add_parser("topo").add_subparsers(dest="command", required=True)
     for name in ("euler", "validate"):

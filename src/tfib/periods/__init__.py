@@ -17,7 +17,6 @@ _EXPORTS = {
     "monodromy_report": "monodromy",
     "numeric_periods": "numeric",
     "numeric_report": "numeric",
-    "ActionChart": "extension",
     "action_chart": "extension",
     "action_extension_check": "extension",
     "extension_report": "extension",

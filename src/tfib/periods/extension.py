@@ -6,8 +6,9 @@ The focus-focus and generic charts are the quoted primitive
 
 with arg on (0, 2 pi), cut along {b2 = 0, b1 > 0} (where b2 arg(b) is 0),
 single-valued on that branch domain, with the -b1 log b1 -> 0 behavior
-at the discriminant; the generic chart adds the smooth correction H and
-its limit along the discriminant recovers tau = H|_Delta.
+at the discriminant; :func:`action_chart` adds a smooth correction H to
+any chart, and the generic chart's limit along the discriminant recovers
+tau = H|_Delta.
 
 The positive model's correction a0 is computed from the Harvey-Lawson
 geometry: a0(b) is the Liouville-primitive integral along the canonical
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,33 +111,24 @@ def positive_a0(b):
     return math.copysign(val, b1)
 
 
-@dataclass
-class ActionChart:
-    """Evaluable action chart on its branch domain; ``h`` is the smooth
-    correction H of the generic and positive charts."""
+def action_chart(kind: str, h=None):
+    """The action chart of ``kind`` on its branch domain, a map of base
+    points b: psi (focus_focus, generic) or a0 (positive) plus h(b) when
+    ``h`` is given, 2 pi b2, then b3 (generic) or 2 pi b3 (positive)."""
+    if kind not in ("focus_focus", "generic", "positive"):
+        raise ValueError(f"no action chart for kind {kind!r}")
 
-    kind: str
-    h: Optional[Callable] = None
-
-    def __call__(self, b):
+    def chart(b):
         b = np.asarray(b, dtype=float)
-        if self.kind == "focus_focus":
-            return psi_focus_focus(b)
-        corr = float(self.h(b)) if self.h is not None else 0.0
-        if self.kind == "generic":
-            return np.array([psi_focus_focus(b[:2])[0] + corr,
-                             2.0 * math.pi * b[1], b[2]])
-        if self.kind == "positive":
-            return np.array([
-                positive_a0(b) + corr,
-                2.0 * math.pi * b[1],
-                2.0 * math.pi * b[2],
-            ])
-        raise ValueError(f"no action chart for kind {self.kind!r}")
+        first = positive_a0(b) if kind == "positive" else psi_focus_focus(b)[0]
+        if h is not None:
+            first += float(h(b))
+        if kind == "focus_focus":
+            return np.array([first, 2.0 * math.pi * b[1]])
+        last = 2.0 * math.pi * b[2] if kind == "positive" else b[2]
+        return np.array([first, 2.0 * math.pi * b[1], last])
 
-
-def action_chart(kind: str, h=None) -> ActionChart:
-    return ActionChart(kind, h=h)
+    return chart
 
 
 @dataclass
@@ -154,7 +145,7 @@ class ExtensionReport:
         }
 
 
-def action_extension_check(chart: ActionChart, path) -> ExtensionReport:
+def action_extension_check(chart, path) -> ExtensionReport:
     """Limit of the chart's first component along a path onto the discriminant.
 
     ``path(s)`` is parametrized on [0, 1] with the endpoint at s = 1 on

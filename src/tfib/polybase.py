@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
-from .zlat import json_array, json_object
+from .zlat import json_array, json_object, rational
 
 Point = Tuple[Fraction, ...]
 
@@ -64,22 +64,6 @@ class LatticeSimplexBoundary:
             raise ValueError(f"boundary has no {k}-faces")
         return [frozenset(c) for c in combinations(range(self.dimension + 1), k + 1)]
 
-    def face_points(self, face: FrozenSet[int]) -> List[Point]:
-        """Exact lattice points of the closed face (integer barycentrics)."""
-        idx = sorted(face)
-        if not idx or any(i > self.dimension for i in idx) or len(set(idx)) != len(idx):
-            raise ValueError(f"invalid face id {face}")
-        verts = self.vertices
-        s = self.scale
-        pts = []
-        for comp in _compositions(s, len(idx)):
-            p = tuple(
-                sum(Fraction(a) * verts[i][j] for a, i in zip(comp, idx)) / s
-                for j in range(self.dimension)
-            )
-            pts.append(p)
-        return pts
-
     def minimal_face(self, p: Point) -> FrozenSet[int]:
         """Smallest face containing p (indices with positive barycentric).
 
@@ -105,10 +89,16 @@ def _compositions(total: int, parts: int):
 
 
 def integral_points(boundary: LatticeSimplexBoundary, face: FrozenSet[int]) -> List[Point]:
-    """Exact lattice points of a closed boundary face."""
-    if len(face) == boundary.dimension + 1:
-        raise ValueError("the full simplex is not a boundary face")
-    return boundary.face_points(frozenset(face))
+    """Exact lattice points of a closed boundary face (integer
+    barycentrics); a face id that is not a proper face (the full simplex
+    is not a boundary face) raises ValueError."""
+    d, ids = boundary.dimension, set(face)
+    if not 0 < len(ids) <= d or not ids <= set(range(d + 1)):
+        raise ValueError(f"invalid boundary face id {face}")
+    idx, verts, s = sorted(ids), boundary.vertices, boundary.scale
+    return [tuple(sum(Fraction(a) * verts[i][j] for a, i in zip(comp, idx)) / s
+                  for j in range(d))
+            for comp in _compositions(s, len(idx))]
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +172,7 @@ def build_k3_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
         raise ValueError("K3 graph lives on the 3-simplex boundary")
     vertices = []
     for edge in boundary.faces(1):
-        pts = boundary.face_points(edge)
-        pts.sort()
+        pts = sorted(integral_points(boundary, edge))
         for a, b in zip(pts, pts[1:]):
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
             vertices.append(GraphVertex(mid, "none", 0, edge))
@@ -389,23 +378,20 @@ def _face(x) -> FrozenSet[int]:
 
 def graph_from_json(data) -> DiscriminantGraph:
     """Inverse of ``graph_to_json``; a document of another shape raises
-    ValueError.  Each distinct coordinate string is parsed once."""
+    ValueError.  Each distinct coordinate string is read once, by
+    `zlat.rational`."""
     json_object(data, ("vertices", "edges"), "a graph document")
-    parsed: Dict[object, Fraction] = {}
+    parsed: Dict[str, Fraction] = {}
 
-    def rational(c) -> Fraction:
-        if not isinstance(c, (str, int)):
-            raise ValueError(f"a coordinate must be a rational string, got {c!r}")
+    def coordinate(c) -> Fraction:
+        if type(c) is not str:  # 1, 1.0 and True are one dict key
+            return rational(c, "coordinates")
         if c not in parsed:
-            try:
-                parsed[c] = Fraction(c)
-            except ZeroDivisionError:
-                raise ValueError(f"a coordinate must be a rational string, "
-                                 f"got {c!r}") from None
+            parsed[c] = rational(c, "coordinates")
         return parsed[c]
 
     def point(p) -> Point:
-        return tuple(map(rational, json_array(p, "a point")))
+        return tuple(map(coordinate, json_array(p, "a point")))
 
     vertices = []
     for v in json_array(data["vertices"], "graph vertices",
@@ -426,8 +412,8 @@ def graph_from_json(data) -> DiscriminantGraph:
             _index(t["vertex"], n, "a thickened vertex"),
             point(t["center"]),
             tuple(map(point, json_array(t["legs"], "thickening legs"))),
-            rational(t["radius"]),
-            rational(t["disc_radius"]),
+            coordinate(t["radius"]),
+            coordinate(t["disc_radius"]),
             _face(t.get("plane_face", [])),
         )
         for t in json_array(data.get("thickening", []), "graph thickening",

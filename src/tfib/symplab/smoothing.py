@@ -81,26 +81,23 @@ class SmoothedLeg:
         return np.log(np.abs(u1 / rho - 1.0))
 
 
-def smoothing_one(rho1=None, sigma="bump") -> SmoothedLeg:
-    """Build the Smoothing-I leg model, verifying rho1 > rho0 by sampling.
-
-    ``rho1`` defaults to the smooth dominating profile rho_one_smooth.
-    The domination check samples 256 points (r, t) of the leg region
-    [0, eps^2] x [-eps, eps] (eps = LEG_EPS), drawn from a generator
-    seeded with 0.
+def smoothing_one(sigma="bump") -> SmoothedLeg:
+    """Build the Smoothing-I leg model with rho1 = rho_one_smooth (the
+    module attribute, read at call time), verifying rho1 > rho0 at 256
+    points (r, t) of the leg region [0, eps^2] x [-eps, eps] (eps =
+    LEG_EPS), drawn from a generator seeded with 0.
     """
-    rho1 = rho1 if rho1 is not None else rho_one_smooth
     rng = np.random.default_rng(0)
     r = rng.uniform(0.0, LEG_EPS * LEG_EPS, size=256)
     t = rng.uniform(-LEG_EPS, LEG_EPS, size=256)
-    gap = rho1(r, t) - rho_zero(r, t)
+    gap = rho_one_smooth(r, t) - rho_zero(r, t)
     if np.any(gap <= 0):
         worst = int(np.argmin(gap))
         raise ValueError(
             "rho1 <= rho0 at sampled (r, t) = "
             f"({r[worst]:.4g}, {t[worst]:.4g})"
         )
-    return SmoothedLeg(rho1, sigma)
+    return SmoothedLeg(rho_one_smooth, sigma)
 
 
 def seam_derivative_jump(leg: SmoothedLeg, u1, s):

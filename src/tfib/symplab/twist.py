@@ -88,21 +88,15 @@ h0_quarter_turn.flow = _h0_flow
 def _cutoff_terms(u, eps):
     """The points u (m, 2), H0 there, and the cut-off k(t) = 1 - S((t - eps)
     / eps) with k' at t = |u1|^2 + |u2|^2, S the smoothstep of
-    ``numerics.smoothstep7``.
-
-    One clamp of (t - eps) / eps to [0, 1] serves both, and each power is
-    taken once, written as ``numerics.smoothstep7`` writes it: k is
-    ``numerics.cutoff(t, eps, 2 eps)`` bit for bit.
+    ``numerics.smoothstep7``: k is ``numerics.cutoff(t, eps, 2 eps)``.
     """
     u = np.atleast_2d(np.asarray(u, dtype=complex))
     a = np.abs(u) ** 2
     t = a[:, 0] + a[:, 1]
     s = np.minimum(np.maximum((t - eps) / eps, 0.0), 1.0)
-    s2, s3 = s**2, s**3
-    k = 1.0 - s**4 * (35.0 - 84.0 * s + 70.0 * s2 - 20.0 * s3)
     # -(y / e) is y / -e exactly
-    kp = 140.0 * s3 * (1.0 - s) ** 3 / -eps
-    return u, h0_quarter_turn(u), k, kp
+    kp = 140.0 * s**3 * (1.0 - s) ** 3 / -eps
+    return u, h0_quarter_turn(u), numerics.cutoff(t, eps, 2.0 * eps), kp
 
 
 def cutoff_hamiltonian(eps=0.1):

@@ -108,7 +108,7 @@ def canonical_assignment(graph: DiscriminantGraph) -> MonodromyAssignment:
         incident = graph.incidence[i]
         if len(incident) != 3:
             raise ValueError(f"signed vertex {i} is not trivalent")
-        mats = zlat.NEGATIVE_TRIPLE if v.sign == "negative" else zlat.POSITIVE_TRIPLE
+        mats = zlat.STANDARD[v.sign]
         triples[i] = (incident, mats)
         for slot, j in enumerate(incident):
             if edge_mats[j] is None:
@@ -185,8 +185,7 @@ def validate_semistable(
             items.append(ValidationItem(
                 f"vertex {i}", False, "triple product is not the identity"))
             continue
-        target = zlat.NEGATIVE_TRIPLE if v.sign == "negative" else zlat.POSITIVE_TRIPLE
-        conj = zlat.simultaneous_conjugator(list(mats), list(target))
+        conj = zlat.simultaneous_conjugator(list(mats), zlat.STANDARD[v.sign])
         items.append(ValidationItem(
             f"vertex {i}", conj is not None,
             f"simultaneously conjugate to the {v.sign} triple" if conj is not None
@@ -289,8 +288,7 @@ def sign_report(triple) -> dict:
         raise ValueError(f"a triple is a JSON array of three matrices, got {triple!r}")
     mats = [zlat.mat(m) for m in triple]
     sign = sign_from_triple(mats)
-    standard = zlat.NEGATIVE_TRIPLE if sign == "negative" else zlat.POSITIVE_TRIPLE
-    p = zlat.simultaneous_conjugator(mats, standard)
+    p = zlat.simultaneous_conjugator(mats, zlat.STANDARD[sign])
     return {"sign": sign, "bound": zlat.SEARCH_BOUND,
             "conjugator": None if p is None else zlat.matrix_to_json(p),
             "passed": p is not None}

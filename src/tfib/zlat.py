@@ -4,6 +4,10 @@ Matrices are tuples of tuples of Python ints (arbitrary precision), n = 2
 or 3 throughout.  Affine maps carry an integer linear part and an exact
 rational translation.  Everything is immutable and safe to share.
 
+`mat` reads every integer matrix and `rational` every exact rational (a
+float or a bool is rejected, not rounded or read as 1 and 0); `STANDARD`
+names the standard generators of the four local models.
+
 Also home to the exact conjugacy machinery used by the simplicity checker
 and the semi-stable validation.  Conclusive prefilters run first: the
 closed-form characteristic polynomial and the Smith form of A - I of each
@@ -186,8 +190,8 @@ def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
 class AffineMapZ:
     """x -> linear @ x + translation with linear part in GL(n,Z).
 
-    The translation is stored as Fractions; a float entry raises
-    ValueError.
+    The translation is stored as Fractions, each entry read by `rational`:
+    a float or a bool entry raises ValueError.
     """
 
     linear: IntMatrix
@@ -197,12 +201,8 @@ class AffineMapZ:
         object.__setattr__(self, "linear", mat(self.linear))
         if len(self.translation) != len(self.linear):
             raise ValueError("dimension mismatch between linear part and translation")
-        if any(isinstance(v, float) for v in self.translation):
-            raise ValueError("translation entries must be exact rationals, "
-                             f"got {self.translation!r}")
-        object.__setattr__(
-            self, "translation", tuple(Fraction(v) for v in self.translation)
-        )
+        object.__setattr__(self, "translation", tuple(
+            rational(v, "translation entries") for v in self.translation))
         if not is_gl(self.linear):
             raise ValueError("linear part must lie in GL(n,Z)")
 
@@ -266,6 +266,17 @@ def json_array(data, what: str, keys=None) -> list:
     return data
 
 
+def rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction: an int (not a bool), a Fraction or a rational
+    string such as "-3/4"; anything else raises ValueError naming ``what``."""
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be exact rationals, got {value!r}")
+
+
 def matrix_to_json(m: IntMatrix) -> list:
     return [list(row) for row in m]
 
@@ -277,21 +288,16 @@ def affine_to_json(a: AffineMapZ) -> dict:
 
 
 def affine_from_json(data) -> AffineMapZ:
-    """Inverse of `affine_to_json`.  Translations must be exact: a JSON
-    float entry raises ValueError, and so does a ``"numeric": true`` tag
-    (a float-translation map); ``"numeric": false`` is accepted."""
+    """Inverse of `affine_to_json`.  Translations must be exact: an entry
+    that `rational` rejects (a JSON float or bool) raises ValueError, and
+    so does a ``"numeric": true`` tag (a float-translation map);
+    ``"numeric": false`` is accepted."""
     json_object(data, ("linear", "translation"), "an affine map")
     if data.get("numeric", False):
         raise ValueError("float-translation affine maps are not supported; "
                          "translations must be exact rationals")
     translation = json_array(data["translation"], "a translation")
-    inexact = ValueError(f"translation entries must be exact rationals, got {translation!r}")
-    if not all(isinstance(v, (str, int, float)) for v in translation):
-        raise inexact
-    try:
-        return AffineMapZ(mat(data["linear"]), tuple(translation))
-    except ZeroDivisionError:
-        raise inexact from None
+    return AffineMapZ(mat(data["linear"]), tuple(translation))
 
 
 # ----------------------------------------------------------------------
@@ -539,3 +545,8 @@ NEGATIVE_TRIPLE: Tuple[IntMatrix, IntMatrix, IntMatrix] = (
 POSITIVE_TRIPLE: Tuple[IntMatrix, IntMatrix, IntMatrix] = tuple(
     inverse_transpose(t) for t in NEGATIVE_TRIPLE
 )
+
+#: local model -> its standard generators; a vertex triple is matched to
+#: the negative one first
+STANDARD = {"node": (T_NODE,), "edge": (T_GENERIC,),
+            "negative": NEGATIVE_TRIPLE, "positive": POSITIVE_TRIPLE}

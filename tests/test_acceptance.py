@@ -249,7 +249,7 @@ def test_criterion_12_smoothing_one():
         u1 = rng.uniform(-0.3, 0.3, 100) + 1j * rng.uniform(-0.3, 0.3, 100)
         s = rng.uniform(0.0, 0.05, 100)
         # rho1 = rho0 + 1 along the smooth branch sqrt(t + sqrt(t^2 + r)) + 1
-        leg = symplab.smoothing_one(rho1=smoothing.rho_one_smooth, sigma="one")
+        leg = symplab.smoothing_one(sigma="one")
         assert smoothing.seam_derivative_jump(leg, u1, s) < 1e-4
         unchanged = symplab.smoothing_one(sigma="zero")
         t = rng.uniform(-0.05, 0.05, 100)

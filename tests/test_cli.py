@@ -446,7 +446,7 @@ def _layer_function(leaf):
 def test_every_leaf_option_is_a_parameter_of_its_layer_function():
     assert len(_leaves()) == 24
     assert sum(1 for _, leaf in _leaves() for a in leaf._actions
-               if a.option_strings and a.dest != "help") == 92
+               if a.option_strings and a.dest != "help") == 91
     for words, leaf in _leaves():
         dests = {a.dest for a in leaf._actions
                  if a.option_strings and a.dest not in ("help", "out", "strict")}
@@ -461,7 +461,7 @@ OPTION_LEDGER = {
     "base build": ["--kind", "--tau"],
     "base check-simple": ["--input", "--kind", "--tau"],
     "base holonomy": ["--input", "--kind", "--loop", "--word"],
-    "graph k3": ["--dual", "--thicken"],
+    "graph k3": ["--dual"],
     "graph quintic": ["--dual", "--thicken"],
     "topo euler": ["--input"],
     "topo validate": ["--input"],
@@ -689,6 +689,41 @@ def test_json_of_the_wrong_shape_is_a_one_line_usage_error(tmp_path, capsys, arg
         path.write_text(json.dumps(document))
         argv = [*argv, str(path)]
     code, data, _ = run(tmp_path, *argv)
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _atlas_with(kind, edit):
+    """The local model ``kind`` as an atlas document, edited in place."""
+    atlas = affine.base_to_json(affine.build_local_model(kind))
+    edit(atlas)
+    return atlas
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["base", "check-simple", "--input"],
+     _atlas_with("edge", lambda a: a.update(tau=[False, True]))),
+    (["base", "holonomy", "--loop", "g1", "--input"],
+     _atlas_with("negative", lambda a: a["pieces"][0]["transition"].update(
+         translation=[True, 0, 0]))),
+    (["topo", "euler", "--input"],
+     {"vertices": [dict(_VERTEX, position=[True, False, 0, 0])], "edges": []}),
+])
+@pytest.mark.filterwarnings("error")
+def test_json_bools_are_not_read_as_one_and_zero(tmp_path, capsys, argv, document):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    code, data, _ = run(tmp_path, *argv, str(path))
+    assert code == 2 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exact rationals, got True" in err or "exact rationals, got False" in err, err
+
+
+def test_graph_k3_has_no_thicken_option(tmp_path, capsys):
+    """The K3 graph has no negative vertex, so a radius would be ignored."""
+    code, data, _ = run(tmp_path, "graph", "k3", "--thicken", "1/2")
     assert code == 2 and data is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -356,6 +356,18 @@ def test_ff_chart_derivative_matches_frame():
     assert chart(np.array([0.4, 0.1]))[1] == pytest.approx(2 * math.pi * 0.1)
 
 
+def test_every_action_chart_adds_its_correction():
+    b = np.array([0.4, 0.1, -0.2])
+    ff = action_chart("focus_focus", h=lambda b: 1.0)(b[:2])
+    assert ff[0] == psi_focus_focus(b[:2])[0] + 1.0 and ff[1] == 2 * math.pi * 0.1
+    generic = action_chart("generic", h=lambda b: b[2])(b)
+    assert list(generic) == [psi_focus_focus(b)[0] - 0.2, 2 * math.pi * 0.1, -0.2]
+    positive = action_chart("positive")(b)
+    assert list(positive) == [positive_a0(b), 2 * math.pi * 0.1, 2 * math.pi * -0.2]
+    with pytest.raises(ValueError, match="no action chart"):
+        action_chart("node")
+
+
 def test_extension_focus_focus_limit_zero():
     chart = action_chart("focus_focus")
     report = action_extension_check(chart, lambda s: [(1.0 - s) * 0.5, 0.0])

@@ -51,6 +51,11 @@ def test_invalid_face_id():
         pb.integral_points(K3, frozenset({0, 1, 2, 3}))
 
 
+def test_negative_face_ids_are_not_read_from_the_end():
+    with pytest.raises(ValueError, match="invalid boundary face id"):
+        pb.integral_points(K3, frozenset({-1, 0}))
+
+
 def test_k3_graph_is_24_isolated_nodes():
     g = pb.build_k3_graph(K3)
     assert len(g.vertices) == 24
@@ -215,3 +220,16 @@ def test_thickening_single_negative_vertex():
     rec = t.thickening[0]
     assert rec.disc_radius == Fraction(1, 4)
     assert len(rec.leg_directions) == 3
+
+
+def test_graph_coordinates_read_no_bool_or_float_through_the_memo():
+    """1, 1.0 and True are one dict key: a coordinate memo keyed on them
+    would read True and 1.0 as an earlier 1."""
+    vertex = {"sign": "none", "valence": 0}
+    for bad in (True, 1.0):
+        doc = {"vertices": [dict(vertex, position=[1, 1]),
+                            dict(vertex, position=[1, bad])], "edges": []}
+        with pytest.raises(ValueError, match="exact rationals"):
+            pb.graph_from_json(doc)
+    doc = {"vertices": [dict(vertex, position=["1/2", 1, "-3"])], "edges": []}
+    assert pb.graph_from_json(doc).vertices[0].position == frac_pt("1/2", 1, -3)

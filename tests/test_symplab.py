@@ -564,9 +564,10 @@ def test_smoothing_g_zero_at_origin():
     assert leg.g(np.array([0j]), 0.2, 0.01)[0] == 0.0
 
 
-def test_smoothing_rejects_dominated_rho1():
+def test_smoothing_rejects_dominated_rho1(monkeypatch):
+    monkeypatch.setattr(smoothing, "rho_one_smooth", lambda r, t: 0.5 * sl.rho_zero(r, t))
     with pytest.raises(ValueError):
-        sl.smoothing_one(rho1=lambda r, t: 0.5 * sl.rho_zero(r, t), sigma="one")
+        sl.smoothing_one(sigma="one")
 
 
 def test_smoothing_bump_matches_ends():

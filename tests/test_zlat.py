@@ -43,6 +43,25 @@ def test_float_translation_is_rejected():
     assert AffineMapZ(zlat.identity(2), ("1/2", 0)).translation == (Fraction(1, 2), 0)
 
 
+@pytest.mark.parametrize("value, want", [
+    (3, Fraction(3)), (Fraction(1, 2), Fraction(1, 2)), ("-3/4", Fraction(-3, 4))])
+def test_rational_reads_ints_fractions_and_rational_strings(value, want):
+    assert zlat.rational(value, "x") == want
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, "1/0", "x", None, []])
+def test_rational_rejects_bools_floats_and_non_rationals(value):
+    with pytest.raises(ValueError, match="entries must be exact rationals"):
+        zlat.rational(value, "entries")
+
+
+def test_standard_generators_are_named_once():
+    assert zlat.STANDARD == {"node": (zlat.T_NODE,), "edge": (zlat.T_GENERIC,),
+                             "negative": zlat.NEGATIVE_TRIPLE,
+                             "positive": zlat.POSITIVE_TRIPLE}
+    assert list(zlat.STANDARD)[2:] == ["negative", "positive"]
+
+
 def test_is_unipotent():
     assert zlat.is_unipotent(zlat.T_NODE)
     assert zlat.is_unipotent(zlat.identity(3))
