@@ -8,10 +8,13 @@ Conventions (fixed once):
 
 * an overlap piece stores the transition from its ``chart_a`` coordinates
   to its ``chart_b`` coordinates; crossing b -> a uses the inverse;
-* holonomy is the parallel transport of the *cotangent* frame: a crossing
-  with linear part L contributes (L^t)^{-1}, and a word maps to the
-  product of contributions in crossing order, so concatenation of words
-  goes to the product of holonomies;
+* holonomy is the parallel transport of the *cotangent* frame back to the
+  base chart: a crossing with linear part L contributes C = (L^t)^{-1},
+  and a word with contributions C_1, ..., C_k (in crossing order) maps to
+  C_k ... C_1, each new contribution multiplied on the left.  So a
+  concatenation w1 w2 goes to hol(w2) hol(w1), and re-charting the base
+  chart by A_0 turns a holonomy H into A_0^{-t} H A_0^t while re-charting
+  any other chart leaves it unchanged;
 * loops in the local models are oriented so that the node model's
   anticlockwise generator maps to T = [[1,0],[1,1]].
 """
@@ -150,11 +153,11 @@ class ChartedBase:
 def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
     """Cotangent holonomy of a loop word (exact integer matrix).
 
-    Each crossing with transition linear part L contributes (L^t)^{-1};
-    contributions multiply in crossing order, which makes concatenation of
-    loop words go to the product of their holonomies.  The contributions
-    are read from `ChartedBase.cotangent`, which holds both directions of
-    every piece, so no transition is inverted per call.
+    Each crossing with transition linear part L contributes C = (L^t)^{-1},
+    and each contribution multiplies the product so far on the left
+    (transport back to the base chart), so hol(w1 w2) = hol(w2) hol(w1).
+    The contributions are read from `ChartedBase.cotangent`, which holds
+    both directions of every piece, so no transition is inverted per call.
     """
     if loop.base_chart not in base._chart_ids:
         raise ValueError(f"unknown base chart {loop.base_chart}")
@@ -166,7 +169,7 @@ def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
                 f"crossing sequence broken: at {current}, next crossing "
                 f"leaves from {crossing.frm}"
             )
-        acc = zlat.mat_mul(acc, base.cotangent(crossing))
+        acc = zlat.mat_mul(base.cotangent(crossing), acc)
         current = crossing.to
     if current != loop.base_chart:
         raise ValueError("loop word does not return to its base chart")

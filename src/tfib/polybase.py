@@ -5,6 +5,10 @@ Builds the two compact examples: 24 nodes on the boundary of the scaled
 the scaled 4-simplex (quintic base), plus sign classification, the
 combinatorial Legendre sign swap, and localized thickening of negative
 vertices.  All positions are exact rationals; no floating point here.
+Positions are tuples of Fractions (`Point`) at the API and in JSON; inside,
+the geometry runs on integer lattice coordinates over one common
+denominator (a point p is the pair (key, den) with p = key / den), and
+Fractions are made only for what is returned.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Tuple
+from math import lcm
+from operator import mul, sub
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .zlat import json_array, json_object, rational
 
@@ -65,17 +71,26 @@ class LatticeSimplexBoundary:
         return [frozenset(c) for c in combinations(range(self.dimension + 1), k + 1)]
 
     def minimal_face(self, p: Point) -> FrozenSet[int]:
-        """Smallest face containing p (indices with positive barycentric).
+        """Smallest face containing p: `lattice_face` of p written over the
+        lcm of its denominators."""
+        den = lcm(*[c.denominator for c in p])
+        return self.lattice_face([c.numerator * (den // c.denominator) for c in p], den)
+
+    def lattice_face(self, key: Sequence[int], den: int) -> FrozenSet[int]:
+        """Smallest face containing the point key / den (integer ``key``,
+        ``den`` > 0): the indices with positive barycentric.
 
         For this family the barycentrics are t_{j+1} = (p_j + 1) / scale
-        and t_0 = 1 - sum, so their signs are those of p_j + 1 and of
-        scale - sum(p_j + 1).
+        and t_0 = 1 - sum, so their signs are those of key_j + den and of
+        scale * den - sum(key_j + den).  A point outside raises ValueError
+        naming key / den in Fractions.
         """
-        signs = [c + 1 for c in p]
-        signs.insert(0, self.scale - sum(signs))
-        if any(b < 0 for b in signs):
-            raise ValueError(f"point {p} lies outside the simplex")
-        return frozenset(i for i, b in enumerate(signs) if b > 0)
+        signs = [k + den for k in key]
+        signs.insert(0, self.scale * den - sum(signs))
+        if min(signs) < 0:
+            point = tuple(Fraction(k, den) for k in key)
+            raise ValueError(f"point {point} lies outside the simplex")
+        return frozenset([i for i, b in enumerate(signs) if b > 0])
 
 
 def _compositions(total: int, parts: int):
@@ -190,7 +205,8 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
 
     Points are computed as integer tuples scaled by D = 6 * scale (lattice
     points have denominator scale, barycenters 3 * scale, side midpoints
-    2 * scale), and a vertex's Fraction position is made once, when it is
+    2 * scale), and a side midpoint's face is read off those integers by
+    `lattice_face`.  A vertex's Fraction position is made once, when it is
     interned.  Scaling by D > 0 keeps the order of points, so the edges
     come out in the order of the exact positions.
     """
@@ -210,7 +226,7 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
         if i is None:
             i = vertex_index[key] = len(points)
             pos = tuple(Fraction(c, D) for c in key)
-            points.append((pos, boundary.minimal_face(pos) if face is None else face))
+            points.append((pos, boundary.lattice_face(key, D) if face is None else face))
         return i
 
     for face in boundary.faces(2):
@@ -219,15 +235,15 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
         e1 = tuple((a - b) // s for a, b in zip(verts[i1], p0))
         e2 = tuple((a - b) // s for a, b in zip(verts[i2], p0))
 
-        def at(u, v):
-            return tuple(p + u * a + v * b for p, a, b in zip(p0, e1, e2))
-
+        # grid[u][v] = p0 + u e1 + v e2, the face's lattice points
+        grid = [[tuple(p + u * a + v * b for p, a, b in zip(p0, e1, e2))
+                 for v in range(s + 1 - u)] for u in range(s + 1)]
         triangles = []
         for u in range(s):
             for v in range(s - u):
-                triangles.append((at(u, v), at(u + 1, v), at(u, v + 1)))
+                triangles.append((grid[u][v], grid[u + 1][v], grid[u][v + 1]))
                 if u + v < s - 1:
-                    triangles.append((at(u + 1, v), at(u, v + 1), at(u + 1, v + 1)))
+                    triangles.append((grid[u + 1][v], grid[u][v + 1], grid[u + 1][v + 1]))
 
         side_hits: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
         for tri in triangles:
@@ -292,13 +308,21 @@ def localized_thickening(
     in the vertex's 2-face (the plane {x1=0} of the negative local model).
     Legs stay attached to the incident graph edges.  A radius reaching
     another vertex is reported as an error, not clipped.
+
+    The legs and the reach test run on the positions scaled by the lcm
+    ``den`` of all their denominators, where a leg is an integer tuple x
+    and it reaches when |x|^2 rd^2 <= (rn den)^2 for radius = rn / rd.
     """
     radius = Fraction(amoeba_radius)
     if radius <= 0:
         raise ValueError("amoeba radius must be positive")
     if any(v.sign == "unsigned" for v in graph.vertices):
         raise ValueError("localized_thickening requires a signed graph")
-    reach = radius**2
+    den = lcm(*{c.denominator for v in graph.vertices for c in v.position})
+    keys = [tuple(c.numerator * (den // c.denominator) for c in v.position)
+            for v in graph.vertices]
+    reach = (radius.numerator * den) ** 2
+    scale = radius.denominator ** 2
     records = []
     for i, v in enumerate(graph.vertices):
         if v.sign != "negative":
@@ -306,12 +330,12 @@ def localized_thickening(
         legs = []
         for e in (graph.edges[k] for k in graph.incidence[i]):
             j = e.b if e.a == i else e.a
-            leg = tuple(q - p for p, q in zip(v.position, graph.vertices[j].position))
-            if sum(x * x for x in leg) <= reach:
+            leg = tuple(map(sub, keys[j], keys[i]))
+            if sum(map(mul, leg, leg)) * scale <= reach:
                 raise ValueError(
                     f"amoeba radius {radius} reaches vertex {j} from vertex {i}"
                 )
-            legs.append((j, leg))
+            legs.append((j, tuple(Fraction(x, den) for x in leg)))
         legs.sort(key=lambda jl: jl[0])
         records.append(
             Thickening(

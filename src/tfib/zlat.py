@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -52,25 +53,26 @@ def mat(rows) -> IntMatrix:
     return m
 
 
+@functools.lru_cache(maxsize=None)
 def identity(n: int) -> IntMatrix:
+    """The n x n identity, built once per n (it is immutable, so shared)."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    if len(b) != n:
+    """The exact product a b: each entry is a row of a dotted with a
+    column of b by ``map(operator.mul, ...)``, so the loop runs in C."""
+    if len(b) != len(a):
         raise ValueError("dimension mismatch")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
-    n = len(a)
-    if len(v) != n:
+    """The exact product a v, by the same row-times-column rule as `mat_mul`."""
+    if len(v) != len(a):
         raise ValueError("dimension mismatch")
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
+    return tuple([sum(map(operator.mul, row, v)) for row in a])
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:

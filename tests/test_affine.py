@@ -116,14 +116,86 @@ def _random_word(base, rng, length):
     return LoopWord("U1", tuple(crossings))
 
 
+def recharted(base: ChartedBase, changes) -> ChartedBase:
+    """The same affine manifold with the coordinates x of each chart c in
+    ``changes`` replaced by changes[c](x), an `AffineMapZ`."""
+    inverses = {c: zlat.invert(m) for c, m in changes.items()}
+
+    def moved(p):
+        t = p.transition
+        if p.chart_a in changes:
+            t = zlat.compose(t, inverses[p.chart_a])
+        if p.chart_b in changes:
+            t = zlat.compose(changes[p.chart_b], t)
+        return OverlapPiece(p.id, p.chart_a, p.chart_b, p.region, t)
+
+    return ChartedBase(dim=base.dim, charts=base.charts,
+                       pieces=[moved(p) for p in base.pieces],
+                       discriminant=base.discriminant, tau=base.tau, loops=base.loops,
+                       singular_points=base.singular_points)
+
+
+def random_gl(rng, n):
+    """A seeded element of GL(n, Z): a product of elementary shears, a
+    coordinate permutation and sign flips, entries kept small."""
+    m = [list(row) for row in zlat.identity(n)]
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return zlat.mat([[signs[i] * x for x in m[i]] for i in rng.sample(range(n), n)])
+
+
+def random_affine(rng, n):
+    """A seeded element of GL(n, Z) x| Q^n."""
+    return AffineMapZ(random_gl(rng, n),
+                      tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)))
+
+
+def _conjugated_by_base_change(h, a0):
+    """A_0^{-t} H A_0^t: the holonomy H after the base chart is re-charted by A_0."""
+    return zlat.mat_mul(zlat.mat_mul(zlat.inverse_transpose(a0), h), zlat.transpose(a0))
+
+
+@pytest.mark.parametrize("kind", ["node", "edge", "positive", "negative"])
+def test_holonomy_transforms_by_the_base_chart_change_only(kind):
+    """200 seeded re-charts by GL(n,Z) x| Q^n: the cocycle condition still
+    holds; re-charting the charts other than the base chart leaves every
+    loop's holonomy unchanged, and re-charting the base chart by A_0 as
+    well turns each holonomy H into A_0^{-t} H A_0^t."""
+    rng = random.Random(19)
+    base = build_local_model(kind)
+    hol = {name: holonomy(base, w) for name, w in base.loops.items()}
+    others = [c.id for c in base.charts if c.id != "U1"]
+    for _ in range(200):
+        changes = {c: random_affine(rng, base.dim) for c in others}
+        moved = recharted(base, changes)
+        assert {name: holonomy(moved, w) for name, w in moved.loops.items()} == hol
+        a0 = random_affine(rng, base.dim)
+        moved = recharted(base, dict(changes, U1=a0))
+        assert check_cocycle(moved)
+        for name, w in moved.loops.items():
+            assert holonomy(moved, w) == _conjugated_by_base_change(hol[name], a0.linear)
+
+
 def test_holonomy_is_homomorphism_on_random_words():
+    """Holonomy is a homomorphism to the opposite group, hol(w1 w2) =
+    hol(w2) hol(w1), on a re-charted negative model whose cotangent
+    contributions do not commute, so the two product orders differ."""
     rng = random.Random(7)
-    base = build_local_model("negative")
+    base = recharted(build_local_model("negative"),
+                     {"U2": random_affine(rng, 3), "U3": random_affine(rng, 3)})
+    contributions = [base.cotangent(Crossing(p.id, p.chart_a, p.chart_b))
+                     for p in base.pieces]
+    assert any(zlat.mat_mul(a, b) != zlat.mat_mul(b, a)
+               for a in contributions for b in contributions)
     for _ in range(25):
         w1 = _random_word(base, rng, rng.randint(0, 5))
         w2 = _random_word(base, rng, rng.randint(0, 5))
         lhs = holonomy(base, w1 * w2)
-        rhs = zlat.mat_mul(holonomy(base, w1), holonomy(base, w2))
+        rhs = zlat.mat_mul(holonomy(base, w2), holonomy(base, w1))
         assert lhs == rhs
 
 
@@ -241,18 +313,12 @@ def test_cached_cotangent_matrices_match_the_transitions(kind, tau):
 
 
 def test_check_simple_searches_only_the_matching_sign(monkeypatch):
-    """A positive model whose U2 coordinates are changed by W has its
-    holonomy conjugated by W^t; negative is tried first, and the
-    fixed-space prefilter turns both of its orders away unsearched."""
+    """A positive model whose base chart U1 is re-charted by W has its
+    holonomy conjugated by W^t (H becomes W^{-t} H W^t); negative is tried
+    first, and the fixed-space prefilter turns both of its orders away
+    unsearched."""
     w = zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
-    base = build_local_model("positive")
-    base = ChartedBase(
-        dim=3, charts=base.charts, discriminant=base.discriminant, loops=base.loops,
-        singular_points=base.singular_points,
-        pieces=[OverlapPiece(p.id, p.chart_a, p.chart_b, p.region,
-                             AffineMapZ.from_linear(zlat.mat_mul(w, p.transition.linear)))
-                for p in base.pieces],
-    )
+    base = recharted(build_local_model("positive"), {"U1": AffineMapZ.from_linear(w)})
     calls = []
     search = zlat._enumerate_conjugators
 

@@ -560,6 +560,28 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     assert not data["passed"]
 
 
+def test_sheared_second_chart_keeps_the_negative_vertex_simple(tmp_path):
+    """The negative model with U2 re-charted by a shear is the same affine
+    manifold: g3 (U1 -> U2 -> U3 -> U1) still reads T3, and the atlas is
+    simple.  Holonomy multiplied in crossing order read
+    ((0,-1,0),(1,2,1),(0,0,1)) here and failed the check."""
+    from test_affine import recharted
+
+    shear = zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    base = recharted(affine.build_local_model("negative"),
+                     {"U2": zlat.AffineMapZ.from_linear(shear)})
+    assert affine.check_cocycle(base)
+    atlas = tmp_path / "sheared.json"
+    atlas.write_text(json.dumps(affine.base_to_json(base)))
+    code, data, _ = run(tmp_path, "base", "holonomy", "--input", str(atlas),
+                        "--loop", "g3")
+    assert code == 0 and zlat.mat(data["holonomy"]) == zlat.NEGATIVE_TRIPLE[2]
+    code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas),
+                        "--strict")
+    assert code == 0 and data["passed"] is True
+    assert data["points"][0]["matched_model"] == "negative"
+
+
 def test_check_simple_reports_an_edge_conjugate_with_huge_entries(tmp_path, capsys):
     from test_zlat import _brute_force_conjugator
 

@@ -1,5 +1,6 @@
 """Polytope discriminant graphs: exact counts, signs, dual, thickening."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -233,3 +234,111 @@ def test_graph_coordinates_read_no_bool_or_float_through_the_memo():
             pb.graph_from_json(doc)
     doc = {"vertices": [dict(vertex, position=["1/2", 1, "-3"])], "edges": []}
     assert pb.graph_from_json(doc).vertices[0].position == frac_pt("1/2", 1, -3)
+
+
+def _fraction_minimal_face(boundary, p):
+    """The Fraction barycentric rule that `minimal_face` ran before it
+    moved to integer lattice coordinates, kept as the oracle."""
+    signs = [c + 1 for c in p]
+    signs.insert(0, boundary.scale - sum(signs))
+    if any(b < 0 for b in signs):
+        raise ValueError(f"point {p} lies outside the simplex")
+    return frozenset(i for i, b in enumerate(signs) if b > 0)
+
+
+def _simplex_points(boundary):
+    """Points with mixed denominators: free ones, inside or outside the
+    simplex, and ones on a boundary face (integer barycentric weights with
+    some zeros)."""
+    d, verts = boundary.dimension, boundary.vertices
+    free = st.lists(st.fractions(min_value=-2, max_value=d + 1, max_denominator=12),
+                    min_size=d, max_size=d).map(tuple)
+
+    def combination(weights):
+        return tuple(sum(w * v[j] for w, v in zip(weights, verts)) / sum(weights)
+                     for j in range(d))
+
+    on_face = st.lists(st.integers(0, 7), min_size=d + 1, max_size=d + 1).filter(any)
+    return st.one_of(free, on_face.map(combination))
+
+
+@given(st.sampled_from([K3, QUINTIC]).flatmap(
+    lambda b: st.tuples(st.just(b), _simplex_points(b), st.integers(1, 4))))
+@settings(max_examples=200, deadline=None)
+def test_integer_face_rule_matches_the_fraction_rule(case):
+    boundary, p, m = case
+    den = m * math.lcm(*(c.denominator for c in p))
+    key = [c.numerator * (den // c.denominator) for c in p]
+    try:
+        want = _fraction_minimal_face(boundary, p)
+    except ValueError as err:
+        for face in (lambda: boundary.minimal_face(p), lambda: boundary.lattice_face(key, den)):
+            with pytest.raises(ValueError) as got:
+                face()
+            assert str(got.value) == str(err)
+        return
+    assert boundary.minimal_face(p) == want
+    assert boundary.lattice_face(key, den) == want
+
+
+def _fraction_thickening(graph, amoeba_radius):
+    """The Fraction legs and reach test that `localized_thickening` ran
+    before it moved to integer lattice coordinates, kept as the oracle."""
+    radius = Fraction(amoeba_radius)
+    reach = radius**2
+    records = []
+    for i, v in enumerate(graph.vertices):
+        if v.sign != "negative":
+            continue
+        legs = []
+        for e in (graph.edges[k] for k in graph.incidence[i]):
+            j = e.b if e.a == i else e.a
+            leg = tuple(q - p for p, q in zip(v.position, graph.vertices[j].position))
+            if sum(x * x for x in leg) <= reach:
+                raise ValueError(f"amoeba radius {radius} reaches vertex {j} from vertex {i}")
+            legs.append((j, leg))
+        legs.sort(key=lambda jl: jl[0])
+        records.append(pb.Thickening(i, v.position, tuple(leg for _, leg in legs),
+                                     radius, radius, v.face))
+    return pb.DiscriminantGraph(graph.vertices, graph.edges, tuple(records))
+
+
+@st.composite
+def _mixed_denominator_graphs(draw):
+    """A signed graph with positions of mixed denominators, and a length a
+    such that vertex 0 (negative) has a leg of length exactly a."""
+    def fractions(low, high):
+        return st.builds(Fraction, st.integers(low, high), st.sampled_from([1, 2, 3, 5, 6, 9]))
+
+    n = draw(st.integers(1, 5))
+    pos = [tuple(draw(st.lists(fractions(-20, 20), min_size=3, max_size=3)))
+           for _ in range(n)]
+    a = draw(fractions(1, 12))
+    pos.append((pos[0][0] + a, pos[0][1], pos[0][2]))
+    signs = ["negative"] + draw(st.lists(st.sampled_from(["negative", "positive", "none"]),
+                                         min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=8))
+    edges = (pb.GraphEdge(0, n),) + tuple(pb.GraphEdge(i, j) for i, j in pairs)
+    vertices = tuple(pb.GraphVertex(p, s, 0) for p, s in zip(pos, signs))
+    return pb.DiscriminantGraph(vertices, edges), a
+
+
+@given(_mixed_denominator_graphs(),
+       st.one_of(st.builds(Fraction, st.integers(1, 30), st.integers(1, 40)), st.none()))
+@settings(max_examples=150, deadline=None)
+def test_integer_thickening_matches_the_fraction_reference(case, radius):
+    """None draws the radius equal to vertex 0's leg of exact length a,
+    which reaches (the test is <=) and must raise."""
+    graph, a = case
+    exact = radius is None
+    radius = a if exact else radius
+    try:
+        want = _fraction_thickening(graph, radius)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            pb.localized_thickening(graph, radius)
+        assert str(got.value) == str(err)
+        return
+    assert not exact
+    got = pb.localized_thickening(graph, radius)
+    assert got == want and pb.graph_to_json(got) == pb.graph_to_json(want)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tfib import zlat
@@ -542,3 +542,48 @@ def test_opposite_signs_are_rejected_without_a_search(monkeypatch):
 def test_fixed_space_prefilter_keeps_every_conjugate_tuple(w, triple):
     sources = tuple(_conj(w, m) for m in triple)
     assert zlat._fixed_space_dimension(sources) == zlat._fixed_space_dimension(triple)
+
+
+def _triple_sum_product(a, b):
+    """The index triple sum that `zlat.mat_mul` ran before it moved to
+    ``sum(map(operator.mul, row, col))``, kept as the oracle."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _exact_matrices(n):
+    """n x n matrices whose entries mix small ints, ints beyond 2^64 and
+    Fractions."""
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80),
+                      st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(_exact_matrices(n),
+                                                           _exact_matrices(n))))
+@settings(max_examples=100, deadline=None)
+@example((((2**70, -2**65), (3, 2**64 + 1)), ((2**66, 1), (-1, 2**64))))
+@example((((Fraction(1, 3), 2, 0), (0, 1, 0), (2**65, 0, Fraction(-5, 2))),
+          ((1, 0, 0), (Fraction(7, 4), 1, 0), (0, 2**64, 1))))
+def test_mat_mul_matches_the_triple_sum(case):
+    a, b = case
+    got, want = zlat.mat_mul(a, b), _triple_sum_product(a, b)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+    assert zlat.mat_vec(a, b[0]) == tuple(sum(x * y for x, y in zip(row, b[0])) for row in a)
+
+
+def test_mat_mul_rejects_a_dimension_mismatch():
+    for a, b in ((zlat.identity(2), zlat.identity(3)), (zlat.identity(3), zlat.identity(2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            zlat.mat_mul(a, b)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        zlat.mat_vec(zlat.identity(3), (1, 2))
+
+
+def test_identity_is_built_once_per_size():
+    assert zlat.identity(3) is zlat.identity(3)
+    assert zlat.identity(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert zlat.identity(2) == ((1, 0), (0, 1))
