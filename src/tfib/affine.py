@@ -320,8 +320,7 @@ class SimplicityReport:
                     "id": v.point_id,
                     "simple": v.simple,
                     "matched_model": v.matched_model,
-                    "conjugator": zlat.matrix_to_json(v.conjugator)
-                    if v.conjugator is not None else None,
+                    "conjugator": v.conjugator,
                     "detail": v.detail,
                 }
                 for v in self.verdicts
@@ -516,4 +515,4 @@ def holonomy_report(kind, atlas, loop, word) -> dict:
         word = base.loops[loop]
     else:
         word = loop_word_from_json(word)
-    return {"holonomy": zlat.matrix_to_json(holonomy(base, word))}
+    return {"holonomy": holonomy(base, word)}

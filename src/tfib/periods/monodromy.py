@@ -112,4 +112,4 @@ def monodromy_report(model, frame, loop) -> dict:
         raise ValueError(f"frame {kind} has no loop {name!r} "
                          f"(loops: {', '.join(names) or 'none'})")
     mat = monodromy_from_frame(period_frame, period_frame.loops[key](radius))
-    return {"frame": kind, "loop": loop, "monodromy": zlat.matrix_to_json(mat)}
+    return {"frame": kind, "loop": loop, "monodromy": mat}

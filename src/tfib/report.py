@@ -11,6 +11,15 @@ separate reduction pass (``sanitize`` is gone): with ``indent`` set,
 ``json`` runs its pure-Python encoder, after a pass that copied the whole
 report.  A non-finite float is not JSON and raises ``ValueError``; any
 other unsupported object raises ``TypeError``.
+
+Reports share immutable values: a validation report hands every item the
+one conjugator tuple that ``zlat`` returns for its question.  Each call
+keeps a memo from ``(id(t), newline)`` to ``(t, text)`` for the tuples it
+has written, and a tuple met again at the same indent reuses its text.
+This is safe because a tuple's items cannot be replaced, and each entry
+holds its tuple for the whole call, so no id is reused while the memo
+lives.  The memo ends with the call, because a list inside a tuple may
+change between calls.
 """
 
 from __future__ import annotations
@@ -30,8 +39,10 @@ def _number(x: float) -> str:
     return _float(x)
 
 
-def _encode(obj, newline: str) -> str:
-    """JSON text of ``obj`` whose closing bracket follows ``newline``."""
+def _encode(obj, newline: str, memo: dict) -> str:
+    """JSON text of ``obj`` whose closing bracket follows ``newline``;
+    ``memo`` maps ``(id(t), newline)`` of each tuple ``t`` already written
+    in this call to ``(t, text)``."""
     kind = type(obj)
     if kind is str:
         return _string(obj)
@@ -42,6 +53,11 @@ def _encode(obj, newline: str) -> str:
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
+        if kind is tuple:
+            key = (id(obj), newline)
+            seen = memo.get(key)
+            if seen is not None:
+                return seen[1]
         inner = newline + "  "
         first = type(obj[0])
         if first is int and all(type(v) is int for v in obj):
@@ -49,15 +65,18 @@ def _encode(obj, newline: str) -> str:
         elif first is str and all(type(v) is str for v in obj):
             items = map(_string, obj)
         else:
-            items = [_encode(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            items = [_encode(v, inner, memo) for v in obj]
+        text = "[" + inner + ("," + inner).join(items) + newline + "]"
+        if kind is tuple:
+            memo[key] = (obj, text)
+        return text
     if kind is dict:
         if not obj:
             return "{}"
         if not all(type(k) is str for k in obj):
             obj = {str(k): v for k, v in obj.items()}
         inner = newline + "  "
-        items = [_string(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        items = [_string(k) + ": " + _encode(obj[k], inner, memo) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if obj is None:
         return "null"
@@ -67,13 +86,13 @@ def _encode(obj, newline: str) -> str:
         return "false"
     # subclasses and foreign types, in the order their reduction tests them
     if isinstance(obj, dict):
-        return _encode({str(k): v for k, v in obj.items()}, newline)
+        return _encode({str(k): v for k, v in obj.items()}, newline, memo)
     if isinstance(obj, (list, tuple)):
-        return _encode(list(obj), newline)
+        return _encode(list(obj), newline, memo)
     if isinstance(obj, Fraction):
         return _string(str(obj))
     if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), newline)
+        return _encode(obj.tolist(), newline, memo)
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, int):
@@ -85,7 +104,7 @@ def _encode(obj, newline: str) -> str:
 
 
 def canonical_json(report: dict) -> str:
-    return _encode(report, "\n") + "\n"
+    return _encode(report, "\n", {}) + "\n"
 
 
 def write_csv(path, rows):

@@ -33,6 +33,12 @@ FIBRE_TYPES: Dict[str, int] = {
 }
 
 
+def _require_signed(graph: DiscriminantGraph) -> None:
+    """Raise ValueError unless every trivalent vertex carries a sign."""
+    if any(v.sign == "unsigned" for v in graph.vertices if v.valence == 3):
+        raise ValueError("unsigned trivalent vertices present; classify signs first")
+
+
 def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:
     """Euler characteristic of the compactified total space: the sum of the
     ``FIBRE_TYPES`` contributions of the graph's vertices.  A node is
@@ -41,8 +47,7 @@ def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:
     if dimension == 2:
         types = ["nodal_I1" if v.valence == 0 else "regular" for v in graph.vertices]
     elif dimension == 3:
-        if any(v.sign == "unsigned" for v in graph.vertices if v.valence == 3):
-            raise ValueError("unsigned trivalent vertices present; classify signs first")
+        _require_signed(graph)
         types = [v.sign if v.sign in ("positive", "negative") else "regular"
                  for v in graph.vertices]
     else:
@@ -136,6 +141,9 @@ class ValidationReport:
         return all(item.valid for item in self.items)
 
     def to_json(self) -> dict:
+        """The report body; each item's conjugator is its ``IntMatrix``
+        tuple itself, shared with the item (and, through ``zlat``'s cache,
+        with every item that asked the same question), not a copy."""
         return {
             "passed": self.valid,
             "items": [
@@ -143,8 +151,7 @@ class ValidationReport:
                     "element": it.element,
                     "valid": it.valid,
                     "detail": it.detail,
-                    "conjugator": zlat.matrix_to_json(it.conjugator)
-                    if it.conjugator is not None else None,
+                    "conjugator": it.conjugator,
                 }
                 for it in self.items
             ],
@@ -161,8 +168,10 @@ def validate_semistable(
     every vertex triple must multiply to the identity and be simultaneously
     conjugate to the triple matching its sign; each edge must be conjugate
     to the corresponding entry of its incident vertex triples.  Conjugators
-    are searched within ``zlat.SEARCH_BOUND``.
+    are searched within ``zlat.SEARCH_BOUND``.  A trivalent vertex
+    without a sign raises ValueError, as in ``euler_characteristic``.
     """
+    _require_signed(graph)
     items: List[ValidationItem] = []
     if len(assignment.edge_matrices) != len(graph.edges):
         raise ValueError("assignment does not cover all edges")
@@ -290,5 +299,5 @@ def sign_report(triple) -> dict:
     sign = sign_from_triple(mats)
     p = zlat.simultaneous_conjugator(mats, zlat.STANDARD[sign])
     return {"sign": sign, "bound": zlat.SEARCH_BOUND,
-            "conjugator": None if p is None else zlat.matrix_to_json(p),
+            "conjugator": p,
             "passed": p is not None}

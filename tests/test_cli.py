@@ -549,6 +549,21 @@ def test_topo_validate_cli(tmp_path):
     assert code == 0 and data["passed"]
 
 
+@pytest.mark.parametrize("leaf", ["validate", "euler"])
+def test_topo_rejects_unsigned_trivalent_vertices(tmp_path, capsys, leaf):
+    _, data, out = run(tmp_path, "graph", "quintic", name="q.json")
+    doc = data["graph"]
+    for v in doc["vertices"]:
+        if v["valence"] == 3:
+            v["sign"] = "unsigned"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, "topo", leaf, "--input", str(out), "--strict")
+    assert code == 2 and data is None
+    assert capsys.readouterr().err == (
+        "error: unsigned trivalent vertices present; classify signs first\n")
+
+
 def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     from test_affine import doctored_node_model
 

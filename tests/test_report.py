@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfib import report
+from tfib import polybase, report, topo
 
 
 def reference_reduce(obj):
@@ -48,12 +48,24 @@ leaves = st.one_of(
 )
 keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
                  st.sampled_from(["1", "True", "None", "é", "\x00"]))
+
+
+def shared(t):
+    """The one object ``t`` twice at one indent and once at two deeper ones."""
+    return [t, t, [t, {"t": t}]]
+
+
 documents = st.recursive(
     leaves,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(keys, children, max_size=4),
+        st.one_of(
+            st.lists(children, max_size=4).map(tuple),
+            st.tuples(st.lists(children, max_size=2),
+                      st.dictionaries(keys, children, max_size=2)),
+        ).map(shared),
     ),
     max_leaves=25,
 )
@@ -63,6 +75,24 @@ documents = st.recursive(
 @given(documents)
 def test_canonical_json_is_the_json_dumps_text(doc):
     assert report.canonical_json(doc) == reference_json(doc)
+
+
+def test_no_text_outlives_a_call():
+    rows = [1, 2]
+    doc = {"t": (rows, {"rows": rows})}
+    first = report.canonical_json(doc)
+    rows.append(3)
+    second = report.canonical_json(doc)
+    assert second == reference_json(doc) != first
+
+
+def test_validation_report_hands_over_the_shared_conjugators():
+    boundary = polybase.LatticeSimplexBoundary(4)
+    g = polybase.classify_signs(polybase.build_quintic_graph(boundary), boundary)
+    rep = topo.validate_semistable(g, topo.canonical_assignment(g))
+    items = rep.to_json()["items"]
+    assert all(it.conjugator is not None for it in rep.items)
+    assert all(d["conjugator"] is it.conjugator for d, it in zip(items, rep.items))
 
 
 def assert_plain(value, expected):

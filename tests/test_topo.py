@@ -156,6 +156,36 @@ def test_validate_canonical_on_full_quintic():
     assert len(report.items) == 450 + 300 * 4
 
 
+def conjugated(assignment, p):
+    """The assignment with every matrix M replaced by P^-1 M P."""
+    p_inv = zlat.inverse(p)
+
+    def conj(m):
+        return zlat.mat_mul(zlat.mat_mul(p_inv, m), p)
+
+    return topo.MonodromyAssignment(
+        tuple(conj(m) for m in assignment.edge_matrices),
+        {i: (edges, tuple(conj(m) for m in mats))
+         for i, (edges, mats) in assignment.vertex_triples.items()})
+
+
+def shear(k):
+    return zlat.mat([[1, k, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("p", [
+    zlat.mat([[0, -1, 0], [0, 0, 1], [1, 0, 0]]), shear(1), shear(2), shear(3),
+    # 795 items need a conjugator outside the SEARCH_BOUND box
+    pytest.param(zlat.mat([[1, 5, 0], [0, 1, 5], [0, 0, 1]]),
+                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4(a)")),
+])
+def test_validation_is_invariant_under_simultaneous_conjugation(p):
+    """Conjugating every matrix of the quintic's canonical assignment by one
+    unimodular P keeps the verdict: the hypotheses are conjugacy classes."""
+    g = quintic_graph()
+    assert topo.validate_semistable(g, conjugated(topo.canonical_assignment(g), p)).valid
+
+
 # SHA-256 of the canonical JSON of each report body (without its verdict,
 # which the bodies did not carry when these were taken) and of its DOT text,
 # so the exact graph pipeline and the report writer keep every byte
