@@ -18,8 +18,19 @@ keeps a memo from ``(id(t), newline)`` to ``(t, text)`` for the tuples it
 has written, and a tuple met again at the same indent reuses its text.
 This is safe because a tuple's items cannot be replaced, and each entry
 holds its tuple for the whole call, so no id is reused while the memo
-lives.  The memo ends with the call, because a list inside a tuple may
-change between calls.
+lives.
+
+Reports also repeat dict shapes: the 1650 items of a quintic validation
+share one key set.  The same memo maps ``(keys, newline)``, the key tuple
+in insertion order, to that shape's sorted keys, each with the text that
+goes before its value (separator, indent, quoted key and ``": "``), so a
+shape met again is neither sorted nor quoted again.  Only dicts whose keys
+are all ``str`` are keyed so: ``(1,)``, ``(True,)`` and ``(1.0,)`` are
+equal tuples whose keys print differently, so other keys are made strings
+first.  A str, int, bool or None value is written in place, without a
+recursive call.  The memo ends with the call, because a list inside a
+tuple may change between calls, and so that it holds nothing once the
+report is written.
 """
 
 from __future__ import annotations
@@ -42,7 +53,9 @@ def _number(x: float) -> str:
 def _encode(obj, newline: str, memo: dict) -> str:
     """JSON text of ``obj`` whose closing bracket follows ``newline``;
     ``memo`` maps ``(id(t), newline)`` of each tuple ``t`` already written
-    in this call to ``(t, text)``."""
+    in this call to ``(t, text)``, and ``(keys, newline)`` of each
+    str-keyed dict shape to ``(inner indent, ((key, text before its
+    value), ...) in sorted order)``."""
     kind = type(obj)
     if kind is str:
         return _string(obj)
@@ -75,9 +88,33 @@ def _encode(obj, newline: str, memo: dict) -> str:
             return "{}"
         if not all(type(k) is str for k in obj):
             obj = {str(k): v for k, v in obj.items()}
-        inner = newline + "  "
-        items = [_string(k) + ": " + _encode(obj[k], inner, memo) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        shape = (tuple(obj), newline)
+        layout = memo.get(shape)
+        if layout is None:
+            inner = newline + "  "
+            names = sorted(obj)
+            heads = ["," + inner + _string(k) + ": " for k in names]
+            heads[0] = "{" + heads[0][1:]
+            layout = memo[shape] = (inner, tuple(zip(names, heads)))
+        inner, fields = layout
+        parts = []
+        for k, head in fields:
+            v = obj[k]
+            vtype = type(v)
+            if vtype is str:
+                parts.append(head + _string(v))
+            elif vtype is int:
+                parts.append(head + _int(v))
+            elif v is None:
+                parts.append(head + "null")
+            elif v is True:
+                parts.append(head + "true")
+            elif v is False:
+                parts.append(head + "false")
+            else:
+                parts.append(head + _encode(v, inner, memo))
+        parts.append(newline + "}")
+        return "".join(parts)
     if obj is None:
         return "null"
     if obj is True:

@@ -142,8 +142,8 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         """The report body; each item's conjugator is its ``IntMatrix``
-        tuple itself, shared with the item (and, through ``zlat``'s cache,
-        with every item that asked the same question), not a copy."""
+        tuple itself, shared with the item (and with every item that asked
+        the same question, see `validate_semistable`), not a copy."""
         return {
             "passed": self.valid,
             "items": [
@@ -169,14 +169,35 @@ def validate_semistable(
     conjugate to the triple matching its sign; each edge must be conjugate
     to the corresponding entry of its incident vertex triples.  Conjugators
     are searched within ``zlat.SEARCH_BOUND``.  A trivalent vertex
-    without a sign raises ValueError, as in ``euler_characteristic``.
+    without a sign raises ValueError, as in ``euler_characteristic``, and
+    so does a graph without edges, whose report would have no item to fail.
+
+    The items ask few distinct questions (the quintic's 1650 ask 23), so
+    each distinct conjugacy problem goes to ``zlat.simultaneous_conjugator``
+    once per call, and each distinct triple has its product taken once;
+    every item that asks a question gets that one answer object.  The
+    answers are keyed by value and live for the call only.
     """
     _require_signed(graph)
-    items: List[ValidationItem] = []
+    if not graph.edges:
+        raise ValueError("graph has no edges; nothing to validate")
     if len(assignment.edge_matrices) != len(graph.edges):
         raise ValueError("assignment does not cover all edges")
+    answers: Dict[tuple, Optional[IntMatrix]] = {}
+
+    def conjugate(sources, targets):
+        key = sources, targets
+        try:
+            return answers[key]
+        except KeyError:
+            conj = answers[key] = zlat.simultaneous_conjugator(sources, targets)
+            return conj
+
+    closed: Dict[tuple, bool] = {}
+    items: List[ValidationItem] = []
+    generic = (zlat.T_GENERIC,)
     for j, m in enumerate(assignment.edge_matrices):
-        conj = zlat.conjugator(m, zlat.T_GENERIC)
+        conj = conjugate((m,), generic)
         items.append(ValidationItem(
             f"edge {j}", conj is not None,
             "conjugate to generic generator" if conj is not None
@@ -189,12 +210,15 @@ def validate_semistable(
         if i not in assignment.vertex_triples:
             raise ValueError(f"assignment missing vertex {i}")
         edge_ids, mats = assignment.vertex_triples[i]
-        prod = zlat.mat_mul(zlat.mat_mul(mats[0], mats[1]), mats[2])
-        if prod != zlat.identity(len(mats[0])):
+        mats = tuple(mats)
+        if mats not in closed:
+            prod = zlat.mat_mul(zlat.mat_mul(mats[0], mats[1]), mats[2])
+            closed[mats] = prod == zlat.identity(len(mats[0]))
+        if not closed[mats]:
             items.append(ValidationItem(
                 f"vertex {i}", False, "triple product is not the identity"))
             continue
-        conj = zlat.simultaneous_conjugator(list(mats), zlat.STANDARD[v.sign])
+        conj = conjugate(mats, zlat.STANDARD[v.sign])
         items.append(ValidationItem(
             f"vertex {i}", conj is not None,
             f"simultaneously conjugate to the {v.sign} triple" if conj is not None
@@ -202,7 +226,7 @@ def validate_semistable(
             conj,
         ))
         for slot, j in enumerate(edge_ids):
-            edge_conj = zlat.conjugator(assignment.edge_matrices[j], mats[slot])
+            edge_conj = conjugate((assignment.edge_matrices[j],), (mats[slot],))
             items.append(ValidationItem(
                 f"vertex {i} / edge {j}", edge_conj is not None,
                 "edge generator matches the vertex loop generator"

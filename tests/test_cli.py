@@ -549,6 +549,16 @@ def test_topo_validate_cli(tmp_path):
     assert code == 0 and data["passed"]
 
 
+def test_topo_validate_rejects_a_graph_without_edges(tmp_path, capsys):
+    """The K3 graph has 24 nodes and no edges: a validation of it would
+    hold no item and pass whatever its monodromy."""
+    _, _, out = run(tmp_path, "graph", "k3", name="k3.json")
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, "topo", "validate", "--input", str(out), "--strict")
+    assert code == 2 and data is None
+    assert capsys.readouterr().err == "error: graph has no edges; nothing to validate\n"
+
+
 @pytest.mark.parametrize("leaf", ["validate", "euler"])
 def test_topo_rejects_unsigned_trivalent_vertices(tmp_path, capsys, leaf):
     _, data, out = run(tmp_path, "graph", "quintic", name="q.json")

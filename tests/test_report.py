@@ -77,6 +77,28 @@ def test_canonical_json_is_the_json_dumps_text(doc):
     assert report.canonical_json(doc) == reference_json(doc)
 
 
+#: 1, True and 1.0 are equal keys that print differently; "1" prints as 1 does
+EQUAL_KEYS = [1, True, 1.0, "1"]
+
+
+@st.composite
+def repeated_shapes(draw):
+    """Sibling dicts that repeat one key set, each in an insertion order of
+    its own, at two indents, and next to them one-key dicts whose keys are
+    ``EQUAL_KEYS`` in some order."""
+    names = draw(st.lists(keys, min_size=1, max_size=4, unique_by=str))
+    shaped = [{names[k]: draw(documents) for k in draw(st.permutations(range(len(names))))}
+              for _ in range(draw(st.integers(2, 5)))]
+    equal = [{k: draw(documents)} for k in draw(st.permutations(EQUAL_KEYS))]
+    return [shaped, {"shaped": shaped, "equal": equal}, equal]
+
+
+@settings(deadline=None, max_examples=100)
+@given(repeated_shapes())
+def test_repeated_dict_shapes_give_the_json_dumps_text(doc):
+    assert report.canonical_json(doc) == reference_json(doc)
+
+
 def test_no_text_outlives_a_call():
     rows = [1, 2]
     doc = {"t": (rows, {"rows": rows})}

@@ -1,5 +1,6 @@
 """Euler counts, semi-stable validation, vertex sign from triples."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -184,6 +185,107 @@ def test_validation_is_invariant_under_simultaneous_conjugation(p):
     unimodular P keeps the verdict: the hypotheses are conjugacy classes."""
     g = quintic_graph()
     assert topo.validate_semistable(g, conjugated(topo.canonical_assignment(g), p)).valid
+
+
+def validate_per_item(graph, assignment):
+    """The per-item loop that ``validate_semistable`` replaced: every item
+    asks ``zlat`` its question itself.  Kept as the oracle of that one."""
+    items = []
+    for j, m in enumerate(assignment.edge_matrices):
+        conj = zlat.conjugator(m, zlat.T_GENERIC)
+        items.append(topo.ValidationItem(
+            f"edge {j}", conj is not None,
+            "conjugate to generic generator" if conj is not None
+            else "not conjugate to the generic generator",
+            conj,
+        ))
+    for i, v in enumerate(graph.vertices):
+        if v.sign not in ("positive", "negative"):
+            continue
+        edge_ids, mats = assignment.vertex_triples[i]
+        prod = zlat.mat_mul(zlat.mat_mul(mats[0], mats[1]), mats[2])
+        if prod != zlat.identity(len(mats[0])):
+            items.append(topo.ValidationItem(
+                f"vertex {i}", False, "triple product is not the identity"))
+            continue
+        conj = zlat.simultaneous_conjugator(list(mats), zlat.STANDARD[v.sign])
+        items.append(topo.ValidationItem(
+            f"vertex {i}", conj is not None,
+            f"simultaneously conjugate to the {v.sign} triple" if conj is not None
+            else f"not simultaneously conjugate to the {v.sign} triple",
+            conj,
+        ))
+        for slot, j in enumerate(edge_ids):
+            edge_conj = zlat.conjugator(assignment.edge_matrices[j], mats[slot])
+            items.append(topo.ValidationItem(
+                f"vertex {i} / edge {j}", edge_conj is not None,
+                "edge generator matches the vertex loop generator"
+                if edge_conj is not None
+                else "edge generator inconsistent with the vertex triple",
+                edge_conj,
+            ))
+    return topo.ValidationReport(items)
+
+
+def with_broken_triple(assignment):
+    """The assignment with the triple of its first vertex made (T1, T2, T1),
+    whose product is not the identity."""
+    i = min(assignment.vertex_triples)
+    edges, mats = assignment.vertex_triples[i]
+    triples = dict(assignment.vertex_triples)
+    triples[i] = (edges, (mats[0], mats[1], mats[0]))
+    return topo.MonodromyAssignment(assignment.edge_matrices, triples)
+
+
+def with_squared_edge(assignment, j=7):
+    """The assignment with edge ``j``'s matrix squared: not conjugate to
+    the generic generator nor to any member of a triple."""
+    edges = list(assignment.edge_matrices)
+    edges[j] = zlat.mat_mul(edges[j], edges[j])
+    return topo.MonodromyAssignment(tuple(edges), assignment.vertex_triples)
+
+
+@pytest.mark.parametrize("case", ["quintic", "dual", "conjugated",
+                                  "broken triple", "squared edge"])
+def test_validation_agrees_item_by_item_with_the_per_item_loop(case):
+    g = quintic_graph()
+    if case == "dual":
+        g = pb.legendre_dual(g)
+    a = topo.canonical_assignment(g)
+    if case == "conjugated":
+        a = conjugated(a, shear(2))
+    elif case == "broken triple":
+        a = with_broken_triple(a)
+    elif case == "squared edge":
+        a = with_squared_edge(a)
+    got, want = topo.validate_semistable(g, a), validate_per_item(g, a)
+    assert len(got.items) == len(want.items)
+    for mine, theirs in zip(got.items, want.items):
+        for field in dataclasses.fields(topo.ValidationItem):
+            assert getattr(mine, field.name) == getattr(theirs, field.name), (
+                mine.element, field.name)
+    assert got.valid is want.valid is (case in ("quintic", "dual", "conjugated"))
+
+
+def test_validation_asks_each_distinct_question_once(monkeypatch):
+    asked = []
+    search = zlat.simultaneous_conjugator
+
+    def counted(sources, targets, bound=zlat.SEARCH_BOUND):
+        asked.append((tuple(sources), tuple(targets)))
+        return search(sources, targets, bound)
+
+    monkeypatch.setattr(zlat, "simultaneous_conjugator", counted)
+    g = quintic_graph()
+    report = topo.validate_semistable(g, topo.canonical_assignment(g))
+    assert len(report.items) == 1650
+    assert len(asked) == len(set(asked)) == 23
+
+
+def test_validation_needs_a_graph_with_edges():
+    g = pb.build_k3_graph(K3)
+    with pytest.raises(ValueError, match="no edges"):
+        topo.validate_semistable(g, topo.canonical_assignment(g))
 
 
 # SHA-256 of the canonical JSON of each report body (without its verdict,
