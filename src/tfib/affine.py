@@ -176,28 +176,33 @@ def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
     return acc
 
 
-def check_cocycle(base: ChartedBase) -> bool:
-    """Exact cocycle condition on every region shared by a chart triple."""
-    by_region: Dict[str, List[OverlapPiece]] = {}
+def check_cocycle(base: ChartedBase) -> Optional[str]:
+    """The first failure of the exact cocycle condition, or None.
+
+    On a region shared by three distinct charts a, b, c, the transition
+    a -> c must be a -> b followed by b -> c.  One order of each triple is
+    composed, as the others follow from it by inverses; a piece composed
+    with its own inverse holds by construction.
+    """
+    by_region: Dict[str, Dict[Tuple[str, str], AffineMapZ]] = {}
     for p in base.pieces:
-        by_region.setdefault(p.region, []).append(p)
-    for region, pieces in by_region.items():
-        trans = {}
-        for p in pieces:
-            trans[(p.chart_a, p.chart_b)] = p.transition
-            trans[(p.chart_b, p.chart_a)] = zlat.invert(p.transition)
-        for (a, b), t_ab in trans.items():
-            for (c, d), t_cd in trans.items():
-                if c != b:
-                    continue
-                composed = zlat.compose(t_cd, t_ab)
-                direct = trans.get((a, d))
-                if a == d:
-                    if not composed.is_identity():
-                        return False
-                elif direct is not None and composed != direct:
-                    return False
-    return True
+        if p.chart_a != p.chart_b:
+            by_region.setdefault(p.region, {})[p.chart_a, p.chart_b] = p.transition
+    for region, stored in by_region.items():
+        def transition(a, b):
+            if (a, b) in stored:
+                return stored[a, b]
+            return zlat.invert(stored[b, a]) if (b, a) in stored else None
+
+        charts = sorted({c for pair in stored for c in pair})
+        for i, a in enumerate(charts):
+            for j, b in enumerate(charts[i + 1:], i + 1):
+                for c in charts[j + 1:]:
+                    ab, bc, ac = transition(a, b), transition(b, c), transition(a, c)
+                    if None not in (ab, bc, ac) and zlat.compose(bc, ab) != ac:
+                        return (f"atlas is not a cocycle on region {region!r}: "
+                                f"{a} -> {b} -> {c} is not {a} -> {c}")
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +420,10 @@ def _strings(values, what: str) -> None:
 
 
 def base_from_json(data: dict) -> ChartedBase:
-    """Inverse of ``base_to_json``; a document of another shape raises
-    ValueError."""
+    """Inverse of ``base_to_json``.  A document of another shape raises
+    ValueError, and so does an atlas that is not a cocycle
+    (`check_cocycle`) or a loop crossing that names no piece, or a piece
+    between other charts."""
     zlat.json_object(data, ("dim", "charts", "pieces"), "an atlas document")
     charts = zlat.json_array(data["charts"], "atlas charts", ("id", "dim"))
     pieces = zlat.json_array(data["pieces"], "atlas pieces",
@@ -438,7 +445,7 @@ def base_from_json(data: dict) -> ChartedBase:
         if not set(r["loops"]) <= set(loops):
             raise ValueError(f"point {r['id']} names a loop the atlas does not have: "
                              f"{sorted(set(r['loops']) - set(loops))}")
-    return ChartedBase(
+    base = ChartedBase(
         dim=data["dim"],
         charts=[Chart(c["id"], c["dim"], c.get("region", "")) for c in charts],
         pieces=[
@@ -455,6 +462,16 @@ def base_from_json(data: dict) -> ChartedBase:
                for name, w in loops.items()},
         singular_points=points,
     )
+    for name, w in base.loops.items():
+        for crossing in w.crossings:
+            try:
+                base.cotangent(crossing)
+            except ValueError as exc:
+                raise ValueError(f"loop {name!r}: {exc}") from None
+    failure = check_cocycle(base)
+    if failure is not None:
+        raise ValueError(failure)
+    return base
 
 
 def _crossings(data) -> Tuple[Crossing, ...]:
@@ -493,8 +510,10 @@ def _base(kind, atlas, tau=None) -> ChartedBase:
 
 def build_report(kind, tau) -> dict:
     """The JSON atlas of the local model ``kind`` whose discriminant handle
-    has the rational coefficients ``tau`` (constant term first)."""
-    return base_to_json(_base(kind, None, tau))
+    has the rational coefficients ``tau`` (constant term first); it passes
+    when the atlas is a cocycle."""
+    base = _base(kind, None, tau)
+    return dict(base_to_json(base), passed=check_cocycle(base) is None)
 
 
 def check_simple_report(kind, tau, atlas) -> dict:

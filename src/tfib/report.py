@@ -11,26 +11,6 @@ separate reduction pass (``sanitize`` is gone): with ``indent`` set,
 ``json`` runs its pure-Python encoder, after a pass that copied the whole
 report.  A non-finite float is not JSON and raises ``ValueError``; any
 other unsupported object raises ``TypeError``.
-
-Reports share immutable values: a validation report hands every item the
-one conjugator tuple that ``zlat`` returns for its question.  Each call
-keeps a memo from ``(id(t), newline)`` to ``(t, text)`` for the tuples it
-has written, and a tuple met again at the same indent reuses its text.
-This is safe because a tuple's items cannot be replaced, and each entry
-holds its tuple for the whole call, so no id is reused while the memo
-lives.
-
-Reports also repeat dict shapes: the 1650 items of a quintic validation
-share one key set.  The same memo maps ``(keys, newline)``, the key tuple
-in insertion order, to that shape's sorted keys, each with the text that
-goes before its value (separator, indent, quoted key and ``": "``), so a
-shape met again is neither sorted nor quoted again.  Only dicts whose keys
-are all ``str`` are keyed so: ``(1,)``, ``(True,)`` and ``(1.0,)`` are
-equal tuples whose keys print differently, so other keys are made strings
-first.  A str, int, bool or None value is written in place, without a
-recursive call.  The memo ends with the call, because a list inside a
-tuple may change between calls, and so that it holds nothing once the
-report is written.
 """
 
 from __future__ import annotations
@@ -50,12 +30,8 @@ def _number(x: float) -> str:
     return _float(x)
 
 
-def _encode(obj, newline: str, memo: dict) -> str:
-    """JSON text of ``obj`` whose closing bracket follows ``newline``;
-    ``memo`` maps ``(id(t), newline)`` of each tuple ``t`` already written
-    in this call to ``(t, text)``, and ``(keys, newline)`` of each
-    str-keyed dict shape to ``(inner indent, ((key, text before its
-    value), ...) in sorted order)``."""
+def _encode(obj, newline: str) -> str:
+    """JSON text of ``obj`` whose closing bracket follows ``newline``."""
     kind = type(obj)
     if kind is str:
         return _string(obj)
@@ -66,11 +42,6 @@ def _encode(obj, newline: str, memo: dict) -> str:
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        if kind is tuple:
-            key = (id(obj), newline)
-            seen = memo.get(key)
-            if seen is not None:
-                return seen[1]
         inner = newline + "  "
         first = type(obj[0])
         if first is int and all(type(v) is int for v in obj):
@@ -78,43 +49,16 @@ def _encode(obj, newline: str, memo: dict) -> str:
         elif first is str and all(type(v) is str for v in obj):
             items = map(_string, obj)
         else:
-            items = [_encode(v, inner, memo) for v in obj]
-        text = "[" + inner + ("," + inner).join(items) + newline + "]"
-        if kind is tuple:
-            memo[key] = (obj, text)
-        return text
+            items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not obj:
             return "{}"
         if not all(type(k) is str for k in obj):
             obj = {str(k): v for k, v in obj.items()}
-        shape = (tuple(obj), newline)
-        layout = memo.get(shape)
-        if layout is None:
-            inner = newline + "  "
-            names = sorted(obj)
-            heads = ["," + inner + _string(k) + ": " for k in names]
-            heads[0] = "{" + heads[0][1:]
-            layout = memo[shape] = (inner, tuple(zip(names, heads)))
-        inner, fields = layout
-        parts = []
-        for k, head in fields:
-            v = obj[k]
-            vtype = type(v)
-            if vtype is str:
-                parts.append(head + _string(v))
-            elif vtype is int:
-                parts.append(head + _int(v))
-            elif v is None:
-                parts.append(head + "null")
-            elif v is True:
-                parts.append(head + "true")
-            elif v is False:
-                parts.append(head + "false")
-            else:
-                parts.append(head + _encode(v, inner, memo))
-        parts.append(newline + "}")
-        return "".join(parts)
+        inner = newline + "  "
+        items = [_string(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if obj is None:
         return "null"
     if obj is True:
@@ -123,13 +67,13 @@ def _encode(obj, newline: str, memo: dict) -> str:
         return "false"
     # subclasses and foreign types, in the order their reduction tests them
     if isinstance(obj, dict):
-        return _encode({str(k): v for k, v in obj.items()}, newline, memo)
+        return _encode({str(k): v for k, v in obj.items()}, newline)
     if isinstance(obj, (list, tuple)):
-        return _encode(list(obj), newline, memo)
+        return _encode(list(obj), newline)
     if isinstance(obj, Fraction):
         return _string(str(obj))
     if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), newline, memo)
+        return _encode(obj.tolist(), newline)
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, int):
@@ -141,7 +85,7 @@ def _encode(obj, newline: str, memo: dict) -> str:
 
 
 def canonical_json(report: dict) -> str:
-    return _encode(report, "\n", {}) + "\n"
+    return _encode(report, "\n") + "\n"
 
 
 def write_csv(path, rows):

@@ -141,20 +141,18 @@ class ValidationReport:
         return all(item.valid for item in self.items)
 
     def to_json(self) -> dict:
-        """The report body; each item's conjugator is its ``IntMatrix``
-        tuple itself, shared with the item (and with every item that asked
-        the same question, see `validate_semistable`), not a copy."""
+        """The report body: each distinct (valid, detail, conjugator)
+        answer once under "questions", in order of first appearance, and
+        each item as [element, index of its answer] under "items"."""
+        index: Dict[tuple, int] = {}
+        items = [[it.element, index.setdefault((it.valid, it.detail, it.conjugator),
+                                                len(index))]
+                 for it in self.items]
         return {
             "passed": self.valid,
-            "items": [
-                {
-                    "element": it.element,
-                    "valid": it.valid,
-                    "detail": it.detail,
-                    "conjugator": it.conjugator,
-                }
-                for it in self.items
-            ],
+            "questions": [{"valid": valid, "detail": detail, "conjugator": conj}
+                          for valid, detail, conj in index],
+            "items": items,
         }
 
 

@@ -81,7 +81,24 @@ def test_invalid_crossing_sequence():
 
 def test_cocycle_on_all_models():
     for kind in ("node", "edge", "positive", "negative"):
-        assert check_cocycle(build_local_model(kind))
+        assert check_cocycle(build_local_model(kind)) is None
+
+
+def test_cocycle_reads_a_piece_in_either_direction():
+    """The negative model with piece 13+ stored U3 -> U1 is the same
+    atlas; storing it so without inverting its transition is not one."""
+    base = build_local_model("negative")
+    shear = AffineMapZ(zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), (0, 0, 0))
+    base = recharted(base, {"U3": shear})
+    for t, failure in [(lambda p: zlat.invert(p.transition), None),
+                       (lambda p: p.transition,
+                        "atlas is not a cocycle on region 'Vplus': "
+                        "U1 -> U2 -> U3 is not U1 -> U3")]:
+        flipped = ChartedBase(
+            dim=3, charts=base.charts,
+            pieces=[OverlapPiece(p.id, p.chart_b, p.chart_a, p.region, t(p))
+                    if p.id == "13+" else p for p in base.pieces])
+        assert check_cocycle(flipped) == failure
 
 
 def test_contractible_triple_word_is_identity():
@@ -175,7 +192,7 @@ def test_holonomy_transforms_by_the_base_chart_change_only(kind):
         assert {name: holonomy(moved, w) for name, w in moved.loops.items()} == hol
         a0 = random_affine(rng, base.dim)
         moved = recharted(base, dict(changes, U1=a0))
-        assert check_cocycle(moved)
+        assert check_cocycle(moved) is None
         for name, w in moved.loops.items():
             assert holonomy(moved, w) == _conjugated_by_base_change(hol[name], a0.linear)
 
@@ -288,7 +305,9 @@ def test_node_reports_reject_a_handle():
         with pytest.raises(ValueError, match="no handle"):
             affine.check_simple_report("node", tau, None)
     for zero in ([0], [0, 0]):
-        text = report.canonical_json(affine.build_report("node", zero))
+        body = affine.build_report("node", zero)
+        assert body.pop("passed") is True
+        text = report.canonical_json(body)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ATLASES["node", None]
     assert affine.check_simple_report("node", [0], None)["passed"]
 

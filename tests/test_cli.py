@@ -543,10 +543,13 @@ def test_germs_integral_cli(tmp_path):
 
 
 def test_topo_validate_cli(tmp_path):
-    _, _, out = run(tmp_path, "graph", "quintic", name="q.json")
-    code, data, _ = run(tmp_path, "topo", "validate", "--input", str(out),
-                        "--strict")
-    assert code == 0 and data["passed"]
+    for dual in ([], ["--dual"]):
+        _, _, out = run(tmp_path, "graph", "quintic", *dual, name="q.json")
+        code, data, written = run(tmp_path, "topo", "validate", "--input", str(out),
+                                  "--strict")
+        assert code == 0 and data["passed"]
+        assert len(data["items"]) == 1650 and len(data["questions"]) == 19
+        assert written.stat().st_size < 100_000
 
 
 def test_topo_validate_rejects_a_graph_without_edges(tmp_path, capsys):
@@ -595,7 +598,7 @@ def test_sheared_second_chart_keeps_the_negative_vertex_simple(tmp_path):
     shear = zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     base = recharted(affine.build_local_model("negative"),
                      {"U2": zlat.AffineMapZ.from_linear(shear)})
-    assert affine.check_cocycle(base)
+    assert affine.check_cocycle(base) is None
     atlas = tmp_path / "sheared.json"
     atlas.write_text(json.dumps(affine.base_to_json(base)))
     code, data, _ = run(tmp_path, "base", "holonomy", "--input", str(atlas),
@@ -766,6 +769,52 @@ def test_json_bools_are_not_read_as_one_and_zero(tmp_path, capsys, argv, documen
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exact rationals, got True" in err or "exact rationals, got False" in err, err
+
+
+def _edit_piece(piece_id, **transition):
+    def edit(atlas):
+        piece = next(p for p in atlas["pieces"] if p["id"] == piece_id)
+        piece["transition"].update(transition)
+    return edit
+
+
+def _add_loop(*crossings):
+    return lambda atlas: atlas["loops"].update(
+        g4={"base_chart": "U1", "crossings": [list(c) for c in crossings]})
+
+
+@pytest.mark.parametrize("document, error", [
+    # no loop crosses 23-, so its holonomy cannot catch the edit
+    (_atlas_with("negative", _edit_piece("23-", linear=[[1, 0, 0], [0, 1, 0], [2, 0, 1]])),
+     "atlas is not a cocycle on region 'Vminus': U1 -> U2 -> U3 is not U1 -> U3"),
+    # holonomy reads linear parts only
+    (_atlas_with("negative", _edit_piece("12+", translation=["1", "0", "0"])),
+     "atlas is not a cocycle on region 'Vplus': U1 -> U2 -> U3 is not U1 -> U3"),
+    # no singular point reads g4
+    (_atlas_with("negative", _add_loop(("nope", "U1", "U2"), ("12-", "U2", "U1"))),
+     "loop 'g4': unknown overlap piece 'nope'"),
+    (_atlas_with("negative", _add_loop(("12+", "U1", "U3"), ("13+", "U3", "U1"))),
+     "loop 'g4': crossing Crossing(piece='12+', frm='U1', to='U3') does not match "
+     "piece 12+ (U1 <-> U2)"),
+], ids=["linear part", "translation", "unknown piece", "other charts"])
+@pytest.mark.parametrize("leaf", [["check-simple", "--strict"], ["holonomy", "--loop", "g1"]],
+                         ids=["check-simple", "holonomy"])
+def test_an_atlas_that_is_not_a_manifold_is_a_usage_error(tmp_path, capsys, document,
+                                                          error, leaf):
+    path = tmp_path / "atlas.json"
+    path.write_text(json.dumps(document))
+    code, data, _ = run(tmp_path, "base", *leaf, "--input", str(path))
+    assert code == 2 and data is None
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("kind", ["node", "edge", "positive", "negative"])
+def test_base_build_passes_on_the_cocycle_check(tmp_path, monkeypatch, kind):
+    code, data, _ = run(tmp_path, "base", "build", "--kind", kind, "--strict")
+    assert code == 0 and data["passed"] is True
+    monkeypatch.setattr(affine, "check_cocycle", lambda base: "not a cocycle")
+    code, data, _ = run(tmp_path, "base", "build", "--kind", kind, "--strict")
+    assert code == 1 and data["passed"] is False
 
 
 def test_graph_k3_has_no_thicken_option(tmp_path, capsys):

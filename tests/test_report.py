@@ -81,21 +81,11 @@ def test_canonical_json_is_the_json_dumps_text(doc):
 EQUAL_KEYS = [1, True, 1.0, "1"]
 
 
-@st.composite
-def repeated_shapes(draw):
-    """Sibling dicts that repeat one key set, each in an insertion order of
-    its own, at two indents, and next to them one-key dicts whose keys are
-    ``EQUAL_KEYS`` in some order."""
-    names = draw(st.lists(keys, min_size=1, max_size=4, unique_by=str))
-    shaped = [{names[k]: draw(documents) for k in draw(st.permutations(range(len(names))))}
-              for _ in range(draw(st.integers(2, 5)))]
-    equal = [{k: draw(documents)} for k in draw(st.permutations(EQUAL_KEYS))]
-    return [shaped, {"shaped": shaped, "equal": equal}, equal]
-
-
-@settings(deadline=None, max_examples=100)
-@given(repeated_shapes())
-def test_repeated_dict_shapes_give_the_json_dumps_text(doc):
+def test_equal_keys_print_as_json_dumps_prints_them():
+    """One-key dicts whose keys are ``EQUAL_KEYS``, at two indents, and a
+    dict that holds them all (so 1, True and 1.0 are one key there)."""
+    equal = [{k: [k]} for k in EQUAL_KEYS]
+    doc = [equal, {"equal": equal, "all": dict.fromkeys(EQUAL_KEYS, 0)}]
     assert report.canonical_json(doc) == reference_json(doc)
 
 
@@ -112,9 +102,12 @@ def test_validation_report_hands_over_the_shared_conjugators():
     boundary = polybase.LatticeSimplexBoundary(4)
     g = polybase.classify_signs(polybase.build_quintic_graph(boundary), boundary)
     rep = topo.validate_semistable(g, topo.canonical_assignment(g))
-    items = rep.to_json()["items"]
+    body = rep.to_json()
+    questions, items = body["questions"], body["items"]
+    assert len(items) == len(rep.items)
     assert all(it.conjugator is not None for it in rep.items)
-    assert all(d["conjugator"] is it.conjugator for d, it in zip(items, rep.items))
+    assert all(element == it.element and questions[q]["conjugator"] is it.conjugator
+               for (element, q), it in zip(items, rep.items))
 
 
 def assert_plain(value, expected):

@@ -305,14 +305,26 @@ PINNED = {
         "2ba4ed27ca5c2b1a8a358a3eaafd02f036a7bcce28ce18e83d4186ec9eb11239",
         "e84fb6257dede0c45493bafb3e57fecdfad2d70e2a1957cbafd46037fb66395a"),
 }
+# dual -> SHA-256 of the quintic's validation body, and of that body
+# expanded to one {element, valid, detail, conjugator} dict per item (the
+# per-item format the body had before it named each distinct answer once)
 PINNED_VALIDATION = {
-    False: "5a6f1154c385868aaee95536c6a8dbbd859b3358d5f1cc7b7b066dbbd46c2ba6",
-    True: "40229d3ea9dfd8069aa6d6d50cfd7d113d7eb675ff2f22469ebb78138a5f7c0b",
+    False: ("9f265be12a6a997d31b5f4d6f4a03aea453b6d5fc71b9eea61b5a19691d2c189",
+            "5a6f1154c385868aaee95536c6a8dbbd859b3358d5f1cc7b7b066dbbd46c2ba6"),
+    True: ("ee6c18a8ffc33622906eb97f2bda4cd3fbb8acaeacec498b06eac0f75a7fe5a6",
+           "40229d3ea9dfd8069aa6d6d50cfd7d113d7eb675ff2f22469ebb78138a5f7c0b"),
 }
 
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def expanded(body):
+    """A validation body with each item written out in full."""
+    return {"passed": body["passed"],
+            "items": [dict(body["questions"][q], element=element)
+                      for element, q in body["items"]]}
 
 
 def test_graph_and_validation_reports_keep_their_pinned_bytes():
@@ -324,8 +336,33 @@ def test_graph_and_validation_reports_keep_their_pinned_bytes():
             body_sha, dot_sha), (which, dual, thicken)
         bodies[which, dual, thicken] = body
     for dual, want in PINNED_VALIDATION.items():
-        got = report.canonical_json(topo.validate_report(bodies["quintic", dual, None]))
-        assert sha256(got) == want, dual
+        body = topo.validate_report(bodies["quintic", dual, None])
+        text = report.canonical_json(body)
+        assert (sha256(text), sha256(report.canonical_json(expanded(body)))) == want, dual
+        assert len(text) < 100_000 and len(body["items"]) == 1650
+        keys = [(q["valid"], q["detail"], q["conjugator"]) for q in body["questions"]]
+        assert len(set(keys)) == len(keys) == 19
+
+
+def test_a_failing_edge_stays_visible_in_the_grouped_report():
+    """The quintic's canonical assignment with one edge matrix set to the
+    identity: exactly the items that name that edge point to an answer
+    that fails, and every item reads back as the item it came from."""
+    g = quintic_graph()
+    a = topo.canonical_assignment(g)
+    j = 7
+    edges = list(a.edge_matrices)
+    edges[j] = zlat.identity(3)
+    rep = topo.validate_semistable(g, topo.MonodromyAssignment(tuple(edges),
+                                                                a.vertex_triples))
+    body = rep.to_json()
+    assert body["passed"] is False
+    failing = [element for element, q in body["items"]
+               if not body["questions"][q]["valid"]]
+    names_j = [it.element for it in rep.items
+               if it.element.split()[-2:] == ["edge", str(j)]]
+    assert failing == names_j and len(names_j) == 3
+    assert expanded(body)["items"] == [dataclasses.asdict(it) for it in rep.items]
 
 
 def test_a_quintic_graph_missing_an_edge_fails(monkeypatch):
