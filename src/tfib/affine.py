@@ -179,20 +179,33 @@ def holonomy(base: ChartedBase, loop: LoopWord) -> IntMatrix:
 def check_cocycle(base: ChartedBase) -> Optional[str]:
     """The first failure of the exact cocycle condition, or None.
 
-    On a region shared by three distinct charts a, b, c, the transition
-    a -> c must be a -> b followed by b -> c.  One order of each triple is
+    Two pieces on one region between the same two charts must agree: two
+    a -> b pieces are equal, and a b -> a piece is the inverse.  On a
+    region shared by three distinct charts a, b, c, the transition a -> c
+    must be a -> b followed by b -> c.  One order of each triple is
     composed, as the others follow from it by inverses; a piece composed
     with its own inverse holds by construction.
     """
-    by_region: Dict[str, Dict[Tuple[str, str], AffineMapZ]] = {}
+    by_region: Dict[str, Dict[Tuple[str, str], OverlapPiece]] = {}
     for p in base.pieces:
-        if p.chart_a != p.chart_b:
-            by_region.setdefault(p.region, {})[p.chart_a, p.chart_b] = p.transition
+        if p.chart_a == p.chart_b:
+            continue
+        stored = by_region.setdefault(p.region, {})
+        if (p.chart_a, p.chart_b) in stored:
+            first, same = stored[p.chart_a, p.chart_b], p.transition
+        elif (p.chart_b, p.chart_a) in stored:
+            first, same = stored[p.chart_b, p.chart_a], zlat.invert(p.transition)
+        else:
+            stored[p.chart_a, p.chart_b] = p
+            continue
+        if first.transition != same:
+            return (f"atlas is not a cocycle on region {p.region!r}: pieces "
+                    f"{first.id} and {p.id} glue the same charts differently")
     for region, stored in by_region.items():
         def transition(a, b):
             if (a, b) in stored:
-                return stored[a, b]
-            return zlat.invert(stored[b, a]) if (b, a) in stored else None
+                return stored[a, b].transition
+            return zlat.invert(stored[b, a].transition) if (b, a) in stored else None
 
         charts = sorted({c for pair in stored for c in pair})
         for i, a in enumerate(charts):
@@ -343,9 +356,10 @@ def check_simple(base: ChartedBase) -> SimplicityReport:
     n = 2: the punctured-neighborhood holonomy must be GL(2,Z)-conjugate
     to the node generator.  n = 3: an edge generator must be conjugate to
     the generic 3x3 generator; a vertex loop triple must be simultaneously
-    conjugate to the negative triple or to its inverse transposes, in the
-    given or the orientation-reversed order.  Conjugators are searched
-    within ``zlat.SEARCH_BOUND``.
+    conjugate to the standard triple of its sign (`zlat.vertex_sign`: the
+    negative triple or its inverse transposes), in the given or the
+    orientation-reversed order.  Conjugators are searched within
+    ``zlat.SEARCH_BOUND``.
     """
     if not base.singular_points:
         raise ValueError("base carries no discriminant point records")
@@ -357,19 +371,19 @@ def check_simple(base: ChartedBase) -> SimplicityReport:
 
 
 def _classify_point(point_id: str, dim: int, mats) -> PointVerdict:
-    if dim == 2:
-        models = ("node",)
+    # the one model the holonomy can match: one 2x2 matrix is a node, one
+    # 3x3 matrix an edge, and a 3x3 triple the vertex of its sign
+    shape = (dim, len(mats))
+    if shape == (3, 3):
+        model = zlat.vertex_sign(mats)
     else:
-        models = ("edge",) if len(mats) == 1 else ("negative", "positive")
-    for model in models:
-        model_mats = zlat.STANDARD[model]
+        model = {(2, 1): "node", (3, 1): "edge"}.get(shape)
+    if model is not None:
         for candidate, tag in (
             (mats, ""),
             (list(_reversed_triple(mats)), " (orientation reversed)"),
         ):
-            if len(candidate) != len(model_mats):
-                continue
-            conj = zlat.simultaneous_conjugator(candidate, model_mats)
+            conj = zlat.simultaneous_conjugator(candidate, zlat.STANDARD[model])
             if conj is not None:
                 return PointVerdict(point_id, True, model, conj,
                                     detail=f"matched {model}{tag}")

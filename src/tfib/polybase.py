@@ -4,7 +4,10 @@ Builds the two compact examples: 24 nodes on the boundary of the scaled
 3-simplex (K3 base) and the 300-vertex trivalent graph on the boundary of
 the scaled 4-simplex (quintic base), plus sign classification, the
 combinatorial Legendre sign swap, and localized thickening of negative
-vertices.  All positions are exact rationals; no floating point here.
+vertices.  A thickening record is a vertex and its amoeba radius: the
+centre, legs and plane of its amoeba are the vertex's position, the
+directions to its neighbours and its 2-face, all read off the graph.  All
+positions are exact rationals; no floating point here.
 Positions are tuples of Fractions (`Point`) at the API and in JSON; inside,
 the geometry runs on integer lattice coordinates over one common
 denominator (a point p is the pair (key, den) with p = key / den), and
@@ -138,11 +141,7 @@ class GraphEdge:
 @dataclass(frozen=True)
 class Thickening:
     vertex: int
-    center: Point
-    leg_directions: Tuple[Point, ...]
     radius: Fraction
-    disc_radius: Fraction
-    plane_face: FrozenSet[int]
 
 
 @dataclass(frozen=True)
@@ -302,16 +301,18 @@ def legendre_dual(graph: DiscriminantGraph) -> DiscriminantGraph:
 def localized_thickening(
     graph: DiscriminantGraph, amoeba_radius
 ) -> DiscriminantGraph:
-    """Replace each negative vertex by a three-legged thin-leg amoeba record.
+    """Record a three-legged thin-leg amoeba of the exact radius
+    ``amoeba_radius`` at each negative vertex.
 
     The amoeba region and the disc containing its codimension-1 part live
-    in the vertex's 2-face (the plane {x1=0} of the negative local model).
-    Legs stay attached to the incident graph edges.  A radius reaching
-    another vertex is reported as an error, not clipped.
+    in the vertex's 2-face (the plane {x1=0} of the negative local model),
+    centred at the vertex, with legs along its incident graph edges; so a
+    record holds only the vertex and the radius.  A radius reaching a
+    neighbouring vertex is reported as an error, not clipped.
 
-    The legs and the reach test run on the positions scaled by the lcm
-    ``den`` of all their denominators, where a leg is an integer tuple x
-    and it reaches when |x|^2 rd^2 <= (rn den)^2 for radius = rn / rd.
+    The reach test runs on the positions scaled by the lcm ``den`` of all
+    their denominators, where a leg is an integer tuple x and it reaches
+    when |x|^2 rd^2 <= (rn den)^2 for radius = rn / rd.
     """
     radius = Fraction(amoeba_radius)
     if radius <= 0:
@@ -327,7 +328,6 @@ def localized_thickening(
     for i, v in enumerate(graph.vertices):
         if v.sign != "negative":
             continue
-        legs = []
         for e in (graph.edges[k] for k in graph.incidence[i]):
             j = e.b if e.a == i else e.a
             leg = tuple(map(sub, keys[j], keys[i]))
@@ -335,18 +335,7 @@ def localized_thickening(
                 raise ValueError(
                     f"amoeba radius {radius} reaches vertex {j} from vertex {i}"
                 )
-            legs.append((j, tuple(Fraction(x, den) for x in leg)))
-        legs.sort(key=lambda jl: jl[0])
-        records.append(
-            Thickening(
-                vertex=i,
-                center=v.position,
-                leg_directions=tuple(leg for _, leg in legs),
-                radius=radius,
-                disc_radius=radius,
-                plane_face=v.face,
-            )
-        )
+        records.append(Thickening(i, radius))
     return DiscriminantGraph(graph.vertices, graph.edges, tuple(records))
 
 
@@ -354,15 +343,11 @@ def localized_thickening(
 # serialization
 # ----------------------------------------------------------------------
 
-def _point_json(p: Point) -> list:
-    return [str(c) for c in p]
-
-
 def graph_to_json(graph: DiscriminantGraph) -> dict:
     return {
         "vertices": [
             {
-                "position": _point_json(v.position),
+                "position": [str(c) for c in v.position],
                 "sign": v.sign,
                 "valence": v.valence,
                 "face": sorted(v.face),
@@ -370,17 +355,8 @@ def graph_to_json(graph: DiscriminantGraph) -> dict:
             for v in graph.vertices
         ],
         "edges": [{"a": e.a, "b": e.b, "face": sorted(e.face)} for e in graph.edges],
-        "thickening": [
-            {
-                "vertex": t.vertex,
-                "center": _point_json(t.center),
-                "legs": [_point_json(d) for d in t.leg_directions],
-                "radius": str(t.radius),
-                "disc_radius": str(t.disc_radius),
-                "plane_face": sorted(t.plane_face),
-            }
-            for t in graph.thickening
-        ],
+        "thickening": [{"vertex": t.vertex, "radius": str(t.radius)}
+                       for t in graph.thickening],
     }
 
 
@@ -403,7 +379,10 @@ def _face(x) -> FrozenSet[int]:
 def graph_from_json(data) -> DiscriminantGraph:
     """Inverse of ``graph_to_json``; a document of another shape raises
     ValueError.  Each distinct coordinate string is read once, by
-    `zlat.rational`."""
+    `zlat.rational`.  Keys the graph does not need are ignored, so a
+    thickening record that also carries the copies of graph data older
+    documents wrote (its centre, legs, disc radius and plane) reads to the
+    same graph."""
     json_object(data, ("vertices", "edges"), "a graph document")
     parsed: Dict[str, Fraction] = {}
 
@@ -432,16 +411,9 @@ def graph_from_json(data) -> DiscriminantGraph:
         for e in json_array(data["edges"], "graph edges", ("a", "b"))
     )
     thick = tuple(
-        Thickening(
-            _index(t["vertex"], n, "a thickened vertex"),
-            point(t["center"]),
-            tuple(map(point, json_array(t["legs"], "thickening legs"))),
-            coordinate(t["radius"]),
-            coordinate(t["disc_radius"]),
-            _face(t.get("plane_face", [])),
-        )
+        Thickening(_index(t["vertex"], n, "a thickened vertex"), coordinate(t["radius"]))
         for t in json_array(data.get("thickening", []), "graph thickening",
-                            ("vertex", "center", "legs", "radius", "disc_radius"))
+                            ("vertex", "radius"))
     )
     return DiscriminantGraph(tuple(vertices), edges, thick)
 

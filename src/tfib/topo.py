@@ -73,12 +73,11 @@ def sign_from_triple(triple: Sequence[IntMatrix]) -> str:
             raise ValueError("triple member is not unipotent")
         if zlat.rank(zlat.mat_sub(m, zlat.identity(n))) != 1:
             raise ValueError("degenerate triple: rank(T - I) != 1")
-    d = zlat.fixed_space_dimension(list(triple))
-    if d == 1:
-        return "negative"
-    if d == 2:
-        return "positive"
-    raise ValueError(f"unexpected common fixed-space dimension {d}")
+    sign = zlat.vertex_sign(triple)
+    if sign is None:
+        raise ValueError("unexpected common fixed-space dimension "
+                         f"{zlat.fixed_space_dimension(triple)}")
+    return sign
 
 
 # ----------------------------------------------------------------------

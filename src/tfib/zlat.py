@@ -6,7 +6,8 @@ rational translation.  Everything is immutable and safe to share.
 
 `mat` reads every integer matrix and `rational` every exact rational (a
 float or a bool is rejected, not rounded or read as 1 and 0); `STANDARD`
-names the standard generators of the four local models.
+names the standard generators of the four local models, and
+`vertex_sign` the sign of a vertex triple.
 
 Also home to the exact conjugacy machinery used by the simplicity checker
 and the semi-stable validation.  Conclusive prefilters run first: the
@@ -224,11 +225,6 @@ class AffineMapZ:
     def __call__(self, point):
         moved = mat_vec(self.linear, tuple(point))
         return tuple(a + b for a, b in zip(moved, self.translation))
-
-    def is_identity(self) -> bool:
-        return self.linear == identity(self.dim) and all(
-            v == 0 for v in self.translation
-        )
 
 
 def compose(a: AffineMapZ, b: AffineMapZ) -> AffineMapZ:
@@ -548,7 +544,13 @@ POSITIVE_TRIPLE: Tuple[IntMatrix, IntMatrix, IntMatrix] = tuple(
     inverse_transpose(t) for t in NEGATIVE_TRIPLE
 )
 
-#: local model -> its standard generators; a vertex triple is matched to
-#: the negative one first
+#: local model -> its standard generators
 STANDARD = {"node": (T_NODE,), "edge": (T_GENERIC,),
             "negative": NEGATIVE_TRIPLE, "positive": POSITIVE_TRIPLE}
+
+
+def vertex_sign(triple: Sequence[IntMatrix]) -> Optional[str]:
+    """The sign of a vertex triple from its common fixed-space dimension:
+    1 is "negative" and 2 is "positive", like the standard triples; any
+    other dimension is None, the triple of no local model."""
+    return {1: "negative", 2: "positive"}.get(fixed_space_dimension(triple))

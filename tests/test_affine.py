@@ -30,7 +30,7 @@ def test_node_atlas_shape():
     base = build_local_model("node")
     assert [c.id for c in base.charts] == ["U1", "U2"]
     by_region = {p.region: p.transition for p in base.pieces}
-    assert by_region["Hplus"].is_identity()
+    assert by_region["Hplus"] == AffineMapZ.identity(2)
     assert by_region["Hminus"].linear == zlat.inverse_transpose(zlat.T_NODE)
 
 
@@ -99,6 +99,28 @@ def test_cocycle_reads_a_piece_in_either_direction():
             pieces=[OverlapPiece(p.id, p.chart_b, p.chart_a, p.region, t(p))
                     if p.id == "13+" else p for p in base.pieces])
         assert check_cocycle(flipped) == failure
+
+
+def test_cocycle_compares_two_pieces_between_the_same_charts():
+    """A second piece on region Vplus between U1 and U2 must be 12+ again
+    (stored U1 -> U2) or its inverse (stored U2 -> U1), wherever it sits
+    in the piece list; it is crossed by no loop and, placed first, no
+    chart triple reads it."""
+    base = build_local_model("negative")
+    twelve = base.piece("12+")
+    inverse = zlat.invert(twelve.transition)
+    failure = ("atlas is not a cocycle on region 'Vplus': pieces {} and {} "
+               "glue the same charts differently")
+    for a, b, t, ok in [("U1", "U2", twelve.transition, True), ("U2", "U1", inverse, True),
+                        ("U1", "U2", inverse, False), ("U2", "U1", twelve.transition, False),
+                        ("U1", "U2", AffineMapZ.identity(3), False)]:
+        extra = OverlapPiece("12+b", a, b, "Vplus", t)
+        for k in (0, len(base.pieces)):
+            pieces = list(base.pieces)
+            pieces.insert(k, extra)
+            first, second = ("12+b", "12+") if k == 0 else ("12+", "12+b")
+            got = check_cocycle(ChartedBase(dim=3, charts=base.charts, pieces=pieces))
+            assert got == (None if ok else failure.format(first, second)), (a, b, k)
 
 
 def test_contractible_triple_word_is_identity():
@@ -333,9 +355,8 @@ def test_cached_cotangent_matrices_match_the_transitions(kind, tau):
 
 def test_check_simple_searches_only_the_matching_sign(monkeypatch):
     """A positive model whose base chart U1 is re-charted by W has its
-    holonomy conjugated by W^t (H becomes W^{-t} H W^t); negative is tried
-    first, and the fixed-space prefilter turns both of its orders away
-    unsearched."""
+    holonomy conjugated by W^t (H becomes W^{-t} H W^t); its sign comes
+    from its fixed space, so only the positive triple is searched."""
     w = zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     base = recharted(build_local_model("positive"), {"U1": AffineMapZ.from_linear(w)})
     calls = []
@@ -350,3 +371,19 @@ def test_check_simple_searches_only_the_matching_sign(monkeypatch):
     (verdict,) = check_simple(base).verdicts
     assert verdict.matched_model == "positive" and verdict.conjugator != zlat.identity(3)
     assert calls == [verdict.conjugator]
+
+
+def test_check_simple_asks_no_question_of_the_other_sign(monkeypatch):
+    """The sign of a vertex triple is read off its fixed space, so on the
+    positive model no conjugacy question names the negative triple."""
+    asked = []
+    search = zlat.simultaneous_conjugator
+
+    def recorded(sources, targets, bound=zlat.SEARCH_BOUND):
+        asked.append(tuple(targets))
+        return search(sources, targets, bound)
+
+    monkeypatch.setattr(zlat, "simultaneous_conjugator", recorded)
+    (verdict,) = check_simple(build_local_model("positive")).verdicts
+    assert verdict.matched_model == "positive"
+    assert asked and zlat.NEGATIVE_TRIPLE not in asked

@@ -783,6 +783,17 @@ def _add_loop(*crossings):
         g4={"base_chart": "U1", "crossings": [list(c) for c in crossings]})
 
 
+def _insert_identity_12b(offset):
+    """A second U1 -> U2 piece on region Vplus, 12+b, the identity (12+
+    is not), inserted before (offset 0) or after (offset 1) piece 12+."""
+    def edit(atlas):
+        k = next(k for k, p in enumerate(atlas["pieces"]) if p["id"] == "12+")
+        atlas["pieces"].insert(k + offset, {
+            "id": "12+b", "chart_a": "U1", "chart_b": "U2", "region": "Vplus",
+            "transition": zlat.affine_to_json(zlat.AffineMapZ.identity(3))})
+    return edit
+
+
 @pytest.mark.parametrize("document, error", [
     # no loop crosses 23-, so its holonomy cannot catch the edit
     (_atlas_with("negative", _edit_piece("23-", linear=[[1, 0, 0], [0, 1, 0], [2, 0, 1]])),
@@ -796,7 +807,15 @@ def _add_loop(*crossings):
     (_atlas_with("negative", _add_loop(("12+", "U1", "U3"), ("13+", "U3", "U1"))),
      "loop 'g4': crossing Crossing(piece='12+', frm='U1', to='U3') does not match "
      "piece 12+ (U1 <-> U2)"),
-], ids=["linear part", "translation", "unknown piece", "other charts"])
+    # no loop crosses 12+b, and before 12+ no chart triple reads it either
+    (_atlas_with("negative", _insert_identity_12b(0)),
+     "atlas is not a cocycle on region 'Vplus': pieces 12+b and 12+ glue the same "
+     "charts differently"),
+    (_atlas_with("negative", _insert_identity_12b(1)),
+     "atlas is not a cocycle on region 'Vplus': pieces 12+ and 12+b glue the same "
+     "charts differently"),
+], ids=["linear part", "translation", "unknown piece", "other charts",
+        "duplicate piece before", "duplicate piece after"])
 @pytest.mark.parametrize("leaf", [["check-simple", "--strict"], ["holonomy", "--loop", "g1"]],
                          ids=["check-simple", "holonomy"])
 def test_an_atlas_that_is_not_a_manifold_is_a_usage_error(tmp_path, capsys, document,

@@ -302,9 +302,13 @@ PINNED = {
         "53fc8c006f18752a3aa9d7a17f604340078a28965a7b4084566f459d380f18f8",
         "687f1397c85ac4df24b581406ca9294f3e9c093c7f2c5aab2cabb84913e708a4"),
     ("quintic", False, Fraction(2, 25)): (
-        "2ba4ed27ca5c2b1a8a358a3eaafd02f036a7bcce28ce18e83d4186ec9eb11239",
+        "08950e7bbdf0f11dc7cd023064d08ea138198ea0c39b6fcc5b08dccd11b57c80",
         "e84fb6257dede0c45493bafb3e57fecdfad2d70e2a1957cbafd46037fb66395a"),
 }
+# SHA-256 of the body of the quintic thickened at radius 2/25 with each
+# thickening record expanded by `with_graph_copies` (the format before a
+# record held only its vertex and radius): the hash pinned in that format
+PINNED_WITH_COPIES = "2ba4ed27ca5c2b1a8a358a3eaafd02f036a7bcce28ce18e83d4186ec9eb11239"
 # dual -> SHA-256 of the quintic's validation body, and of that body
 # expanded to one {element, valid, detail, conjugator} dict per item (the
 # per-item format the body had before it named each distinct answer once)
@@ -318,6 +322,29 @@ PINNED_VALIDATION = {
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def with_graph_copies(document):
+    """A graph document with each thickening record in the six-field shape
+    it had before it held only its vertex and radius: ``center`` is the
+    vertex's position, ``legs`` its neighbours' positions minus that one,
+    in ascending neighbour order, ``disc_radius`` the radius again and
+    ``plane_face`` the vertex's face."""
+    vertices = document["vertices"]
+
+    def position(i):
+        return [Fraction(c) for c in vertices[i]["position"]]
+
+    records = []
+    for rec in document["thickening"]:
+        i = rec["vertex"]
+        ends = sorted(e["b"] if e["a"] == i else e["a"]
+                      for e in document["edges"] if i in (e["a"], e["b"]))
+        records.append(dict(rec, center=vertices[i]["position"],
+                            legs=[[str(q - p) for p, q in zip(position(i), position(j))]
+                                  for j in ends],
+                            disc_radius=rec["radius"], plane_face=vertices[i]["face"]))
+    return dict(document, thickening=records)
 
 
 def expanded(body):
@@ -342,6 +369,20 @@ def test_graph_and_validation_reports_keep_their_pinned_bytes():
         assert len(text) < 100_000 and len(body["items"]) == 1650
         keys = [(q["valid"], q["detail"], q["conjugator"]) for q in body["questions"]]
         assert len(set(keys)) == len(keys) == 19
+
+
+def test_the_thickened_quintic_holds_each_record_as_vertex_and_radius():
+    """Written out with the copies of graph data each record once carried,
+    the thickened quintic is the document it was (the hash pinned before
+    the copies went), and that document reads to the same graph."""
+    body, _ = topo.graph_report("quintic", False, Fraction(2, 25))
+    body.pop("passed")
+    text = report.canonical_json(body)
+    assert len(text) < 140_000 and body["thickened"] == 250
+    assert all(rec.keys() == {"vertex", "radius"} for rec in body["graph"]["thickening"])
+    older = dict(body, graph=with_graph_copies(body["graph"]))
+    assert sha256(report.canonical_json(older)) == PINNED_WITH_COPIES
+    assert pb.graph_from_json(older["graph"]) == pb.graph_from_json(body["graph"])
 
 
 def test_a_failing_edge_stays_visible_in_the_grouped_report():
