@@ -4,10 +4,11 @@ Builds the two compact examples: 24 nodes on the boundary of the scaled
 3-simplex (K3 base) and the 300-vertex trivalent graph on the boundary of
 the scaled 4-simplex (quintic base), plus sign classification, the
 combinatorial Legendre sign swap, and localized thickening of negative
-vertices.  A thickening record is a vertex and its amoeba radius: the
-centre, legs and plane of its amoeba are the vertex's position, the
-directions to its neighbours and its 2-face, all read off the graph.  All
-positions are exact rationals; no floating point here.
+vertices.  A graph holds each fact once: a vertex is its position, sign
+and valence, an edge its two ends, and a thickening record a vertex and
+its amoeba radius.  Faces (`minimal_face` of a position) and the centre,
+legs and plane of an amoeba are read off the graph.  All positions are
+exact rationals; no floating point here.
 Positions are tuples of Fractions (`Point`) at the API and in JSON; inside,
 the geometry runs on integer lattice coordinates over one common
 denominator (a point p is the pair (key, den) with p = key / den), and
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul, sub
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .zlat import json_array, json_object, rational
 
@@ -74,25 +75,18 @@ class LatticeSimplexBoundary:
         return [frozenset(c) for c in combinations(range(self.dimension + 1), k + 1)]
 
     def minimal_face(self, p: Point) -> FrozenSet[int]:
-        """Smallest face containing p: `lattice_face` of p written over the
-        lcm of its denominators."""
-        den = lcm(*[c.denominator for c in p])
-        return self.lattice_face([c.numerator * (den // c.denominator) for c in p], den)
-
-    def lattice_face(self, key: Sequence[int], den: int) -> FrozenSet[int]:
-        """Smallest face containing the point key / den (integer ``key``,
-        ``den`` > 0): the indices with positive barycentric.
+        """Smallest face containing p: the indices with positive barycentric.
 
         For this family the barycentrics are t_{j+1} = (p_j + 1) / scale
-        and t_0 = 1 - sum, so their signs are those of key_j + den and of
-        scale * den - sum(key_j + den).  A point outside raises ValueError
-        naming key / den in Fractions.
+        and t_0 = 1 - sum, so their signs are those of the integers
+        den * (p_j + 1) and scale * den - sum(den * (p_j + 1)), ``den`` the
+        lcm of p's denominators.  A point outside raises ValueError.
         """
-        signs = [k + den for k in key]
+        den = lcm(*[c.denominator for c in p])
+        signs = [c.numerator * (den // c.denominator) + den for c in p]
         signs.insert(0, self.scale * den - sum(signs))
         if min(signs) < 0:
-            point = tuple(Fraction(k, den) for k in key)
-            raise ValueError(f"point {point} lies outside the simplex")
+            raise ValueError(f"point {tuple(map(Fraction, p))} lies outside the simplex")
         return frozenset([i for i, b in enumerate(signs) if b > 0])
 
 
@@ -126,16 +120,14 @@ def integral_points(boundary: LatticeSimplexBoundary, face: FrozenSet[int]) -> L
 @dataclass(frozen=True)
 class GraphVertex:
     position: Point
-    sign: str  # "positive" | "negative" | "none"
+    sign: str  # "positive" | "negative" | "none" | "unsigned"
     valence: int
-    face: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
 class GraphEdge:
     a: int
     b: int
-    face: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -189,7 +181,7 @@ def build_k3_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
         pts = sorted(integral_points(boundary, edge))
         for a, b in zip(pts, pts[1:]):
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
-            vertices.append(GraphVertex(mid, "none", 0, edge))
+            vertices.append(GraphVertex(mid, "none", 0))
     return DiscriminantGraph(tuple(vertices), ())
 
 
@@ -204,8 +196,7 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
 
     Points are computed as integer tuples scaled by D = 6 * scale (lattice
     points have denominator scale, barycenters 3 * scale, side midpoints
-    2 * scale), and a side midpoint's face is read off those integers by
-    `lattice_face`.  A vertex's Fraction position is made once, when it is
+    2 * scale).  A vertex's Fraction position is made once, when it is
     interned.  Scaling by D > 0 keeps the order of points, so the edges
     come out in the order of the exact positions.
     """
@@ -215,17 +206,15 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
     D = 6 * s
     verts = [tuple(int(c * D) for c in v) for v in boundary.vertices]
     vertex_index: Dict[Tuple[int, ...], int] = {}
-    points: List[Tuple[Point, FrozenSet[int]]] = []
+    points: List[Point] = []
     edges: List[GraphEdge] = []
 
-    def intern(key: Tuple[int, ...], face) -> int:
-        """Index of the vertex at ``key`` / D; ``face`` None means its
-        minimal face."""
+    def intern(key: Tuple[int, ...]) -> int:
+        """Index of the vertex at ``key`` / D."""
         i = vertex_index.get(key)
         if i is None:
             i = vertex_index[key] = len(points)
-            pos = tuple(Fraction(c, D) for c in key)
-            points.append((pos, boundary.lattice_face(key, D) if face is None else face))
+            points.append(tuple(Fraction(c, D) for c in key))
         return i
 
     for face in boundary.faces(2):
@@ -246,24 +235,29 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
 
         side_hits: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
         for tri in triangles:
-            ti = intern(tuple(sum(c) // 3 for c in zip(*tri)), face)
+            ti = intern(tuple(sum(c) // 3 for c in zip(*tri)))
             for a, b in ((0, 1), (0, 2), (1, 2)):
                 side = (tri[a], tri[b]) if tri[a] < tri[b] else (tri[b], tri[a])
                 side_hits.setdefault(side, []).append(ti)
         for (pa, pb), hits in sorted(side_hits.items()):
             if len(hits) == 2:
-                edges.append(GraphEdge(hits[0], hits[1], face))
+                edges.append(GraphEdge(hits[0], hits[1]))
             else:
-                mi = intern(tuple((x + y) // 2 for x, y in zip(pa, pb)), None)
-                edges.append(GraphEdge(hits[0], mi, face))
+                mi = intern(tuple((x + y) // 2 for x, y in zip(pa, pb)))
+                edges.append(GraphEdge(hits[0], mi))
 
-    degrees = [0] * len(points)
-    for e in edges:
-        degrees[e.a] += 1
-        degrees[e.b] += 1
-    final = tuple(GraphVertex(pos, "unsigned", degrees[i], face)
-                  for i, (pos, face) in enumerate(points))
+    final = tuple(GraphVertex(pos, "unsigned", d)
+                  for pos, d in zip(points, _edge_ends(len(points), edges)))
     return DiscriminantGraph(final, tuple(edges))
+
+
+def _edge_ends(n: int, edges) -> List[int]:
+    """Per vertex of n, its valence: its number of edge ends (a loop has two)."""
+    ends = [0] * n
+    for e in edges:
+        ends[e.a] += 1
+        ends[e.b] += 1
+    return ends
 
 
 def classify_signs(
@@ -290,12 +284,15 @@ def classify_signs(
 
 
 def legendre_dual(graph: DiscriminantGraph) -> DiscriminantGraph:
-    """Same graph with positive and negative vertex signs exchanged."""
+    """Same graph with positive and negative vertex signs exchanged; a
+    thickened graph raises ValueError (dualize first, then thicken)."""
     swap = {"positive": "negative", "negative": "positive", "none": "none"}
     if any(v.sign == "unsigned" for v in graph.vertices):
         raise ValueError("legendre_dual requires a signed graph")
+    if graph.thickening:
+        raise ValueError("legendre_dual of a thickened graph; dualize before thickening")
     out = tuple(replace(v, sign=swap[v.sign]) for v in graph.vertices)
-    return DiscriminantGraph(out, graph.edges, graph.thickening)
+    return DiscriminantGraph(out, graph.edges)
 
 
 def localized_thickening(
@@ -350,11 +347,10 @@ def graph_to_json(graph: DiscriminantGraph) -> dict:
                 "position": [str(c) for c in v.position],
                 "sign": v.sign,
                 "valence": v.valence,
-                "face": sorted(v.face),
             }
             for v in graph.vertices
         ],
-        "edges": [{"a": e.a, "b": e.b, "face": sorted(e.face)} for e in graph.edges],
+        "edges": [{"a": e.a, "b": e.b} for e in graph.edges],
         "thickening": [{"vertex": t.vertex, "radius": str(t.radius)}
                        for t in graph.thickening],
     }
@@ -370,19 +366,15 @@ def _index(x, n: int, what: str) -> int:
     return x
 
 
-def _face(x) -> FrozenSet[int]:
-    if not isinstance(x, list) or not all(type(i) is int for i in x):
-        raise ValueError(f"a face must be an array of vertex ids, got {x!r}")
-    return frozenset(x)
-
-
 def graph_from_json(data) -> DiscriminantGraph:
     """Inverse of ``graph_to_json``; a document of another shape raises
     ValueError.  Each distinct coordinate string is read once, by
-    `zlat.rational`.  Keys the graph does not need are ignored, so a
-    thickening record that also carries the copies of graph data older
-    documents wrote (its centre, legs, disc radius and plane) reads to the
-    same graph."""
+    `zlat.rational`.  Keys the graph does not need, such as the copies of
+    graph data older documents wrote (faces, and a thickening record's
+    centre, legs, disc radius and plane), are ignored.  A valence that is
+    not the vertex's number of edge ends, or thickening records that are
+    not what `localized_thickening` writes at their radius, raise
+    ValueError."""
     json_object(data, ("vertices", "edges"), "a graph document")
     parsed: Dict[str, Fraction] = {}
 
@@ -402,12 +394,10 @@ def graph_from_json(data) -> DiscriminantGraph:
         if v["sign"] not in _SIGNS or type(v["valence"]) is not int:
             raise ValueError(f"a vertex needs a sign in {_SIGNS} and an integer "
                              f"valence, got {v['sign']!r} and {v['valence']!r}")
-        vertices.append(GraphVertex(point(v["position"]), v["sign"], v["valence"],
-                                    _face(v.get("face", []))))
+        vertices.append(GraphVertex(point(v["position"]), v["sign"], v["valence"]))
     n = len(vertices)
     edges = tuple(
-        GraphEdge(_index(e["a"], n, "an edge end"), _index(e["b"], n, "an edge end"),
-                  _face(e.get("face", [])))
+        GraphEdge(_index(e["a"], n, "an edge end"), _index(e["b"], n, "an edge end"))
         for e in json_array(data["edges"], "graph edges", ("a", "b"))
     )
     thick = tuple(
@@ -415,7 +405,14 @@ def graph_from_json(data) -> DiscriminantGraph:
         for t in json_array(data.get("thickening", []), "graph thickening",
                             ("vertex", "radius"))
     )
-    return DiscriminantGraph(tuple(vertices), edges, thick)
+    for i, (v, k) in enumerate(zip(vertices, _edge_ends(n, edges))):
+        if v.valence != k:
+            raise ValueError(f"vertex {i} has valence {v.valence} but {k} edge ends")
+    graph = DiscriminantGraph(tuple(vertices), edges, thick)
+    if thick and localized_thickening(graph, thick[0].radius).thickening != thick:
+        raise ValueError("the thickening records are not those localized_thickening "
+                         f"writes at radius {thick[0].radius}")
+    return graph
 
 
 def graph_to_dot(graph: DiscriminantGraph) -> str:

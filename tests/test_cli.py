@@ -577,6 +577,55 @@ def test_topo_rejects_unsigned_trivalent_vertices(tmp_path, capsys, leaf):
         "error: unsigned trivalent vertices present; classify signs first\n")
 
 
+def _first(doc, sign):
+    return next(i for i, v in enumerate(doc["vertices"]) if v["sign"] == sign)
+
+
+def _k3_with_two_edges(doc):
+    doc["edges"] += [{"a": 0, "b": 1}, {"a": 1, "b": 2}]
+    return "vertex 0 has valence 0 but 1 edge ends"
+
+
+def _negative_vertex_of_valence_2(doc):
+    i = _first(doc, "negative")
+    doc["vertices"][i]["valence"] = 2
+    return f"vertex {i} has valence 2 but 3 edge ends"
+
+
+def _records_on_a_positive_vertex(radii, error):
+    def edit(doc):
+        doc["thickening"] = [{"vertex": _first(doc, "positive"), "radius": r}
+                             for r in radii]
+        return error
+    return edit
+
+
+@pytest.mark.parametrize("leaf", ["euler", "validate"])
+@pytest.mark.parametrize("graph, edit", [
+    (["k3"], _k3_with_two_edges),
+    (["quintic"], _negative_vertex_of_valence_2),
+    (["quintic"], _records_on_a_positive_vertex(
+        ["-7", "100"], "amoeba radius must be positive")),
+    (["quintic"], _records_on_a_positive_vertex(
+        ["100"], r"amoeba radius 100 reaches vertex \d+ from vertex \d+")),
+    (["quintic", "--thicken", "2/25"], _records_on_a_positive_vertex(
+        ["2/25"], "the thickening records are not those localized_thickening "
+                  "writes at radius 2/25")),
+])
+def test_topo_rejects_a_graph_document_that_contradicts_itself(tmp_path, capsys,
+                                                               leaf, graph, edit):
+    """A valence that is not the vertex's number of edge ends, or thickening
+    records that `localized_thickening` would not write, make every graph
+    leaf exit 2 with one line naming what is wrong."""
+    _, data, out = run(tmp_path, "graph", *graph, name="g.json")
+    want = edit(data["graph"])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, "topo", leaf, "--input", str(out), "--strict")
+    assert code == 2 and data is None
+    assert re.fullmatch(f"error: {want}\n", capsys.readouterr().err)
+
+
 def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     from test_affine import doctored_node_model
 

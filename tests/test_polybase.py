@@ -1,6 +1,5 @@
 """Polytope discriminant graphs: exact counts, signs, dual, thickening."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -70,7 +69,7 @@ def test_k3_node_positions_on_first_edge():
         frac_pt(Fraction(-1, 2), -1, -1), frac_pt(Fraction(1, 2), -1, -1),
         frac_pt(Fraction(3, 2), -1, -1), frac_pt(Fraction(5, 2), -1, -1),
     }
-    got = {v.position for v in g.vertices if v.face == frozenset({0, 1})}
+    got = {v.position for v in g.vertices if K3.minimal_face(v.position) == frozenset({0, 1})}
     assert got == expected
 
 
@@ -163,6 +162,15 @@ def test_legendre_dual_requires_signs():
         pb.legendre_dual(raw)
 
 
+def test_legendre_dual_rejects_a_thickened_graph():
+    """Its records would sit on positive vertices, which no thickening
+    writes and the reader rejects: the dual comes before the thickening."""
+    t = pb.localized_thickening(quintic_graph(), Fraction(1, 10))
+    with pytest.raises(ValueError, match="thickened"):
+        pb.legendre_dual(t)
+    assert pb.legendre_dual(pb.DiscriminantGraph(t.vertices, t.edges)).thickening == ()
+
+
 def test_thickening_counts_and_invariance():
     g = quintic_graph()
     t = pb.localized_thickening(g, Fraction(1, 10))
@@ -170,7 +178,8 @@ def test_thickening_counts_and_invariance():
     assert t.vertices == g.vertices and t.edges == g.edges
     # each amoeba has three legs and lies in a 2-face
     for rec in t.thickening:
-        assert len(g.incidence[rec.vertex]) == 3 and len(g.vertices[rec.vertex].face) == 3
+        assert len(g.incidence[rec.vertex]) == 3
+        assert len(QUINTIC.minimal_face(g.vertices[rec.vertex].position)) == 3
         assert rec.radius == Fraction(1, 10)
 
 
@@ -196,6 +205,44 @@ def test_graph_json_roundtrip():
     g = pb.localized_thickening(quintic_graph(), Fraction(1, 10))
     back = pb.graph_from_json(pb.graph_to_json(g))
     assert back == g
+
+
+def test_the_reader_counts_a_loop_as_two_edge_ends():
+    def document(valences, edges):
+        return {"vertices": [{"position": [str(k)], "sign": "none", "valence": n}
+                             for k, n in enumerate(valences)],
+                "edges": [{"a": a, "b": b} for a, b in edges]}
+
+    g = pb.graph_from_json(document([3, 1], [(0, 0), (0, 1)]))
+    assert [v.valence for v in g.vertices] == [3, 1] and g.incidence == ((0, 1), (1,))
+    for valences in ([2, 1], [3, 0], [1, 1]):
+        with pytest.raises(ValueError, match=r"^vertex \d has valence \d but \d edge ends$"):
+            pb.graph_from_json(document(valences, [(0, 0), (0, 1)]))
+
+
+def _positive_record(recs, g):
+    recs.insert(0, {"vertex": next(i for i, v in enumerate(g.vertices)
+                                   if v.sign == "positive"), "radius": "1/10"})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda recs, g: recs.pop(),
+    lambda recs, g: recs.append(dict(recs[0])),
+    lambda recs, g: recs.reverse(),
+    lambda recs, g: recs[3].update(radius="1/9"),
+    _positive_record,
+])
+def test_the_reader_rejects_records_no_thickening_writes(edit):
+    """Records missing, repeated, out of order, at two radii or on a
+    positive vertex; the document as written reads back."""
+    g = quintic_graph()
+    t = pb.localized_thickening(g, Fraction(1, 10))
+    doc = pb.graph_to_json(t)
+    assert pb.graph_from_json(doc) == t
+    edit(doc["thickening"], g)
+    with pytest.raises(ValueError, match="^the thickening records are not those "
+                                         "localized_thickening writes at radius 1/10$"):
+        pb.graph_from_json(doc)
 
 
 def test_graph_dot_export():
@@ -261,22 +308,18 @@ def _simplex_points(boundary):
 
 
 @given(st.sampled_from([K3, QUINTIC]).flatmap(
-    lambda b: st.tuples(st.just(b), _simplex_points(b), st.integers(1, 4))))
+    lambda b: st.tuples(st.just(b), _simplex_points(b))))
 @settings(max_examples=200, deadline=None)
 def test_integer_face_rule_matches_the_fraction_rule(case):
-    boundary, p, m = case
-    den = m * math.lcm(*(c.denominator for c in p))
-    key = [c.numerator * (den // c.denominator) for c in p]
+    boundary, p = case
     try:
         want = _fraction_minimal_face(boundary, p)
     except ValueError as err:
-        for face in (lambda: boundary.minimal_face(p), lambda: boundary.lattice_face(key, den)):
-            with pytest.raises(ValueError) as got:
-                face()
-            assert str(got.value) == str(err)
+        with pytest.raises(ValueError) as got:
+            boundary.minimal_face(p)
+        assert str(got.value) == str(err)
         return
     assert boundary.minimal_face(p) == want
-    assert boundary.lattice_face(key, den) == want
 
 
 def _fraction_thickening(graph, amoeba_radius):

@@ -120,6 +120,7 @@ def test_validate_canonical_on_quintic_sample():
     g = quintic_graph()
     # restrict to one negative vertex with stub endpoints to keep it fast
     i = next(k for k, v in enumerate(g.vertices) if v.sign == "negative")
+    assert len(QUINTIC.minimal_face(g.vertices[i].position)) == 3
     nbrs = [g.edges[j].b if g.edges[j].a == i else g.edges[j].a
             for j in g.incidence[i]]
     keep = [i] + nbrs
@@ -130,9 +131,9 @@ def test_validate_canonical_on_quintic_sample():
         if old == i:
             vertices.append(v)
         else:
-            vertices.append(pb.GraphVertex(v.position, "none", 1, v.face))
+            vertices.append(pb.GraphVertex(v.position, "none", 1))
     edges = tuple(
-        pb.GraphEdge(remap[e.a], remap[e.b], e.face)
+        pb.GraphEdge(remap[e.a], remap[e.b])
         for e in g.edges if e.a in remap and e.b in remap
         and i in (e.a, e.b)
     )
@@ -293,21 +294,35 @@ def test_validation_needs_a_graph_with_edges():
 # so the exact graph pipeline and the report writer keep every byte
 PINNED = {
     ("k3", False, None): (
-        "d278cae5988d5c2916a7b678471802bba8c964790dc15eb2d7d9718f58ec885b",
+        "b2a8dbe0c9eeae73055d98aa4ac1528185e9f8e0c828d8762d330ef2ac8f3f53",
         "e6bf5c0754fb7702579b69d1b1acc1a9e06ce987001bb2d0021aeb557cd355c0"),
     ("quintic", False, None): (
-        "b6ee71eaf2b4a641693e8cf2d481d5f6d2008284d67c87abecd123664913a7c4",
+        "b43739b709f097a422b9959fc4c7027ce1ad1594b41632880c1664f33e6603d4",
         "e84fb6257dede0c45493bafb3e57fecdfad2d70e2a1957cbafd46037fb66395a"),
     ("quintic", True, None): (
-        "53fc8c006f18752a3aa9d7a17f604340078a28965a7b4084566f459d380f18f8",
+        "a1ecd528eb3d4cc01e5c828a1a3e8f52b1967a4a5a1adeb26c2650314d3b21c0",
         "687f1397c85ac4df24b581406ca9294f3e9c093c7f2c5aab2cabb84913e708a4"),
     ("quintic", False, Fraction(2, 25)): (
-        "08950e7bbdf0f11dc7cd023064d08ea138198ea0c39b6fcc5b08dccd11b57c80",
+        "9ae4a2b2ffefcceddbaf571d30933626bef148097cbe88bc9d456b360777ffa1",
         "e84fb6257dede0c45493bafb3e57fecdfad2d70e2a1957cbafd46037fb66395a"),
 }
-# SHA-256 of the body of the quintic thickened at radius 2/25 with each
-# thickening record expanded by `with_graph_copies` (the format before a
-# record held only its vertex and radius): the hash pinned in that format
+# SHA-256 of each body of PINNED with its graph expanded by `with_faces`
+# (the format before faces were read off positions): the hashes pinned in
+# that format
+PINNED_WITH_FACES = {
+    ("k3", False, None):
+        "d278cae5988d5c2916a7b678471802bba8c964790dc15eb2d7d9718f58ec885b",
+    ("quintic", False, None):
+        "b6ee71eaf2b4a641693e8cf2d481d5f6d2008284d67c87abecd123664913a7c4",
+    ("quintic", True, None):
+        "53fc8c006f18752a3aa9d7a17f604340078a28965a7b4084566f459d380f18f8",
+    ("quintic", False, Fraction(2, 25)):
+        "08950e7bbdf0f11dc7cd023064d08ea138198ea0c39b6fcc5b08dccd11b57c80",
+}
+# SHA-256 of the body of the quintic thickened at radius 2/25 with its
+# graph expanded by `with_graph_copies` (the format before a record held
+# only its vertex and radius, and before faces went): the hash pinned in
+# that format
 PINNED_WITH_COPIES = "2ba4ed27ca5c2b1a8a358a3eaafd02f036a7bcce28ce18e83d4186ec9eb11239"
 # dual -> SHA-256 of the quintic's validation body, and of that body
 # expanded to one {element, valid, detail, conjugator} dict per item (the
@@ -324,12 +339,27 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def with_faces(document):
+    """A graph document with the ``face`` each vertex and edge carried
+    before faces were read off positions: a vertex's face is the
+    `minimal_face` of its position on the simplex boundary of that
+    dimension, an edge's the union of its ends' faces, each a sorted list."""
+    faces = [pb.LatticeSimplexBoundary(len(v["position"])).minimal_face(
+        tuple(Fraction(c) for c in v["position"])) for v in document["vertices"]]
+    return dict(document,
+                vertices=[dict(v, face=sorted(f))
+                          for v, f in zip(document["vertices"], faces)],
+                edges=[dict(e, face=sorted(faces[e["a"]] | faces[e["b"]]))
+                       for e in document["edges"]])
+
+
 def with_graph_copies(document):
-    """A graph document with each thickening record in the six-field shape
-    it had before it held only its vertex and radius: ``center`` is the
-    vertex's position, ``legs`` its neighbours' positions minus that one,
-    in ascending neighbour order, ``disc_radius`` the radius again and
-    ``plane_face`` the vertex's face."""
+    """A graph document expanded by `with_faces`, with each thickening
+    record in the six-field shape it had before it held only its vertex and
+    radius: ``center`` is the vertex's position, ``legs`` its neighbours'
+    positions minus that one, in ascending neighbour order, ``disc_radius``
+    the radius again and ``plane_face`` the vertex's face."""
+    document = with_faces(document)
     vertices = document["vertices"]
 
     def position(i):
@@ -356,12 +386,15 @@ def expanded(body):
 
 def test_graph_and_validation_reports_keep_their_pinned_bytes():
     bodies = {}
-    for (which, dual, thicken), (body_sha, dot_sha) in PINNED.items():
-        body, side = topo.graph_report(which, dual, thicken)
+    for key, (body_sha, dot_sha) in PINNED.items():
+        body, side = topo.graph_report(*key)
         assert body.pop("passed") is True
-        assert (sha256(report.canonical_json(body)), sha256(side[".dot"])) == (
-            body_sha, dot_sha), (which, dual, thicken)
-        bodies[which, dual, thicken] = body
+        text = report.canonical_json(body)
+        assert (sha256(text), sha256(side[".dot"])) == (body_sha, dot_sha), key
+        faced = dict(body, graph=with_faces(body["graph"]))
+        assert sha256(report.canonical_json(faced)) == PINNED_WITH_FACES[key], key
+        assert len(text) < (90_000 if key[2] else 75_000), key
+        bodies[key] = body
     for dual, want in PINNED_VALIDATION.items():
         body = topo.validate_report(bodies["quintic", dual, None])
         text = report.canonical_json(body)
@@ -372,17 +405,30 @@ def test_graph_and_validation_reports_keep_their_pinned_bytes():
 
 
 def test_the_thickened_quintic_holds_each_record_as_vertex_and_radius():
-    """Written out with the copies of graph data each record once carried,
-    the thickened quintic is the document it was (the hash pinned before
-    the copies went), and that document reads to the same graph."""
+    """Written out with the faces and the copies of graph data each record
+    once carried, the thickened quintic is the document it was (the hash
+    pinned before the copies went), and that document reads to the same
+    graph."""
     body, _ = topo.graph_report("quintic", False, Fraction(2, 25))
     body.pop("passed")
     text = report.canonical_json(body)
-    assert len(text) < 140_000 and body["thickened"] == 250
+    assert len(text) < 90_000 and body["thickened"] == 250
     assert all(rec.keys() == {"vertex", "radius"} for rec in body["graph"]["thickening"])
     older = dict(body, graph=with_graph_copies(body["graph"]))
     assert sha256(report.canonical_json(older)) == PINNED_WITH_COPIES
     assert pb.graph_from_json(older["graph"]) == pb.graph_from_json(body["graph"])
+
+
+@pytest.mark.parametrize("key", list(PINNED))
+def test_a_document_with_faces_reads_to_the_same_graph(key):
+    """Vertices and edges hold no face; the reader ignores the ``face``
+    keys older documents carry."""
+    document = topo.graph_report(*key)[0]["graph"]
+    assert all(v.keys() == {"position", "sign", "valence"} for v in document["vertices"])
+    assert all(e.keys() == {"a", "b"} for e in document["edges"])
+    faced = with_faces(document)
+    assert faced["vertices"][0]["face"] and faced != document
+    assert pb.graph_from_json(faced) == pb.graph_from_json(document)
 
 
 def test_a_failing_edge_stays_visible_in_the_grouped_report():
