@@ -358,8 +358,9 @@ def check_simple(base: ChartedBase) -> SimplicityReport:
     the generic 3x3 generator; a vertex loop triple must be simultaneously
     conjugate to the standard triple of its sign (`zlat.vertex_sign`: the
     negative triple or its inverse transposes), in the given or the
-    orientation-reversed order.  Conjugators are searched within
-    ``zlat.SEARCH_BOUND``.
+    orientation-reversed order.  Conjugacy is decided exactly by
+    ``zlat.simultaneous_conjugator``, so a point that is not simple has
+    holonomy conjugate to no local model in any chart.
     """
     if not base.singular_points:
         raise ValueError("base carries no discriminant point records")
@@ -378,19 +379,23 @@ def _classify_point(point_id: str, dim: int, mats) -> PointVerdict:
         model = zlat.vertex_sign(mats)
     else:
         model = {(2, 1): "node", (3, 1): "edge"}.get(shape)
-    if model is not None:
-        for candidate, tag in (
-            (mats, ""),
-            (list(_reversed_triple(mats)), " (orientation reversed)"),
-        ):
-            conj = zlat.simultaneous_conjugator(candidate, zlat.STANDARD[model])
-            if conj is not None:
-                return PointVerdict(point_id, True, model, conj,
-                                    detail=f"matched {model}{tag}")
+    if model is None:
+        return PointVerdict(
+            point_id, False, None, None,
+            detail=f"no local model has {len(mats)} loop(s) in dimension {dim} with "
+                   f"a common fixed space of dimension {zlat.fixed_space_dimension(mats)}")
+    for candidate, tag in (
+        (mats, ""),
+        (list(_reversed_triple(mats)), " (orientation reversed)"),
+    ):
+        conj = zlat.simultaneous_conjugator(candidate, zlat.STANDARD[model])
+        if conj is not None:
+            return PointVerdict(point_id, True, model, conj,
+                                detail=f"matched {model}{tag}")
     return PointVerdict(
         point_id, False, None, None,
-        detail="no local model matched within conjugator bound "
-               f"{zlat.SEARCH_BOUND}; holonomy Smith/charpoly data "
+        detail=f"holonomy not GL({dim},Z)-conjugate to the {model} generators "
+               "in either loop order; Smith forms of holonomy - I "
                f"{[zlat.smith_invariants(zlat.mat_sub(m, zlat.identity(dim))) for m in mats]}",
     )
 

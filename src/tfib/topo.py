@@ -34,16 +34,22 @@ FIBRE_TYPES: Dict[str, int] = {
 
 
 def _require_signed(graph: DiscriminantGraph) -> None:
-    """Raise ValueError unless every trivalent vertex carries a sign."""
+    """Raise ValueError unless every trivalent vertex carries a sign and
+    every signed vertex is trivalent: of valence 3, on no loop."""
     if any(v.sign == "unsigned" for v in graph.vertices if v.valence == 3):
         raise ValueError("unsigned trivalent vertices present; classify signs first")
+    for i, v in enumerate(graph.vertices):
+        if v.sign in ("positive", "negative") and (v.valence != 3 or any(
+                graph.edges[j].a == graph.edges[j].b for j in graph.incidence[i])):
+            raise ValueError(f"signed vertex {i} is not trivalent")
 
 
 def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:
     """Euler characteristic of the compactified total space: the sum of the
     ``FIBRE_TYPES`` contributions of the graph's vertices.  A node is
     ``nodal_I1`` (n = 2), a signed vertex is of its sign (n = 3; a thickened
-    negative vertex stays ``negative``), any other vertex is ``regular``."""
+    negative vertex stays ``negative``), any other vertex is ``regular``.
+    For n = 3, a graph that `_require_signed` rejects raises ValueError."""
     if dimension == 2:
         types = ["nodal_I1" if v.valence == 0 else "regular" for v in graph.vertices]
     elif dimension == 3:
@@ -103,15 +109,15 @@ class MonodromyAssignment:
 def canonical_assignment(graph: DiscriminantGraph) -> MonodromyAssignment:
     """The standard generators: (eq-neg triple) at negative vertices, its
     inverse transposes at positive ones, and per edge the entry of its
-    lowest-index signed vertex."""
+    lowest-index signed vertex.  A graph that `_require_signed` rejects
+    raises ValueError."""
+    _require_signed(graph)
     edge_mats: List[Optional[IntMatrix]] = [None] * len(graph.edges)
     triples = {}
     for i, v in enumerate(graph.vertices):
         if v.sign not in ("positive", "negative"):
             continue
         incident = graph.incidence[i]
-        if len(incident) != 3:
-            raise ValueError(f"signed vertex {i} is not trivalent")
         mats = zlat.STANDARD[v.sign]
         triples[i] = (incident, mats)
         for slot, j in enumerate(incident):
@@ -164,10 +170,16 @@ def validate_semistable(
     Every edge matrix must be GL(3,Z)-conjugate to the generic generator;
     every vertex triple must multiply to the identity and be simultaneously
     conjugate to the triple matching its sign; each edge must be conjugate
-    to the corresponding entry of its incident vertex triples.  Conjugators
-    are searched within ``zlat.SEARCH_BOUND``.  A trivalent vertex
-    without a sign raises ValueError, as in ``euler_characteristic``, and
-    so does a graph without edges, whose report would have no item to fail.
+    to the corresponding entry of its incident vertex triples.  Each
+    answer is ``zlat.simultaneous_conjugator``'s: a conjugator checked by
+    exact products, or None, which proves that no GL(3,Z) matrix
+    conjugates.  An edge matrix and a triple member that differ and are
+    neither of them rank-one unipotents have no normal forms to compare:
+    that question raises zlat's ValueError (the canonical assignment never
+    asks it).  A graph that ``euler_characteristic`` rejects (an
+    unsigned trivalent vertex, a signed one that is not trivalent) raises
+    ValueError, and so does a graph without edges, whose report would have
+    no item to fail.
 
     The items ask few distinct questions (the quintic's 1650 ask 23), so
     each distinct conjugacy problem goes to ``zlat.simultaneous_conjugator``
@@ -311,14 +323,12 @@ def validate_report(graph) -> dict:
 
 def sign_report(triple) -> dict:
     """The sign of a vertex from its triple of integer matrices.  It passes
-    when the triple is simultaneously conjugate, within ``zlat.SEARCH_BOUND``,
-    to the standard triple of its sign; the report names the conjugator P
-    (P^-1 T_i P is the standard T_i), or null."""
+    when the triple is simultaneously conjugate in GL(3,Z) to the standard
+    triple of its sign; the report names the conjugator P (P^-1 T_i P is
+    the standard T_i), or null, which proves that there is none."""
     if not isinstance(triple, list):
         raise ValueError(f"a triple is a JSON array of three matrices, got {triple!r}")
     mats = [zlat.mat(m) for m in triple]
     sign = sign_from_triple(mats)
     p = zlat.simultaneous_conjugator(mats, zlat.STANDARD[sign])
-    return {"sign": sign, "bound": zlat.SEARCH_BOUND,
-            "conjugator": p,
-            "passed": p is not None}
+    return {"sign": sign, "conjugator": p, "passed": p is not None}

@@ -9,18 +9,18 @@ float or a bool is rejected, not rounded or read as 1 and 0); `STANDARD`
 names the standard generators of the four local models, and
 `vertex_sign` the sign of a vertex triple.
 
-Also home to the exact conjugacy machinery used by the simplicity checker
-and the semi-stable validation.  Conclusive prefilters run first: the
-closed-form characteristic polynomial and the Smith form of A - I of each
-matrix, and for a tuple the dimension of its common fixed space.  The
-linear conditions A P = P B are then solved by integer-only row
-reduction, and the integer points of the solution space are searched
-shell by shell, sup-norm 1, 2, ..., bound, pruning a candidate as soon as
-an entry it fixes is not integral or too large.  The conjugator returned
-is the one of least sup-norm, ties going to the lexicographically first
-in the free coordinates of the solution space; None means none lies in
-the box.  Like the whole module, the search runs on plain Python ints,
-with no array library or machine integer: exact for every input.
+Also home to the exact conjugacy decision used by the simplicity checker
+and the semi-stable validation.  Every question the package asks is
+about rank-one unipotents A = I + c v w^t (v, w primitive, w . v = 0):
+one such matrix, or a triple of them simultaneously conjugate to a
+standard vertex triple.  Each has a normal form, built by completing a
+primitive vector to a unimodular basis with the extended gcd (Cohen,
+GTM 138, section 2.4): P^{-1} A P = I + c E_21 for one matrix, and for a
+triple the standard triple of its sign.  Two inputs are conjugate exactly
+when their normal forms agree, and the conjugator is read off the two
+transforms; it is checked by exact products before it is returned, so
+None is a proof that no conjugator exists in GL(n,Z).  Like the whole
+module, this runs on plain Python ints: exact for every input.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
-    n = len(m)
-    return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*m))
 
 
 def det(m: IntMatrix) -> int:
@@ -101,19 +100,19 @@ def det(m: IntMatrix) -> int:
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
+    """The transposed cofactor matrix, in closed form (n <= 3)."""
     n = len(m)
     if n == 1:
         return ((1,),)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i
-            )
-            row.append((-1) ** (i + j) * det(minor))
-        cof.append(tuple(row))
-    return transpose(tuple(cof))
+    if n == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return ((e * i - f * h, c * h - b * i, b * f - c * e),
+                (f * g - d * i, a * i - c * g, c * d - a * f),
+                (d * h - e * g, b * g - a * h, a * e - b * d))
+    raise ValueError(f"adjugate is closed-form for n <= 3, got n = {n}")
 
 
 def inverse(m: IntMatrix) -> IntMatrix:
@@ -168,10 +167,9 @@ def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
     """Diagonal of the Smith normal form (nonnegative, sorted by divisibility).
 
     Invariant under left/right GL(n,Z) action, in particular under
-    conjugation; the cheap conclusive obstruction for conjugacy tests.
-    Computed from the determinantal divisors (n <= 3): with g_k the gcd of
-    the k x k minors and g_0 = 1, the k-th invariant is g_k / g_{k-1}, and
-    0 from the first vanishing g_k on.
+    conjugation.  Computed from the determinantal divisors (n <= 3): with
+    g_k the gcd of the k x k minors and g_0 = 1, the k-th invariant is
+    g_k / g_{k-1}, and 0 from the first vanishing g_k on.
     """
     n = len(m)
     out = []
@@ -334,183 +332,165 @@ def _rref(rows, ncols):
     return rows, pivots
 
 
-def _nullspace_rref(rows, ncols):
-    """RREF nullspace basis of an integer matrix given as row lists,
-    scaled to integers.
+def _completion(u) -> IntMatrix:
+    """A GL(n,Z) matrix whose first column is the primitive vector ``u``.
 
-    Returns ``(denom, basis, free)``: divided by ``denom``, the integer
-    vectors of ``basis`` are the standard free-variable basis, so every
-    solution's coordinates at the ``free`` columns are exactly its
-    coefficients in this basis.  ``denom`` is the least common denominator
-    of that rational basis.  The elimination runs on integers and nothing
-    is divided inexactly.
+    Extended-gcd moves on the coordinate pairs (0, k), each a 2 x 2 block
+    of determinant 1, take u to e_1; the answer is the product of their
+    inverses, built by the matching column moves on the identity.
     """
-    rows, pivots = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    denom = math.lcm(*(row[pc] // math.gcd(row[pc], row[fc])
-                       for row, pc in zip(rows, pivots) for fc in free))
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = denom
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc] * denom // row[pc]
-        basis.append(vec)
-    return denom, basis, free
+    n = len(u)
+    x, cols = list(u), [list(row) for row in identity(n)]
+    for k in range(1, n):
+        a, b = x[0], x[k]
+        # s a + t b = g = gcd(a, b), by the extended Euclid
+        g, s, t, h, s1, t1 = a, 1, 0, b, 0, 1
+        while h:
+            q = g // h
+            g, s, t, h, s1, t1 = h, s1, t1, g - q * h, s - q * s1, t - q * t1
+        if g < 0:
+            g, s, t = -g, -s, -t
+        if g:
+            for row in cols:
+                row[0], row[k] = (a * row[0] + b * row[k]) // g, s * row[k] - t * row[0]
+            x[0], x[k] = g, 0
+    if x[0] < 0:  # n = 1, where no move runs
+        cols[0][0] = -1
+    return tuple(map(tuple, cols))
 
 
-#: the sup-norm box [-SEARCH_BOUND, SEARCH_BOUND] of every conjugator search
-#: the checks run (local models, semi-stable validation)
-SEARCH_BOUND = 3
+def _rank_one_unipotent(m):
+    """``(c, v, w)`` with m - I = c v w^t, v and w primitive, w . v = 0 and
+    c > 0 the content of m - I; None when m is not such a matrix."""
+    n = len(m)
+    d = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    flat = [x for row in d for x in row]
+    c = math.gcd(*flat)
+    if not c:
+        return None
+    i, j = divmod(next(k for k, x in enumerate(flat) if x), n)
+    g = math.gcd(*(row[j] for row in d))
+    v = [row[j] // g for row in d]
+    w = [x // (c * v[i]) for x in d[i]]
+    if d != [[c * a * b for b in w] for a in v] or sum(map(operator.mul, v, w)):
+        return None
+    return c, v, w
+
+
+def _single_form(m):
+    """``(c, P)`` with P^{-1} m P = I + c E_21 (for c = 1, `T_NODE` or
+    `T_GENERIC`), or None when m - I is not a rank-one nilpotent.
+
+    With m - I = c v w^t: R = (W^t)^{-1}, for W the completion of w, has
+    w^t R = e_1^t, and its other columns are a basis of w^perp, in which v
+    has the primitive coordinates a; completing a on those columns puts v
+    second."""
+    found = _rank_one_unipotent(m)
+    if found is None:
+        return None
+    c, v, w = found
+    completion = _completion(w)
+    a = mat_vec(transpose(completion), v)[1:]
+    block = ((1,) + (0,) * len(a),) + tuple((0,) + row for row in _completion(a))
+    return c, mat_mul(inverse_transpose(completion), block)
+
+
+def _triple_form(triple):
+    """P with P^{-1} T_i P = NEGATIVE_TRIPLE[i] for the first two members,
+    or None.
+
+    The members must share the image v: T_i - I = v w_i^t.  With q . v = 1,
+    Q = [q; w_1; -w_2] takes v to e_1 and w_1, -w_2 to e_2, e_3 under
+    Q^{-t}, and it is unimodular exactly when w_1 and w_2 are a basis of
+    v^perp; P is Q^{-1}.  The third member is left to the caller."""
+    forms = [_rank_one_unipotent(m) for m in triple[:2]]
+    if None in forms:
+        return None
+    (c1, v, w1), (c2, v2, w2) = forms
+    if v2 != v and v2 != [-x for x in v]:
+        return None
+    sign = -c2 if v2 == v else c2
+    q = inverse(_completion(v))[0]
+    rows = (q, tuple(c1 * x for x in w1), tuple(sign * x for x in w2))
+    return inverse(rows) if det(rows) in (1, -1) else None
+
+
+def _candidate(sources, targets):
+    """P_A P_B^{-1}, from the normal forms P_A of the sources and P_B of the
+    targets, or None when the two have different normal forms.
+
+    A pair of single matrices is decided when either one is a rank-one
+    unipotent.  A target triple must be simultaneously conjugate to
+    `NEGATIVE_TRIPLE` (its members share an image) or, through transposes,
+    to `POSITIVE_TRIPLE` (they share a co-image): `_triple_form` takes its
+    first two members to the standard ones, and since the triple
+    multiplies to the identity, the third as well.  Anything else raises
+    ValueError."""
+    if len(targets) == 1:
+        mine, form = _single_form(sources[0]), _single_form(targets[0])
+        if mine is not None or form is not None:
+            if mine is None or form is None or mine[0] != form[0]:
+                return None
+            return mat_mul(mine[1], inverse(form[1]))
+    elif len(targets) == 3 and len(targets[0]) == 3:
+        for flip in (tuple, transpose):
+            flipped = [flip(m) for m in targets]
+            form = _triple_form(flipped)
+            if form is None or mat_mul(mat_mul(*flipped[:2]), flipped[2]) != identity(3):
+                continue
+            mine = _triple_form([flip(m) for m in sources])
+            if mine is None:
+                return None
+            p = mat_mul(mine, inverse(form))
+            return p if flip is tuple else inverse_transpose(p)
+    raise ValueError(f"no normal form for the conjugacy target {list(targets)}")
 
 
 def simultaneous_conjugator(
     sources: Sequence[IntMatrix],
     targets: Sequence[IntMatrix],
-    bound: int = SEARCH_BOUND,
+    bound=None,
 ) -> Optional[IntMatrix]:
-    """Find P in GL(n,Z), entries in [-bound, bound], with P^{-1} A_i P = B_i.
+    """P in GL(n,Z) with P^{-1} A_i P = B_i for every pair, or None.
 
-    The condition A_i P = P B_i is linear in P; we solve it exactly over Q
-    and search the integer points of the solution space shell by shell
-    (see `_enumerate_conjugators`).  The answer is deterministic: of the
-    conjugators with entries in [-bound, bound], the one of least sup-norm,
-    ties going to the lexicographically first in free coordinates.  When
-    the sources equal the targets the identity is returned at once.
-    Returns None when no conjugator lies in the box.  Conclusive invariant
-    prefilters run first: charpoly and Smith form of A - I per pair, and
-    for more than one pair the common fixed-space dimension, which a
-    simultaneous conjugator maps from the sources onto the targets (so the
-    two signs of vertex triple are told apart without a search).  Results
-    are memoized, since graph validation asks about the same few matrices
-    over and over.  A bound below 1 raises ValueError.
+    One of a single pair must be a rank-one unipotent, and a triple of
+    targets must have a standard sign (see `_candidate`); other problems
+    raise ValueError unless the sources equal the targets.  P is
+    P_A P_B^{-1} for the normal forms P_A, P_B of sources and targets, and
+    is returned only after the exact products A_i P = P B_i are checked.
+    Every answer is a proof: if some P conjugated the sources to the
+    targets, the sources would have a normal form of the targets' kind and
+    content, and the one built from two members of a triple would take the
+    third, which the other two determine, to the third target (the targets
+    multiply to the identity).  When the sources equal the targets, P is
+    the identity.  Results are memoized, since graph validation and the
+    local models ask about the same few matrices over and over.
     """
-    if bound < 1:
-        raise ValueError(f"conjugator bound must be at least 1, got {bound}")
-    return _conjugator_cached(tuple(sources), tuple(targets), bound)
+    # `bound` is ignored; perfbench/workloads.py still passes bound=3
+    # (ROADMAP item 1)
+    return _conjugator_cached(tuple(sources), tuple(targets))
 
 
 @functools.lru_cache(maxsize=4096)
-def _conjugator_cached(sources, targets, bound):
+def _conjugator_cached(sources, targets):
     if len(sources) != len(targets):
         raise ValueError("source/target lists differ in length")
     if not sources:
         raise ValueError("empty conjugacy problem")
-    n = len(sources[0])
-    for a, b in zip(sources, targets):
-        if len(a) != n or len(b) != n:
-            raise ValueError("dimension mismatch")
-        if _invariants(a) != _invariants(b):
-            return None
-    if len(sources) > 1 and _fixed_space_dimension(sources) != _fixed_space_dimension(targets):
-        return None
-    if tuple(sources) == tuple(targets):
+    n = len(targets[0])
+    if any(len(m) != n for m in sources + targets):
+        raise ValueError("dimension mismatch")
+    if sources == targets:
         return identity(n)
-    # build the linear system (A P - P B = 0 for every pair), unknowns P[i][j]
-    rows = []
-    for a, b in zip(sources, targets):
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += a[i][k]
-                    row[i * n + k] -= b[k][j]
-                rows.append(row)
-    denom, basis, free = _nullspace_rref(rows, n * n)
-    if not basis:
+    p = _candidate(sources, targets)
+    if p is None or any(mat_mul(a, p) != mat_mul(p, b) for a, b in zip(sources, targets)):
         return None
-    return _enumerate_conjugators(denom, basis, free, n, bound)
+    return p
 
 
-@functools.lru_cache(maxsize=1024)
-def _invariants(m):
-    """Conjugacy invariants of ``m``: its charpoly and the Smith form of
-    m - I.  Cached because the targets are the same few matrices
-    (``T_GENERIC``, the standard triples) on every conjugator cache miss."""
-    return charpoly(m), smith_invariants(mat_sub(m, identity(len(m))))
-
-
-@functools.lru_cache(maxsize=1024)
-def _fixed_space_dimension(mats):
-    """`fixed_space_dimension` of a tuple of matrices, cached like
-    `_invariants`: the target tuples are the two standard triples."""
-    return fixed_space_dimension(mats)
-
-
-def _enumerate_conjugators(denom, basis, free, n, bound):
-    """Least-norm unimodular integer point of the solution space, by shells.
-
-    ``basis`` is the RREF nullspace basis times ``denom`` (see
-    `_nullspace_rref`).  At the ``free`` columns it is ``denom`` times the
-    identity, so the free coordinates of a solution are entries of P:
-    every conjugator of sup-norm <= s has free coordinates in [-s, s]^d.
-    Shell s = 1, ..., bound scans that box in lexicographic order (last
-    coordinate fastest), keeps the integral candidates of sup-norm <= s
-    and returns the first unimodular one.  Shell s - 1 found none, so the
-    hit has sup-norm exactly s, and lexicographic order on [-s, s]^d is
-    the order of the full box restricted to it: the result is the
-    lexicographically first conjugator of least sup-norm in
-    [-bound, bound]^d.
-
-    The box is never materialised: a depth-first search places the
-    coordinates first to last on one row, P times ``denom``, updated in
-    place by the nonzero entries of each basis vector and undone on the
-    way back.  An entry of P is fixed once the last coordinate touching it
-    is placed, and the branch goes when it is not divisible by ``denom``
-    or exceeds s; a free column equals its coordinate and needs no test.
-    """
-    d, size = len(basis), n * n
-    # the nonzero entries of each basis vector; the entries placing k fixes
-    steps = [[(j, v) for j, v in enumerate(vec) if v] for vec in basis]
-    fixed = [[] for _ in range(d)]
-    for j in range(size):
-        k = max((k for k in range(d) if basis[k][j]), default=None)
-        if k is not None and j not in free:
-            fixed[k].append(j)
-    row = [0] * size
-
-    def unimodular():
-        e = [v // denom for v in row] if denom != 1 else row
-        if n == 2:
-            det = e[0] * e[3] - e[1] * e[2]
-        else:
-            det = (e[0] * (e[4] * e[8] - e[5] * e[7]) - e[1] * (e[3] * e[8] - e[5] * e[6])
-                   + e[2] * (e[3] * e[7] - e[4] * e[6]))
-        if det == 1 or det == -1:
-            return tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n))
-        return None
-
-    def place(k, s, top):
-        # coordinate k through -s, ..., s: start at -s, then step by +1
-        step, tests = steps[k], fixed[k]
-        for j, v in step:
-            row[j] -= s * v
-        for _ in range(2 * s + 1):
-            for j in tests:
-                x = row[j]
-                if x > top or x < -top or x % denom:
-                    break
-            else:
-                hit = unimodular() if k == d - 1 else place(k + 1, s, top)
-                if hit is not None:
-                    return hit
-            for j, v in step:
-                row[j] += v
-        for j, v in step:
-            row[j] -= (s + 1) * v
-        return None
-
-    for s in range(1, bound + 1):
-        hit = place(0, s, s * denom)
-        if hit is not None:
-            return hit
-    return None
-
-
-def conjugator(a: IntMatrix, b: IntMatrix,
-               bound: int = SEARCH_BOUND) -> Optional[IntMatrix]:
+def conjugator(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """GL(n,Z) conjugator P with P^{-1} a P = b, or None."""
-    return simultaneous_conjugator([a], [b], bound=bound)
+    return simultaneous_conjugator([a], [b])
 
 
 def fixed_space_dimension(mats: Sequence[IntMatrix]) -> int:

@@ -254,10 +254,15 @@ def test_check_simple_accepts_all_models():
         ("positive", "positive"),
         ("negative", "negative"),
     ):
-        report = check_simple(build_local_model(kind))
+        base = build_local_model(kind)
+        report = check_simple(base)
         assert report.simple
         assert report.verdicts[0].matched_model == expect
-        assert report.verdicts[0].conjugator is not None
+        p = report.verdicts[0].conjugator
+        mats = [holonomy(base, base.loops[name]) for name in base.singular_points[0]["loops"]]
+        assert abs(zlat.det(p)) == 1
+        assert [zlat.mat_mul(zlat.mat_mul(zlat.inverse(p), m), p) for m in mats] \
+            == list(zlat.STANDARD[kind])
 
 
 def test_check_simple_accepts_perturbed_edge():
@@ -356,34 +361,60 @@ def test_cached_cotangent_matrices_match_the_transitions(kind, tau):
 def test_check_simple_searches_only_the_matching_sign(monkeypatch):
     """A positive model whose base chart U1 is re-charted by W has its
     holonomy conjugated by W^t (H becomes W^{-t} H W^t); its sign comes
-    from its fixed space, so only the positive triple is searched."""
+    from its fixed space, so one question is asked, of the positive
+    triple, and its answer is a verified conjugator."""
     w = zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     base = recharted(build_local_model("positive"), {"U1": AffineMapZ.from_linear(w)})
-    calls = []
-    search = zlat._enumerate_conjugators
+    mats = tuple(holonomy(base, base.loops[g]) for g in ("g1", "g2", "g3"))
+    asked = []
+    real = zlat.simultaneous_conjugator
 
-    def counted(*args):
-        calls.append(search(*args))
-        return calls[-1]
+    def recorded(sources, targets, bound=None):
+        asked.append((tuple(sources), tuple(targets)))
+        return real(sources, targets)
 
     zlat._conjugator_cached.cache_clear()
-    monkeypatch.setattr(zlat, "_enumerate_conjugators", counted)
+    monkeypatch.setattr(zlat, "simultaneous_conjugator", recorded)
     (verdict,) = check_simple(base).verdicts
-    assert verdict.matched_model == "positive" and verdict.conjugator != zlat.identity(3)
-    assert calls == [verdict.conjugator]
+    p = verdict.conjugator
+    assert verdict.matched_model == "positive" and p != zlat.identity(3)
+    assert asked == [(mats, zlat.POSITIVE_TRIPLE)]
+    assert tuple(zlat.mat_mul(zlat.mat_mul(zlat.inverse(p), m), p) for m in mats) \
+        == zlat.POSITIVE_TRIPLE
 
 
 def test_check_simple_asks_no_question_of_the_other_sign(monkeypatch):
     """The sign of a vertex triple is read off its fixed space, so on the
     positive model no conjugacy question names the negative triple."""
     asked = []
-    search = zlat.simultaneous_conjugator
+    real = zlat.simultaneous_conjugator
 
-    def recorded(sources, targets, bound=zlat.SEARCH_BOUND):
+    def recorded(sources, targets, bound=None):
         asked.append(tuple(targets))
-        return search(sources, targets, bound)
+        return real(sources, targets)
 
     monkeypatch.setattr(zlat, "simultaneous_conjugator", recorded)
     (verdict,) = check_simple(build_local_model("positive")).verdicts
     assert verdict.matched_model == "positive"
     assert asked and zlat.NEGATIVE_TRIPLE not in asked
+
+
+@pytest.mark.parametrize("kind", ["node", "edge", "positive", "negative"])
+def test_check_simple_is_invariant_under_recharting(kind):
+    """200 seeded re-charts of every chart by GL(n,Z) x| Q^n (which holds
+    the re-charts by GL(n,Z) x| Z^n): the model stays simple, matched to
+    itself by a conjugator that takes its holonomy, in the given or the
+    reversed loop order, to the standard generators."""
+    rng = random.Random(39)
+    base = build_local_model(kind)
+    names = base.singular_points[0]["loops"]
+    for _ in range(200):
+        moved = recharted(base, {c.id: random_affine(rng, base.dim) for c in base.charts})
+        (verdict,) = check_simple(moved).verdicts
+        assert (verdict.simple, verdict.matched_model) == (True, kind)
+        p = verdict.conjugator
+        assert abs(zlat.det(p)) == 1
+        mats = [holonomy(moved, moved.loops[name]) for name in names]
+        orders = (mats, [zlat.inverse(m) for m in reversed(mats)])
+        assert any([zlat.mat_mul(zlat.mat_mul(zlat.inverse(p), m), p) for m in order]
+                   == list(zlat.STANDARD[kind]) for order in orders)

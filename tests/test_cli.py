@@ -60,6 +60,7 @@ def test_topo_sign(tmp_path):
     code, data, _ = run(tmp_path, "topo", "sign", "--triple", triple)
     assert code == 0 and data["sign"] == "negative" and data["passed"] is True
     assert data["conjugator"] == [list(r) for r in zlat.identity(3)]
+    assert "bound" not in data
 
 
 def test_topo_sign_finds_the_conjugator_of_a_conjugated_positive_triple(tmp_path):
@@ -84,6 +85,30 @@ def test_topo_sign_fails_a_triple_not_conjugate_to_the_standard_one(tmp_path):
     assert code == 0 and data["sign"] == "negative"
     assert data["passed"] is False and data["conjugator"] is None
     assert cli.main(["topo", "sign", "--triple", text, "--strict"]) == 1
+
+
+def test_topo_sign_fails_the_index_3_negative_triple(tmp_path):
+    """I + e_1 w_i^t with w = (0,1,1), (0,1,-2), (0,-2,1): the product is I,
+    each member is conjugate to T_GENERIC and the fixed space is a line, so
+    the sign is negative; but w_1, w_2, w_3 span a sublattice of index 3 in
+    e_1^perp, where the standard triple's span all of it.  Conjugating by P
+    takes the matrix W of rows w_i to +-W P, so the Smith forms of W would
+    agree: null is a proof."""
+    ws = [(0, 1, 1), (0, 1, -2), (0, -2, 1)]
+    triple = [zlat.mat([[int(i == j) + (i == 0) * w[j] for j in range(3)] for i in range(3)])
+              for w in ws]
+    assert zlat.mat_mul(zlat.mat_mul(triple[0], triple[1]), triple[2]) == zlat.identity(3)
+    assert all(zlat.conjugator(m, zlat.T_GENERIC) is not None for m in triple)
+    code, data, _ = run(tmp_path, "topo", "sign", "--triple",
+                        json.dumps([zlat.matrix_to_json(m) for m in triple]))
+    assert code == 0 and data["sign"] == "negative"
+    assert data["passed"] is False and data["conjugator"] is None
+
+    def rows(mats):
+        return zlat.mat([zlat.mat_sub(m, zlat.identity(3))[0] for m in mats])
+
+    assert zlat.smith_invariants(rows(triple)) == (1, 3, 0)
+    assert zlat.smith_invariants(rows(zlat.NEGATIVE_TRIPLE)) == (1, 1, 0)
 
 
 def test_topo_sign_degenerate_is_usage_error(tmp_path):
@@ -548,7 +573,7 @@ def test_topo_validate_cli(tmp_path):
         code, data, written = run(tmp_path, "topo", "validate", "--input", str(out),
                                   "--strict")
         assert code == 0 and data["passed"]
-        assert len(data["items"]) == 1650 and len(data["questions"]) == 19
+        assert len(data["items"]) == 1650 and len(data["questions"]) == 18
         assert written.stat().st_size < 100_000
 
 
@@ -575,6 +600,41 @@ def test_topo_rejects_unsigned_trivalent_vertices(tmp_path, capsys, leaf):
     assert code == 2 and data is None
     assert capsys.readouterr().err == (
         "error: unsigned trivalent vertices present; classify signs first\n")
+
+
+def _without_edge_0(doc):
+    """Edge 0 removed and its two ends' valences lowered to 2, so that the
+    document agrees with itself."""
+    edge = doc["edges"].pop(0)
+    for i in (edge["a"], edge["b"]):
+        doc["vertices"][i]["valence"] -= 1
+    return min(edge["a"], edge["b"])
+
+
+def _with_a_loop(doc):
+    """Two edges i-a and i-b of the first negative vertex i replaced by a
+    loop at i and an edge a-b: every valence stays 3, but i meets two
+    edges."""
+    i = _first(doc, "negative")
+    ends = [j for j, e in enumerate(doc["edges"]) if i in (e["a"], e["b"])][:2]
+    a, b = (doc["edges"][j]["b"] if doc["edges"][j]["a"] == i else doc["edges"][j]["a"]
+            for j in ends)
+    doc["edges"][ends[0]], doc["edges"][ends[1]] = {"a": i, "b": i}, {"a": a, "b": b}
+    return i
+
+
+@pytest.mark.parametrize("leaf", ["validate", "euler"])
+@pytest.mark.parametrize("edit", [_without_edge_0, _with_a_loop])
+def test_topo_rejects_a_signed_vertex_that_is_not_trivalent(tmp_path, capsys, leaf, edit):
+    _, data, out = run(tmp_path, "graph", "quintic", name="q.json")
+    doc = data["graph"]
+    i = edit(doc)
+    assert doc["vertices"][i]["sign"] in ("positive", "negative")
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, data, _ = run(tmp_path, "topo", leaf, "--input", str(out), "--strict")
+    assert code == 2 and data is None
+    assert capsys.readouterr().err == f"error: signed vertex {i} is not trivalent\n"
 
 
 def _first(doc, sign):
@@ -663,7 +723,8 @@ def test_check_simple_reports_an_edge_conjugate_with_huge_entries(tmp_path, caps
     from test_zlat import _brute_force_conjugator
 
     # the edge model with its Hminus cotangent holonomy conjugated by Q,
-    # Q's entries 2^40: the search's integers go far beyond 64 bits
+    # Q's entries 2^40: no conjugator lies in the box [-3, 3], and the
+    # normal forms find one all the same
     q = zlat.mat([[1, 2**40, 0], [0, 1, 2**40], [0, 0, 1]])
     base = affine.base_to_json(affine.build_local_model("edge"))
     piece = next(p for p in base["pieces"] if p["id"] == "Hminus")
@@ -673,14 +734,13 @@ def test_check_simple_reports_an_edge_conjugate_with_huge_entries(tmp_path, caps
     atlas.write_text(json.dumps(base))
     edge = affine.base_from_json(base)
     g = affine.holonomy(edge, edge.loops["g"])
-    assert zlat.conjugator(g, zlat.T_GENERIC, bound=3) is None
     assert _brute_force_conjugator([g], [zlat.T_GENERIC], 3) is None
-    code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas))
-    assert code == 0 and data["passed"] is False
-    assert "bound 3" in data["points"][0]["detail"]
-    assert capsys.readouterr().err == ""
     code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas), "--strict")
-    assert code == 1 and data["passed"] is False
+    assert code == 0 and data["passed"] is True
+    assert capsys.readouterr().err == ""
+    p = zlat.mat(data["points"][0]["conjugator"])
+    assert abs(zlat.det(p)) == 1
+    assert zlat.mat_mul(zlat.mat_mul(zlat.inverse(p), g), p) == zlat.T_GENERIC
 
 
 @pytest.mark.parametrize("argv", [

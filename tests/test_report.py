@@ -106,8 +106,13 @@ def test_validation_report_hands_over_the_shared_conjugators():
     questions, items = body["questions"], body["items"]
     assert len(items) == len(rep.items)
     assert all(it.conjugator is not None for it in rep.items)
-    assert all(element == it.element and questions[q]["conjugator"] is it.conjugator
+    assert all(element == it.element and questions[q]["conjugator"] == it.conjugator
                for (element, q), it in zip(items, rep.items))
+    # a question holds the object of the first item that gives its answer
+    first = {}
+    for (_, q), it in zip(items, rep.items):
+        first.setdefault(q, it.conjugator)
+    assert all(questions[q]["conjugator"] is conj for q, conj in first.items())
 
 
 def assert_plain(value, expected):

@@ -5,9 +5,12 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfib import polybase as pb
 from tfib import report, topo, zlat
+from test_zlat import _wide_gl
 
 
 K3 = pb.LatticeSimplexBoundary(3)
@@ -177,15 +180,47 @@ def shear(k):
 
 @pytest.mark.parametrize("p", [
     zlat.mat([[0, -1, 0], [0, 0, 1], [1, 0, 0]]), shear(1), shear(2), shear(3),
-    # 795 items need a conjugator outside the SEARCH_BOUND box
-    pytest.param(zlat.mat([[1, 5, 0], [0, 1, 5], [0, 0, 1]]),
-                 marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4(a)")),
+    zlat.mat([[1, 5, 0], [0, 1, 5], [0, 0, 1]]),
 ])
 def test_validation_is_invariant_under_simultaneous_conjugation(p):
     """Conjugating every matrix of the quintic's canonical assignment by one
-    unimodular P keeps the verdict: the hypotheses are conjugacy classes."""
+    unimodular P keeps the verdict: the hypotheses are conjugacy classes.
+    Each item's conjugator takes its sources to its targets."""
     g = quintic_graph()
-    assert topo.validate_semistable(g, conjugated(topo.canonical_assignment(g), p)).valid
+    assignment = conjugated(topo.canonical_assignment(g), p)
+    report = topo.validate_semistable(g, assignment)
+    assert report.valid
+    edges = assignment.edge_matrices
+    for item in report.items:
+        words = item.element.split()
+        if words[0] == "edge":
+            sources, targets = [edges[int(words[1])]], [zlat.T_GENERIC]
+        elif len(words) == 2:
+            i = int(words[1])
+            sources, targets = assignment.vertex_triples[i][1], zlat.STANDARD[g.vertices[i].sign]
+        else:
+            edge_ids, mats = assignment.vertex_triples[int(words[1])]
+            j = int(words[4])
+            sources, targets = [edges[j]], [mats[edge_ids.index(j)]]
+        q = item.conjugator
+        assert abs(zlat.det(q)) == 1
+        assert all(zlat.mat_mul(a, q) == zlat.mat_mul(q, b) for a, b in zip(sources, targets))
+
+
+@given(_wide_gl(3), st.sampled_from(["negative", "positive"]))
+@settings(max_examples=100, deadline=None)
+def test_topo_sign_is_invariant_under_simultaneous_conjugation(p, sign):
+    """`topo sign` of the standard triple of a sign conjugated by a
+    unimodular P of sup-norm up to 50: that sign, passed, and a conjugator
+    that takes the conjugated triple back to the standard one."""
+    p_inv = zlat.inverse(p)
+    triple = [zlat.mat_mul(zlat.mat_mul(p_inv, t), p) for t in zlat.STANDARD[sign]]
+    body = topo.sign_report([zlat.matrix_to_json(m) for m in triple])
+    assert (body["sign"], body["passed"]) == (sign, True)
+    q = body["conjugator"]
+    assert abs(zlat.det(q)) == 1
+    assert [zlat.mat_mul(zlat.mat_mul(zlat.inverse(q), m), q) for m in triple] \
+        == list(zlat.STANDARD[sign])
 
 
 def validate_per_item(graph, assignment):
@@ -270,11 +305,11 @@ def test_validation_agrees_item_by_item_with_the_per_item_loop(case):
 
 def test_validation_asks_each_distinct_question_once(monkeypatch):
     asked = []
-    search = zlat.simultaneous_conjugator
+    real = zlat.simultaneous_conjugator
 
-    def counted(sources, targets, bound=zlat.SEARCH_BOUND):
+    def counted(sources, targets, bound=None):
         asked.append((tuple(sources), tuple(targets)))
-        return search(sources, targets, bound)
+        return real(sources, targets)
 
     monkeypatch.setattr(zlat, "simultaneous_conjugator", counted)
     g = quintic_graph()
@@ -326,12 +361,13 @@ PINNED_WITH_FACES = {
 PINNED_WITH_COPIES = "2ba4ed27ca5c2b1a8a358a3eaafd02f036a7bcce28ce18e83d4186ec9eb11239"
 # dual -> SHA-256 of the quintic's validation body, and of that body
 # expanded to one {element, valid, detail, conjugator} dict per item (the
-# per-item format the body had before it named each distinct answer once)
+# per-item format the body had before it named each distinct answer once),
+# with the conjugators the normal forms give
 PINNED_VALIDATION = {
-    False: ("9f265be12a6a997d31b5f4d6f4a03aea453b6d5fc71b9eea61b5a19691d2c189",
-            "5a6f1154c385868aaee95536c6a8dbbd859b3358d5f1cc7b7b066dbbd46c2ba6"),
-    True: ("ee6c18a8ffc33622906eb97f2bda4cd3fbb8acaeacec498b06eac0f75a7fe5a6",
-           "40229d3ea9dfd8069aa6d6d50cfd7d113d7eb675ff2f22469ebb78138a5f7c0b"),
+    False: ("110b995d12a434d2027e20bd71fee99a750874a346adab0414cba44fd6494618",
+            "afa0992e806192db69e6bb2d673dead8aabb1a38a64edbb405d09bf8dbc7e1e9"),
+    True: ("8810c5eea16cb34afd542ed24e2dffa840382f7afb7817888e566d342880580c",
+           "50056413e93e166dd5f606b4340cfd142875ba5a190b36c236efd4dcd8aaa6d7"),
 }
 
 
@@ -401,7 +437,7 @@ def test_graph_and_validation_reports_keep_their_pinned_bytes():
         assert (sha256(text), sha256(report.canonical_json(expanded(body)))) == want, dual
         assert len(text) < 100_000 and len(body["items"]) == 1650
         keys = [(q["valid"], q["detail"], q["conjugator"]) for q in body["questions"]]
-        assert len(set(keys)) == len(keys) == 19
+        assert len(set(keys)) == len(keys) == 18
 
 
 def test_the_thickened_quintic_holds_each_record_as_vertex_and_radius():

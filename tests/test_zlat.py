@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfib import zlat
@@ -125,7 +125,7 @@ def test_conjugator_finds_witness():
 def test_conjugator_rejects_t_squared():
     t2 = zlat.mat_mul(zlat.T_NODE, zlat.T_NODE)
     assert zlat.conjugator(zlat.T_NODE, t2) is None
-    # the rejection is already conclusive at the Smith-form prefilter
+    # None is a proof: the Smith forms of T - I, a conjugacy invariant, differ
     assert zlat.smith_invariants(
         zlat.mat_sub(zlat.T_NODE, zlat.identity(2))
     ) != zlat.smith_invariants(zlat.mat_sub(t2, zlat.identity(2)))
@@ -185,9 +185,11 @@ def test_affine_from_json_accepts_only_exact_translations():
         zlat.affine_from_json({**data, "translation": [0.25, 0]})
 
 
-def _gl(n):
-    """GL(n,Z) elements: a signed permutation matrix times shears."""
-    shear = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+def _gl(n, size=3, count=6):
+    """GL(n,Z) elements: a signed permutation matrix times up to ``count``
+    shears of size up to ``size``."""
+    shear = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(-size, size))
 
     def build(perm, signs, shears):
         m = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
@@ -200,7 +202,7 @@ def _gl(n):
 
     return st.builds(build, st.permutations(range(n)),
                      st.tuples(*[st.sampled_from([-1, 1])] * n),
-                     st.lists(shear, max_size=6))
+                     st.lists(shear, max_size=count))
 
 
 _entry = st.integers(min_value=-12, max_value=12)
@@ -296,29 +298,6 @@ def _random_system(rng, nrows, ncols, rank=None):
              for j in range(ncols)] for i in range(nrows)]
 
 
-def _scaled_down(nullspace):
-    """The rational basis of an integer ``(denom, basis, free)`` nullspace;
-    ``denom`` must be its least common denominator."""
-    denom, basis, free = nullspace
-    rational = [[Fraction(v, denom) for v in vec] for vec in basis]
-    assert denom == math.lcm(*(v.denominator for vec in rational for v in vec))
-    return rational, free
-
-
-def test_integer_nullspace_matches_fraction_rref():
-    import random
-
-    rng = random.Random(2)
-    for trial in range(400):
-        nrows, ncols = rng.randint(1, 27), rng.randint(1, 9)
-        rank = rng.randint(0, min(nrows, ncols)) if trial % 2 else None
-        rows = _random_system(rng, nrows, ncols, rank)
-        want = _fraction_nullspace(rows, ncols)
-        assert _scaled_down(zlat._nullspace_rref(rows, ncols)) == want, rows
-    zero = [[0, 0, 0]] * 4
-    assert _scaled_down(zlat._nullspace_rref(zero, 3)) == _fraction_nullspace(zero, 3)
-
-
 def test_rank_is_columns_minus_nullity():
     import random
 
@@ -372,6 +351,13 @@ def _conj(w, m):
     return zlat.mat_mul(zlat.mat_mul(w, m), zlat.inverse(w))
 
 
+def assert_conjugates(sources, targets, p):
+    """p is in GL(n,Z) and p^-1 A_i p = B_i for every pair."""
+    assert p is not None and abs(zlat.det(p)) == 1
+    assert [zlat.mat_mul(zlat.mat_mul(zlat.inverse(p), a), p) for a in sources] \
+        == list(targets)
+
+
 # a node and a generic problem whose least conjugator has sup-norm 4
 NODE_NORM_4 = zlat.mat([[13, -9], [16, -11]])
 GENERIC_NORM_4 = zlat.mat([[5, -2, 0], [8, -3, 0], [-2, 1, 1]])
@@ -405,12 +391,23 @@ BIG_Q2 = zlat.mat([[1, 0, 0], [2**35, 1, 0], [3, 2**34 - 1, 1]])
     ([_conj(BIG_Q1, t) for t in zlat.POSITIVE_TRIPLE], list(zlat.POSITIVE_TRIPLE), 2),
 ])
 def test_shell_search_matches_brute_force(sources, targets, bound):
+    """The box search that the normal forms replaced, kept as the
+    reference: when it finds a conjugator in [-bound, bound], the normal
+    forms return a verified one, and when they return None, the box holds
+    none.  The norm-4 and 2^33 problems are solved beyond the box."""
     zlat._conjugator_cached.cache_clear()
-    found = zlat.simultaneous_conjugator(sources, targets, bound=bound)
-    assert found == _brute_force_conjugator(sources, targets, bound)
-    if found is not None:
-        for a, b in zip(sources, targets):
-            assert zlat.mat_mul(zlat.mat_mul(zlat.inverse(found), a), found) == b
+    found = zlat.simultaneous_conjugator(sources, targets)
+    boxed = _brute_force_conjugator(sources, targets, bound)
+    if found is None:
+        assert boxed is None
+    else:
+        assert_conjugates(sources, targets, found)
+    if boxed is not None:
+        assert_conjugates(sources, targets, boxed)
+    # every problem but the opposite-sign one is planted; that one is told
+    # apart by the dimension of the common fixed space, a class invariant
+    opposite = zlat.fixed_space_dimension(sources) != zlat.fixed_space_dimension(targets)
+    assert (found is None) == opposite
 
 
 @given(st.sampled_from([(zlat.T_NODE,), (zlat.T_GENERIC,), zlat.NEGATIVE_TRIPLE,
@@ -420,25 +417,20 @@ def test_shell_search_matches_brute_force(sources, targets, bound):
 def test_shell_search_matches_brute_force_on_random_witnesses(case):
     targets, w, bound = case
     sources = [_conj(w, m) for m in targets]
-    assume(tuple(sources) != tuple(targets))  # answered by the identity, unsearched
-    found = zlat.simultaneous_conjugator(sources, targets, bound=bound)
-    assert found == _brute_force_conjugator(sources, targets, bound)
+    found = zlat.simultaneous_conjugator(sources, targets)
+    assert_conjugates(sources, targets, found)
+    boxed = _brute_force_conjugator(sources, targets, bound)
+    if boxed is not None:
+        assert_conjugates(sources, targets, boxed)
 
 
 def test_norm_4_problems_need_bound_4():
+    """The box search needs bound 4 for them; the normal forms need none."""
     for src, tgt in ((NODE_NORM_4, zlat.T_NODE), (GENERIC_NORM_4, zlat.T_GENERIC)):
-        assert zlat.conjugator(src, tgt, bound=3) is None
-        p = zlat.conjugator(src, tgt, bound=4)
+        assert _brute_force_conjugator([src], [tgt], 3) is None
+        p = _brute_force_conjugator([src], [tgt], 4)
         assert max(abs(v) for row in p for v in row) == 4
-
-
-@pytest.mark.parametrize("bound", [0, -1])
-def test_conjugator_rejects_a_bound_below_one(bound):
-    with pytest.raises(ValueError, match="at least 1"):
-        zlat.conjugator(zlat.T_GENERIC, zlat.T_GENERIC, bound=bound)
-    with pytest.raises(ValueError, match="at least 1"):
-        zlat.simultaneous_conjugator(list(zlat.NEGATIVE_TRIPLE),
-                                     list(zlat.POSITIVE_TRIPLE), bound=bound)
+        assert_conjugates([src], [tgt], zlat.conjugator(src, tgt))
 
 
 def test_exact_layers_import_without_numpy():
@@ -447,7 +439,7 @@ def test_exact_layers_import_without_numpy():
     import sys
     from pathlib import Path
 
-    # numpy is absent after the import, after a searched conjugacy, and
+    # numpy is absent after the import, after a conjugacy question, and
     # after the simplicity check of every local model
     code = (
         "import sys\n"
@@ -507,41 +499,127 @@ def _planted_problems():
     return problems
 
 
-#: SHA-256 of the answers to `_planted_problems` at bounds 1-4, taken from
-#: the exhaustive-box search that the pruned search replaced
-PLANTED_ANSWERS_SHA256 = "3001b25464a9b8292538e1a0775245a382cd44f949cf6691cbd70ee06b7d9077"
+#: SHA-256 of the answers to `_planted_problems`, taken from the normal
+#: forms (the box search's least-sup-norm witnesses were other matrices)
+PLANTED_ANSWERS_SHA256 = "d498c4e6bbb447feb7ece9f5c1329f6b8c990e09449316d762eb4ef82d97fa41"
 
 
 def test_planted_problem_answers_keep_their_pinned_digest():
     import hashlib
     import json
 
-    answers = [zlat.simultaneous_conjugator(sources, targets, bound=bound)
-               for bound in (1, 2, 3, 4) for sources, targets in _planted_problems()]
-    assert sum(p is None for p in answers) < len(answers)
+    problems = _planted_problems()
+    answers = [zlat.simultaneous_conjugator(sources, targets) for sources, targets in problems]
+    for (sources, targets), p in zip(problems, answers):
+        if p is None:
+            assert zlat.vertex_sign(sources) != zlat.vertex_sign(targets)
+        else:
+            assert_conjugates(sources, targets, p)
+    assert sum(p is None for p in answers) == 12
     digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
     assert digest == PLANTED_ANSWERS_SHA256
 
 
-def test_opposite_signs_are_rejected_without_a_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("the fixed-space prefilter should have answered")
-
-    zlat._conjugator_cached.cache_clear()
-    monkeypatch.setattr(zlat, "_enumerate_conjugators", no_search)
+def test_opposite_signs_are_rejected_without_a_search():
+    """An answer of None is a proof: the opposite sign's common fixed space
+    has another dimension, and conjugation keeps that dimension."""
     w = zlat.mat([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     for sources, targets in ((zlat.NEGATIVE_TRIPLE, zlat.POSITIVE_TRIPLE),
                              (zlat.POSITIVE_TRIPLE, zlat.NEGATIVE_TRIPLE)):
-        for bound in (1, 3, 4):
-            assert zlat.simultaneous_conjugator([_conj(w, m) for m in sources],
-                                                list(targets), bound=bound) is None
+        sources = [_conj(w, m) for m in sources]
+        assert zlat.simultaneous_conjugator(sources, list(targets)) is None
+        assert zlat.fixed_space_dimension(sources) != zlat.fixed_space_dimension(targets)
 
 
 @given(_gl(3), st.sampled_from([zlat.NEGATIVE_TRIPLE, zlat.POSITIVE_TRIPLE]))
 @settings(max_examples=60, deadline=None)
 def test_fixed_space_prefilter_keeps_every_conjugate_tuple(w, triple):
+    """The dimension that `vertex_sign` reads is a conjugacy invariant."""
     sources = tuple(_conj(w, m) for m in triple)
-    assert zlat._fixed_space_dimension(sources) == zlat._fixed_space_dimension(triple)
+    assert zlat.fixed_space_dimension(sources) == zlat.fixed_space_dimension(triple)
+    assert zlat.vertex_sign(sources) == zlat.vertex_sign(triple)
+
+
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=3).filter(any))
+@settings(max_examples=200, deadline=None)
+def test_completion_has_the_primitive_vector_as_first_column(entries):
+    g = math.gcd(*entries)
+    u = tuple(x // g for x in entries)
+    m = zlat._completion(u)
+    assert abs(zlat.det(m)) == 1 and tuple(row[0] for row in m) == u
+
+
+def _wide_gl(n):
+    """GL(n,Z) elements of sup-norm up to 50."""
+    return _gl(n, 50, 3).filter(lambda m: max(abs(v) for row in m for v in row) <= 50)
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(_wide_gl(n), _wide_gl(n), st.integers(1, 3), st.integers(1, 3))))
+@settings(max_examples=80, deadline=None)
+def test_single_matrices_are_conjugate_exactly_when_their_contents_agree(case):
+    """I + c E_21 conjugated by planted witnesses of sup-norm up to 50: a
+    verified conjugator when the contents agree, and otherwise None, which
+    the Smith forms of A - I prove."""
+    w1, w2, c1, c2 = case
+    n = len(w1)
+
+    def planted(w, c):
+        m = [list(row) for row in zlat.identity(n)]
+        m[1][0] = c
+        return _conj(w, zlat.mat(m))
+
+    a, b = planted(w1, c1), planted(w2, c2)
+    p = zlat.conjugator(a, b)
+    if c1 == c2:
+        assert_conjugates([a], [b], p)
+    else:
+        assert p is None
+        ident = zlat.identity(n)
+        assert zlat.smith_invariants(zlat.mat_sub(a, ident)) \
+            != zlat.smith_invariants(zlat.mat_sub(b, ident))
+
+
+def test_a_content_2_matrix_is_not_conjugate_to_the_generic_generator():
+    """T_GENERIC^2 = I + 2 E_21, moved by a witness: None, and the proof is
+    the Smith form of A - I, (2, 0, 0) against the generator's (1, 0, 0)."""
+    w = zlat.mat([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    a = _conj(w, zlat.mat_mul(zlat.T_GENERIC, zlat.T_GENERIC))
+    assert zlat.conjugator(a, zlat.T_GENERIC) is None
+    assert zlat.smith_invariants(zlat.mat_sub(a, zlat.identity(3))) == (2, 0, 0)
+    assert zlat.smith_invariants(zlat.mat_sub(zlat.T_GENERIC, zlat.identity(3))) == (1, 0, 0)
+
+
+def test_a_triple_whose_first_two_images_differ_is_not_negative():
+    """T_1 = I + e_1 e_2^t, T_2 = I + e_2 e_3^t and T_3 = (T_1 T_2)^-1 have a
+    one-dimensional common fixed space, like the negative triple, but the
+    images of T_1 - I and T_2 - I span a plane where the negative triple's
+    span a line; conjugation moves images by P^-1, so None is a proof."""
+    t1 = zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    t2 = zlat.mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    triple = [t1, t2, zlat.inverse(zlat.mat_mul(t1, t2))]
+    assert zlat.vertex_sign(triple) == "negative"
+    assert zlat.simultaneous_conjugator(triple, zlat.NEGATIVE_TRIPLE) is None
+
+    def images(mats):
+        return zlat.rank([col for m in mats[:2]
+                          for col in zlat.transpose(zlat.mat_sub(m, zlat.identity(3)))])
+
+    assert (images(triple), images(zlat.NEGATIVE_TRIPLE)) == (2, 1)
+
+
+@pytest.mark.parametrize("sources, targets", [
+    ([zlat.mat([[2, 0], [0, 1]])], [zlat.mat([[1, 1], [1, 2]])]),
+    (list(zlat.NEGATIVE_TRIPLE), [zlat.T_GENERIC] * 3),
+    (list(zlat.NEGATIVE_TRIPLE[1::-1]), list(zlat.NEGATIVE_TRIPLE[:2])),
+])
+def test_a_question_without_normal_forms_raises_unless_it_is_trivial(sources, targets):
+    """A pair of matrices neither of which is a rank-one unipotent, or
+    targets of no standard kind, have no normal forms to compare; equal
+    sources and targets are conjugate by the identity all the same."""
+    with pytest.raises(ValueError, match="no normal form"):
+        zlat.simultaneous_conjugator(sources, targets)
+    assert zlat.simultaneous_conjugator(targets, targets) == zlat.identity(len(targets[0]))
 
 
 def _triple_sum_product(a, b):
@@ -573,6 +651,24 @@ def test_mat_mul_matches_the_triple_sum(case):
     assert got == want
     assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
     assert zlat.mat_vec(a, b[0]) == tuple(sum(x * y for x, y in zip(row, b[0])) for row in a)
+
+
+def _cofactor_adjugate(m):
+    """The minors-and-signs adjugate that `zlat.adjugate` ran before its
+    closed form, kept as the oracle: entry (i, j) is the (j, i) cofactor."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    return tuple(tuple((-1) ** (i + j) * zlat.det(tuple(r[:i] + r[i + 1:]
+                                                       for k, r in enumerate(m) if k != j))
+                       for j in range(n)) for i in range(n))
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(_exact_matrices))
+@settings(max_examples=100, deadline=None)
+def test_adjugate_matches_the_cofactor_formula(m):
+    assert zlat.adjugate(m) == _cofactor_adjugate(m)
+    assert zlat.transpose(m) == tuple(tuple(row[i] for row in m) for i in range(len(m)))
 
 
 def test_mat_mul_rejects_a_dimension_mismatch():
