@@ -440,9 +440,10 @@ def _strings(values, what: str) -> None:
 
 def base_from_json(data: dict) -> ChartedBase:
     """Inverse of ``base_to_json``.  A document of another shape raises
-    ValueError, and so does an atlas that is not a cocycle
-    (`check_cocycle`) or a loop crossing that names no piece, or a piece
-    between other charts."""
+    ValueError, and so does one that contradicts itself: a chart or a
+    transition of another dimension than the atlas, a loop that is not a
+    closed walk through the pieces from its base chart (`holonomy` raises
+    on it), or an atlas that is not a cocycle (`check_cocycle`)."""
     zlat.json_object(data, ("dim", "charts", "pieces"), "an atlas document")
     charts = zlat.json_array(data["charts"], "atlas charts", ("id", "dim"))
     pieces = zlat.json_array(data["pieces"], "atlas pieces",
@@ -464,16 +465,21 @@ def base_from_json(data: dict) -> ChartedBase:
         if not set(r["loops"]) <= set(loops):
             raise ValueError(f"point {r['id']} names a loop the atlas does not have: "
                              f"{sorted(set(r['loops']) - set(loops))}")
+    dim = data["dim"]
+    for c in charts:
+        if c["dim"] != dim:
+            raise ValueError(f"chart {c['id']} has dimension {c['dim']}, "
+                             f"not the atlas dimension {dim}")
+    transitions = [zlat.affine_from_json(p["transition"]) for p in pieces]
+    for p, t in zip(pieces, transitions):
+        if t.dim != dim:
+            raise ValueError(f"piece {p['id']} has a {t.dim} x {t.dim} transition "
+                             f"in an atlas of dimension {dim}")
     base = ChartedBase(
-        dim=data["dim"],
+        dim=dim,
         charts=[Chart(c["id"], c["dim"], c.get("region", "")) for c in charts],
-        pieces=[
-            OverlapPiece(
-                p["id"], p["chart_a"], p["chart_b"], p["region"],
-                zlat.affine_from_json(p["transition"]),
-            )
-            for p in pieces
-        ],
+        pieces=[OverlapPiece(p["id"], p["chart_a"], p["chart_b"], p["region"], t)
+                for p, t in zip(pieces, transitions)],
         discriminant=zlat.json_object(data.get("discriminant", {}), (),
                                       "an atlas discriminant"),
         tau=Polynomial.from_json(data.get("tau", ["0"])),
@@ -482,11 +488,10 @@ def base_from_json(data: dict) -> ChartedBase:
         singular_points=points,
     )
     for name, w in base.loops.items():
-        for crossing in w.crossings:
-            try:
-                base.cotangent(crossing)
-            except ValueError as exc:
-                raise ValueError(f"loop {name!r}: {exc}") from None
+        try:
+            holonomy(base, w)
+        except ValueError as exc:
+            raise ValueError(f"loop {name!r}: {exc}") from None
     failure = check_cocycle(base)
     if failure is not None:
         raise ValueError(failure)

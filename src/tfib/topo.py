@@ -62,23 +62,20 @@ def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:
 
 
 def sign_from_triple(triple: Sequence[IntMatrix]) -> str:
-    """"negative" or "positive" from the common fixed-subspace dimension.
+    """"negative" or "positive", the sign of a vertex triple.
 
-    Requires a unipotent triple with product identity and rank(T - I) = 1
-    for each member; the fixed space has dimension 1 (negative vertex) or
-    2 (positive vertex).
+    The triple must multiply to the identity, and each member must be a
+    rank-one unipotent (`zlat.rank_one_unipotent`); the common fixed space
+    then has dimension 1 (negative vertex) or 2 (positive vertex), read by
+    `zlat.vertex_sign`.  Anything else raises ValueError.
     """
     if len(triple) != 3:
         raise ValueError("expected a triple of matrices")
-    n = len(triple[0])
     prod = zlat.mat_mul(zlat.mat_mul(triple[0], triple[1]), triple[2])
-    if prod != zlat.identity(n):
+    if prod != zlat.identity(len(triple[0])):
         raise ValueError("triple product is not the identity")
-    for m in triple:
-        if not zlat.is_unipotent(m):
-            raise ValueError("triple member is not unipotent")
-        if zlat.rank(zlat.mat_sub(m, zlat.identity(n))) != 1:
-            raise ValueError("degenerate triple: rank(T - I) != 1")
+    if any(zlat.rank_one_unipotent(m) is None for m in triple):
+        raise ValueError("triple member is not a rank-one unipotent")
     sign = zlat.vertex_sign(triple)
     if sign is None:
         raise ValueError("unexpected common fixed-space dimension "

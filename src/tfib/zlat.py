@@ -7,7 +7,8 @@ rational translation.  Everything is immutable and safe to share.
 `mat` reads every integer matrix and `rational` every exact rational (a
 float or a bool is rejected, not rounded or read as 1 and 0); `STANDARD`
 names the standard generators of the four local models, and
-`vertex_sign` the sign of a vertex triple.
+`vertex_sign` the sign of a vertex triple.  `rank` and `smith_invariants`
+both read the determinantal divisors of `_divisors`.
 
 Also home to the exact conjugacy decision used by the simplicity checker
 and the semi-stable validation.  Every question the package asks is
@@ -133,53 +134,39 @@ def is_gl(m: IntMatrix) -> bool:
     return det(m) in (1, -1)
 
 
-def is_unipotent(m: IntMatrix) -> bool:
-    """True iff (m - I)^n = 0."""
-    n = len(m)
-    p = mat_sub(m, identity(n))
-    acc = p
-    for _ in range(n - 1):
-        acc = mat_mul(acc, p)
-    return acc == tuple(tuple(0 for _ in range(n)) for _ in range(n))
+def _divisors(m) -> Tuple[int, ...]:
+    """The determinantal divisors d_1, ..., d_n of integer rows ``m`` with
+    n <= 3 columns: d_k is the gcd of the k x k minors, 0 when they all
+    vanish (Cohen, GTM 138, section 2.4)."""
+    cols = range(len(m[0]))
+    return tuple(math.gcd(*(det([[row[j] for j in js] for row in rows])
+                            for rows in itertools.combinations(m, k)
+                            for js in itertools.combinations(cols, k)))
+                 for k in range(1, len(cols) + 1))
 
 
 def rank(m) -> int:
     """Rank over Q of a nonempty integer matrix given as rows (not
-    necessarily square), from the integer row reduction."""
-    return len(_rref(m, len(m[0]))[1])
-
-
-def charpoly(m: IntMatrix) -> Tuple[int, ...]:
-    """Coefficients of det(x I - m), leading 1 first, in closed form (n <= 3).
-
-    They are 1, -trace, the sum of the principal 2-minors and -det,
-    truncated to n + 1 terms.
-    """
-    n = len(m)
-    if n > 3:
-        raise ValueError(f"charpoly is closed-form for n <= 3, got n = {n}")
-    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
-                 for i, j in itertools.combinations(range(n), 2))
-    return (1, -sum(m[i][i] for i in range(n)), minors, -det(m))[:n + 1]
+    necessarily square) with at most 3 columns: the number of nonzero
+    determinantal divisors of its Gram matrix m^t m, which has the kernel
+    of m and is n x n however many rows m has."""
+    cols = tuple(zip(*m))
+    gram = [[sum(map(operator.mul, a, b)) for b in cols] for a in cols]
+    return sum(1 for d in _divisors(gram) if d)
 
 
 def smith_invariants(m: IntMatrix) -> Tuple[int, ...]:
     """Diagonal of the Smith normal form (nonnegative, sorted by divisibility).
 
     Invariant under left/right GL(n,Z) action, in particular under
-    conjugation.  Computed from the determinantal divisors (n <= 3): with
-    g_k the gcd of the k x k minors and g_0 = 1, the k-th invariant is
-    g_k / g_{k-1}, and 0 from the first vanishing g_k on.
+    conjugation.  The k-th invariant is d_k / d_{k-1} for the determinantal
+    divisors d_k of `_divisors` and d_0 = 1, and 0 from the first vanishing
+    d_k on.
     """
-    n = len(m)
-    out = []
-    prev = 1
-    for k in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), k))
-        g = math.gcd(*(det([[m[i][j] for j in cols] for i in rows])
-                       for rows in subsets for cols in subsets))
-        out.append(g // prev if prev else 0)
-        prev = g
+    out, prev = [], 1
+    for d in _divisors(m):
+        out.append(d // prev if prev else 0)
+        prev = d
     return tuple(out)
 
 
@@ -300,38 +287,6 @@ def affine_from_json(data) -> AffineMapZ:
 # conjugacy over GL(n,Z)
 # ----------------------------------------------------------------------
 
-def _rref(rows, ncols):
-    """Reduced row echelon form of an integer matrix, in integers only.
-
-    Fraction-free elimination: zero rows are dropped, and each combined row
-    is divided by the gcd of its entries.  Returns ``(rows, pivots)``; row
-    ``i`` is a nonzero integer multiple of the i-th row of the rational
-    RREF, whose pivot sits in column ``pivots[i]``.
-    """
-    rows = [list(row) for row in rows if any(row)]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        reduced = []
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                row = [top[col] * a - f * b for a, b in zip(row, top)]
-                g = math.gcd(*row)
-                if not g:
-                    continue
-                row = [v // g for v in row]
-            reduced.append(row)
-        rows = reduced
-        pivots.append(col)
-    return rows, pivots
-
-
 def _completion(u) -> IntMatrix:
     """A GL(n,Z) matrix whose first column is the primitive vector ``u``.
 
@@ -359,9 +314,11 @@ def _completion(u) -> IntMatrix:
     return tuple(map(tuple, cols))
 
 
-def _rank_one_unipotent(m):
+def rank_one_unipotent(m):
     """``(c, v, w)`` with m - I = c v w^t, v and w primitive, w . v = 0 and
-    c > 0 the content of m - I; None when m is not such a matrix."""
+    c > 0 the content of m - I; None when m is not such a matrix, that is,
+    unless m is unipotent with rank(m - I) = 1 (a rank-one N = c v w^t has
+    N^2 = (w . v) N).  This is the rule for a member of a vertex triple."""
     n = len(m)
     d = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
     flat = [x for row in d for x in row]
@@ -385,7 +342,7 @@ def _single_form(m):
     w^t R = e_1^t, and its other columns are a basis of w^perp, in which v
     has the primitive coordinates a; completing a on those columns puts v
     second."""
-    found = _rank_one_unipotent(m)
+    found = rank_one_unipotent(m)
     if found is None:
         return None
     c, v, w = found
@@ -403,7 +360,7 @@ def _triple_form(triple):
     Q = [q; w_1; -w_2] takes v to e_1 and w_1, -w_2 to e_2, e_3 under
     Q^{-t}, and it is unimodular exactly when w_1 and w_2 are a basis of
     v^perp; P is Q^{-1}.  The third member is left to the caller."""
-    forms = [_rank_one_unipotent(m) for m in triple[:2]]
+    forms = [rank_one_unipotent(m) for m in triple[:2]]
     if None in forms:
         return None
     (c1, v, w1), (c2, v2, w2) = forms

@@ -887,9 +887,9 @@ def _edit_piece(piece_id, **transition):
     return edit
 
 
-def _add_loop(*crossings):
+def _add_loop(*crossings, base="U1"):
     return lambda atlas: atlas["loops"].update(
-        g4={"base_chart": "U1", "crossings": [list(c) for c in crossings]})
+        g4={"base_chart": base, "crossings": [list(c) for c in crossings]})
 
 
 def _insert_identity_12b(offset):
@@ -923,8 +923,21 @@ def _insert_identity_12b(offset):
     (_atlas_with("negative", _insert_identity_12b(1)),
      "atlas is not a cocycle on region 'Vplus': pieces 12+ and 12+b glue the same "
      "charts differently"),
+    # no step of either leaf reads a chart's dimension
+    (_atlas_with("negative", lambda atlas: atlas["charts"][0].update(dim=7)),
+     "chart U1 has dimension 7, not the atlas dimension 3"),
+    (_atlas_with("negative", _edit_piece("23-", linear=[[1, 0], [0, 1]],
+                                         translation=["0", "0"])),
+     "piece 23- has a 2 x 2 transition in an atlas of dimension 3"),
+    (_atlas_with("negative", _add_loop(("12+", "U1", "U2"), ("12-", "U2", "U1"), base="U2")),
+     "loop 'g4': crossing sequence broken: at U2, next crossing leaves from U1"),
+    (_atlas_with("negative", _add_loop(("12+", "U1", "U2"), ("13+", "U3", "U1"))),
+     "loop 'g4': crossing sequence broken: at U2, next crossing leaves from U3"),
+    (_atlas_with("negative", _add_loop(("12+", "U1", "U2"))),
+     "loop 'g4': loop word does not return to its base chart"),
 ], ids=["linear part", "translation", "unknown piece", "other charts",
-        "duplicate piece before", "duplicate piece after"])
+        "duplicate piece before", "duplicate piece after", "chart dimension",
+        "transition dimension", "loop base", "loop broken", "loop open"])
 @pytest.mark.parametrize("leaf", [["check-simple", "--strict"], ["holonomy", "--loop", "g1"]],
                          ids=["check-simple", "holonomy"])
 def test_an_atlas_that_is_not_a_manifold_is_a_usage_error(tmp_path, capsys, document,

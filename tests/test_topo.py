@@ -83,6 +83,25 @@ def test_sign_from_triple_rejects_degenerate():
         topo.sign_from_triple((zlat.T_GENERIC, ident, ident))
 
 
+def _closed(t1, t2):
+    """The triple (t1, t2, (t1 t2)^-1), whose product is the identity."""
+    return (t1, t2, zlat.inverse(zlat.mat_mul(t1, t2)))
+
+
+@pytest.mark.parametrize("triple", [
+    # T_3 - I is nilpotent of rank 2; the common fixed space is a line, as
+    # for the negative triple, so the member rule is what rejects it
+    _closed(zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            zlat.mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])),
+    # T_2 = diag(-1, 1, 1) has T_2 - I of rank one, but it is not unipotent
+    _closed(zlat.NEGATIVE_TRIPLE[0], zlat.mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+], ids=["unipotent of rank 2", "rank one, not unipotent"])
+def test_sign_from_triple_rejects_a_member_that_is_not_a_rank_one_unipotent(triple):
+    assert zlat.vertex_sign(triple) is not None
+    with pytest.raises(ValueError, match="^triple member is not a rank-one unipotent$"):
+        topo.sign_from_triple(triple)
+
+
 def test_validate_canonical_on_negative_local_model():
     g = pb.single_vertex_graph("negative")
     report = topo.validate_semistable(g, topo.canonical_assignment(g))

@@ -62,14 +62,6 @@ def test_standard_generators_are_named_once():
     assert list(zlat.STANDARD)[2:] == ["negative", "positive"]
 
 
-def test_is_unipotent():
-    assert zlat.is_unipotent(zlat.T_NODE)
-    assert zlat.is_unipotent(zlat.identity(3))
-    assert not zlat.is_unipotent(zlat.mat([[2, 0], [0, 1]]))
-    for t in zlat.NEGATIVE_TRIPLE + zlat.POSITIVE_TRIPLE:
-        assert zlat.is_unipotent(t)
-
-
 def test_inverse_transpose_examples():
     t1 = zlat.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert zlat.inverse_transpose(t1) == zlat.mat([[1, 0, 0], [-1, 1, 0], [0, 0, 1]])
@@ -232,34 +224,6 @@ def test_smith_invariants_are_a_gl3_normal_form(case):
     assert zlat.smith_invariants(zlat.mat_mul(zlat.mat_mul(p, dm), q)) == diagonal
 
 
-def _faddeev_leverrier(m):
-    """Characteristic polynomial by Faddeev-LeVerrier in exact Fractions."""
-    n = len(m)
-    coeffs = [Fraction(1)]
-    prev = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        acc = [[sum(m[i][t] * prev[t][j] for t in range(n)) for j in range(n)]
-               for i in range(n)]
-        coeffs.append(-sum(acc[i][i] for i in range(n)) / k)
-        prev = [[acc[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
-                for i in range(n)]
-    return tuple(coeffs)
-
-
-def test_charpoly_against_faddeev_leverrier():
-    import random
-
-    rng = random.Random(1)
-    for _ in range(300):
-        n = rng.choice([1, 2, 3])
-        m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-        assert zlat.charpoly(m) == _faddeev_leverrier(m), m
-    for m in zlat.NEGATIVE_TRIPLE + zlat.POSITIVE_TRIPLE + (zlat.T_NODE,):
-        assert zlat.charpoly(m) == _faddeev_leverrier(m)
-    with pytest.raises(ValueError):
-        zlat.charpoly(zlat.identity(4))
-
-
 def _fraction_nullspace(rows, ncols):
     """Reference RREF nullspace in Fraction arithmetic (free-variable basis)."""
     rows = [[Fraction(v) for v in row] for row in rows]
@@ -306,6 +270,60 @@ def test_rank_is_columns_minus_nullity():
         n = rng.choice([2, 3])
         m = zlat.mat(_random_system(rng, n, n, rng.randint(0, n)))
         assert zlat.rank(m) == n - len(_fraction_nullspace(m, n)[0]), m
+    # single columns and tall stacks, like the 9 x 3 stack of a vertex
+    # triple in `fixed_space_dimension`: the Gram matrix is n x n for them all
+    for _ in range(200):
+        nrows, n = rng.choice([(1, 1), (2, 1), (4, 1), (1, 3), (2, 3),
+                               (4, 2), (6, 2), (6, 3), (9, 3)])
+        m = _random_system(rng, nrows, n, rng.choice([None, *range(min(nrows, n) + 1)]))
+        assert zlat.rank(m) == n - len(_fraction_nullspace(m, n)[0]), m
+
+
+def _random_member(rng, n):
+    """I + N for a seeded N: rank-one nilpotent, rank-one with w . v = 0 or
+    not, nilpotent of rank 2 (n = 3), or entries drawn at random."""
+    v = [rng.randint(-4, 4) for _ in range(n)]
+    w = [rng.randint(-4, 4) for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 0:  # w orthogonal to v, so N = c v w^t is nilpotent
+        w = ([-v[1], v[0]] if n == 2 else
+             [v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0]])
+    if kind <= 1:
+        c = rng.randint(1, 3)
+        nil = [[c * a * b for b in w] for a in v]
+    elif kind == 2:  # strictly lower triangular, conjugated by a shear
+        low = zlat.mat([[rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+                        for i in range(n)])
+        i, j = rng.sample(range(n), 2)
+        p = zlat.mat([[rng.randint(-3, 3) if (r, q) == (i, j) else int(r == q)
+                       for q in range(n)] for r in range(n)])
+        nil = zlat.mat_mul(zlat.mat_mul(p, low), zlat.inverse(p))
+    else:
+        nil = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return zlat.mat([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(nil)])
+
+
+def test_rank_one_unipotent_is_unipotent_with_rank_one():
+    """The member rule of a vertex triple: a value exactly when (m - I)^2 = 0
+    and rank(m - I) = 1, the rank read by the Fraction reference."""
+    import random
+
+    rng = random.Random(40)
+    seen = set()
+    for _ in range(600):
+        n = rng.choice([2, 3])
+        m = _random_member(rng, n)
+        nil = zlat.mat_sub(m, zlat.identity(n))
+        square_zero = not any(x for row in zlat.mat_mul(nil, nil) for x in row)
+        rank_one = len(_fraction_nullspace(nil, n)[0]) == n - 1
+        found = zlat.rank_one_unipotent(m)
+        assert (found is not None) == (square_zero and rank_one), m
+        if found is not None:
+            c, v, w = found
+            assert nil == tuple(tuple(c * a * b for b in w) for a in v)
+        seen.add((n, square_zero, rank_one))
+    assert seen == {(n, z, r) for n in (2, 3) for z in (True, False)
+                    for r in (True, False)}
 
 
 def _conjugacy_rows(sources, targets):
