@@ -21,7 +21,7 @@ Conventions (fixed once):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -360,14 +360,21 @@ def check_simple(base: ChartedBase) -> SimplicityReport:
     negative triple or its inverse transposes), in the given or the
     orientation-reversed order.  Conjugacy is decided exactly by
     ``zlat.simultaneous_conjugator``, so a point that is not simple has
-    holonomy conjugate to no local model in any chart.
+    holonomy conjugate to no local model in any chart, or its record
+    declares a ``type`` other than the model its holonomy matches.
     """
     if not base.singular_points:
         raise ValueError("base carries no discriminant point records")
     verdicts = []
     for record in base.singular_points:
         mats = [holonomy(base, base.loops[name]) for name in record["loops"]]
-        verdicts.append(_classify_point(record["id"], base.dim, mats))
+        verdict = _classify_point(record["id"], base.dim, mats)
+        declared = record.get("type", verdict.matched_model)
+        if verdict.simple and declared != verdict.matched_model:
+            verdict = replace(verdict, simple=False,
+                              detail=f"declared type {declared!r}, but the holonomy "
+                                     f"matched {verdict.matched_model}")
+        verdicts.append(verdict)
     return SimplicityReport(verdicts)
 
 

@@ -20,8 +20,11 @@ GTM 138, section 2.4): P^{-1} A P = I + c E_21 for one matrix, and for a
 triple the standard triple of its sign.  Two inputs are conjugate exactly
 when their normal forms agree, and the conjugator is read off the two
 transforms; it is checked by exact products before it is returned, so
-None is a proof that no conjugator exists in GL(n,Z).  Like the whole
-module, this runs on plain Python ints: exact for every input.
+None is a proof that no conjugator exists in GL(n,Z).  The targets' half
+of that work depends on the targets alone, and every target the package
+asks about is standard, so `_STANDARD_FORMS` builds those targets' forms
+once, at import, and a question computes only its sources' form.  Like
+the whole module, this runs on plain Python ints: exact for every input.
 """
 
 from __future__ import annotations
@@ -372,35 +375,57 @@ def _triple_form(triple):
     return inverse(rows) if det(rows) in (1, -1) else None
 
 
+def _no_normal_form(targets) -> ValueError:
+    return ValueError(f"no normal form for the conjugacy target {list(targets)}")
+
+
+def _target_form(targets):
+    """The targets' half of `_candidate`, which depends on the targets only.
+
+    One matrix: ``(c, P_B^{-1})`` from its `_single_form`, or None when it
+    is not a rank-one unipotent.  A triple must be simultaneously
+    conjugate to `NEGATIVE_TRIPLE` (its members share an image) or,
+    through transposes, to `POSITIVE_TRIPLE` (they share a co-image):
+    ``(flip, P_B^{-1})``, where ``flip`` is ``tuple`` or `transpose` and
+    `_triple_form` takes the first two flipped members to the standard
+    ones, and since the triple multiplies to the identity, the third as
+    well.  Anything else raises ValueError."""
+    if len(targets) == 1:
+        form = _single_form(targets[0])
+        return None if form is None else (form[0], inverse(form[1]))
+    if len(targets) == 3 and len(targets[0]) == 3:
+        for flip in (tuple, transpose):
+            flipped = [flip(m) for m in targets]
+            form = _triple_form(flipped)
+            if form is not None and mat_mul(mat_mul(*flipped[:2]), flipped[2]) == identity(3):
+                return flip, inverse(form)
+    raise _no_normal_form(targets)
+
+
 def _candidate(sources, targets):
     """P_A P_B^{-1}, from the normal forms P_A of the sources and P_B of the
     targets, or None when the two have different normal forms.
 
-    A pair of single matrices is decided when either one is a rank-one
-    unipotent.  A target triple must be simultaneously conjugate to
-    `NEGATIVE_TRIPLE` (its members share an image) or, through transposes,
-    to `POSITIVE_TRIPLE` (they share a co-image): `_triple_form` takes its
-    first two members to the standard ones, and since the triple
-    multiplies to the identity, the third as well.  Anything else raises
-    ValueError."""
+    The targets' form is read from `_STANDARD_FORMS` when they are
+    standard, and built by `_target_form` otherwise.  A pair of single
+    matrices is decided when either one is a rank-one unipotent, and
+    raises ValueError when neither is."""
+    form = _STANDARD_FORMS.get(targets)
+    if form is None:
+        form = _target_form(targets)
     if len(targets) == 1:
-        mine, form = _single_form(sources[0]), _single_form(targets[0])
-        if mine is not None or form is not None:
-            if mine is None or form is None or mine[0] != form[0]:
-                return None
-            return mat_mul(mine[1], inverse(form[1]))
-    elif len(targets) == 3 and len(targets[0]) == 3:
-        for flip in (tuple, transpose):
-            flipped = [flip(m) for m in targets]
-            form = _triple_form(flipped)
-            if form is None or mat_mul(mat_mul(*flipped[:2]), flipped[2]) != identity(3):
-                continue
-            mine = _triple_form([flip(m) for m in sources])
-            if mine is None:
-                return None
-            p = mat_mul(mine, inverse(form))
-            return p if flip is tuple else inverse_transpose(p)
-    raise ValueError(f"no normal form for the conjugacy target {list(targets)}")
+        mine = _single_form(sources[0])
+        if mine is None and form is None:
+            raise _no_normal_form(targets)
+        if mine is None or form is None or mine[0] != form[0]:
+            return None
+        return mat_mul(mine[1], form[1])
+    flip, form_inverse = form
+    mine = _triple_form([flip(m) for m in sources])
+    if mine is None:
+        return None
+    p = mat_mul(mine, form_inverse)
+    return p if flip is tuple else inverse_transpose(p)
 
 
 def simultaneous_conjugator(
@@ -420,8 +445,11 @@ def simultaneous_conjugator(
     content, and the one built from two members of a triple would take the
     third, which the other two determine, to the third target (the targets
     multiply to the identity).  When the sources equal the targets, P is
-    the identity.  Results are memoized, since graph validation and the
-    local models ask about the same few matrices over and over.
+    the identity.  Answers are memoized by (sources, targets), since graph
+    validation and the local models ask the same few questions over and
+    over; the standard targets' forms are built once per process, at
+    import (`_STANDARD_FORMS`), so a new question computes only the
+    sources' form.
     """
     # `bound` is ignored; perfbench/workloads.py still passes bound=3
     # (ROADMAP item 1)
@@ -484,6 +512,12 @@ POSITIVE_TRIPLE: Tuple[IntMatrix, IntMatrix, IntMatrix] = tuple(
 #: local model -> its standard generators
 STANDARD = {"node": (T_NODE,), "edge": (T_GENERIC,),
             "negative": NEGATIVE_TRIPLE, "positive": POSITIVE_TRIPLE}
+
+#: standard target -> its `_target_form`, built once per process: the four
+#: `STANDARD` values and each member of the two triples as a one-matrix
+#: target, which is every target the package asks about
+_STANDARD_FORMS = {targets: _target_form(targets) for targets in (
+    *STANDARD.values(), *((m,) for m in NEGATIVE_TRIPLE + POSITIVE_TRIPLE))}
 
 
 def vertex_sign(triple: Sequence[IntMatrix]) -> Optional[str]:

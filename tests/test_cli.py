@@ -697,6 +697,22 @@ def test_check_simple_strict_rejects_doctored_atlas(tmp_path):
     assert not data["passed"]
 
 
+@pytest.mark.parametrize("declared", ["positive_vertex", "x"])
+def test_check_simple_strict_rejects_a_point_declared_as_another_model(tmp_path, declared):
+    """The negative atlas with its point's ``type`` edited: the holonomy
+    still matches the negative vertex, so the point is not simple, and the
+    detail names the declared type and the matched model."""
+    code, data, atlas = run(tmp_path, "base", "build", "--kind", "negative", name="atlas.json")
+    assert code == 0 and data["singular_points"][0]["type"] == "negative"
+    data["singular_points"][0]["type"] = declared
+    atlas.write_text(json.dumps(data))
+    code, data, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas), "--strict")
+    assert code == 1 and data["passed"] is False
+    point = data["points"][0]
+    assert point["simple"] is False and point["matched_model"] == "negative"
+    assert point["detail"] == f"declared type {declared!r}, but the holonomy matched negative"
+
+
 def test_sheared_second_chart_keeps_the_negative_vertex_simple(tmp_path):
     """The negative model with U2 re-charted by a shear is the same affine
     manifold: g3 (U1 -> U2 -> U3 -> U1) still reads T3, and the atlas is

@@ -408,11 +408,11 @@ BIG_Q2 = zlat.mat([[1, 0, 0], [2**35, 1, 0], [3, 2**34 - 1, 1]])
     ([_conj(BIG_Q2, t) for t in zlat.NEGATIVE_TRIPLE], list(zlat.NEGATIVE_TRIPLE), 2),
     ([_conj(BIG_Q1, t) for t in zlat.POSITIVE_TRIPLE], list(zlat.POSITIVE_TRIPLE), 2),
 ])
-def test_shell_search_matches_brute_force(sources, targets, bound):
-    """The box search that the normal forms replaced, kept as the
-    reference: when it finds a conjugator in [-bound, bound], the normal
-    forms return a verified one, and when they return None, the box holds
-    none.  The norm-4 and 2^33 problems are solved beyond the box."""
+def test_normal_forms_match_brute_force(sources, targets, bound):
+    """The normal forms against an exhaustive reference: when the box
+    [-bound, bound] holds a conjugator, the normal forms return a verified
+    one, and when they return None, the box holds none.  The norm-4 and
+    2^33 problems are solved beyond the box."""
     zlat._conjugator_cached.cache_clear()
     found = zlat.simultaneous_conjugator(sources, targets)
     boxed = _brute_force_conjugator(sources, targets, bound)
@@ -432,7 +432,7 @@ def test_shell_search_matches_brute_force(sources, targets, bound):
                          zlat.POSITIVE_TRIPLE]).flatmap(
     lambda targets: st.tuples(st.just(targets), _gl(len(targets[0])), st.integers(1, 3))))
 @settings(max_examples=12, deadline=None)
-def test_shell_search_matches_brute_force_on_random_witnesses(case):
+def test_normal_forms_match_brute_force_on_random_witnesses(case):
     targets, w, bound = case
     sources = [_conj(w, m) for m in targets]
     found = zlat.simultaneous_conjugator(sources, targets)
@@ -442,8 +442,9 @@ def test_shell_search_matches_brute_force_on_random_witnesses(case):
         assert_conjugates(sources, targets, boxed)
 
 
-def test_norm_4_problems_need_bound_4():
-    """The box search needs bound 4 for them; the normal forms need none."""
+def test_normal_forms_solve_norm_4_problems():
+    """Their least conjugators have sup-norm 4, outside the box of bound 3;
+    the normal forms need no bound."""
     for src, tgt in ((NODE_NORM_4, zlat.T_NODE), (GENERIC_NORM_4, zlat.T_GENERIC)):
         assert _brute_force_conjugator([src], [tgt], 3) is None
         p = _brute_force_conjugator([src], [tgt], 4)
@@ -551,7 +552,7 @@ def test_opposite_signs_are_rejected_without_a_search():
 
 @given(_gl(3), st.sampled_from([zlat.NEGATIVE_TRIPLE, zlat.POSITIVE_TRIPLE]))
 @settings(max_examples=60, deadline=None)
-def test_fixed_space_prefilter_keeps_every_conjugate_tuple(w, triple):
+def test_fixed_space_dimension_is_a_conjugacy_invariant(w, triple):
     """The dimension that `vertex_sign` reads is a conjugacy invariant."""
     sources = tuple(_conj(w, m) for m in triple)
     assert zlat.fixed_space_dimension(sources) == zlat.fixed_space_dimension(triple)
@@ -638,6 +639,60 @@ def test_a_question_without_normal_forms_raises_unless_it_is_trivial(sources, ta
     with pytest.raises(ValueError, match="no normal form"):
         zlat.simultaneous_conjugator(sources, targets)
     assert zlat.simultaneous_conjugator(targets, targets) == zlat.identity(len(targets[0]))
+
+
+def test_standard_forms_are_the_target_forms_of_the_standard_targets():
+    """The table holds `_target_form` of each standard target and of each
+    triple member alone, and nothing else."""
+    members = [(m,) for m in zlat.NEGATIVE_TRIPLE + zlat.POSITIVE_TRIPLE]
+    assert set(zlat._STANDARD_FORMS) == {*zlat.STANDARD.values(), *members}
+    for targets, form in zlat._STANDARD_FORMS.items():
+        assert form is not None and form == zlat._target_form(targets)
+
+
+def test_planted_answers_do_not_depend_on_the_standard_forms(monkeypatch):
+    """Without the table every target's form is built per question, and the
+    answers keep their pinned digest: the table only stores results."""
+    import hashlib
+    import json
+
+    monkeypatch.setattr(zlat, "_STANDARD_FORMS", {})
+    zlat._conjugator_cached.cache_clear()
+    try:
+        answers = [zlat.simultaneous_conjugator(sources, targets)
+                   for sources, targets in _planted_problems()]
+    finally:
+        zlat._conjugator_cached.cache_clear()
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == PLANTED_ANSWERS_SHA256
+
+
+@pytest.mark.parametrize("model", sorted(zlat.STANDARD))
+def test_a_target_outside_the_standard_forms_is_solved(model):
+    """W T W^-1 for a standard T is no key of the table: its form is built
+    for the question, and the conjugator passes the exact products."""
+    standard = zlat.STANDARD[model]
+    n = len(standard[0])
+    w1 = zlat.mat([[2, 1], [1, 1]] if n == 2 else [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    w2 = zlat.mat([[1, 2], [0, 1]] if n == 2 else [[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    sources = [_conj(w1, m) for m in standard]
+    targets = [_conj(w2, m) for m in standard]
+    assert tuple(targets) not in zlat._STANDARD_FORMS
+    assert_conjugates(sources, targets, zlat.simultaneous_conjugator(sources, targets))
+
+
+@pytest.mark.parametrize("table", ["standard", "empty"])
+def test_a_pair_of_matrices_without_normal_forms_raises_with_or_without_the_table(
+        monkeypatch, table):
+    """Neither matrix is a rank-one unipotent: ValueError, whether or not
+    the standard targets' forms are in the table."""
+    if table == "empty":
+        monkeypatch.setattr(zlat, "_STANDARD_FORMS", {})
+    for a, b in ((zlat.mat([[2, 0], [0, 1]]), zlat.mat([[1, 1], [1, 2]])),
+                 (zlat.mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                  zlat.mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))):
+        with pytest.raises(ValueError, match="no normal form"):
+            zlat.conjugator(a, b)
 
 
 def _triple_sum_product(a, b):
