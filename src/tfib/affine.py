@@ -450,7 +450,10 @@ def base_from_json(data: dict) -> ChartedBase:
     ValueError, and so does one that contradicts itself: a chart or a
     transition of another dimension than the atlas, a loop that is not a
     closed walk through the pieces from its base chart (`holonomy` raises
-    on it), or an atlas that is not a cocycle (`check_cocycle`)."""
+    on it), an atlas that is not a cocycle (`check_cocycle`), or a
+    ``discriminant`` record other than `_discriminant` of ``tau`` and the
+    local-model kind that every singular point declares as its ``type``
+    (checked when the record is present and the points agree on a kind)."""
     zlat.json_object(data, ("dim", "charts", "pieces"), "an atlas document")
     charts = zlat.json_array(data["charts"], "atlas charts", ("id", "dim"))
     pieces = zlat.json_array(data["pieces"], "atlas pieces",
@@ -482,14 +485,29 @@ def base_from_json(data: dict) -> ChartedBase:
         if t.dim != dim:
             raise ValueError(f"piece {p['id']} has a {t.dim} x {t.dim} transition "
                              f"in an atlas of dimension {dim}")
+    discriminant = zlat.json_object(data.get("discriminant", {}), (),
+                                    "an atlas discriminant")
+    tau = Polynomial.from_json(data.get("tau", ["0"]))
+    # the one local-model kind every point declares, if they agree on one
+    # (a JSON type may be unhashable, so compare it by equality only)
+    kinds = [r.get("type") for r in points]
+    kind = kinds[0] if kinds and kinds.count(kinds[0]) == len(kinds) else None
+    if "discriminant" in data and kind in tuple(_REGIONS):
+        want, got = _discriminant(kind, tau), dict(discriminant)
+        if "tau" in got:  # compare rationals, not spellings: 1 and "2/2" read as "1"
+            got["tau"] = Polynomial.from_json(got["tau"]).to_json()
+        for key in (*want, *got):
+            if got.get(key) != want.get(key):
+                raise ValueError(
+                    f"atlas discriminant.{key} is {got.get(key)!r}, but the "
+                    f"{kind} model with tau {tau.to_json()} has {want.get(key)!r}")
     base = ChartedBase(
         dim=dim,
         charts=[Chart(c["id"], c["dim"], c.get("region", "")) for c in charts],
         pieces=[OverlapPiece(p["id"], p["chart_a"], p["chart_b"], p["region"], t)
                 for p, t in zip(pieces, transitions)],
-        discriminant=zlat.json_object(data.get("discriminant", {}), (),
-                                      "an atlas discriminant"),
-        tau=Polynomial.from_json(data.get("tau", ["0"])),
+        discriminant=discriminant,
+        tau=tau,
         loops={name: LoopWord(w["base_chart"], _crossings(w["crossings"]))
                for name, w in loops.items()},
         singular_points=points,

@@ -1,7 +1,9 @@
 """Exact integer and affine-integral linear algebra.
 
 Matrices are tuples of tuples of Python ints (arbitrary precision), n = 2
-or 3 throughout.  Affine maps carry an integer linear part and an exact
+or 3 throughout: the products `mat_mul` and `mat_vec`, `det`, `adjugate`
+and `inverse` are written out in closed form for those two sizes, with no
+generic loop.  Affine maps carry an integer linear part and an exact
 rational translation.  Everything is immutable and safe to share.
 
 `mat` reads every integer matrix and `rational` every exact rational (a
@@ -65,19 +67,44 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The exact product a b: each entry is a row of a dotted with a
-    column of b by ``map(operator.mul, ...)``, so the loop runs in C."""
-    if len(b) != len(a):
+    """The exact product a b, in closed form like `det` and `adjugate`;
+    any n other than 2 and 3 raises ValueError."""
+    n = len(a)
+    if len(b) != n:
         raise ValueError("dimension mismatch")
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
+    if n == 3:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+        return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+                 a0 * b2 + a1 * b5 + a2 * b8),
+                (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+                 a3 * b2 + a4 * b5 + a5 * b8),
+                (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+                 a6 * b2 + a7 * b5 + a8 * b8))
+    if n == 2:
+        (a0, a1), (a2, a3) = a
+        (b0, b1), (b2, b3) = b
+        return ((a0 * b0 + a1 * b2, a0 * b1 + a1 * b3),
+                (a2 * b0 + a3 * b2, a2 * b1 + a3 * b3))
+    raise ValueError(f"mat_mul is closed-form for n = 2 and 3, got n = {n}")
 
 
 def mat_vec(a: IntMatrix, v: Sequence) -> tuple:
-    """The exact product a v, by the same row-times-column rule as `mat_mul`."""
-    if len(v) != len(a):
+    """The exact product a v, in closed form like `mat_mul`; any n other
+    than 2 and 3 raises ValueError."""
+    n = len(a)
+    if len(v) != n:
         raise ValueError("dimension mismatch")
-    return tuple([sum(map(operator.mul, row, v)) for row in a])
+    if n == 3:
+        (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+        v0, v1, v2 = v
+        return (a0 * v0 + a1 * v1 + a2 * v2, a3 * v0 + a4 * v1 + a5 * v2,
+                a6 * v0 + a7 * v1 + a8 * v2)
+    if n == 2:
+        (a0, a1), (a2, a3) = a
+        v0, v1 = v
+        return (a0 * v0 + a1 * v1, a2 * v0 + a3 * v1)
+    raise ValueError(f"mat_vec is closed-form for n = 2 and 3, got n = {n}")
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -120,12 +147,13 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 
 
 def inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse; requires det = +/-1 (GL(n,Z) membership)."""
+    """Exact inverse; requires det = +/-1 (GL(n,Z) membership), and is then
+    the adjugate itself (det = 1) or its negation (det = -1)."""
     d = det(m)
     if d not in (1, -1):
         raise ValueError(f"matrix not invertible over Z (det={d})")
     adj = adjugate(m)
-    return tuple(tuple(d * v for v in row) for row in adj)
+    return adj if d == 1 else tuple([tuple(map(operator.neg, row)) for row in adj])
 
 
 def inverse_transpose(m: IntMatrix) -> IntMatrix:

@@ -57,6 +57,29 @@ def test_edge_variation_discriminant_curve():
     assert base.discriminant["tau"] == ["0", "0", "1"]
 
 
+@pytest.mark.parametrize("kind, tau", [("node", None), ("edge", ["0", "1/2", "3"]),
+                                       ("negative", ["0", "1"]), ("positive", None)])
+def test_an_atlas_discriminant_is_checked_against_its_one_declared_kind(kind, tau):
+    """Every built atlas reads back with its derived discriminant record,
+    and so does its record with tau spelled otherwise, but an edited record
+    raises; without the record, or with points that declare no common
+    local-model kind, nothing is compared."""
+    data = affine.build_report(kind, tau)
+    assert affine.base_from_json(data).discriminant == data["discriminant"]
+    wrong = dict(data, discriminant={**data["discriminant"], "plane": "{x3=0}"})
+    with pytest.raises(ValueError, match=r"^atlas discriminant\.plane is '\{x3=0\}'"):
+        affine.base_from_json(wrong)
+    affine.base_from_json({k: v for k, v in wrong.items() if k != "discriminant"})
+    if "tau" in data["discriminant"]:
+        spelled = [f"{2 * Fraction(c).numerator}/{2 * Fraction(c).denominator}"
+                   for c in data["tau"]]
+        affine.base_from_json(dict(data, discriminant={**data["discriminant"], "tau": spelled}))
+    for types in (["x"], [None], [["unhashable"]], [kind, "x"]):
+        points = [dict(data["singular_points"][0], id=str(i), type=t)
+                  for i, t in enumerate(types)]
+        affine.base_from_json(dict(wrong, singular_points=points))
+
+
 def test_vertex_tau_must_vanish():
     with pytest.raises(ValueError):
         build_local_model("negative", Polynomial([1]))

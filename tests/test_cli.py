@@ -713,6 +713,28 @@ def test_check_simple_strict_rejects_a_point_declared_as_another_model(tmp_path,
     assert point["detail"] == f"declared type {declared!r}, but the holonomy matched negative"
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"sign": "positive", "kind": "node"}, "kind"),
+    ({"sign": "positive"}, "sign"),
+    ({"tau": ["5", "1"]}, "tau"),
+])
+def test_an_atlas_discriminant_that_contradicts_its_model_is_a_usage_error(
+        tmp_path, capsys, edit, key):
+    """The negative atlas with its derived ``discriminant`` record edited
+    (the top-level ``tau`` stays ["0"]): the reader exits 2 with one line
+    naming the first field that differs from the record of the negative
+    model and its tau."""
+    _, data, atlas = run(tmp_path, "base", "build", "--kind", "negative", name="atlas.json")
+    assert data["tau"] == ["0"] and data["singular_points"][0]["type"] == "negative"
+    data["discriminant"].update(edit)
+    atlas.write_text(json.dumps(data))
+    capsys.readouterr()
+    code, report, _ = run(tmp_path, "base", "check-simple", "--input", str(atlas), "--strict")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: atlas discriminant.{key} is ") and err.count("\n") == 1
+
+
 def test_sheared_second_chart_keeps_the_negative_vertex_simple(tmp_path):
     """The negative model with U2 re-charted by a shear is the same affine
     manifold: g3 (U1 -> U2 -> U3 -> U1) still reads T3, and the atlas is

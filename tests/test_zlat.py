@@ -696,11 +696,22 @@ def test_a_pair_of_matrices_without_normal_forms_raises_with_or_without_the_tabl
 
 
 def _triple_sum_product(a, b):
-    """The index triple sum that `zlat.mat_mul` ran before it moved to
-    ``sum(map(operator.mul, row, col))``, kept as the oracle."""
+    """The index triple sum, kept as the oracle of the closed-form
+    `zlat.mat_mul`."""
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
                  for i in range(n))
+
+
+def _row_dot_product(a, v):
+    """Each row of a dotted with v, the oracle of the closed-form
+    `zlat.mat_vec`."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _types(entries):
+    return [[type(x) for x in row] if isinstance(row, tuple) else type(row)
+            for row in entries]
 
 
 def _exact_matrices(n):
@@ -721,9 +732,10 @@ def _exact_matrices(n):
 def test_mat_mul_matches_the_triple_sum(case):
     a, b = case
     got, want = zlat.mat_mul(a, b), _triple_sum_product(a, b)
-    assert got == want
-    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
-    assert zlat.mat_vec(a, b[0]) == tuple(sum(x * y for x, y in zip(row, b[0])) for row in a)
+    assert got == want and _types(got) == _types(want)
+    for v in b:
+        got, want = zlat.mat_vec(a, v), _row_dot_product(a, v)
+        assert got == want and _types(got) == _types(want)
 
 
 def _cofactor_adjugate(m):
@@ -742,6 +754,31 @@ def _cofactor_adjugate(m):
 def test_adjugate_matches_the_cofactor_formula(m):
     assert zlat.adjugate(m) == _cofactor_adjugate(m)
     assert zlat.transpose(m) == tuple(tuple(row[i] for row in m) for i in range(len(m)))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_products_raise_outside_n_2_and_3(n):
+    m, v = zlat.identity(n), (1,) * n
+    with pytest.raises(ValueError, match=f"mat_mul is closed-form for n = 2 and 3, got n = {n}"):
+        zlat.mat_mul(m, m)
+    with pytest.raises(ValueError, match=f"mat_vec is closed-form for n = 2 and 3, got n = {n}"):
+        zlat.mat_vec(m, v)
+
+
+@given(st.sampled_from([2, 3]).flatmap(_gl))
+@settings(max_examples=100, deadline=None)
+@example(((1, 0), (1, 1)))
+@example(((0, 1), (1, 0)))
+@example(((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+def test_inverse_is_the_signed_adjugate(m):
+    d = zlat.det(m)
+    assert d in (1, -1)
+    inv = zlat.inverse(m)
+    assert inv == tuple(tuple(d * x for x in row) for row in _cofactor_adjugate(m))
+    assert zlat.mat_mul(m, inv) == zlat.mat_mul(inv, m) == zlat.identity(len(m))
+    doubled = (tuple(2 * x for x in m[0]),) + m[1:]
+    with pytest.raises(ValueError, match=rf"not invertible over Z \(det={2 * d}\)"):
+        zlat.inverse(doubled)
 
 
 def test_mat_mul_rejects_a_dimension_mismatch():
