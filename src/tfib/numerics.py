@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -278,5 +277,8 @@ def parallel_map(fn, chunks):
     workers = thread_count()
     if workers == 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    # imported here: concurrent.futures costs a cold command milliseconds
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))

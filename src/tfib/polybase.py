@@ -17,13 +17,13 @@ Fractions are made only for what is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul, sub
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .zlat import json_array, json_object, rational
 
@@ -138,6 +138,13 @@ class Thickening:
 
 @dataclass(frozen=True)
 class DiscriminantGraph:
+    """Vertices, edges and thickening records.  Two facts derived from
+    them are worked out on first use and kept with the graph object, so
+    they cost one pass however often they are asked for: ``incidence``,
+    each vertex's edges, and ``signed_defect``, the verdict on whether it
+    is a signed trivalent graph that ``topo`` checks before it counts or
+    validates.  Any operation that changes a graph returns a new one."""
+
     vertices: Tuple[GraphVertex, ...]
     edges: Tuple[GraphEdge, ...]
     thickening: Tuple[Thickening, ...] = ()
@@ -155,6 +162,20 @@ class DiscriminantGraph:
             if e.b != e.a:
                 out[e.b].append(j)
         return tuple(map(tuple, out))
+
+    @cached_property
+    def signed_defect(self) -> Optional[str]:
+        """Why the graph is not a signed trivalent graph, or None when it
+        is: every trivalent vertex carries a sign, and every signed vertex
+        is trivalent (of valence 3, on no loop).  Worked out on first use
+        and kept with the graph, as ``incidence`` is."""
+        if any(v.sign == "unsigned" for v in self.vertices if v.valence == 3):
+            return "unsigned trivalent vertices present; classify signs first"
+        for i, v in enumerate(self.vertices):
+            if v.sign in ("positive", "negative") and (v.valence != 3 or any(
+                    self.edges[j].a == self.edges[j].b for j in self.incidence[i])):
+                return f"signed vertex {i} is not trivalent"
+        return None
 
     def connected_components(self) -> int:
         parent = list(range(len(self.vertices)))
@@ -196,9 +217,11 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
 
     Points are computed as integer tuples scaled by D = 6 * scale (lattice
     points have denominator scale, barycenters 3 * scale, side midpoints
-    2 * scale).  A vertex's Fraction position is made once, when it is
-    interned.  Scaling by D > 0 keeps the order of points, so the edges
-    come out in the order of the exact positions.
+    2 * scale).  A vertex's position is made when it is interned, from
+    one Fraction per distinct coordinate (the quintic's 1200 coordinates
+    take 15 values), made the first time that coordinate is seen.
+    Scaling by D > 0 keeps the order of points, so the edges come out in
+    the order of the exact positions.
     """
     if boundary.dimension != 4:
         raise ValueError("quintic graph lives on the 4-simplex boundary")
@@ -208,13 +231,20 @@ def build_quintic_graph(boundary: LatticeSimplexBoundary) -> DiscriminantGraph:
     vertex_index: Dict[Tuple[int, ...], int] = {}
     points: List[Point] = []
     edges: List[GraphEdge] = []
+    fractions: Dict[int, Fraction] = {}
+
+    def coordinate(c: int) -> Fraction:
+        f = fractions.get(c)
+        if f is None:
+            f = fractions[c] = Fraction(c, D)
+        return f
 
     def intern(key: Tuple[int, ...]) -> int:
         """Index of the vertex at ``key`` / D."""
         i = vertex_index.get(key)
         if i is None:
             i = vertex_index[key] = len(points)
-            points.append(tuple(Fraction(c, D) for c in key))
+            points.append(tuple(map(coordinate, key)))
         return i
 
     for face in boundary.faces(2):
@@ -267,13 +297,13 @@ def classify_signs(
     out = []
     for v in graph.vertices:
         if v.valence == 0:
-            out.append(replace(v, sign="none"))
+            out.append(GraphVertex(v.position, "none", 0))
             continue
         k = len(boundary.minimal_face(v.position)) - 1
         if k == 2:
-            out.append(replace(v, sign="negative"))
+            out.append(GraphVertex(v.position, "negative", v.valence))
         elif k == 1:
-            out.append(replace(v, sign="positive"))
+            out.append(GraphVertex(v.position, "positive", v.valence))
         elif k == 0:
             raise ValueError(f"graph vertex on a 0-face at {v.position}")
         else:
@@ -291,7 +321,8 @@ def legendre_dual(graph: DiscriminantGraph) -> DiscriminantGraph:
         raise ValueError("legendre_dual requires a signed graph")
     if graph.thickening:
         raise ValueError("legendre_dual of a thickened graph; dualize before thickening")
-    out = tuple(replace(v, sign=swap[v.sign]) for v in graph.vertices)
+    out = tuple([GraphVertex(v.position, swap[v.sign], v.valence)
+                 for v in graph.vertices])
     return DiscriminantGraph(out, graph.edges)
 
 

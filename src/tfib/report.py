@@ -11,6 +11,13 @@ separate reduction pass (``sanitize`` is gone): with ``indent`` set,
 ``json`` runs its pure-Python encoder, after a pass that copied the whole
 report.  A non-finite float is not JSON and raises ``ValueError``; any
 other unsupported object raises ``TypeError``.
+
+One table, ``_SCALARS``, maps the exact types ``str``, ``int`` and
+``float`` to their writers.  A list or tuple whose first element has one
+of them is written in one comprehension through the table; at the first
+element of any other type (``bool``, ``None``, a numpy scalar, a
+subclass, a container) the list is written element by element by the
+walk instead, so the text and the first error are those of the walk.
 """
 
 from __future__ import annotations
@@ -30,25 +37,27 @@ def _number(x: float) -> str:
     return _float(x)
 
 
+#: writers of the exact scalar types, which need no walk
+_SCALARS = {str: _string, int: _int, float: _number}
+
+
 def _encode(obj, newline: str) -> str:
     """JSON text of ``obj`` whose closing bracket follows ``newline``."""
     kind = type(obj)
-    if kind is str:
-        return _string(obj)
-    if kind is int:
-        return _int(obj)
-    if kind is float:
-        return _number(obj)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(obj)
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
         inner = newline + "  "
-        first = type(obj[0])
-        if first is int and all(type(v) is int for v in obj):
-            items = map(_int, obj)
-        elif first is str and all(type(v) is str for v in obj):
-            items = map(_string, obj)
-        else:
+        items = None
+        if type(obj[0]) in _SCALARS:
+            try:
+                items = [_SCALARS[type(v)](v) for v in obj]
+            except KeyError:  # an element of another type: walk them all
+                pass
+        if items is None:
             items = [_encode(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:

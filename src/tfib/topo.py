@@ -35,13 +35,11 @@ FIBRE_TYPES: Dict[str, int] = {
 
 def _require_signed(graph: DiscriminantGraph) -> None:
     """Raise ValueError unless every trivalent vertex carries a sign and
-    every signed vertex is trivalent: of valence 3, on no loop."""
-    if any(v.sign == "unsigned" for v in graph.vertices if v.valence == 3):
-        raise ValueError("unsigned trivalent vertices present; classify signs first")
-    for i, v in enumerate(graph.vertices):
-        if v.sign in ("positive", "negative") and (v.valence != 3 or any(
-                graph.edges[j].a == graph.edges[j].b for j in graph.incidence[i])):
-            raise ValueError(f"signed vertex {i} is not trivalent")
+    every signed vertex is trivalent: of valence 3, on no loop.  The
+    verdict is the graph's ``signed_defect``, worked out once per graph."""
+    defect = graph.signed_defect
+    if defect is not None:
+        raise ValueError(defect)
 
 
 def euler_characteristic(graph: DiscriminantGraph, dimension: int) -> int:

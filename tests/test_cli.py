@@ -1211,7 +1211,7 @@ print(json.dumps(out))
 """
 
 _WATCHED = ["numpy", "scipy", "tfib.affine", "tfib.polybase", "tfib.topo",
-            "tfib.germs"]
+            "tfib.germs", "concurrent.futures"]
 
 
 def modules_after(tmp_path, commands):
@@ -1255,10 +1255,12 @@ def test_fib_poisson_loads_no_exact_or_germs_layer(tmp_path):
 
 
 def test_no_readme_command_loads_scipy(tmp_path):
+    """Nor the thread pool's concurrent.futures, which tfib never starts."""
     commands = readme_commands()
     for argv, (code, loaded) in zip(commands, modules_after(tmp_path, commands)[1:]):
         assert code == 0, argv
         assert "scipy" not in loaded, (argv, loaded)
+        assert "concurrent.futures" not in loaded, (argv, loaded)
 
 
 def test_cli_imports_only_the_stdlib_and_tfib():

@@ -1,6 +1,7 @@
 """Report serialization: numpy values and Fractions reduce to plain JSON,
 and the one-walk writer gives the text ``json.dumps`` gives."""
 
+import enum
 import json
 import math
 import re
@@ -32,8 +33,24 @@ def reference_json(doc) -> str:
                       allow_nan=False) + "\n"
 
 
+class Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+class Label(str):
+    pass
+
+
+class Measure(float):
+    pass
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# the writer dispatches on exact types: an int, str and float subclass
+# each go the walk's way, also inside a list that starts with a plain value
 leaves = st.one_of(
+    st.sampled_from(Level), st.text(max_size=4).map(Label), finite.map(Measure),
     st.none(), st.booleans(),
     st.integers(), st.integers(min_value=-2**200, max_value=2**200),
     finite, st.sampled_from([-0.0, 1e300, -1e-300, 5e-324]),
@@ -203,4 +220,18 @@ def test_unsupported_objects_raise_the_json_dumps_error(value):
     with pytest.raises(TypeError) as want:
         reference_json({"x": value})
     with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        report.canonical_json({"x": value})
+
+
+@pytest.mark.parametrize("value, error", [
+    ([0.5, 1.0, math.nan], ValueError),
+    ([1, 2, object()], TypeError),
+    ([1.0, object(), math.nan], TypeError),
+    (["a", math.inf, object()], ValueError),
+    ([Measure(1.0), 2.0, math.nan], ValueError),
+])
+def test_a_flat_list_raises_the_json_dumps_error_of_its_first_bad_value(value, error):
+    with pytest.raises(error) as want:
+        reference_json({"x": value})
+    with pytest.raises(error, match=re.escape(str(want.value))):
         report.canonical_json({"x": value})

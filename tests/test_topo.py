@@ -65,6 +65,54 @@ def test_euler_rejects_unsigned():
         topo.euler_characteristic(raw, 3)
 
 
+def _local(edges, sign="negative"):
+    """The negative local-model graph with its centre's sign and its edges
+    replaced; each vertex's valence is its number of edge ends."""
+    model = pb.single_vertex_graph("negative")
+    edges = tuple(pb.GraphEdge(a, b) for a, b in edges)
+    ends = [sum((e.a == i) + (e.b == i) for e in edges) for i in range(4)]
+    signs = [sign] + ["none"] * 3
+    return pb.DiscriminantGraph(
+        tuple(pb.GraphVertex(v.position, s, k)
+              for v, s, k in zip(model.vertices, signs, ends)), edges)
+
+
+#: graphs the signed check rejects, with the one-line message it gives
+UNSIGNED_OR_NOT_TRIVALENT = {
+    "unsigned trivalent": (
+        _local([(0, 1), (0, 2), (0, 3)], sign="unsigned"),
+        "unsigned trivalent vertices present; classify signs first"),
+    "valence 2": (_local([(0, 1), (0, 2)]), "signed vertex 0 is not trivalent"),
+    "on a loop": (_local([(0, 0), (0, 1), (2, 3)]), "signed vertex 0 is not trivalent"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNSIGNED_OR_NOT_TRIVALENT))
+def test_each_layer_rejects_a_graph_that_is_not_signed_trivalent(case):
+    g, message = UNSIGNED_OR_NOT_TRIVALENT[case]
+    assignment = topo.canonical_assignment(pb.single_vertex_graph("negative"))
+    for check in (lambda: topo.euler_characteristic(g, 3),
+                  lambda: topo.canonical_assignment(g),
+                  lambda: topo.validate_semistable(g, assignment)):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == message
+
+
+def test_the_signed_check_scans_each_graph_once(monkeypatch):
+    checked = []
+    verdict = vars(pb.DiscriminantGraph)["signed_defect"]
+    scan = verdict.func
+    monkeypatch.setattr(verdict, "func", lambda g: checked.append(g) or scan(g))
+    g = quintic_graph()
+    topo.euler_characteristic(g, 3)
+    topo.validate_semistable(g, topo.canonical_assignment(g))
+    assert len(checked) == 1 and checked[0] is g
+    dual = pb.legendre_dual(g)
+    assert topo.euler_characteristic(dual, 3) == 200
+    assert len(checked) == 2 and checked[1] is dual
+
+
 def test_sign_from_triple():
     assert topo.sign_from_triple(zlat.NEGATIVE_TRIPLE) == "negative"
     assert topo.sign_from_triple(zlat.POSITIVE_TRIPLE) == "positive"
