@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .symplab.models import mu12
+from .symplab.models import mu12, mu12_from_moduli
 
 TRAPEZOID_POINTS = 1024
 CYCLE_QUAD_TOL = 1e-6
@@ -267,8 +267,10 @@ def stitched_ff_action(side: str, z):
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if side == "plus":
-        g = z[..., 0] * z[..., 1] / np.abs(z[..., 0])
-        return math.pi * np.abs(g + 1.0) ** 2 + 2.0 * math.pi * mu12(z)
+        r1 = np.abs(z[..., 0])
+        g = z[..., 0] * z[..., 1] / r1
+        mu = mu12_from_moduli(r1, np.abs(z[..., 1]))
+        return math.pi * np.abs(g + 1.0) ** 2 + 2.0 * math.pi * mu
     if side == "minus":
         g = z[..., 0] * z[..., 1] / np.abs(z[..., 1])
         return math.pi * np.abs(g + 1.0) ** 2

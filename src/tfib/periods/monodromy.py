@@ -10,8 +10,15 @@ that contains 0, means the loop meets the kernel's singular line.
 
 A winding w_k adds 2 pi w_k to the kernel's angle, so form i comes back as
 itself plus 2 pi sum_k coeff_k w_k ay_k, which is written in the frame's
-constant forms 2 pi db_j.  All of this runs in Fractions of the float
-inputs, so the matrix is exact.  It acts on cycle-coordinate columns,
+constant forms 2 pi db_j.  The matrix is exact.  The winding numbers run
+on Python integers: every float is an integer over a power of two
+(``float.as_integer_ratio``), so the loop's (c, u, v) times one common
+power of two, and each kernel's ax and ay times their own, are integers.
+That scaling changes no winding number: scaling the loop, or one kernel
+coordinate, by a positive factor moves neither the ellipse's winding about
+0 nor whether it meets 0, and every test below is homogeneous in each.
+Only the shifts, a few products per form, run in Fractions, so their
+integrality check stays exact.  The matrix acts on cycle-coordinate columns,
 i.e. it is the transpose of the row relation between transported and
 original covector rows -- the convention that sends the focus-focus
 frame's anticlockwise unit loop to [[1, 0], [1, 1]].
@@ -31,8 +38,13 @@ _FRAME_FOR_MODEL = {"sm_ff": "focus_focus", "generic": "generic",
                    "positive": "positive", "thin_legs": "thin_leg_slice"}
 
 
-def _exact(vec):
-    return [Fraction(float(x)) for x in vec]
+def _integers(vecs):
+    """The float vectors ``vecs`` times one common power of two, as lists
+    of Python ints; a non-finite entry raises as ``Fraction`` does
+    (``ValueError`` for nan, ``OverflowError`` for an infinity)."""
+    ratios = [[float(x).as_integer_ratio() for x in vec] for vec in vecs]
+    den = max((d for vec in ratios for _, d in vec), default=1)
+    return [[n * (den // d) for n, d in vec] for vec in ratios]
 
 
 def _dot(a, b):
@@ -40,7 +52,8 @@ def _dot(a, b):
 
 
 def _winding(ax, ay, c, u, v):
-    """Winding number of (ax . b, ay . b) about 0 along the circle (c, u, v)."""
+    """Winding number of (ax . b, ay . b) about 0 along the circle (c, u, v),
+    all of them integer vectors (see ``_integers``)."""
     p0, p1 = _dot(ax, c), _dot(ay, c)
     a00, a01, a10, a11 = _dot(ax, u), _dot(ax, v), _dot(ay, u), _dot(ay, v)
     det = a00 * a11 - a01 * a10
@@ -69,7 +82,7 @@ def monodromy_from_frame(frame: PeriodFrame, loop):
     when a shift is not an integer combination of the frame's 2 pi db_j
     forms.
     """
-    c, u, v = (_exact(vec) for vec in loop)
+    c, u, v = _integers(loop)
     if not len(c) == len(u) == len(v) == frame.dim:
         raise ValueError(f"loop vectors must have length {frame.dim}")
     period_form = {form.const[1]: j for j, form in enumerate(frame.forms)
@@ -79,9 +92,11 @@ def monodromy_from_frame(frame: PeriodFrame, loop):
     for i, form in enumerate(frame.forms):
         shift = [Fraction(0)] * frame.dim  # the shift of form i over 2 pi
         for coeff, ax, ay in zip(form.coeff, form.ax, form.ay):
-            ay = _exact(ay)
-            w = Fraction(float(coeff)) * _winding(_exact(ax), ay, c, u, v)
-            shift = [s + w * y for s, y in zip(shift, ay)]
+            (ix,), (iy,) = _integers([ax]), _integers([ay])
+            winding = _winding(ix, iy, c, u, v)
+            if winding:
+                w = Fraction(float(coeff)) * winding
+                shift = [s + w * Fraction(float(y)) for s, y in zip(shift, ay)]
         for axis, s in enumerate(shift):
             if not s:
                 continue

@@ -10,6 +10,12 @@ reduced-space symplectomorphism Phi of the lifted construction (when there
 is one), a base chart in which the period lattice takes its quoted closed
 form, and named fibre-cycle parametrizations used by the period
 quadratures.
+
+The maps do each piece of work once: a map takes each modulus |z_k| once
+(one pair |z1|, |z2| gives both gamma's denominator max(|z1|, |z2|) and
+mu12), writes its components into one preallocated (..., m) array, and
+the piecewise twist ``phi_thin_legs`` evaluates each leg map only on the
+points of its branch.
 """
 
 from __future__ import annotations
@@ -35,7 +41,12 @@ THIN_LEGS_M = 4.0
 
 def mu12(z):
     """Moment map (|z1|^2 - |z2|^2)/2 of the circle action on (z1, z2)."""
-    return (np.abs(z[..., 0]) ** 2 - np.abs(z[..., 1]) ** 2) / 2.0
+    return mu12_from_moduli(np.abs(z[..., 0]), np.abs(z[..., 1]))
+
+
+def mu12_from_moduli(r1, r2):
+    """mu12 from the moduli r1 = |z1| and r2 = |z2|."""
+    return (r1 ** 2 - r2 ** 2) / 2.0
 
 
 def gamma(z1, z2):
@@ -46,14 +57,19 @@ def gamma(z1, z2):
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    denom = np.maximum(np.abs(z1), np.abs(z2))
+    return _gamma(z1, z2, np.abs(z1), np.abs(z2))
+
+
+def _gamma(z1, z2, r1, r2):
+    """gamma from (z1, z2) and their moduli r1 = |z1| and r2 = |z2|."""
+    denom = np.maximum(r1, r2)
     # where the denominator is 0 the numerator is 0 too
     return z1 * z2 / np.where(denom > 0, denom, 1.0)
 
 
-def log_abs(w):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(w))
+def _components(z, m):
+    """The preallocated (..., m) output of a map of the points z (..., n)."""
+    return np.empty(np.shape(z)[:-1] + (m,))
 
 
 # ----------------------------------------------------------------------
@@ -87,10 +103,10 @@ def _thin_legs_spheres(u1, u2):
     each sphere where phi_thin_legs switches branch, in the order of
     _THIN_LEGS: |u1|^2 + |u2|^2 = eps, |u1|^2 + |u2 - sqrt2|^2 = eps, |u2|^2 = M
     (eps = THIN_LEGS_EPS, M = THIN_LEGS_M)."""
-    r1 = np.abs(u1)
-    return [(np.hypot(r1, np.abs(u2)), math.sqrt(THIN_LEGS_EPS), True),
+    r1, r2 = np.abs(u1), np.abs(u2)
+    return [(np.hypot(r1, r2), math.sqrt(THIN_LEGS_EPS), True),
             (np.hypot(r1, np.abs(u2 - SQRT2)), math.sqrt(THIN_LEGS_EPS), True),
-            (np.abs(u2), math.sqrt(THIN_LEGS_M), False)]
+            (r2, math.sqrt(THIN_LEGS_M), False)]
 
 
 def _thin_legs_masks(u1, u2):
@@ -107,14 +123,22 @@ def thin_legs_branch(u1, u2):
 
 
 def phi_thin_legs(u1, u2):
-    """The piecewise symplectomorphism pinching all three legs."""
-    u1 = np.asarray(u1, dtype=complex)
-    u2 = np.asarray(u2, dtype=complex)
-    masks = _thin_legs_masks(u1, u2)
-    legs = [phi(u1, u2) for _, phi in _THIN_LEGS]
-    v1, v2 = psi_amoeba(u1, u2)
-    return (np.select(masks, [leg[0] for leg in legs], v1),
-            np.select(masks, [leg[1] for leg in legs], v2))
+    """The piecewise symplectomorphism pinching all three legs.
+
+    Psi_amoeba is evaluated everywhere, then each leg map of _THIN_LEGS
+    only on the points of its branch (overlaps go to the first), as
+    arrays of the broadcast shape of u1 and u2."""
+    u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=complex),
+                                 np.asarray(u2, dtype=complex))
+    # asarray: a 0-d input gives numpy scalars, which cannot be assigned into
+    v1, v2 = (np.asarray(v) for v in psi_amoeba(u1, u2))
+    taken = np.zeros(u1.shape, dtype=bool)
+    for mask, (_, phi) in zip(_thin_legs_masks(u1, u2), _THIN_LEGS):
+        here = mask & ~taken
+        if here.any():
+            v1[here], v2[here] = phi(u1[here], u2[here])
+        taken |= mask
+    return v1, v2
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +159,8 @@ class FibrationModel:
 
 
 def _min_pair_norm(z, pairs):
-    vals = [np.hypot(np.abs(z[..., i]), np.abs(z[..., j])) for i, j in pairs]
-    return np.minimum.reduce(vals)
+    r = np.abs(z)
+    return np.minimum.reduce([np.hypot(r[..., i], r[..., j]) for i, j in pairs])
 
 
 def _circle_cycle(*weights):
@@ -173,7 +197,11 @@ def _model_sm_ff() -> FibrationModel:
     """Smooth; the only singular fibre is over (0, 0)."""
 
     def f(z):
-        return np.stack([mu12(z), log_abs(z[..., 0] * z[..., 1] + 1.0)], axis=-1)
+        out = _components(z, 2)
+        out[..., 0] = mu12(z)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(z[..., 0] * z[..., 1] + 1.0), out=out[..., 1])
+        return out
 
     def margin(z):
         return np.minimum(np.abs(z[..., 0] * z[..., 1] + 1.0),
@@ -193,16 +221,22 @@ def _model_sm_ff() -> FibrationModel:
     )
 
 
+def _moment_differences(z, out):
+    """|z1|^2 - |z2|^2 and |z1|^2 - |z3|^2 into out[..., 1] and out[..., 2],
+    with |z1|^2 taken once."""
+    a1 = np.abs(z[..., 0]) ** 2
+    np.subtract(a1, np.abs(z[..., 1]) ** 2, out=out[..., 1])
+    np.subtract(a1, np.abs(z[..., 2]) ** 2, out=out[..., 2])
+
+
 def _model_hl() -> FibrationModel:
     """Smooth; critical on the union of {z_i = z_j = 0}."""
 
     def f(z):
-        prod = z[..., 0] * z[..., 1] * z[..., 2]
-        return np.stack([
-            prod.imag,
-            np.abs(z[..., 0]) ** 2 - np.abs(z[..., 1]) ** 2,
-            np.abs(z[..., 0]) ** 2 - np.abs(z[..., 2]) ** 2,
-        ], axis=-1)
+        out = _components(z, 3)
+        out[..., 0] = (z[..., 0] * z[..., 1] * z[..., 2]).imag
+        _moment_differences(z, out)
+        return out
 
     def margin(z):
         return _min_pair_norm(z, [(0, 1), (0, 2), (1, 2)])
@@ -214,12 +248,11 @@ def _model_positive() -> FibrationModel:
     """Smooth; modeled on the Harvey-Lawson cone near its critical set."""
 
     def f(z):
-        prod = z[..., 0] * z[..., 1] * z[..., 2]
-        return np.stack([
-            log_abs(1.0 + prod),
-            np.abs(z[..., 0]) ** 2 - np.abs(z[..., 1]) ** 2,
-            np.abs(z[..., 0]) ** 2 - np.abs(z[..., 2]) ** 2,
-        ], axis=-1)
+        out = _components(z, 3)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(1.0 + z[..., 0] * z[..., 1] * z[..., 2]), out=out[..., 0])
+        _moment_differences(z, out)
+        return out
 
     def margin(z):
         prod = z[..., 0] * z[..., 1] * z[..., 2]
@@ -249,11 +282,12 @@ def _model_generic() -> FibrationModel:
     """Smooth; the singular fibres are over {(0, r, 0)}."""
 
     def f(z):
-        return np.stack([
-            mu12(z),
-            log_abs(z[..., 2]),
-            log_abs(z[..., 0] * z[..., 1] - 1.0),
-        ], axis=-1)
+        out = _components(z, 3)
+        out[..., 0] = mu12(z)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(z[..., 2]), out=out[..., 1])
+            np.log(np.abs(z[..., 0] * z[..., 1] - 1.0), out=out[..., 2])
+        return out
 
     def margin(z):
         return np.minimum.reduce([
@@ -277,20 +311,31 @@ def _model_generic() -> FibrationModel:
     )
 
 
+def _pair(z):
+    """(z1, z2, |z1|, |z2|) of the points z (..., n), as complex arrays and
+    their moduli: what gamma and mu12 both use."""
+    z1 = np.asarray(z[..., 0], dtype=complex)
+    z2 = np.asarray(z[..., 1], dtype=complex)
+    return z1, z2, np.abs(z1), np.abs(z2)
+
+
 def _model_stitched_ff() -> FibrationModel:
     """Non-smooth on mu^{-1}(0)."""
 
     def f(z):
-        return np.stack([
-            mu12(z),
-            log_abs(gamma(z[..., 0], z[..., 1]) + 1.0),
-        ], axis=-1)
+        z1, z2, r1, r2 = _pair(z)
+        out = _components(z, 2)
+        out[..., 0] = mu12_from_moduli(r1, r2)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(_gamma(z1, z2, r1, r2) + 1.0), out=out[..., 1])
+        return out
 
     def margin(z):
+        z1, z2, r1, r2 = _pair(z)
         return np.minimum.reduce([
-            np.abs(gamma(z[..., 0], z[..., 1]) + 1.0),
-            _min_pair_norm(z, [(0, 1)]),
-            np.abs(mu12(z)),
+            np.abs(_gamma(z1, z2, r1, r2) + 1.0),
+            np.hypot(r1, r2),
+            np.abs(mu12_from_moduli(r1, r2)),
         ])
 
     return FibrationModel(id="stitched_ff", n=2, components=2, f=f, margin=margin)
@@ -308,17 +353,24 @@ def _phi_model(model_id, phi, switch_gap=None):
     spheres where a piecewise Phi switches branch (None: a single branch)."""
 
     def f(z):
-        v1, v2 = phi(gamma(z[..., 0], z[..., 1]), z[..., 2])
-        return np.stack([mu12(z), log_abs(v1), log_abs(v2)], axis=-1)
+        z1, z2, r1, r2 = _pair(z)
+        v1, v2 = phi(_gamma(z1, z2, r1, r2), z[..., 2])
+        out = _components(z, 3)
+        out[..., 0] = mu12_from_moduli(r1, r2)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(v1), out=out[..., 1])
+            np.log(np.abs(v2), out=out[..., 2])
+        return out
 
     def margin(z):
-        g = gamma(z[..., 0], z[..., 1])
+        z1, z2, r1, r2 = _pair(z)
+        g = _gamma(z1, z2, r1, r2)
         v1, v2 = phi(g, z[..., 2])
         switch = np.inf if switch_gap is None else switch_gap(g, z[..., 2])
         return np.minimum.reduce([
             np.abs(v1), np.abs(v2),
-            _min_pair_norm(z, [(0, 1)]),
-            np.abs(mu12(z)),
+            np.hypot(r1, r2),
+            np.abs(mu12_from_moduli(r1, r2)),
             np.broadcast_to(switch, np.shape(v1)),
         ])
 
@@ -390,11 +442,11 @@ def _model_control() -> FibrationModel:
     Smooth everywhere; the fibres are deliberately not Lagrangian."""
 
     def f(z):
-        return np.stack([
-            np.abs(z[..., 0]) ** 2,
-            z[..., 0].real,
-            z[..., 1].imag,
-        ], axis=-1)
+        out = _components(z, 3)
+        out[..., 0] = np.abs(z[..., 0]) ** 2
+        out[..., 1] = z[..., 0].real
+        out[..., 2] = z[..., 1].imag
+        return out
 
     def margin(z):
         return np.abs(z[..., 0].imag)

@@ -143,11 +143,23 @@ class ValidationReport:
     def to_json(self) -> dict:
         """The report body: each distinct (valid, detail, conjugator)
         answer once under "questions", in order of first appearance, and
-        each item as [element, index of its answer] under "items"."""
+        each item as [element, index of its answer] under "items".
+
+        ``validate_semistable`` hands every item that asks one question
+        the same conjugator object, so answers are looked up by that
+        object's identity first, and only a new object's answer is hashed
+        by value (equal answers held by different objects still share
+        one entry)."""
         index: Dict[tuple, int] = {}
-        items = [[it.element, index.setdefault((it.valid, it.detail, it.conjugator),
-                                                len(index))]
-                 for it in self.items]
+        by_object: Dict[tuple, int] = {}
+        items = []
+        for it in self.items:
+            key = it.valid, it.detail, id(it.conjugator)
+            question = by_object.get(key)
+            if question is None:
+                question = by_object[key] = index.setdefault(
+                    (it.valid, it.detail, it.conjugator), len(index))
+            items.append([it.element, question])
         return {
             "passed": self.valid,
             "questions": [{"valid": valid, "detail": detail, "conjugator": conj}

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tfib import affine, cli, numerics, symplab, zlat
@@ -433,12 +434,18 @@ def readme_commands():
             if ln.startswith("tfib ")]
 
 
+# numpy's floating-point errors, at numpy's default levels whatever the
+# process set before, are RuntimeWarnings, and errors here (whatever the
+# pytest configuration): a leaf that divides by zero or takes a log of 0
+# outside an errstate of its own fails this test
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
     assert len(commands) >= 20
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        code = cli.main(argv if "--strict" in argv else [*argv, "--strict"])
+        with np.errstate(divide="warn", over="warn", invalid="warn"):
+            code = cli.main(argv if "--strict" in argv else [*argv, "--strict"])
         text = capsys.readouterr().out
         if "--out" in argv:
             text = Path(argv[argv.index("--out") + 1]).read_text()

@@ -18,6 +18,8 @@ from tfib.germs import (
     stitched_ff_ell1_sequence,
 )
 
+import reference_kernels as ref
+
 
 def _const_frames(ms):
     """Synthetic frames differing by sum m_j eta_1 at every point."""
@@ -248,3 +250,15 @@ def test_glue_disjoint_inputs_rejected():
     with pytest.raises(ValueError):
         glue_leg_germs(gl, gr, _zero)
 
+
+
+def test_stitched_ff_action_equals_its_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    z = rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))
+    z[0] = [1.0, 1j]                  # on the seam |z1| = |z2|
+    z[1] = [0.5, -2.0]                # gamma + 1 = 0 on the plus side
+    for side in ("plus", "minus"):
+        for pts in (z, z[2], z.reshape(3, 20, 2)):
+            got = germs.stitched_ff_action(side, pts)
+            want = ref.stitched_ff_action(side, pts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

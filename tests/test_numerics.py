@@ -7,6 +7,8 @@ import pytest
 
 from tfib import numerics
 
+import reference_kernels as ref
+
 
 def _scalar(x):
     # +, -, * and / only: a batch and a single point round identically
@@ -149,3 +151,15 @@ def test_half_line_quadrature_known_integrals():
 def test_half_line_quadrature_refuses_a_jump():
     with pytest.raises(ValueError, match="did not converge"):
         numerics.half_line_quadrature(lambda t: (t < 1.0) * 1.0, 1.0, 1e-10)
+
+
+def test_displaced_equals_its_stacked_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-3.0, 3.0, size=(5, 4))
+    x[0] = [0.0, -0.0, 5e-324, 1e300]
+    for pts in (x, x[1], x.reshape(5, 2, 2)[:, 0], x[:0]):
+        h = numerics.fd_step(pts)
+        for k in range(pts.shape[-1]):
+            got = numerics.displaced(pts, k, h[..., k])
+            want = ref.displaced(pts, k, h[..., k])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -28,6 +28,8 @@ from tfib.symplab import models
 from tfib.symplab.models import hl_modulus, thin_legs_lift
 from tfib import numerics
 
+import reference_kernels as ref
+
 
 FRAME_KINDS = ["focus_focus", "generic", "positive", "thin_leg_slice"]
 
@@ -185,6 +187,67 @@ def test_monodromy_of_random_circles_matches_sampled_windings(kind):
         assert monodromy_from_frame(frame, (c, u, v)) == zlat.mat(want)
         seen.append(zlat.mat(want))
     assert len(set(seen)) > 1  # some circles wind round a singular line
+
+
+def _integer_winding(ax, ay, loop):
+    from tfib.periods import monodromy
+
+    (ix,), (iy,) = monodromy._integers([ax]), monodromy._integers([ay])
+    return monodromy._winding(ix, iy, *monodromy._integers(loop))
+
+
+def _winding_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _kernels(frame):
+    return [(ax, ay) for form in frame.forms for ax, ay in zip(form.ax, form.ay)]
+
+
+@pytest.mark.parametrize("kind", ["focus_focus", "generic", "positive", "thin_leg_slice"])
+def test_integer_winding_equals_the_fraction_winding(kind):
+    """Every kernel of every frame, round each of its loops at seeded radii
+    (and seeded heights b3 on the generic loop), round circles through a
+    singular line, and round loops with subnormal and huge entries."""
+    frame = closed_form_frame(kind)
+    rng = np.random.default_rng(41)
+    loops = []
+    for make in frame.loops.values():
+        for radius in rng.uniform(0.01, 3.0, 6):
+            kw = {"b3": float(rng.uniform(-1.0, 1.0))} if kind == "generic" else {}
+            loops.append(make(float(radius), **kw))
+    d = frame.dim
+    e = np.eye(d)
+    loops += [
+        (0.5 * e[0], 0.5 * e[0], 0.5 * e[1]),             # through 0 of (b1, b2)
+        (0.3 * e[1], e[0] - e[1], 2.0 * (e[0] - e[1])),   # a degenerate segment
+        (np.full(d, 5e-324), 5e-324 * e[0], 5e-324 * e[1]),
+        (np.full(d, 1e300), 1e300 * e[0], 3e299 * e[1]),
+        (np.zeros(d), 1e-310 * e[0], 1e300 * e[1]),
+    ]
+    loops += [tuple(rng.integers(-4, 5, size=(3, d)) / 4.0) for _ in range(40)]
+    checked = errors = 0
+    for loop in loops:
+        for ax, ay in _kernels(frame) + [(e[0], e[1]), (e[0], e[0])]:
+            want = _winding_or_error(ref.winding, ax, ay, *loop)
+            assert _winding_or_error(_integer_winding, ax, ay, loop) == want
+            checked += 1
+            errors += isinstance(want, tuple)
+    assert checked >= 90 and errors > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_loop_entry_raises_as_the_fraction_winding_did(bad):
+    with pytest.raises((ValueError, OverflowError)) as fraction_error:
+        Fraction(bad)
+    frame = closed_form_frame("focus_focus")
+    c, u, v = frame.loops["loop"](0.5)
+    for loop in ((np.array([bad, 0.0]), u, v), (c, u, np.array([0.0, bad]))):
+        with pytest.raises(fraction_error.type):
+            monodromy_from_frame(frame, loop)
 
 
 def curled_frame(d):

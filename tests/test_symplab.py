@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from tfib import numerics
 from tfib import symplab as sl
 from tfib.report import canonical_json
 from tfib.symplab import models, smoothing, twist
+
+import reference_kernels as ref
 
 
 def test_make_model_ids():
@@ -86,6 +89,57 @@ def test_poisson_check_keeps_its_pinned_digests():
         m = sl.make_model(mid)
         z = sl.sample_domain(m, 200, rng, margin=0.1)
         assert _digest(sl.poisson_check(m, z)) == POISSON_DIGESTS[mid]
+
+
+def _array_digest(a):
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+# SHA-256 of whole arrays at seed 17 (200 samples per model, drawn in
+# MODEL_IDS order from one generator): every bracket of poisson_brackets,
+# and model.f on the four displaced copies of each real coordinate (the
+# stencil numerics.displaced builds).  The maps must return these bit for bit.
+ARRAY_DIGESTS = {
+    "amoeba": ("60ce3339fc893d588152f3ef82394f498851e6592f268fb2cd24ac667b1d7096",
+               "69fc481b0f351736ca7a44a132be4f65273ecd2ebf8f27d862cb29f785c0b158"),
+    "control": ("f6a8c7f83fa1ddd42efcc2e11e6db0987b6e999537b95f96f90600d16770aa59",
+                "f8d9a78cd9c04f39ca898f82dd38cb190a7dd265af17325950fc92bbe1920cb0"),
+    "generic": ("a6c2f9b191a15c578db348b03189b2dac7fce04b1852df75305964ab96e00c87",
+                "e71f89d4c8f37b46b3339a305993bf6900b9c539d53842524782a734a2775cdf"),
+    "hl": ("423985a9d4b8add837e200989725cc27f088d3032a4336b86d2ee4cf2430e44d",
+           "506dd43dcaa7818aedd15ad01391517e32021b89ab3d69f6f39b5fe5c55afe02"),
+    "leg_d": ("8b0d5763d51cf880399cf5023bd34a9e377576b38d67cbf42303625529304177",
+              "ddcf947bae963f8c7c3eeb191035def47705a54b9e0c84bafa0b1eab37d92559"),
+    "leg_h": ("9431fc27e508c8a901b49fe0435d92ba2fdcbf8e44ffc9a1e93a07104c503236",
+              "24574204ffaab9409f59dc1efe83e46a95d2468eee7b0313d580450e54cff04f"),
+    "leg_v": ("a73ee9af3fff983e15d404d58ce18abd08736c03df77ebc0fbd3ccf6295dd7e8",
+              "d3726aadb7331686b17ba777306012080aa3337783663656b37d8ee9dda40765"),
+    "positive": ("4d40c45dc2384d1552b7f25412be305c026ca1ec6d1289f636ec6878ad6e1eef",
+                 "5eb8a63dd392a34c9b348f23c00e0eae3f380861b07773fbf6a14f757c2c4bee"),
+    "sm_ff": ("70bff8d5c1bf6159c0fbe5a8263860ff9f420235b5d3183bd57d4cf50d7454cf",
+              "14cdd365c83550bec4bd5bda0ec8a58281a0b23b6dc5e664eadc82d2bf2633ee"),
+    "stitched_ff": ("7657620eb2a1ea9e549dd874ce112cb487728ef9b79c2740e095f9a02a7c223c",
+                    "01fc7ed4c9b39feda827bac1e39a14fb6ad7f6fc048b6fff7b99efdfb3d6b0e5"),
+    "thin_legs": ("585f37e573571000f895c1455c51ddcf8aae9db0e1f5ae55e4d63a75862f5ad2",
+                  "9ac950ec575d4a8ea85482a0061d56041e8a5281287a774f81b71e3764de7116"),
+}
+
+
+def test_poisson_brackets_and_model_stencils_keep_their_pinned_arrays():
+    from tfib.symplab import poisson
+
+    assert sorted(ARRAY_DIGESTS) == sorted(sl.MODEL_IDS)
+    rng = np.random.default_rng(17)
+    for mid in sl.MODEL_IDS:
+        m = sl.make_model(mid)
+        z = sl.sample_domain(m, 200, rng, margin=0.1)
+        x = numerics.c2r(z)
+        h = numerics.fd_step(x)
+        stencil = np.stack([m.f(numerics.r2c(numerics.displaced(x, k, h[:, k])))
+                            for k in range(x.shape[-1])])
+        assert (_array_digest(poisson.poisson_brackets(m, z)),
+                _array_digest(stencil)) == ARRAY_DIGESTS[mid], mid
 
 
 def test_reduction_check_keeps_its_pinned_digest():
@@ -645,3 +699,118 @@ def test_twist_quarter_turn_unit_point():
     out = flow(np.array([[1.0 + 0j, 0j]]))[0]
     r = 1.0 / math.sqrt(2.0)
     assert np.max(np.abs(out - np.array([r, r]))) < 1e-6
+
+
+# ----------------------------------------------------------------------
+# the maps against their reference formulas, bit for bit, on edge inputs
+# ----------------------------------------------------------------------
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def _edge_points(n, rng):
+    """Points (k, n) on every edge the maps have: all coordinate tuples
+    from values whose products, moduli and gamma values hit 0, +-1 and
+    sqrt2 (the seam |z1| = |z2|, z1 = z2 = 0 where gamma's denominator
+    is 0, the zeros of v1 and v2 where a log is -inf, and z3 = gamma(z1, z2)
+    where the amoeba's v1 vanishes), plus random seam points."""
+    special = np.array([0.0, 1.0, -1.0, 1j, -1j, math.sqrt(2.0), 2.0, -0.0,
+                        0.5 + 0.5j, 1e-300, 5e-324, 1e154])
+    grid = np.stack(np.meshgrid(*[special] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    seam = rng.uniform(0.1, 2.0, (50, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (50, n)))
+    return np.concatenate([grid, seam])
+
+
+@pytest.mark.parametrize("mid", sl.MODEL_IDS)
+def test_maps_equal_their_reference_formulas_bit_for_bit(mid):
+    ref_f, ref_margin = ref.MAPS[mid]
+    model = sl.make_model(mid)
+    z = _edge_points(model.n, np.random.default_rng(23))
+    if model.n == 3:
+        # z3 = gamma(z1, z2): the amoeba's v1 = 0
+        on = z.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            on[:, 2] = models.gamma(z[:, 0], z[:, 1])
+        z = np.concatenate([z, on])
+    # the log singularities must stay inside each map's errstate (1e154
+    # overflows the products, which is no log singularity)
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="ignore",
+                                                invalid="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        for pts in (z, z.reshape(2, -1, model.n)[:, :7], z[5], z[:0]):
+            assert _same_bits(model.f(pts), ref_f(pts)), mid
+            with np.errstate(divide="ignore"):
+                assert _same_bits(model.margin(pts), ref_margin(pts)), mid
+    if mid not in ("hl", "control"):
+        # the edge points do reach a log singularity of every map with a log
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            assert np.isneginf(model.f(z)).any(), mid
+
+
+def test_phi_thin_legs_equals_its_select_reference_on_any_shape():
+    rng = np.random.default_rng(29)
+    # points in and around each branch: the two balls, the far region, the
+    # switch spheres themselves and the rest
+    u = rng.normal(size=(2, 400)) + 1j * rng.normal(size=(2, 400))
+    u[:, :100] *= 0.2
+    u[1, 100:200] = math.sqrt(2.0) + 0.2 * u[1, 100:200]
+    u[1, 200:300] *= 3.0
+    u[:, 300] = [0.0, math.sqrt(models.THIN_LEGS_EPS)]
+    u[:, 301] = [0.0, math.sqrt(models.THIN_LEGS_M)]
+    cases = [
+        (u[0], u[1]),
+        (u[0, 0], u[1, 0]),                        # 0-d
+        (u[0, :0], u[1, :0]),                      # empty
+        (0.0, u[1]),                               # scalar u1, as in thin_legs_branch
+        (u[0, :6, None], u[1, None, :5]),          # broadcast (6, 5)
+        (np.float64(0.1), complex(0.0, 0.1)),      # scalars
+    ]
+    for u1, u2 in cases:
+        got, want = models.phi_thin_legs(u1, u2), ref.phi_thin_legs(u1, u2)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert all(isinstance(g, np.ndarray) for g in got)
+
+
+def test_phi_thin_legs_overlapping_spheres_resolve_to_the_first(monkeypatch):
+    # spheres this wide overlap pairwise and all three at once
+    monkeypatch.setattr(models, "THIN_LEGS_EPS", 2.5)
+    monkeypatch.setattr(models, "THIN_LEGS_M", 0.25)
+    rng = np.random.default_rng(31)
+    u1, u2 = rng.normal(size=(2, 500)) + 1j * rng.normal(size=(2, 500))
+    labels = models.thin_legs_branch(u1, u2)
+    masks = models._thin_legs_masks(u1, u2)
+    assert (masks[0] & masks[1] & masks[2]).any()
+    assert set(labels) == {"horizontal_ball", "vertical_ball", "diagonal_far", "amoeba"}
+    got, want = models.phi_thin_legs(u1, u2), ref.phi_thin_legs(u1, u2)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_phi_thin_legs_calls_each_leg_map_only_on_its_branch(monkeypatch):
+    seen = {}
+
+    def spy(name, phi):
+        def wrapped(u1, u2):
+            assert name not in seen
+            seen[name] = (u1.copy(), u2.copy())
+            return phi(u1, u2)
+        return wrapped
+
+    monkeypatch.setattr(models, "_THIN_LEGS",
+                        tuple((name, spy(name, phi)) for name, phi in models._THIN_LEGS))
+    rng = np.random.default_rng(37)
+    u1 = 0.1 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    u2 = np.concatenate([0.1 * rng.normal(size=100), math.sqrt(2.0) + 0.1 * rng.normal(size=100),
+                         3.0 + rng.normal(size=100)]).astype(complex)
+    models.phi_thin_legs(u1, u2)
+    labels = models.thin_legs_branch(u1, u2)
+    assert sorted(seen) == sorted(name for name, _ in models._THIN_LEGS)
+    for name, (a, b) in seen.items():
+        here = labels == name
+        assert _same_bits(a, u1[here]) and _same_bits(b, u2[here]), name
+    # a branch that no point is in calls no leg map
+    seen.clear()
+    models.phi_thin_legs(u1[labels == "amoeba"], u2[labels == "amoeba"])
+    assert seen == {}

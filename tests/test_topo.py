@@ -572,3 +572,25 @@ def test_a_wrong_euler_number_fails(monkeypatch):
     monkeypatch.setitem(topo.FIBRE_TYPES, "nodal_I1", 2)
     body, _ = topo.graph_report("k3", False, None)
     assert body["euler"] == 48 and body["passed"] is False
+
+
+def test_equal_answers_held_by_different_objects_share_one_question():
+    def conj():   # a new, equal object each call
+        return tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+
+    shared = conj()
+    items = [topo.ValidationItem("edge 0", True, "ok", shared),
+             topo.ValidationItem("edge 1", True, "ok", conj()),
+             topo.ValidationItem("edge 2", True, "ok", shared),
+             topo.ValidationItem("edge 3", False, "no", None),
+             topo.ValidationItem("edge 4", True, "ok", conj()),
+             topo.ValidationItem("edge 5", False, "no", None),
+             topo.ValidationItem("edge 6", True, "other", shared)]
+    assert len({id(it.conjugator) for it in items}) == 4
+    body = topo.ValidationReport(items).to_json()
+    assert body["questions"] == [
+        {"valid": True, "detail": "ok", "conjugator": shared},
+        {"valid": False, "detail": "no", "conjugator": None},
+        {"valid": True, "detail": "other", "conjugator": shared},
+    ]
+    assert [q for _, q in body["items"]] == [0, 0, 0, 1, 0, 1, 2]
