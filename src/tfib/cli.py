@@ -31,15 +31,24 @@ as no leaf takes a tolerance option.  Every leaf takes --out and
 --strict; --seed and --samples exist only on the leaves that read them,
 with that leaf's default, and the report's "config" echoes the ones the
 leaf has.  Exit codes: 0, or 1 under --strict exactly when "passed" is
-false, 2 on usage errors and on a non-finite report value (then nothing
-is written, and stderr holds one ``error:`` line).
+false, 2 on usage errors, on a non-finite report value (then nothing
+is written, and stderr holds one ``error:`` line) and when stdout is
+closed before the report is written (a reader that quit early: stderr
+holds one ``error:`` line).
+
+``run`` is the process entry (the ``tfib`` script and ``python -m
+tfib.cli``): it runs ``main`` with the cyclic garbage collector off and
+freezes the heap before the process exits, so a one-shot process never
+walks the heap it imported; ``main`` itself leaves the collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -262,5 +271,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """``main`` on the process's arguments, as a process that ends when it
+    returns: no garbage collection runs, and the heap is frozen so that
+    interpreter exit does not walk it either.  A closed stdout is exit 2."""
+    gc.disable()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: stdout was closed before the report was written\n")
+        code = USAGE_ERROR
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -83,11 +83,18 @@ class LatticeSimplexBoundary:
         lcm of p's denominators.  A point outside raises ValueError.
         """
         den = lcm(*[c.denominator for c in p])
+        signs = self._barycentric_signs(p, den)
+        return frozenset([i for i, b in enumerate(signs) if b > 0])
+
+    def _barycentric_signs(self, p: Point, den: int) -> List[int]:
+        """Integers with the signs of p's barycentrics t_0, ..., t_dim, for
+        ``den`` a positive multiple of p's denominators; a point outside
+        (a negative one) raises ValueError."""
         signs = [c.numerator * (den // c.denominator) + den for c in p]
         signs.insert(0, self.scale * den - sum(signs))
         if min(signs) < 0:
             raise ValueError(f"point {tuple(map(Fraction, p))} lies outside the simplex")
-        return frozenset([i for i, b in enumerate(signs) if b > 0])
+        return signs
 
 
 def _compositions(total: int, parts: int):
@@ -293,13 +300,19 @@ def _edge_ends(n: int, edges) -> List[int]:
 def classify_signs(
     graph: DiscriminantGraph, boundary: LatticeSimplexBoundary
 ) -> DiscriminantGraph:
-    """Negative inside a 2-face, positive on a 1-face; nodes keep no sign."""
+    """Negative inside a 2-face, positive on a 1-face; nodes keep no sign.
+
+    A vertex's face is read from its barycentric signs over one common
+    denominator of the graph's positions (``minimal_face``'s rule without
+    an lcm per vertex)."""
+    den = lcm(*{c.denominator for v in graph.vertices for c in v.position})
     out = []
     for v in graph.vertices:
         if v.valence == 0:
             out.append(GraphVertex(v.position, "none", 0))
             continue
-        k = len(boundary.minimal_face(v.position)) - 1
+        signs = boundary._barycentric_signs(v.position, den)
+        k = len(signs) - signs.count(0) - 1
         if k == 2:
             out.append(GraphVertex(v.position, "negative", v.valence))
         elif k == 1:

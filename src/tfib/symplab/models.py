@@ -109,11 +109,12 @@ def _thin_legs_spheres(u1, u2):
             (r2, math.sqrt(THIN_LEGS_M), False)]
 
 
-def _thin_legs_masks(u1, u2):
+def _thin_legs_masks(u1, u2, spheres=None):
     """Where (u1, u2) lies in each leg branch of _THIN_LEGS (overlaps
-    resolve to the first)."""
+    resolve to the first); ``spheres`` is their ``_thin_legs_spheres``
+    when the caller has it already."""
     return [dist <= radius if inside else dist >= radius
-            for dist, radius, inside in _thin_legs_spheres(u1, u2)]
+            for dist, radius, inside in spheres or _thin_legs_spheres(u1, u2)]
 
 
 def thin_legs_branch(u1, u2):
@@ -128,17 +129,42 @@ def phi_thin_legs(u1, u2):
     Psi_amoeba is evaluated everywhere, then each leg map of _THIN_LEGS
     only on the points of its branch (overlaps go to the first), as
     arrays of the broadcast shape of u1 and u2."""
-    u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=complex),
-                                 np.asarray(u2, dtype=complex))
+    u1, u2 = _complex_pair(u1, u2)
+    return _phi_thin_legs(u1, u2, _thin_legs_spheres(u1, u2))
+
+
+def _phi_thin_legs_and_gap(u1, u2):
+    """``phi_thin_legs(u1, u2)`` and the distance to its switch spheres,
+    from one evaluation of the spheres."""
+    u1, u2 = _complex_pair(u1, u2)
+    spheres = _thin_legs_spheres(u1, u2)
+    return (*_phi_thin_legs(u1, u2, spheres), _switch_gap(spheres))
+
+
+def _complex_pair(u1, u2):
+    """u1 and u2 as complex arrays of their broadcast shape."""
+    return np.broadcast_arrays(np.asarray(u1, dtype=complex),
+                               np.asarray(u2, dtype=complex))
+
+
+def _phi_thin_legs(u1, u2, spheres):
+    """phi_thin_legs on complex arrays of one shape, given their switch
+    ``spheres`` (``_thin_legs_spheres``)."""
     # asarray: a 0-d input gives numpy scalars, which cannot be assigned into
     v1, v2 = (np.asarray(v) for v in psi_amoeba(u1, u2))
     taken = np.zeros(u1.shape, dtype=bool)
-    for mask, (_, phi) in zip(_thin_legs_masks(u1, u2), _THIN_LEGS):
+    for mask, (_, phi) in zip(_thin_legs_masks(u1, u2, spheres), _THIN_LEGS):
         here = mask & ~taken
         if here.any():
             v1[here], v2[here] = phi(u1[here], u2[here])
         taken |= mask
     return v1, v2
+
+
+def _switch_gap(spheres):
+    """Distance to the nearest of the switch spheres ``spheres``
+    (``_thin_legs_spheres``)."""
+    return np.minimum.reduce([np.abs(dist - radius) for dist, radius, _ in spheres])
 
 
 # ----------------------------------------------------------------------
@@ -341,16 +367,10 @@ def _model_stitched_ff() -> FibrationModel:
     return FibrationModel(id="stitched_ff", n=2, components=2, f=f, margin=margin)
 
 
-def _thin_legs_switch_gap(u1, u2):
-    """Distance from (u1, u2) to the spheres where phi_thin_legs switches
-    branch (``_thin_legs_spheres``)."""
-    return np.minimum.reduce([np.abs(dist - radius) for dist, radius, _
-                              in _thin_legs_spheres(u1, u2)])
-
-
-def _phi_model(model_id, phi, switch_gap=None):
-    """The Phi-twisted model; ``switch_gap(u1, u2)`` is the distance to the
-    spheres where a piecewise Phi switches branch (None: a single branch)."""
+def _phi_model(model_id, phi, phi_and_gap=None):
+    """The Phi-twisted model; ``phi_and_gap(u1, u2)`` is ``phi(u1, u2)`` and
+    the distance to the spheres where a piecewise Phi switches branch, in
+    one call (None: a single branch)."""
 
     def f(z):
         z1, z2, r1, r2 = _pair(z)
@@ -365,8 +385,10 @@ def _phi_model(model_id, phi, switch_gap=None):
     def margin(z):
         z1, z2, r1, r2 = _pair(z)
         g = _gamma(z1, z2, r1, r2)
-        v1, v2 = phi(g, z[..., 2])
-        switch = np.inf if switch_gap is None else switch_gap(g, z[..., 2])
+        if phi_and_gap is None:
+            (v1, v2), switch = phi(g, z[..., 2]), np.inf
+        else:
+            v1, v2, switch = phi_and_gap(g, z[..., 2])
         return np.minimum.reduce([
             np.abs(v1), np.abs(v2),
             np.hypot(r1, r2),
@@ -429,7 +451,7 @@ def _model_thin_legs() -> FibrationModel:
 
         return builder
 
-    model = _phi_model("thin_legs", phi_thin_legs, switch_gap=_thin_legs_switch_gap)
+    model = _phi_model("thin_legs", phi_thin_legs, phi_and_gap=_phi_thin_legs_and_gap)
     model.cycles = {"red_v1": reduced_cycle(0), "red_v2": reduced_cycle(1)}
     model.fibre_point = fibre_point
     model.chart = lambda b: np.asarray(b, dtype=float)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import importlib
 import inspect
 import json
@@ -1191,6 +1192,64 @@ def test_values_may_start_with_a_minus_sign(tmp_path):
     code, data, _ = run(tmp_path, "fib", "amoeba", "--res", "20",
                         "--bounds", "-2.5e-1", "1")
     assert code == 0 and data["bounds"] == [-0.25, 1.0, -0.25, 1.0]
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+
+def test_a_closed_stdout_is_one_error_line_and_exit_2(tmp_path):
+    """The reader closed its end of the pipe before the report came; the
+    quintic dual's report is larger than a pipe holds (64 KB), so some
+    write fails whatever the timing."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tfib.cli", "graph", "quintic", "--dual"],
+            cwd=tmp_path, stdout=write, stderr=subprocess.PIPE, text=True,
+            env=_src_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.USAGE_ERROR
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+# Runs the process entry on ``fib list`` and prints the collector's state
+# after it returns.
+_GC_PROBE = """
+import gc, sys
+from tfib import cli
+sys.argv[1:] = ["fib", "list"]
+code = cli.run()
+print(code, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+def test_the_process_entry_turns_the_collector_off_and_freezes_the_heap(tmp_path):
+    out = subprocess.run([sys.executable, "-c", _GC_PROBE], cwd=tmp_path,
+                         capture_output=True, text=True, check=True, env=_src_env())
+    assert out.stdout.splitlines()[-1] == "0 False True"
+
+
+def test_main_leaves_the_collector_as_it_is(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(["fib", "list"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_the_tfib_script_is_the_entry_that_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["tfib"]
+    module, name = target.split(":")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert module == "tfib.cli" and called == {name}
+    assert getattr(cli, name) is cli.run
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -18,6 +18,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from tfib import cli, report
@@ -52,9 +54,26 @@ def _files(workdir):
     return {p.name: p.read_text() for p in sorted(workdir.iterdir()) if p.is_file()}
 
 
-def run_readme(workdir, commands=None):
-    """Run the README commands in ``workdir``, in order: one manifest entry
-    per command, with the files that it created or changed."""
+def in_process(argv):
+    """(exit code, stdout) of ``cli.main(argv)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def as_process(argv):
+    """(exit code, stdout) of a fresh ``python -m tfib.cli`` process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "tfib.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, text=True, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+def run_readme(workdir, commands=None, run=in_process):
+    """Run the README commands in ``workdir``, in order, each by ``run``:
+    one manifest entry per command, with the files that it created or
+    changed."""
     workdir = Path(workdir)
     entries = []
     cwd = os.getcwd()
@@ -62,13 +81,11 @@ def run_readme(workdir, commands=None):
     try:
         for argv in readme_commands() if commands is None else commands:
             before = _files(workdir)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(argv)
+            code, stdout = run(argv)
             written = {name: text for name, text in _files(workdir).items()
                        if before.get(name) != text}
             entries.append({"argv": argv, "exit": code,
-                            "stdout": _stored("stdout", out.getvalue()),
+                            "stdout": _stored("stdout", stdout),
                             "files": {name: _stored(name, text)
                                       for name, text in written.items()}})
     finally:
@@ -131,6 +148,17 @@ def test_readme_outputs_match_the_golden_manifest(tmp_path):
     want = _manifest()
     got = run_readme(tmp_path)
     assert [e["argv"] for e in got] == [e["argv"] for e in want]
+    assert [m for a, b in zip(want, got) for m in mismatches(a, b)] == []
+
+
+def test_python_m_tfib_cli_writes_the_golden_outputs(tmp_path):
+    """The process entry, on an exact command that writes files, a numeric
+    one that writes files, and a --strict check."""
+    picked = [i for i, argv in enumerate(readme_commands())
+              if argv[:2] in (["graph", "k3"], ["fib", "amoeba"], ["fib", "poisson"])]
+    assert len(picked) == 3
+    want = [_manifest()[i] for i in picked]
+    got = run_readme(tmp_path, [readme_commands()[i] for i in picked], run=as_process)
     assert [m for a, b in zip(want, got) for m in mismatches(a, b)] == []
 
 

@@ -322,6 +322,59 @@ def test_integer_face_rule_matches_the_fraction_rule(case):
     assert boundary.minimal_face(p) == want
 
 
+def _trivalent(*points):
+    return pb.DiscriminantGraph(tuple(pb.GraphVertex(p, "unsigned", 3) for p in points), ())
+
+
+def _sign_by_minimal_face(p):
+    """(sign, None) or (None, error message) for a trivalent vertex at p,
+    from its own `minimal_face`."""
+    try:
+        k = len(QUINTIC.minimal_face(p)) - 1
+    except ValueError as err:
+        return None, str(err)
+    if k in (1, 2):
+        return ("positive" if k == 1 else "negative"), None
+    if k == 0:
+        return None, f"graph vertex on a 0-face at {p}"
+    return None, f"trivalent vertex in a {k}-face interior at {p}"
+
+
+@given(st.lists(_simplex_points(QUINTIC), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_classify_signs_over_a_common_denominator_matches_minimal_face(points):
+    """Mixed denominators in one graph: each vertex gets the sign of its
+    own `minimal_face`, and the first that has none names its error."""
+    want = [_sign_by_minimal_face(p) for p in points]
+    errors = [message for _, message in want if message is not None]
+    if errors:
+        with pytest.raises(ValueError) as got:
+            pb.classify_signs(_trivalent(*points), QUINTIC)
+        assert str(got.value) == errors[0]
+    else:
+        got = pb.classify_signs(_trivalent(*points), QUINTIC)
+        assert [v.sign for v in got.vertices] == [sign for sign, _ in want]
+
+
+@pytest.mark.parametrize("position, message", [
+    (frac_pt(-2, 0, 0, 0),
+     "point (Fraction(-2, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) "
+     "lies outside the simplex"),
+    (frac_pt(4, -1, -1, -1),
+     "graph vertex on a 0-face at (Fraction(4, 1), Fraction(-1, 1), "
+     "Fraction(-1, 1), Fraction(-1, 1))"),
+    (frac_pt("1/4", "1/4", "1/4", "1/4"),
+     "trivalent vertex in a 3-face interior at (Fraction(1, 4), Fraction(1, 4), "
+     "Fraction(1, 4), Fraction(1, 4))"),
+])
+def test_classify_signs_names_a_vertex_it_cannot_sign(position, message):
+    # a vertex with denominator 6 beside it: the common denominator is not the point's
+    graph = _trivalent(frac_pt("1/2", "1/3", -1, -1), position)
+    with pytest.raises(ValueError) as err:
+        pb.classify_signs(graph, QUINTIC)
+    assert str(err.value) == message
+
+
 def _fraction_thickening(graph, amoeba_radius):
     """The Fraction legs and reach test that `localized_thickening` ran
     before it moved to integer lattice coordinates, kept as the oracle."""

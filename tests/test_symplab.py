@@ -814,3 +814,14 @@ def test_phi_thin_legs_calls_each_leg_map_only_on_its_branch(monkeypatch):
     seen.clear()
     models.phi_thin_legs(u1[labels == "amoeba"], u2[labels == "amoeba"])
     assert seen == {}
+
+
+def test_thin_legs_margin_works_out_the_switch_spheres_once(monkeypatch):
+    calls = []
+    real = models._thin_legs_spheres
+    monkeypatch.setattr(models, "_thin_legs_spheres",
+                        lambda u1, u2: calls.append(1) or real(u1, u2))
+    z = np.random.default_rng(41).normal(size=(50, 3)) + 0j
+    got = models.make_model("thin_legs").margin(z)
+    assert len(calls) == 1
+    assert _same_bits(got, ref.MAPS["thin_legs"][1](z))
